@@ -2,8 +2,8 @@
 
 Exit codes are stable: 0 success, 1 data error (bad file contents, mismatched
 metadata, I/O failure), 2 usage error (unknown flags, values out of range).
-Every subcommand can also read its settings from a plain ``key = value``
-config file; explicit flags override file values.
+``simulate`` and ``postprocess`` can also read their settings from a plain
+``key = value`` config file; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -215,7 +216,8 @@ def cmd_postprocess(args) -> int:
     )
     jobs = s["jobs"]
     if jobs > 1 and len(args.detections) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(args.detections), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_process_one, i, o, config)
                 for i, o in zip(args.detections, args.out)

@@ -5,19 +5,28 @@ Matching is greedy in score order (the COCO convention): each prediction
 claims the unclaimed ground-truth box of maximal IoU, provided the IoU
 reaches the threshold. AP uses 101-point interpolation over the precision
 envelope. Everything is deterministic for a given input.
+
+match_predictions and average_precision score one (class, frame) cell at one
+threshold; evaluate_streams gives their numbers in one columnar pass. It
+computes each same-cell IoU once, in chunks, and runs the greedy claim for all
+10 thresholds together. PR curves are built only when looked up.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .geometry import BBox, Detection, iou_matrix
+from .geometry import BBox, Detection, iou_corners, iou_matrix
 from .io import GroundTruth, VideoDetections
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
+_THRESHOLDS = np.array(IOU_THRESHOLDS)
+_PAIR_CHUNK = 1 << 15  # same-cell pairs whose IoU is computed at once, to bound memory
 
 
 @dataclass
@@ -28,7 +37,7 @@ class EvalReport:
     per_class_ap: dict[tuple[int, float], float]
     map50: float
     map50_95: float
-    pr_curves: dict[tuple[int, float], list[tuple[float, float]]]
+    pr_curves: Mapping[tuple[int, float], list[tuple[float, float]]]  # built on lookup
     counts: dict[float, tuple[int, int, int]]  # threshold -> (TP, FP, FN)
 
     def class_ap50_95(self, class_id: int) -> float:
@@ -101,17 +110,22 @@ def average_precision(scored: list[tuple[float, bool]], num_gt: int) -> float:
     """
     if num_gt < 0:
         raise ContractError(f"num_gt must be >= 0, got {num_gt}")
-    if num_gt == 0 or not scored:
-        return 0.0
     ordered = sorted(scored, key=lambda p: -p[0])
-    tp = np.cumsum([1.0 if lab else 0.0 for _, lab in ordered])
-    n = np.arange(1, len(ordered) + 1)
+    return _ranked_ap(np.array([lab for _, lab in ordered], dtype=bool), num_gt)
+
+
+def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
+    """average_precision of TP flags already in descending score order."""
+    if num_gt == 0 or not len(is_tp):
+        return 0.0
+    tp = np.cumsum(is_tp, dtype=float)
+    n = np.arange(1, len(tp) + 1)
     recall = tp / num_gt
     precision = tp / n
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     sample_recalls = np.linspace(0.0, 1.0, 101)
     idx = np.searchsorted(recall, sample_recalls, side="left")
-    sampled = np.where(idx < len(ordered), envelope[np.minimum(idx, len(ordered) - 1)], 0.0)
+    sampled = np.where(idx < len(tp), envelope[np.minimum(idx, len(tp) - 1)], 0.0)
     return float(np.mean(sampled))
 
 
@@ -130,6 +144,9 @@ def evaluate_streams(
     mAP50-95 averages AP over the 10 thresholds 0.50:0.05:0.95, then over
     classes.
     """
+    preds: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h, score)
+    gts: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h)
+    cell = 0  # numbers the (video, frame) pairs in stream order
     for v, g in pairs:
         if v.video_id != g.video_id:
             raise ContractError(
@@ -145,41 +162,34 @@ def evaluate_streams(
                 f"frame shape mismatch for {v.video_id!r}: "
                 f"{v.frame_shape} vs {g.frame_shape}"
             )
+        for f in range(v.frame_count):
+            for d in v.frames[f]:
+                b = d.bbox
+                preds[d.class_id].append((cell, b.x, b.y, b.w, b.h, d.score))
+            for t in g.frames[f]:
+                b = t.bbox
+                gts[t.class_id].append((cell, b.x, b.y, b.w, b.h))
+            cell += 1
 
-    classes = sorted(
-        {d.class_id for v, _ in pairs for f in v.frames.values() for d in f}
-        | {b.class_id for _, g in pairs for f in g.frames.values() for b in f}
-    )
-
+    classes = sorted(preds.keys() | gts.keys())
     per_class_ap: dict[tuple[int, float], float] = {}
-    pr_curves: dict[tuple[int, float], list[tuple[float, float]]] = {}
+    flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]] = {}
     count_acc = {t: [0, 0, 0] for t in IOU_THRESHOLDS}
 
     for c in classes:
-        # cache per-frame detections and IoU matrices once per class
-        frame_cache = []
-        for v, g in pairs:
-            for f in range(v.frame_count):
-                preds_f = [d for d in v.frames[f] if d.class_id == c]
-                gts_f = [b.bbox for b in g.frames[f] if b.class_id == c]
-                if preds_f or gts_f:
-                    mat = iou_matrix([d.bbox for d in preds_f], gts_f)
-                    frame_cache.append((preds_f, gts_f, mat))
-
-        for t in IOU_THRESHOLDS:
-            scored: list[tuple[float, bool]] = []
-            num_gt = 0
-            for preds_f, gts_f, mat in frame_cache:
-                labels = match_predictions(preds_f, gts_f, t, iou_mat=mat)
-                scored.extend((d.score, lab) for d, lab in zip(preds_f, labels))
-                num_gt += len(gts_f)
-            ap = average_precision(scored, num_gt)
-            per_class_ap[(c, t)] = ap
-            pr_curves[(c, t)] = _pr_points(scored, num_gt)
-            tp = sum(1 for _, lab in scored if lab)
+        p = np.array(preds.get(c, ()), dtype=float).reshape(-1, 6)
+        q = np.array(gts.get(c, ()), dtype=float).reshape(-1, 5)
+        p[:, 3:5] += p[:, 1:3]  # (w, h) -> (x2, y2), the corners iou_matrix uses
+        q[:, 3:5] += q[:, 1:3]
+        labels = _match_class(p, q)
+        # a stable sort keeps equal scores in stream order, as sorted() does
+        ranked = labels[:, np.argsort(-p[:, 5], kind="stable")]
+        for t, is_tp, tp in zip(IOU_THRESHOLDS, ranked, labels.sum(axis=1).tolist()):
+            per_class_ap[(c, t)] = _ranked_ap(is_tp, len(q))
             count_acc[t][0] += tp
-            count_acc[t][1] += len(scored) - tp
-            count_acc[t][2] += num_gt - tp
+            count_acc[t][1] += len(p) - tp
+            count_acc[t][2] += len(q) - tp
+        flags[c] = (p[:, 5].copy(), dict(zip(IOU_THRESHOLDS, labels)), len(q))
 
     if classes:
         map50 = float(np.mean([per_class_ap[(c, 0.5)] for c in classes]))
@@ -195,9 +205,76 @@ def evaluate_streams(
         per_class_ap=per_class_ap,
         map50=map50,
         map50_95=map50_95,
-        pr_curves=pr_curves,
+        pr_curves=_PRCurves(flags),
         counts={t: tuple(acc) for t, acc in count_acc.items()},
     )
+
+
+def _match_class(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """TP flags (threshold x prediction) of one class's prediction rows p
+    (cell, x1, y1, x2, y2, score) against its gt rows q (cell, x1, y1, x2, y2):
+    match_predictions on every cell at every threshold."""
+    labels = np.zeros((len(IOU_THRESHOLDS), len(p)), dtype=bool)
+    if not len(p) or not len(q):
+        return labels
+    pi, pj, pv = _overlaps(p, q)
+    best = np.zeros(len(p))
+    np.maximum.at(best, pi, pv)
+    labels[:] = best >= _THRESHOLDS[:, None]
+    # Only a prediction whose best IoU reaches 0.5 ever claims a gt box. A
+    # prediction that shares no overlapping box with another such prediction
+    # therefore gets its best box; the others compete, in visit order.
+    live = best[pi] >= _THRESHOLDS[0]
+    shared = np.bincount(pj[live], minlength=len(q)) > 1
+    rivals = np.unique(pi[live & shared[pj]])
+    order = rivals[np.lexsort((p[rivals, 2], p[rivals, 1], -p[rivals, 5], p[rivals, 0]))]
+    claimed = np.zeros((len(IOU_THRESHOLDS), len(q)), dtype=bool)
+    lo = np.searchsorted(pi, order, "left").tolist()
+    hi = np.searchsorted(pi, order, "right").tolist()
+    for i, a, b in zip(order.tolist(), lo, hi):
+        js = pj[a:b]
+        iou = np.where(claimed[:, js], 0.0, pv[a:b])
+        hit = iou.max(axis=1) >= _THRESHOLDS
+        claimed[hit, js[iou.argmax(axis=1)[hit]]] = True  # argmax: earliest box on ties
+        labels[:, i] = hit
+    return labels
+
+
+def _overlaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prediction, gt, IoU) of each same-cell pair with positive IoU, by
+    prediction, then gt; computed for about _PAIR_CHUNK pairs at a time."""
+    first = np.searchsorted(q[:, 0], p[:, 0], "left")
+    n = np.searchsorted(q[:, 0], p[:, 0], "right") - first
+    pair0 = np.cumsum(n) - n  # each prediction's first pair
+    parts = []
+    start = 0
+    while start < len(p):
+        stop = int(np.searchsorted(pair0, pair0[start] + _PAIR_CHUNK, "right"))
+        i = np.repeat(np.arange(start, stop), n[start:stop])
+        j = first[i] + np.arange(len(i)) - (pair0[i] - pair0[start])
+        iou = iou_corners(p[i, 1:5], q[j, 1:5])
+        keep = iou > 0.0
+        parts.append((i[keep], j[keep], iou[keep]))
+        start = stop
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+class _PRCurves(Mapping):
+    """(class, threshold) -> _pr_points of the class's labels, built on lookup."""
+
+    def __init__(self, flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]]):
+        self._flags = flags  # class -> (scores, threshold -> TP flags, num_gt)
+
+    def __getitem__(self, key: tuple[int, float]) -> list[tuple[float, float]]:
+        scores, by_threshold, num_gt = self._flags[key[0]]
+        is_tp = by_threshold[key[1]].tolist()
+        return _pr_points(list(zip(scores.tolist(), is_tp)), num_gt)
+
+    def __iter__(self):
+        return ((c, t) for c in self._flags for t in IOU_THRESHOLDS)
+
+    def __len__(self) -> int:
+        return len(self._flags) * len(IOU_THRESHOLDS)
 
 
 def _pr_points(scored: list[tuple[float, bool]], num_gt: int) -> list[tuple[float, float]]:

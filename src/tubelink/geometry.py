@@ -117,12 +117,18 @@ def iou_matrix(a: list[BBox], b: list[BBox]) -> np.ndarray:
         return np.zeros((len(a), len(b)))
     ax = np.array([[p.x, p.y, p.x2, p.y2] for p in a])
     bx = np.array([[q.x, q.y, q.x2, q.y2] for q in b])
-    ix = np.minimum(ax[:, None, 2], bx[None, :, 2]) - np.maximum(ax[:, None, 0], bx[None, :, 0])
-    iy = np.minimum(ax[:, None, 3], bx[None, :, 3]) - np.maximum(ax[:, None, 1], bx[None, :, 1])
+    return iou_corners(ax[:, None], bx[None, :])
+
+
+def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of corner boxes (x1, y1, x2, y2) on the last axis of
+    two arrays that broadcast against each other."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (ax[:, 2] - ax[:, 0]) * (ax[:, 3] - ax[:, 1])
-    area_b = (bx[:, 2] - bx[:, 0]) * (bx[:, 3] - bx[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:

@@ -59,6 +59,9 @@ class ScenarioConfig:
     appearance_noise: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.frame_count < 1:
             raise ValidationError(f"frame_count must be >= 1, got {self.frame_count}")
         if not (0 <= self.num_tracks <= MAX_TRACKS):
@@ -86,6 +89,15 @@ class ScenarioConfig:
                      "tp_score_sigma", "fp_score_sigma"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        # A step longer than the narrowest span of box centres could overshoot
+        # the frame by more than one span; far enough out, _reflect's
+        # 2 * bound - pos loses the position and never returns.
+        span = min(self.width, self.height) - self.box_max
+        for name in ("speed_max", "sigma_motion"):
+            if getattr(self, name) > span:
+                raise ValidationError(
+                    f"{name} must be at most min(width, height) - box_max = {span}"
+                )
         for name in ("tp_score_mean", "fp_score_mean"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValidationError(f"{name} must be in [0,1]")

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from tubelink import (
     BBox,
     ContractError,
+    Detection,
     FrameShape,
     GroundTruth,
     IOU_THRESHOLDS,
@@ -14,8 +17,16 @@ from tubelink import (
     average_precision,
     evaluate,
     evaluate_streams,
+    generate,
+    iou_matrix,
     match_predictions,
+    standard_scenario,
+    write_detections,
+    write_ground_truth,
 )
+from tubelink import evaluation
+from tubelink.cli import main
+from tubelink.evaluation import EvalReport, _pr_points
 
 from conftest import SHAPE, det, random_bbox
 
@@ -284,3 +295,196 @@ class TestEvaluate:
         assert d["map50"] == 1.0
         assert d["per_class_ap"]["0"]["0.50"] == 1.0
         assert d["counts"]["0.50"] == {"tp": 1, "fp": 0, "fn": 0}
+
+
+# ------------------------------------------------------------------ single pass vs oracle
+
+def evaluate_oracle(pairs):
+    """The per-class, per-threshold evaluator: match_predictions on every
+    (class, frame) cell at every threshold, pooled in stream order."""
+    classes = sorted(
+        {d.class_id for v, _ in pairs for f in v.frames.values() for d in f}
+        | {b.class_id for _, g in pairs for f in g.frames.values() for b in f}
+    )
+    per_class_ap, pr_curves = {}, {}
+    counts = {t: [0, 0, 0] for t in IOU_THRESHOLDS}
+    for c in classes:
+        cells = [
+            ([d for d in v.frames[f] if d.class_id == c],
+             [b.bbox for b in g.frames[f] if b.class_id == c])
+            for v, g in pairs
+            for f in range(v.frame_count)
+        ]
+        for t in IOU_THRESHOLDS:
+            scored, num_gt = [], 0
+            for preds, gts in cells:
+                labels = match_predictions(preds, gts, t)
+                scored.extend((d.score, lab) for d, lab in zip(preds, labels))
+                num_gt += len(gts)
+            per_class_ap[(c, t)] = average_precision(scored, num_gt)
+            pr_curves[(c, t)] = _pr_points(scored, num_gt)
+            tp = sum(1 for _, lab in scored if lab)
+            counts[t][0] += tp
+            counts[t][1] += len(scored) - tp
+            counts[t][2] += num_gt - tp
+    map50 = float(np.mean([per_class_ap[(c, 0.5)] for c in classes])) if classes else 0.0
+    map50_95 = (
+        float(np.mean([per_class_ap[(c, t)] for c in classes for t in IOU_THRESHOLDS]))
+        if classes else 0.0
+    )
+    return EvalReport(classes, per_class_ap, map50, map50_95, pr_curves,
+                      {t: tuple(acc) for t, acc in counts.items()})
+
+
+def assert_same_report(got, want):
+    assert got.to_dict() == want.to_dict()
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+    assert list(got.per_class_ap.items()) == list(want.per_class_ap.items())
+    assert got.counts == want.counts
+    assert list(got.pr_curves) == list(want.pr_curves)
+    assert dict(got.pr_curves) == want.pr_curves
+
+
+def clustered_pair(rng, vid, frame_count, classes, scores=None):
+    """Boxes jittered around a few anchors per frame, so cells hold several
+    overlapping predictions and gt boxes at IoUs across the thresholds.
+    A fifth of the predictions repeat the previous one's box and score."""
+    frames_p, frames_g = {}, {}
+    for f in range(frame_count):
+        anchors = rng.uniform(0, 100, size=(int(rng.integers(1, 4)), 2))
+
+        def box():
+            ax, ay = anchors[rng.integers(len(anchors))] + rng.normal(0, 3, size=2)
+            return BBox(float(ax), float(ay), float(rng.uniform(15, 25)), float(rng.uniform(15, 25)))
+
+        frames_g[f] = [TrackBox(f, int(rng.integers(classes)), tid, box())
+                       for tid in range(int(rng.integers(0, 5)))]
+        preds = []
+        for _ in range(int(rng.integers(0, 7))):
+            if preds and rng.random() < 0.2:
+                preds.append(preds[-1])
+                continue
+            score = float(rng.choice(scores)) if scores is not None else float(rng.uniform())
+            preds.append(Detection(f, int(rng.integers(classes)), box(), score))
+        frames_p[f] = preds
+    return (VideoDetections(vid, SHAPE, frame_count, frames_p),
+            GroundTruth(vid, SHAPE, frame_count, frames_g))
+
+
+def random_pairs(rng, scores=None):
+    return [
+        clustered_pair(rng, f"v{k}", int(rng.integers(1, 7)), int(rng.integers(1, 4)), scores)
+        for k in range(int(rng.integers(1, 4)))
+    ]
+
+
+class TestSinglePassMatchesOracle:
+    @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
+    def test_random_pooled_streams(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(evaluation, "_PAIR_CHUNK", chunk)
+        for _ in range(40):
+            pairs = random_pairs(rng)
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    def test_equal_scores_across_frames(self, rng):
+        for _ in range(40):
+            pairs = random_pairs(rng, scores=(0.25, 0.5, 0.75))
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    def test_claim_order_in_crowded_cells(self, rng):
+        """Cells with >= 2 predictions and >= 2 gt boxes where the greedy
+        claim makes predictions compete, at every threshold."""
+        competing = 0
+        for _ in range(60):
+            pairs = [clustered_pair(rng, "v", 4, 1)]
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+            for v, g in pairs:
+                for f in range(v.frame_count):
+                    mat = iou_matrix([d.bbox for d in v.frames[f]], [b.bbox for b in g.frames[f]])
+                    if mat.shape[1] >= 2 and ((mat >= 0.5).sum(axis=0) >= 2).any():
+                        competing += 1
+        assert competing >= 20
+        # a hand case: the first prediction takes the box the second needs
+        g1, g2 = BBox(0, 0, 10, 10), BBox(6, 0, 10, 10)
+        frames_p = {0: [det(score=0.8, x=0.5), det(score=0.9, x=2.8)]}
+        frames_g = {0: [TrackBox(0, 0, 0, g1), TrackBox(0, 0, 1, g2)]}
+        pairs = [stream_pair(frames_p, frames_g, 1)]
+        rep = evaluate_streams(pairs)
+        assert_same_report(rep, evaluate_oracle(pairs))
+        assert rep.counts[0.5] == (1, 1, 1)
+        # an IoU tie (8/12 with both boxes) goes to the earliest box, which
+        # leaves the later one to the second prediction
+        left, right = BBox(-2, 0, 10, 10), BBox(2, 0, 10, 10)
+        frames_p = {0: [det(score=0.9, x=0.0), det(score=0.8, x=4.0)]}
+        for gts, tp in (([left, right], 2), ([right, left], 1)):
+            frames_g = {0: [TrackBox(0, 0, k, b) for k, b in enumerate(gts)]}
+            pairs = [stream_pair(frames_p, frames_g, 1)]
+            rep = evaluate_streams(pairs)
+            assert_same_report(rep, evaluate_oracle(pairs))
+            assert rep.counts[0.5][0] == tp
+
+    def test_simulated_crowd(self):
+        cfg = dataclasses.replace(standard_scenario(4), frame_count=15, num_tracks=30, fp_rate=5.0)
+        gt, dets = generate(cfg)
+        pairs = [(dets, gt)]
+        assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    def test_class_on_one_side_only(self, rng):
+        v, g = clustered_pair(rng, "v", 5, 1)
+        frames_p = {f: v.frames[f] + [det(frame=f, cls=3, score=0.4)] for f in range(5)}
+        frames_g = {f: g.frames[f] + [TrackBox(f, 5, 99, BBox(1, 1, 9, 9))] for f in range(5)}
+        pairs = [stream_pair(frames_p, frames_g, 5)]
+        rep = evaluate_streams(pairs)
+        assert {3, 5} <= set(rep.classes)
+        assert_same_report(rep, evaluate_oracle(pairs))
+
+    def test_empty_streams(self):
+        cases = [
+            [],
+            [stream_pair({}, {}, 0)],
+            [stream_pair({}, {}, 3)],
+            [stream_pair({}, {}, 2, vid="a"),
+             stream_pair({}, {0: [TrackBox(0, 0, 0, BBox(0, 0, 5, 5))]}, 1, vid="b")],
+        ]
+        for pairs in cases:
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    def test_degenerate_overlap(self):
+        # x + w rounds back to x here, so these boxes have zero area and an
+        # IoU of 0/0 with each other; no prediction may claim through it
+        far = 1e17
+        frames_p = {0: [det(x=far, w=1.0, score=0.9), det(x=0.0, score=0.8)]}
+        frames_g = {0: [TrackBox(0, 0, 0, BBox(far, 0, 1.0, 10)),
+                        TrackBox(0, 0, 1, BBox(0.5, 0, 10, 10))]}
+        pairs = [stream_pair(frames_p, frames_g, 1)]
+        with np.errstate(invalid="ignore"):
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    def test_pr_curves_built_on_lookup(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "_pr_points",
+                            lambda *a: calls.append(a) or _pr_points(*a))
+        rep = evaluate_streams(random_pairs(rng))
+        assert calls == []
+        c = rep.classes[0]
+        assert rep.pr_curves[(c, 0.5)] == _pr_points(*calls[0])
+        assert len(calls) == 1
+        assert (c, 0.42) not in rep.pr_curves
+
+    def test_cli_report_bytes(self, rng, tmp_path, capsys):
+        pairs = random_pairs(rng, scores=(0.25, 0.5, 0.75))
+        argv = ["eval"]
+        for k, (v, g) in enumerate(pairs):
+            write_detections(v, tmp_path / f"d{k}.txt")
+            write_ground_truth(g, tmp_path / f"g{k}.txt")
+            argv += ["--detections", str(tmp_path / f"d{k}.txt"),
+                     "--ground-truth", str(tmp_path / f"g{k}.txt")]
+        out, pr = tmp_path / "report.json", tmp_path / "pr.csv"
+        assert main(argv + ["--out", str(out), "--pr-out", str(pr)]) == 0
+        want = evaluate_oracle(pairs)
+        assert out.read_text(encoding="utf-8") == json.dumps(want.to_dict(), indent=2, sort_keys=True) + "\n"
+        lines = ["class_id,iou_thresh,recall,precision"] + [
+            f"{c},{t:.2f},{r!r},{p!r}"
+            for c in want.classes for t in IOU_THRESHOLDS for r, p in want.pr_curves[(c, t)]
+        ]
+        assert pr.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

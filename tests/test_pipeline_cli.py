@@ -1,4 +1,5 @@
 import re
+from concurrent.futures import Future
 
 import pytest
 
@@ -12,6 +13,7 @@ from tubelink import (
     write_detections,
     write_ground_truth,
 )
+from tubelink import cli
 from tubelink.cli import main
 
 from conftest import random_stream
@@ -140,6 +142,42 @@ class TestCliPostprocess:
                      "--out", str(par[0]), "--out", str(par[1]), "--jobs", "2"]) == 0
         for s, p in zip(seq, par):
             assert s.read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 8, 3),   # capped by the number of inputs
+        (2, 8, 2),    # as asked
+        (64, 2, 2),   # capped by the CPU count
+        (4, None, 1),  # CPU count unknown
+    ])
+    def test_jobs_pool_is_capped(self, tmp_path, capsys, monkeypatch, jobs, cpus, workers):
+        seen = []
+
+        class InlinePool:
+            """Runs each task in this process and records the pool size."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["postprocess", "--jobs", str(jobs)]
+        for k in range(3):
+            _, _, det_path = write_scenario(tmp_path, seed=k, frame_count=10)
+            argv += ["--detections", str(det_path), "--out", str(tmp_path / f"o{k}.txt")]
+        assert main(argv) == 0
+        assert seen == [workers]
+        assert all((tmp_path / f"o{k}.txt").exists() for k in range(3))
 
     def test_output_reusable_as_input(self, tmp_path, capsys):
         _, _, det_path = write_scenario(tmp_path, seed=3, frame_count=40)

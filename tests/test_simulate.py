@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+import signal
 
 import pytest
 
@@ -126,6 +128,51 @@ class TestConfigValidation:
     def test_box_larger_than_frame_rejected(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(width=50, height=50, box_max=64.0)
+
+    def test_non_finite_floats_rejected(self):
+        names = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+        assert "speed_max" in names and "fp_rate" in names
+        for name in names:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValidationError, match=name):
+                    ScenarioConfig(**{name: bad})
+
+    def test_runaway_steps_rejected_in_bounded_time(self):
+        # speed_max=1e300 used to make _reflect ping-pong forever
+        with time_limit(5.0):
+            for name in ("speed_max", "sigma_motion"):
+                with pytest.raises(ValidationError, match=name):
+                    generate(ScenarioConfig(frame_count=3, num_tracks=1, **{name: 1e300}))
+                with pytest.raises(ValidationError):
+                    parse_config(f"{name} = 1e300\n")
+
+    def test_largest_steps_stay_in_frame_in_bounded_time(self):
+        span = min(1280, 720) - 64.0
+        with pytest.raises(ValidationError):
+            ScenarioConfig(speed_max=span + 1e-9)
+        cfg = ScenarioConfig(seed=3, frame_count=200, num_tracks=6,
+                             speed_max=span, sigma_motion=span)
+        with time_limit(5.0):
+            gt, _ = generate(cfg)
+        for boxes in gt.frames.values():
+            for b in boxes:
+                assert -1e-9 <= b.bbox.x and b.bbox.x2 <= cfg.width + 1e-9
+                assert -1e-9 <= b.bbox.y and b.bbox.y2 <= cfg.height + 1e-9
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError when it runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 DEFAULT_SUMMARY = """\
