@@ -15,26 +15,38 @@ from .errors import ContractError
 from .geometry import Detection, nms
 from .io import VideoDetections
 from .linking import link_tubelets
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, setting, validate
 from .similarity import SimilarityModel, default_model
 from .tubelets import Tubelet, build_tubelets, filter_short, rescore, smooth_coordinates
 
 
 @dataclass
 class PipelineConfig:
-    """Knobs for postprocess_video; defaults match the CLI defaults."""
+    """Knobs for postprocess_video, each declared once, on its field.
+
+    Construction raises ValidationError on a value outside its field's check.
+    ``postprocess`` reads the same fields: the file key is the field name, the
+    flag is ``--`` plus the name with ``-`` for ``_``, and ``no_repp`` /
+    ``no_tubelet_link`` switch a stage off. File booleans are strict; a bad
+    file value exits 1 before any input is read, a bad flag value exits 2.
+    """
 
     model: SimilarityModel = field(default_factory=default_model)
-    nms_iou: float | None = None   # None skips NMS entirely
-    repp: bool = True              # rescore + smooth + drop short tubelets
-    tubelet_link: bool = True      # merge across gaps and interpolate
-    tau_link: float = 0.5
-    assignment: str = "greedy"
-    alpha: float = 0.5
-    smooth_window: int = 5
-    min_len: int = 2
-    g_max: int = 20
-    tau_tub: float = 0.5
-    interp_score: str = "mean"
+    nms_iou: float | None = setting(  # None skips NMS entirely
+        None, UNIT_OPEN, "run per-frame NMS at this IoU before linking (off by default)")
+    repp: bool = setting(True, help="skip rescoring/smoothing/short-tubelet removal")
+    tubelet_link: bool = setting(True, help="skip tubelet linking and gap interpolation")
+    tau_link: float = setting(0.5, UNIT_OPEN)
+    assignment: str = setting("greedy", one_of("greedy", "exact"))
+    alpha: float = setting(0.5, UNIT_CLOSED)
+    smooth_window: int = setting(5, ODD_WINDOW)
+    min_len: int = setting(2, int_at_least(1))
+    g_max: int = setting(20, int_at_least(0))
+    tau_tub: float = setting(0.5, UNIT_OPEN)
+    interp_score: str = setting("mean", one_of("mean", "endpoint"))
+
+    def __post_init__(self):
+        validate(self)
 
 
 def postprocess_video(

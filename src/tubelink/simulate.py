@@ -19,65 +19,59 @@ from dataclasses import dataclass, fields
 
 from numpy.random import Generator, PCG64
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .geometry import BBox, Detection, FrameShape
 from .io import GroundTruth, TrackBox, VideoDetections
+from .settings import (
+    FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least,
+    read_settings, setting, validate,
+)
 
 MAX_TRACKS = 30
 MIN_BOX_SIDE = 2.0  # jittered sizes are clamped here so boxes stay valid
+# False positives per frame, on average. Far beyond any use (the benchmark's
+# crowded scenario has 5), and it keeps numpy's Poisson draw in range.
+MAX_FP_RATE = 100.0
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one synthetic scenario.
-
-    The field order below is the serialization order used by describe() and
-    parse_config(); every key mirrors the matching simulate CLI flag.
+    """Full description of one synthetic scenario, each setting declared
+    once, on its field: the ``simulate`` flags and config-file keys derive
+    from them. Construction raises ValidationError on a value outside its
+    field's check or the limits below. describe() keeps the field order.
     """
 
-    seed: int = 0
-    video_id: str = "sim"
-    frame_count: int = 300
-    width: int = 1280
-    height: int = 720
-    num_tracks: int = 8
-    classes: int = 1
-    box_min: float = 24.0
-    box_max: float = 64.0
-    speed_max: float = 4.0
-    sigma_motion: float = 0.5
-    jitter_sigma: float = 0.0
-    drop_prob: float = 0.0
-    burst_prob: float = 0.0
-    burst_max: int = 0
-    fp_rate: float = 0.0
-    tp_score_mean: float = 0.8
-    tp_score_sigma: float = 0.1
-    fp_score_mean: float = 0.6
-    fp_score_sigma: float = 0.2
-    appearance_dim: int = 0
-    appearance_noise: float = 0.1
+    seed: int = setting(0, int_at_least(0))
+    video_id: str = setting("sim")
+    frame_count: int = setting(300, int_at_least(1))
+    width: int = setting(1280, FRAME_SIDE)
+    height: int = setting(720, FRAME_SIDE)
+    num_tracks: int = setting(8, int_at_least(0))
+    classes: int = setting(1, int_at_least(1))
+    box_min: float = setting(24.0, NON_NEGATIVE)
+    box_max: float = setting(64.0, NON_NEGATIVE)
+    speed_max: float = setting(4.0, NON_NEGATIVE)
+    sigma_motion: float = setting(0.5, NON_NEGATIVE)
+    jitter_sigma: float = setting(0.0, NON_NEGATIVE)
+    drop_prob: float = setting(0.0, UNIT_HALF_OPEN)
+    burst_prob: float = setting(0.0, UNIT_HALF_OPEN)
+    burst_max: int = setting(0, int_at_least(0))
+    fp_rate: float = setting(
+        0.0, Check(lambda v: 0.0 <= v <= MAX_FP_RATE, f"in [0, {MAX_FP_RATE:g}]"))
+    tp_score_mean: float = setting(0.8, UNIT_CLOSED)
+    tp_score_sigma: float = setting(0.1, NON_NEGATIVE)
+    fp_score_mean: float = setting(0.6, UNIT_CLOSED)
+    fp_score_sigma: float = setting(0.2, NON_NEGATIVE)
+    appearance_dim: int = setting(0, int_at_least(0))
+    appearance_noise: float = setting(0.1, NON_NEGATIVE)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.frame_count < 1:
-            raise ValidationError(f"frame_count must be >= 1, got {self.frame_count}")
-        if not (0 <= self.num_tracks <= MAX_TRACKS):
+        validate(self)
+        if self.num_tracks > MAX_TRACKS:
             raise ValidationError(
                 f"num_tracks must be in [0, {MAX_TRACKS}], got {self.num_tracks}"
             )
-        if self.classes < 1:
-            raise ValidationError(f"classes must be >= 1, got {self.classes}")
-        for name in ("drop_prob", "burst_prob"):
-            p = getattr(self, name)
-            if not (0.0 <= p < 1.0):
-                raise ValidationError(f"{name} must be in [0,1), got {p}")
-        if self.fp_rate < 0:
-            raise ValidationError(f"fp_rate must be >= 0, got {self.fp_rate}")
-        if self.burst_max < 0:
-            raise ValidationError(f"burst_max must be >= 0, got {self.burst_max}")
         if not (MIN_BOX_SIDE <= self.box_min <= self.box_max):
             raise ValidationError(
                 f"need {MIN_BOX_SIDE} <= box_min <= box_max, got "
@@ -85,10 +79,6 @@ class ScenarioConfig:
             )
         if self.box_max >= min(self.width, self.height):
             raise ValidationError("box_max must be smaller than the frame")
-        for name in ("speed_max", "sigma_motion", "jitter_sigma", "appearance_noise",
-                     "tp_score_sigma", "fp_score_sigma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
         # A step longer than the narrowest span of box centres could overshoot
         # the frame by more than one span; far enough out, _reflect's
         # 2 * bound - pos loses the position and never returns.
@@ -98,11 +88,6 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"{name} must be at most min(width, height) - box_max = {span}"
                 )
-        for name in ("tp_score_mean", "fp_score_mean"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValidationError(f"{name} must be in [0,1]")
-        if self.appearance_dim < 0:
-            raise ValidationError(f"appearance_dim must be >= 0")
 
     @property
     def frame_shape(self) -> FrameShape:
@@ -252,26 +237,4 @@ def describe(config: ScenarioConfig) -> str:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a key = value scenario description (unknown keys are errors)."""
-    by_name = {f.name: f for f in fields(ScenarioConfig)}
-    values: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in by_name:
-            raise ConfigError(f"line {line_no}: unknown scenario key {key!r}")
-        f = by_name[key]
-        try:
-            if f.type == "int":
-                values[key] = int(val)
-            elif f.type == "float":
-                values[key] = float(val)
-            else:
-                values[key] = val
-        except ValueError:
-            raise ConfigError(f"line {line_no}: bad value for {key}: {val!r}") from None
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**read_settings(text, [ScenarioConfig], "scenario"))
