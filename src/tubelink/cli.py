@@ -27,6 +27,7 @@ from .io import (
     read_detections,
     read_detections_with_ids,
     read_ground_truth,
+    read_text,
     write_detections,
     write_ground_truth,
 )
@@ -41,7 +42,7 @@ def _settings(args, *classes, what: str) -> list[dict]:
     flags given (an unset flag sets no attribute)."""
     values = {}
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = read_text(args.config)
         values = read_settings(text, classes, what, where=f"{args.config}: ")
     values.update(vars(args))
     return [{f.name: values[f.name] for f in settings_of(c) if f.name in values} for c in classes]

@@ -8,6 +8,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ class FrameShape:
             raise ValidationError(
                 f"frame shape must be positive: {self.width}x{self.height}"
             )
+        # a side is a float divisor of the link features, so it must convert to one
+        if max(self.width, self.height) > sys.float_info.max:
+            raise ValidationError("frame side above 1.8e308 does not convert to a float")
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,9 @@ class Detection:
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score out of [0,1]: {self.score!r}")
         if self.appearance is not None:
+            # a NaN would pass the norm test below, as every comparison with it fails
+            if not all(map(math.isfinite, self.appearance)):
+                raise ValidationError("appearance vector has a non-finite component")
             norm = math.sqrt(sum(a * a for a in self.appearance))
             if abs(norm - 1.0) > 1e-6:
                 raise ValidationError(

@@ -28,6 +28,18 @@ from .geometry import BBox, Detection, FrameShape
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
+# Frames per video, about 9 h at 30 fps. Every frame gets a list, so the
+# bound is checked before any is made; the simulator's frame_count shares it.
+MAX_FRAME_COUNT = 1_000_000
+
+
+def _check_video(video_id: str, frame_count: int) -> None:
+    if not video_id or any(c.isspace() for c in video_id):
+        raise ValidationError(f"video_id must be non-empty without whitespace: {video_id!r}")
+    if not (0 <= frame_count <= MAX_FRAME_COUNT):
+        raise ValidationError(
+            f"frame_count must be in [0, {MAX_FRAME_COUNT}], got {frame_count}"
+        )
 
 
 @dataclass
@@ -44,10 +56,7 @@ class VideoDetections:
     frames: dict[int, list[Detection]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.video_id or any(c.isspace() for c in self.video_id):
-            raise ValidationError(f"video_id must be non-empty without whitespace: {self.video_id!r}")
-        if self.frame_count < 0:
-            raise ValidationError(f"frame_count must be >= 0, got {self.frame_count}")
+        _check_video(self.video_id, self.frame_count)
         for idx, dets in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise ValidationError(
@@ -93,10 +102,7 @@ class GroundTruth:
     frames: dict[int, list[TrackBox]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.video_id or any(c.isspace() for c in self.video_id):
-            raise ValidationError(f"video_id must be non-empty without whitespace: {self.video_id!r}")
-        if self.frame_count < 0:
-            raise ValidationError(f"frame_count must be >= 0, got {self.frame_count}")
+        _check_video(self.video_id, self.frame_count)
         for idx, boxes in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise ValidationError(
@@ -115,6 +121,14 @@ class GroundTruth:
                 seen.add(b.track_id)
         for idx in range(self.frame_count):
             self.frames.setdefault(idx, [])
+
+
+def read_text(path: str | Path) -> str:
+    """A file's text; bytes that are not UTF-8 raise ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", str(path)) from None
 
 
 def _fmt(v: float) -> str:
@@ -151,6 +165,7 @@ def _read_header(lines: list[str], path: str) -> tuple[str, FrameShape, int]:
     height = _parse_int(h, "height", path, 1)
     frame_count = _parse_int(n, "frame_count", path, 1)
     try:
+        _check_video(video_id, frame_count)
         shape = FrameShape(width, height)
     except ValidationError as e:
         raise ValidationError(f"{path}:1: {e}") from None
@@ -173,7 +188,7 @@ def read_detections_with_ids(
     ``#tubelets`` marker.
     """
     path = str(path)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
 
     body_start = 1
@@ -262,7 +277,7 @@ def write_detections(
 def read_ground_truth(path: str | Path) -> GroundTruth:
     """Read and fully validate a ground-truth annotation file."""
     path = str(path)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
 
     frames: dict[int, list[TrackBox]] = {i: [] for i in range(frame_count)}

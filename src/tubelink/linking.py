@@ -11,11 +11,10 @@ confidences.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 
 from .errors import ContractError
-from .geometry import BBox, Detection, FrameShape
-from .similarity import SimilarityModel, link_features, link_score
+from .geometry import BBox, FrameShape
+from .similarity import SimilarityModel, box_terms, link_score, pair_features
 from .tubelets import Tubelet, TubeletEntry
 
 
@@ -46,12 +45,8 @@ def tubelet_link_score(
             f"tubelets overlap or are out of order (gap {gap})"
         )
     tail, head = a.entries[-1], b.entries[0]
-    f = link_features(
-        Detection(tail.frame_idx, a.class_id, tail.bbox, tail.score),
-        Detection(head.frame_idx, b.class_id, head.bbox, head.score),
-        shape,
-    )
-    f = replace(f, dx=f.dx / (gap + 1), dy=f.dy / (gap + 1))
+    f = pair_features(box_terms(tail.bbox, tail.score), box_terms(head.bbox, head.score),
+                      1.0, shape, gap + 1)
     return link_score(m, f)
 
 
@@ -135,14 +130,21 @@ def link_tubelets(
     starts = sorted(ts, key=lambda t: (t.start_frame, t.tubelet_id))
     start_frames = [t.start_frame for t in starts]
 
+    heads = [box_terms(t.entries[0].bbox, t.entries[0].score) for t in starts]
+
+    # tubelet_link_score of each candidate, with each box's terms computed once
     candidates: list[tuple[float, int, int]] = []
     for a in ts:
-        lo = bisect_left(start_frames, a.end_frame + 1)
-        hi = bisect_right(start_frames, a.end_frame + 1 + g_max)
-        for b in starts[lo:hi]:
+        end = a.end_frame
+        lo = bisect_left(start_frames, end + 1)
+        hi = bisect_right(start_frames, end + 1 + g_max)
+        tail = box_terms(a.entries[-1].bbox, a.entries[-1].score)
+        for k in range(lo, hi):
+            b = starts[k]
             if b.class_id != a.class_id or b.tubelet_id == a.tubelet_id:
                 continue
-            s = tubelet_link_score(a, b, m, shape)
+            f = pair_features(tail, heads[k], 1.0, shape, start_frames[k] - end)
+            s = link_score(m, f)
             if s >= tau_tub:
                 candidates.append((s, a.tubelet_id, b.tubelet_id))
 

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ContractError, FitError, ValidationError
-from .geometry import Detection, FrameShape, center, iou
+from .geometry import BBox, Detection, FrameShape, center
+from .io import read_text
 
 MODEL_MAGIC = "repp-model v1"
 
@@ -51,10 +52,16 @@ class LinkFeatures:
     appearance_sim: float     # descriptor cosine, 0.0 when either is absent
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValidationError(f"link feature {f.name} is not finite: {v!r}")
+        # one test on the sum, which is finite only when every field is
+        # (or when it overflows: then the loop finds nothing to name)
+        if not math.isfinite(
+            self.dx + self.dy + self.log_w_ratio + self.log_h_ratio + self.iou
+            + self.score_geo_mean + self.class_match + self.appearance_sim
+        ):
+            for f in fields(self):
+                v = getattr(self, f.name)
+                if not math.isfinite(v):
+                    raise ValidationError(f"link feature {f.name} is not finite: {v!r}")
         if not (0.0 <= self.iou <= 1.0):
             raise ValidationError(f"iou feature out of [0,1]: {self.iou}")
         if self.class_match not in (0.0, 1.0):
@@ -81,6 +88,41 @@ def default_model() -> SimilarityModel:
     return SimilarityModel(DEFAULT_WEIGHTS, DEFAULT_BIAS)
 
 
+def box_terms(b: BBox, score: float, appearance: tuple[float, ...] | None = None) -> tuple:
+    """What pair_features needs of a box, computed once per box however many
+    pairs it is in: corners and area (as geometry.iou computes them),
+    centre, size, score and descriptor."""
+    x2, y2 = b.x2, b.y2
+    app = None if appearance is None else np.array(appearance)
+    return (b.x, b.y, x2, y2, (x2 - b.x) * (y2 - b.y), *center(b), b.w, b.h, score, app)
+
+
+def pair_features(
+    a: tuple, b: tuple, class_match: float, shape: FrameShape, steps: int = 1
+) -> LinkFeatures:
+    """The link features of box a -> box b from their box_terms; every scorer
+    builds its features here. The centre displacement is divided by the
+    frame side and then by `steps`, the number of frames it spans."""
+    ax1, ay1, ax2, ay2, a_area, acx, acy, aw, ah, a_score, a_app = a
+    bx1, by1, bx2, by2, b_area, bcx, bcy, bw, bh, b_score, b_app = b
+    # geometry.iou's float ops; min/max keep the first of equal values
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    inter = ix * iy
+    overlap = 0.0 if ix <= 0.0 or iy <= 0.0 else inter / (a_area + b_area - inter)
+    app = 0.0
+    if a_app is not None and b_app is not None:
+        if len(a_app) != len(b_app):
+            raise ValidationError(f"descriptor lengths differ: {len(a_app)} and {len(b_app)}")
+        app = max(-1.0, min(1.0, float(np.dot(a_app, b_app))))
+    try:
+        log_w, log_h = math.log(bw / aw), math.log(bh / ah)
+    except ValueError:  # the size ratio underflowed to 0
+        raise ValidationError("link feature log size ratio is not finite: -inf") from None
+    return LinkFeatures((bcx - acx) / shape.width / steps, (bcy - acy) / shape.height / steps,
+                        log_w, log_h, overlap, math.sqrt(a_score * b_score), class_match, app)
+
+
 def link_features(d1: Detection, d2: Detection, shape: FrameShape) -> LinkFeatures:
     """Compute the link features of the ordered pair d1 -> d2.
 
@@ -91,22 +133,11 @@ def link_features(d1: Detection, d2: Detection, shape: FrameShape) -> LinkFeatur
             f"link_features needs d1.frame_idx < d2.frame_idx "
             f"(got {d1.frame_idx} and {d2.frame_idx})"
         )
-    c1x, c1y = center(d1.bbox)
-    c2x, c2y = center(d2.bbox)
-    if d1.appearance is not None and d2.appearance is not None:
-        app = float(np.dot(d1.appearance, d2.appearance))
-        app = max(-1.0, min(1.0, app))
-    else:
-        app = 0.0
-    return LinkFeatures(
-        dx=(c2x - c1x) / shape.width,
-        dy=(c2y - c1y) / shape.height,
-        log_w_ratio=math.log(d2.bbox.w / d1.bbox.w),
-        log_h_ratio=math.log(d2.bbox.h / d1.bbox.h),
-        iou=iou(d1.bbox, d2.bbox),
-        score_geo_mean=math.sqrt(d1.score * d2.score),
-        class_match=1.0 if d1.class_id == d2.class_id else 0.0,
-        appearance_sim=app,
+    return pair_features(
+        box_terms(d1.bbox, d1.score, d1.appearance),
+        box_terms(d2.bbox, d2.score, d2.appearance),
+        1.0 if d1.class_id == d2.class_id else 0.0,
+        shape,
     )
 
 
@@ -135,9 +166,11 @@ def link_score(m: SimilarityModel, f: LinkFeatures) -> float:
     nearest representable neighbors of 0 and 1, so the score never reaches
     either endpoint.
     """
-    z = m.bias
-    for w, v in zip(m.weights, feature_vector(f)):
-        z += w * v
+    # feature_vector's terms, added in its order, without building it
+    w0, w1, w2, w3, w4, w5, w6, w7 = m.weights
+    z = (m.bias + w0 * (f.dx * f.dx) + w1 * (f.dy * f.dy) + w2 * abs(f.log_w_ratio)
+         + w3 * abs(f.log_h_ratio) + w4 * f.iou + w5 * f.score_geo_mean
+         + w6 * f.class_match + w7 * f.appearance_sim)
     # numerically stable sigmoid
     if z >= 0.0:
         s = 1.0 / (1.0 + math.exp(-z))
@@ -156,7 +189,7 @@ def load_model(source: str | Path) -> SimilarityModel:
     if str(source) == "default":
         return default_model()
     path = str(source)
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if len(lines) != 3 or lines[0].strip() != MODEL_MAGIC:
         raise ConfigError(f"{path}: expected 3 lines starting with '{MODEL_MAGIC}'")
     try:

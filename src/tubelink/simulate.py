@@ -21,13 +21,14 @@ from numpy.random import Generator, PCG64
 
 from .errors import ValidationError
 from .geometry import BBox, Detection, FrameShape
-from .io import GroundTruth, TrackBox, VideoDetections
+from .io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
 from .settings import (
     FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least,
     read_settings, setting, validate,
 )
 
 MAX_TRACKS = 30
+# frame_count is bounded by io.MAX_FRAME_COUNT, the bound of a stream header
 MIN_BOX_SIDE = 2.0  # jittered sizes are clamped here so boxes stay valid
 # False positives per frame, on average. Far beyond any use (the benchmark's
 # crowded scenario has 5), and it keeps numpy's Poisson draw in range.
@@ -44,7 +45,8 @@ class ScenarioConfig:
 
     seed: int = setting(0, int_at_least(0))
     video_id: str = setting("sim")
-    frame_count: int = setting(300, int_at_least(1))
+    frame_count: int = setting(300, Check(
+        lambda v: 1 <= v <= MAX_FRAME_COUNT, f"an integer in [1, {MAX_FRAME_COUNT}]"))
     width: int = setting(1280, FRAME_SIDE)
     height: int = setting(720, FRAME_SIDE)
     num_tracks: int = setting(8, int_at_least(0))

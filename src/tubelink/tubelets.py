@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ContractError, ValidationError
 from .geometry import BBox, Detection, FrameShape
 from .io import VideoDetections
-from .similarity import SimilarityModel, link_features, link_score
+from .similarity import SimilarityModel, box_terms, link_features, link_score, pair_features
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class Tubelet:
     entries: tuple[TubeletEntry, ...]
 
     def __post_init__(self):
+        if self.class_id < 0:
+            raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
         if not self.entries:
             raise ValidationError("tubelet must hold at least one entry")
         start = self.entries[0].frame_idx
@@ -94,12 +96,16 @@ def match_frame_pair(
     if not frame_t or not frame_t1:
         return []
 
+    terms_t1 = [box_terms(d.bbox, d.score, d.appearance) for d in frame_t1]
     scored: list[tuple[float, int, int]] = []
     for i, d1 in enumerate(frame_t):
+        terms = box_terms(d1.bbox, d1.score, d1.appearance)
         for j, d2 in enumerate(frame_t1):
             if d1.class_id != d2.class_id:
                 continue
-            s = link_score(m, link_features(d1, d2, shape))
+            if d1.frame_idx >= d2.frame_idx:
+                link_features(d1, d2, shape)  # raises its ContractError
+            s = link_score(m, pair_features(terms, terms_t1[j], 1.0, shape))
             if s >= tau_link:
                 scored.append((s, i, j))
 

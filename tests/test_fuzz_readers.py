@@ -1,0 +1,147 @@
+"""Fuzzing the stream and model readers: random headers, lines and tokens fed
+to read_detections, read_ground_truth and load_model must either parse or
+raise a TubelinkError (the CLI's exit 1), in bounded time. A stream that
+reads is also postprocessed, since that is what the CLI does with it.
+
+The case these tests found, descriptors of different lengths in one stream,
+has its named regression test in test_pipeline_cli.py
+(test_descriptor_lengths_differ_is_a_data_error). The header bound, the
+UTF-8 check and the size-ratio error have theirs in test_io.py
+(TestHeaderBounds, TestNotUtf8) and test_pipeline_cli.py.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tubelink import (
+    PipelineConfig,
+    TubelinkError,
+    load_model,
+    postprocess_video,
+    read_detections,
+    read_ground_truth,
+)
+from tubelink.io import MAX_FRAME_COUNT
+
+from test_simulate import time_limit
+
+HUGE = "1" + "0" * 400  # an integer too large for a float
+
+NUMBER = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "-0", "0.5", "0.6", "0.8", "1.0", "10", "1280", "720",
+        "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", HUGE, "1" * 5000, "0x10", "1_0",
+    ]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+TOKEN = st.one_of(NUMBER, st.text(max_size=8))
+
+
+def mostly(plausible, other=TOKEN, odds=10):
+    """One draw in `odds` from `other`, the rest from `plausible`."""
+    return st.integers(1, odds).flatmap(lambda k: other if k == odds else plausible)
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# Frame counts stay small or beyond the bound: a count near the bound is
+# valid and reads in about a second, which is too slow for hundreds of examples.
+FRAME_COUNT = mostly(
+    st.integers(4, 8).map(str),
+    st.sampled_from(["-1", "0", "1", str(MAX_FRAME_COUNT + 1), str(10 ** 12), HUGE,
+                     "1" * 5000, "1e3", "x"]),
+)
+HEADER = mostly(st.builds(
+    lambda w, h, n, extra: f"#video v {w} {h} {n}{extra}",
+    mostly(st.integers(1, 2000).map(str)), mostly(st.integers(1, 2000).map(str)),
+    FRAME_COUNT, mostly(st.just(""), st.just(" extra")),
+), st.text(max_size=20))
+
+
+def record(*fields, tail=st.just([])):
+    """A line of plausible fields, each sometimes replaced by any token, with
+    optional trailing tokens; or, one time in ten, a junk line."""
+    line = st.builds(lambda head, rest: " ".join([*head, *rest]),
+                     st.tuples(*[mostly(f, odds=60) for f in fields]), tail)
+    junk = st.one_of(st.text(max_size=20), st.lists(TOKEN, max_size=9).map(" ".join))
+    return mostly(line, junk, odds=30)
+
+
+FRAME, CLASS = st.integers(0, 3).map(str), st.integers(0, 2).map(str)
+BOX = [reals(-50, 300), reals(-50, 300), reals(1e-3, 80), reals(1e-3, 80)]
+# unit descriptors, and components that are not
+DESCRIPTOR = mostly(st.sampled_from([[], [], ["1", "0"], ["0", "1"], ["0.6", "0.8"], ["-0.8", "0.6"]]),
+                    st.lists(NUMBER, max_size=3))
+DETECTION_LINE = record(FRAME, CLASS, *BOX, reals(0, 1), tail=DESCRIPTOR)
+TUBELET_LINE = record(FRAME, CLASS, *BOX, reals(0, 1), st.integers(0, 5).map(str), tail=DESCRIPTOR)
+GROUND_TRUTH_LINE = record(FRAME, CLASS, st.integers(0, 30).map(str), *BOX)
+
+
+def stream_texts(header, marker, line):
+    return st.builds(lambda h, body: "\n".join([h, *marker, *body]),
+                     header, mostly(st.lists(line, min_size=2, max_size=6),
+                                    st.lists(line, max_size=1), odds=4))
+
+
+DETECTION_TEXTS = st.one_of(stream_texts(HEADER, [], DETECTION_LINE),
+                            stream_texts(HEADER, ["#tubelets"], TUBELET_LINE))
+GROUND_TRUTH_TEXTS = stream_texts(HEADER, [], GROUND_TRUTH_LINE)
+MODEL_TEXTS = st.builds(
+    lambda magic, weights, bias, extra: "\n".join([magic, weights, bias, *extra]),
+    mostly(st.just("repp-model v1")),
+    mostly(st.lists(reals(-500, 500), min_size=8, max_size=8),
+           st.lists(NUMBER, min_size=7, max_size=9)).map(" ".join),
+    mostly(reals(-10, 10), st.lists(NUMBER, max_size=2).map(" ".join)),
+    mostly(st.just([]), st.lists(st.text(max_size=10), max_size=1)),
+)
+# bytes that are not all UTF-8 after a valid header
+RAW_BYTES = st.binary(max_size=40).map(lambda b: b"#video v 100 100 2\n0 0 1 1 5 5 0.5 " + b)
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "in.txt"
+
+
+def feed(path, data, reader):
+    """Write data to path and read it; only a TubelinkError may escape."""
+    if isinstance(data, str):
+        path.write_text(data, encoding="utf-8")
+    else:
+        path.write_bytes(data)
+    with time_limit(2.0):
+        try:
+            return reader(path)
+        except TubelinkError:
+            return None
+
+
+@FUZZ
+@given(mostly(DETECTION_TEXTS, RAW_BYTES))
+def test_fuzz_read_detections(path, text):
+    stream = feed(path, text, read_detections)
+    if stream is not None:
+        with time_limit(2.0):
+            try:
+                postprocess_video(stream, PipelineConfig(nms_iou=0.5))
+            except TubelinkError:
+                pass
+
+
+@FUZZ
+@given(mostly(GROUND_TRUTH_TEXTS, RAW_BYTES))
+def test_fuzz_read_ground_truth(path, text):
+    feed(path, text, read_ground_truth)
+
+
+@FUZZ
+@given(mostly(MODEL_TEXTS, RAW_BYTES))
+def test_fuzz_load_model(path, text):
+    feed(path, text, load_model)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tubelink import BBox, ContractError, Detection, ValidationError, center, iou, iou_matrix, nms
+from tubelink import (
+    BBox, ContractError, Detection, FrameShape, ValidationError, center, iou, iou_matrix, nms,
+)
 
 from conftest import det, random_bbox
 
@@ -38,6 +40,25 @@ class TestDetectionValidation:
     def test_unit_appearance_accepted(self):
         d = det(app=(0.6, 0.8))
         assert d.appearance == (0.6, 0.8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_appearance_rejected(self, bad):
+        # a NaN used to pass the unit-norm test, and its cosine then clamped
+        # to the maximal similarity 1.0 against any box
+        for app in ((0.9, bad, 0.0), (bad,), (1.0, 0.0, bad)):
+            with pytest.raises(ValidationError, match="non-finite component"):
+                det(app=app)
+
+
+class TestFrameShape:
+    def test_side_beyond_float_range_rejected(self):
+        # such a side used to pass, and dividing a link feature by it raised
+        # OverflowError
+        huge = 10 ** 400
+        for w, h in ((huge, 720), (1280, huge)):
+            with pytest.raises(ValidationError, match="1.8e308"):
+                FrameShape(w, h)
+        assert FrameShape(2 ** 1000, 1).width == 2 ** 1000
 
 
 class TestIou:

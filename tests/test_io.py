@@ -7,6 +7,7 @@ from tubelink import (
     TrackBox,
     ValidationError,
     VideoDetections,
+    load_model,
     read_detections,
     read_detections_with_ids,
     read_ground_truth,
@@ -14,7 +15,10 @@ from tubelink import (
     write_ground_truth,
 )
 
+from tubelink.io import MAX_FRAME_COUNT
+
 from conftest import SHAPE, det, random_ground_truth, random_stream
+from test_simulate import time_limit
 
 
 def write(tmp_path, text, name="in.txt"):
@@ -61,6 +65,52 @@ class TestReadDetections:
         p = write(tmp_path, "#video v 1280 720 1\n0 0 1 1 5 5 0.5 0.6 0.8\n")
         v = read_detections(p)
         assert v.frames[0][0].appearance == (0.6, 0.8)
+
+    def test_nan_appearance_names_file_and_line(self, tmp_path):
+        p = write(tmp_path, "#video v 1280 720 2\n0 0 1 1 5 5 0.5 1 0\n1 0 1 1 5 5 0.9 nan 0\n")
+        with pytest.raises(ValidationError, match=f"{p}:3: appearance vector has a non-finite"):
+            read_detections(p)
+
+
+class TestHeaderBounds:
+    """A header is checked before any per-frame storage is made, so a huge
+    frame_count fails at once instead of exhausting memory."""
+
+    @pytest.mark.parametrize("reader", [read_detections, read_ground_truth])
+    @pytest.mark.parametrize("count", [MAX_FRAME_COUNT + 1, 10 ** 12, 10 ** 4000, -1])
+    def test_frame_count_outside_bound(self, tmp_path, reader, count):
+        p = write(tmp_path, f"#video v 1280 720 {count}\n")
+        with time_limit(2.0):
+            with pytest.raises(ValidationError, match=f"{p}:1: frame_count must be in"):
+                reader(p)
+
+    @pytest.mark.parametrize("cls", [VideoDetections, GroundTruth])
+    def test_containers_share_the_bound(self, cls):
+        with time_limit(2.0):
+            with pytest.raises(ValidationError, match="frame_count"):
+                cls("v", SHAPE, MAX_FRAME_COUNT + 1, {})
+
+    def test_bound_covers_every_shipped_stream(self):
+        # the longest stream the tests, demos and benchmark make has 1000 frames
+        assert MAX_FRAME_COUNT >= 1000
+
+    @pytest.mark.parametrize("reader", [read_detections, read_ground_truth])
+    def test_width_beyond_float_range(self, tmp_path, reader):
+        p = write(tmp_path, f"#video v {10 ** 400} 720 1\n")
+        with pytest.raises(ValidationError, match=f"{p}:1: frame side above"):
+            reader(p)
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 raise ParseError naming the file; they used to
+    end in a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("reader", [read_detections, read_ground_truth, load_model])
+    def test_reader(self, tmp_path, reader):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"#video v 1280 720 1\n0 0 1 1 5 5 0.5 \xff\n")
+        with pytest.raises(ParseError, match=f"{p}: not UTF-8 text"):
+            reader(p)
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 
 import pytest
@@ -9,6 +10,7 @@ from tubelink import (
     ScenarioConfig,
     Tubelet,
     TubeletEntry,
+    ValidationError,
     VideoDetections,
     build_tubelets,
     default_model,
@@ -21,7 +23,12 @@ from tubelink import (
     tubelet_link_score,
 )
 
+from tubelink.similarity import box_terms, pair_features
+
 from conftest import SHAPE, det
+from test_similarity import (
+    oracle_tubelet_features, oracle_tubelet_link_score, random_box, random_model,
+)
 
 MODEL = default_model()
 
@@ -249,3 +256,106 @@ class TestLinkTubelets:
     def test_shape_required(self):
         with pytest.raises(ContractError):
             link_tubelets([run(0, 5)], MODEL, g_max=5, tau_tub=0.5, shape=None)
+
+
+# ------------------------------------------- the lean path against the seed's
+
+def oracle_link_tubelets(ts, m, g_max, tau_tub, shape, score_mode="mean"):
+    """The seed's link_tubelets: every candidate scored by the seed's
+    tubelet_link_score, each box's terms recomputed per pair."""
+    by_id = {t.tubelet_id: t for t in ts}
+    starts = sorted(ts, key=lambda t: (t.start_frame, t.tubelet_id))
+    start_frames = [t.start_frame for t in starts]
+    candidates = []
+    for a in ts:
+        lo = bisect.bisect_left(start_frames, a.end_frame + 1)
+        hi = bisect.bisect_right(start_frames, a.end_frame + 1 + g_max)
+        for b in starts[lo:hi]:
+            if b.class_id != a.class_id or b.tubelet_id == a.tubelet_id:
+                continue
+            s = oracle_tubelet_link_score(a, b, m, shape)
+            if s >= tau_tub:
+                candidates.append((s, a.tubelet_id, b.tubelet_id))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    successor, predecessor = {}, {}
+    for _, a_id, b_id in candidates:
+        if a_id not in successor and b_id not in predecessor:
+            successor[a_id] = b_id
+            predecessor[b_id] = a_id
+    merged = []
+    for t in ts:
+        if t.tubelet_id in predecessor:
+            continue
+        entries, cur = list(t.entries), t
+        while cur.tubelet_id in successor:
+            nxt = by_id[successor[cur.tubelet_id]]
+            if tubelet_gap(cur, nxt) >= 1:
+                entries.extend(interpolate_gap(cur, nxt, score_mode))
+            entries.extend(nxt.entries)
+            cur = nxt
+        merged.append(Tubelet(t.tubelet_id, t.class_id, tuple(entries)))
+    merged.sort(key=lambda t: (t.start_frame, t.entries[0].bbox.x, t.entries[0].bbox.y, t.tubelet_id))
+    return [Tubelet(k, t.class_id, t.entries) for k, t in enumerate(merged)]
+
+
+def random_tubelets(rng, n, frames=40, classes=2):
+    """Short tubelets, half their boxes on a coarse grid: many gaps of 0..20
+    frames, class mismatches and equal link scores."""
+    ts = []
+    for tid in range(n):
+        start = int(rng.integers(0, frames))
+        length = int(rng.integers(1, 4))
+        entries = tuple(
+            TubeletEntry(start + k, random_box(rng), float(rng.choice([0.5, 0.8])))
+            for k in range(length)
+        )
+        ts.append(Tubelet(tid, int(rng.integers(0, classes)), entries))
+    return ts
+
+
+class TestLeanPathMatchesOracle:
+    def test_tubelet_link_scores(self, rng):
+        for _ in range(2000):
+            a, b = random_tubelets(rng, 2)
+            m = random_model(rng)
+            if a.class_id != b.class_id or tubelet_gap(a, b) < 0:
+                for scorer in (tubelet_link_score, oracle_tubelet_link_score):
+                    with pytest.raises(ContractError):
+                        scorer(a, b, m, SHAPE)
+            else:
+                assert tubelet_link_score(a, b, m, SHAPE) == oracle_tubelet_link_score(a, b, m, SHAPE)
+                # the features too, which a score can round away
+                tail, head = a.entries[-1], b.entries[0]
+                f = pair_features(box_terms(tail.bbox, tail.score),
+                                  box_terms(head.bbox, head.score), 1.0, SHAPE, tubelet_gap(a, b) + 1)
+                assert f == oracle_tubelet_features(a, b, SHAPE)
+
+    def test_size_ratio_overflow_raises_validation_error(self):
+        a = tubelet([(0, BBox(0, 0, 1e-300, 1), 0.8)])
+        b = tubelet([(3, BBox(0, 0, 1e300, 1), 0.8)], tid=1)
+        for scorer in (tubelet_link_score, oracle_tubelet_link_score):
+            with pytest.raises(ValidationError, match="log_w_ratio"):
+                scorer(a, b, MODEL, SHAPE)
+
+    def test_link_tubelets(self, rng):
+        ties = 0
+        for _ in range(150):
+            ts = random_tubelets(rng, int(rng.integers(0, 25)))
+            m, g_max = random_model(rng), int(rng.integers(0, 21))
+            tau, mode = float(rng.uniform(0.05, 1.0)), str(rng.choice(["mean", "endpoint"]))
+            got = link_tubelets(ts, m, g_max, tau, SHAPE, mode)
+            assert got == oracle_link_tubelets(ts, m, g_max, tau, SHAPE, mode)
+            scores = [tubelet_link_score(a, b, m, SHAPE) for a in ts for b in ts
+                      if a.class_id == b.class_id and 0 <= tubelet_gap(a, b) <= g_max]
+            ties += len(scores) - len(set(scores))
+        assert ties > 100
+
+    def test_link_tubelets_on_simulated_streams(self):
+        for seed in range(4):
+            _, dets = generate(ScenarioConfig(
+                seed=seed, frame_count=80, num_tracks=8, classes=2, drop_prob=0.15,
+                burst_prob=0.05, burst_max=8, jitter_sigma=2.0, fp_rate=1.0))
+            ts = build_tubelets(dets, MODEL)
+            for g_max in (0, 5, 20):
+                assert link_tubelets(ts, MODEL, g_max, 0.5, SHAPE) == \
+                    oracle_link_tubelets(ts, MODEL, g_max, 0.5, SHAPE)

@@ -124,6 +124,37 @@ class TestCliPostprocess:
         assert rc == 0
         assert out.read_bytes() == det_path.read_bytes()
 
+    @pytest.mark.parametrize("body, message", [
+        # the size ratio 1e-600 underflows to 0: math.log used to raise a bare
+        # ValueError, printed as a traceback
+        ("0 0 1 1 1e300 1 0.9\n1 0 1 1 1e-300 1 0.9\n", "log size ratio is not finite"),
+        ("0 0 1 1 1e-300 1 0.9\n1 0 1 1 1e300 1 0.9\n", "log_w_ratio is not finite"),
+    ])
+    def test_extreme_size_ratio_is_a_data_error(self, tmp_path, capsys, body, message):
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n" + body)
+        rc = main(["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert f"error: link feature {message}" in capsys.readouterr().err
+
+    def test_descriptor_lengths_differ_is_a_data_error(self, tmp_path, capsys):
+        # found by tests/test_fuzz_readers.py: np.dot's shape ValueError used
+        # to escape as a traceback
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 1 1 5 5 0.5 1\n1 0 1 1 5 5 0.5 0.6 0.8\n")
+        rc = main(["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert "error: descriptor lengths differ: 1 and 2" in capsys.readouterr().err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=5)
+        cfg = tmp_path / "pp.txt"
+        cfg.write_bytes(b"alpha = 0.5 \xfe\n")
+        rc = main(["postprocess", "--config", str(cfg), "--detections", str(det_path),
+                   "--out", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert f"error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+
     def test_full_pipeline_reruns_byte_identical(self, tmp_path, capsys):
         _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=50)
         out1, out2 = tmp_path / "o1.txt", tmp_path / "o2.txt"

@@ -1,25 +1,38 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from tubelink import (
+    BBox,
     ConfigError,
     ContractError,
+    Detection,
     FitError,
     LinkFeatures,
     SimilarityModel,
+    ScenarioConfig,
     ValidationError,
+    VideoDetections,
+    build_tubelets,
+    center,
     default_model,
     feature_vector,
     fit_model,
+    generate,
+    iou,
     link_features,
     link_score,
     load_model,
+    match_frame_pair,
     save_model,
+    tubelet_gap,
 )
+from tubelink import tubelets as tubelets_module
+from tubelink.tubelets import _exact_assignment
 
-from conftest import SHAPE, det, unit_vector
+from conftest import SHAPE, det, random_bbox, unit_vector
 
 
 def identity_features(score=1.0, app=0.0):
@@ -246,3 +259,229 @@ class TestFeatureVector:
     def test_model_arity_enforced(self):
         with pytest.raises(ValidationError):
             SimilarityModel((1.0,) * 7, 0.0)
+
+
+# ------------------------------------------- the lean path against the seed's
+
+def oracle_link_features(d1, d2, shape):
+    """The seed's per-pair link_features: every box term recomputed per pair."""
+    if d1.frame_idx >= d2.frame_idx:
+        raise ContractError("d1 must lie in an earlier frame than d2")
+    c1x, c1y = center(d1.bbox)
+    c2x, c2y = center(d2.bbox)
+    if d1.appearance is not None and d2.appearance is not None:
+        app = float(np.dot(d1.appearance, d2.appearance))
+        app = max(-1.0, min(1.0, app))
+    else:
+        app = 0.0
+    return LinkFeatures(
+        dx=(c2x - c1x) / shape.width,
+        dy=(c2y - c1y) / shape.height,
+        log_w_ratio=math.log(d2.bbox.w / d1.bbox.w),
+        log_h_ratio=math.log(d2.bbox.h / d1.bbox.h),
+        iou=iou(d1.bbox, d2.bbox),
+        score_geo_mean=math.sqrt(d1.score * d2.score),
+        class_match=1.0 if d1.class_id == d2.class_id else 0.0,
+        appearance_sim=app,
+    )
+
+
+def oracle_link_score(m, f):
+    """The seed's loop over feature_vector."""
+    z = m.bias
+    for w, v in zip(m.weights, feature_vector(f)):
+        z += w * v
+    if z >= 0.0:
+        s = 1.0 / (1.0 + math.exp(-z))
+    else:
+        e = math.exp(z)
+        s = e / (1.0 + e)
+    return min(max(s, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+
+
+def oracle_tubelet_link_score(a, b, m, shape):
+    """The seed's tubelet_link_score: two Detections, then replace for the gap."""
+    return oracle_link_score(m, oracle_tubelet_features(a, b, shape))
+
+
+def oracle_tubelet_features(a, b, shape):
+    if a.class_id != b.class_id:
+        raise ContractError("tubelet classes differ")
+    gap = tubelet_gap(a, b)
+    if gap < 0:
+        raise ContractError("tubelets overlap or are out of order")
+    tail, head = a.entries[-1], b.entries[0]
+    f = oracle_link_features(
+        Detection(tail.frame_idx, a.class_id, tail.bbox, tail.score),
+        Detection(head.frame_idx, b.class_id, head.bbox, head.score),
+        shape,
+    )
+    return dataclasses.replace(f, dx=f.dx / (gap + 1), dy=f.dy / (gap + 1))
+
+
+def oracle_match_frame_pair(frame_t, frame_t1, m, tau_link, shape, assignment="greedy"):
+    """The seed's match_frame_pair, scoring each pair with the oracles."""
+    scored = []
+    for i, d1 in enumerate(frame_t):
+        for j, d2 in enumerate(frame_t1):
+            if d1.class_id != d2.class_id:
+                continue
+            s = oracle_link_score(m, oracle_link_features(d1, d2, shape))
+            if s >= tau_link:
+                scored.append((s, i, j))
+    if assignment == "exact":
+        return _exact_assignment(scored, len(frame_t), len(frame_t1))
+    scored.sort(key=lambda p: (-p[0], p[1], p[2]))
+    taken_t, taken_t1, out = set(), set(), []
+    for _, i, j in scored:
+        if i not in taken_t and j not in taken_t1:
+            taken_t.add(i)
+            taken_t1.add(j)
+            out.append((i, j))
+    return out
+
+
+def random_model(rng):
+    """The default model, or weights of either sign (fit_model does not
+    constrain signs)."""
+    if rng.random() < 0.5:
+        return default_model()
+    return SimilarityModel(tuple(float(w) for w in rng.normal(0.0, 50.0, 8)),
+                           float(rng.normal(0.0, 5.0)))
+
+
+def tie_box(rng):
+    """A box on a coarse grid, so that equal boxes and equal scores recur."""
+    x, y = (float(v) for v in rng.integers(0, 8, 2) * 8.0)
+    w, h = (float(v) for v in rng.integers(1, 4, 2) * 8.0)
+    return BBox(x, y, w, h)
+
+
+def random_box(rng):
+    return tie_box(rng) if rng.random() < 0.5 else random_bbox(rng)
+
+
+# descriptors seen more than once; the cosine of the last with itself
+# rounds to 1.0000000000000002, which clamps to 1.0
+DESCRIPTORS = [unit_vector(np.random.default_rng(k), 4) for k in (0, 1, 2, 9)]
+
+
+def random_det(rng, frame, classes=2):
+    """Boxes from a coarse grid (ties) or drawn freely; descriptors on 70%,
+    half of them repeats."""
+    score = float(rng.choice([0.5, 0.8])) if rng.random() < 0.5 else float(rng.uniform())
+    app = None
+    if rng.random() < 0.7:
+        app = DESCRIPTORS[int(rng.integers(0, 4))] if rng.random() < 0.5 else unit_vector(rng, 4)
+    return Detection(frame, int(rng.integers(0, classes)), random_box(rng), score, app)
+
+
+class TestLeanPathMatchesOracle:
+    """The per-box/per-pair scoring path reproduces the seed's per-pair
+    algorithm bit for bit: exact ==, not approx."""
+
+    def test_features_and_scores(self, rng):
+        clamped = 0
+        for _ in range(2000):
+            f1 = int(rng.integers(0, 5))
+            d1 = random_det(rng, f1)
+            d2 = random_det(rng, f1 + 1 + int(rng.integers(0, 21)))
+            m = random_model(rng)
+            f = link_features(d1, d2, SHAPE)
+            assert f == oracle_link_features(d1, d2, SHAPE)
+            assert link_score(m, f) == oracle_link_score(m, f)
+            clamped += d1.appearance == d2.appearance == DESCRIPTORS[3]
+        assert clamped > 0
+
+    def test_extreme_feature_points(self, rng):
+        for _ in range(500):
+            f = LinkFeatures(*(float(v) for v in rng.normal(0.0, 30.0, 4)),
+                             float(rng.uniform()), float(rng.uniform()),
+                             float(rng.integers(0, 2)), float(rng.uniform(-1, 1)))
+            m = random_model(rng)
+            assert link_score(m, f) == oracle_link_score(m, f)
+
+    def test_size_ratio_overflow_raises_validation_error(self):
+        small, big = det(frame=0, w=1e-300), det(frame=1, w=1e300)
+        for scorer in (link_features, oracle_link_features):
+            with pytest.raises(ValidationError, match="log_w_ratio"):
+                scorer(small, big, SHAPE)
+
+    def test_size_ratio_underflow_raises_validation_error(self):
+        # the ratio 1e-600 is 0.0 in float64; the seed let math.log's bare
+        # ValueError escape, which the CLI printed as a traceback
+        big, small = det(frame=0, h=1e300), det(frame=1, h=1e-300)
+        with pytest.raises(ValueError) as seed_error:
+            oracle_link_features(big, small, SHAPE)
+        assert not isinstance(seed_error.value, ValidationError)
+        with pytest.raises(ValidationError, match="log size ratio"):
+            link_features(big, small, SHAPE)
+
+    def test_descriptor_lengths_differ(self):
+        d1, d2 = det(frame=0, app=(1.0,)), det(frame=1, app=(0.6, 0.8))
+        with pytest.raises(ValueError) as seed_error:
+            oracle_link_features(d1, d2, SHAPE)
+        assert not isinstance(seed_error.value, ValidationError)
+        with pytest.raises(ValidationError, match="descriptor lengths differ: 1 and 2"):
+            link_features(d1, d2, SHAPE)
+
+    def test_sum_overflow_is_not_a_non_finite_field(self):
+        f = LinkFeatures(1e308, 1e308, 1e308, 0.0, 0.5, 0.5, 1.0, 0.0)
+        assert f.dx == 1e308
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_non_finite_field_is_named(self, k):
+        values = [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+        values[k] = float("nan") if k % 2 else float("-inf")
+        name = dataclasses.fields(LinkFeatures)[k].name
+        with pytest.raises(ValidationError, match=f"link feature {name} is not finite"):
+            LinkFeatures(*values)
+
+    @pytest.mark.parametrize("assignment", ["greedy", "exact"])
+    def test_match_frame_pair(self, rng, assignment):
+        ties = 0
+        for _ in range(300):
+            frames = []
+            for f in (3, 4):
+                frame = [random_det(rng, f) for _ in range(int(rng.integers(0, 7)))]
+                if frame and rng.random() < 0.5:
+                    frame.append(frame[int(rng.integers(0, len(frame)))])  # a copy ties
+                frames.append(frame)
+            m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
+            got = match_frame_pair(*frames, m, tau, SHAPE, assignment)
+            assert got == oracle_match_frame_pair(*frames, m, tau, SHAPE, assignment)
+            scores = [link_score(m, link_features(d1, d2, SHAPE))
+                      for d1 in frames[0] for d2 in frames[1] if d1.class_id == d2.class_id]
+            ties += len(scores) - len(set(scores))
+        assert ties > 100
+
+    def test_wrong_frame_order_of_a_class_matched_pair(self):
+        later, earlier = [det(frame=3, cls=0)], [det(frame=2, cls=0)]
+        for match in (match_frame_pair, oracle_match_frame_pair):
+            with pytest.raises(ContractError):
+                match(later, earlier, default_model(), 0.5, SHAPE)
+            # a class-mismatched pair is never scored, so its order is not checked
+            assert match(later, [det(frame=2, cls=1)], default_model(), 0.5, SHAPE) == []
+
+    def test_size_ratio_overflow_in_match_frame_pair(self):
+        for match in (match_frame_pair, oracle_match_frame_pair):
+            with pytest.raises(ValidationError):
+                match([det(frame=0, w=1e-300)], [det(frame=1, w=1e300)],
+                      default_model(), 0.5, SHAPE)
+
+    @pytest.mark.parametrize("assignment", ["greedy", "exact"])
+    def test_build_tubelets(self, rng, monkeypatch, assignment):
+        streams = [
+            VideoDetections("v", SHAPE, 10, {
+                f: [random_det(rng, f) for _ in range(int(rng.integers(0, 6)))]
+                for f in range(10)
+            })
+            for _ in range(20)
+        ]
+        streams.append(generate(ScenarioConfig(
+            seed=3, frame_count=40, num_tracks=6, classes=2, jitter_sigma=2.0,
+            drop_prob=0.1, fp_rate=2.0, appearance_dim=4))[1])
+        cases = [(v, random_model(rng), float(rng.uniform(0.05, 0.95))) for v in streams]
+        lean = [build_tubelets(v, m, tau, assignment) for v, m, tau in cases]
+        monkeypatch.setattr(tubelets_module, "match_frame_pair", oracle_match_frame_pair)
+        assert lean == [build_tubelets(v, m, tau, assignment) for v, m, tau in cases]

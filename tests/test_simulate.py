@@ -6,6 +6,7 @@ import signal
 import pytest
 
 from tubelink import (
+    ConfigError,
     ScenarioConfig,
     ValidationError,
     build_tubelets,
@@ -16,6 +17,8 @@ from tubelink import (
     parse_config,
     standard_scenario,
 )
+from tubelink.cli import main
+from tubelink.io import MAX_FRAME_COUNT
 
 
 def clean_config(**kw):
@@ -124,6 +127,24 @@ class TestConfigValidation:
     def test_zero_frames_rejected(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(frame_count=0)
+
+    def test_frame_count_bounded(self, tmp_path, capsys):
+        # generate() makes a list per frame before it draws anything, so an
+        # unbounded frame_count used to exhaust memory
+        with time_limit(2.0):
+            for count in (MAX_FRAME_COUNT + 1, 10 ** 12):
+                with pytest.raises(ValidationError, match="frame_count"):
+                    ScenarioConfig(frame_count=count)
+                with pytest.raises(ConfigError, match="frame_count"):
+                    parse_config(f"frame_count = {count}\n")
+                with pytest.raises(SystemExit) as e:
+                    main(["simulate", "--frame-count", str(count),
+                          "--ground-truth", str(tmp_path / "g.txt"),
+                          "--detections", str(tmp_path / "d.txt")])
+                assert e.value.code == 2
+        assert "frame-count must be an integer in [1, 1000000]" in capsys.readouterr().err
+        assert not (tmp_path / "g.txt").exists()
+        assert ScenarioConfig(frame_count=MAX_FRAME_COUNT).frame_count == MAX_FRAME_COUNT
 
     def test_box_larger_than_frame_rejected(self):
         with pytest.raises(ValidationError):

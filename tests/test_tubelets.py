@@ -338,3 +338,8 @@ class TestTubeletInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             Tubelet(0, 0, ())
+
+    def test_negative_class_rejected(self):
+        # tubelet_link_score used to catch this only by building a Detection
+        with pytest.raises(ValidationError, match="class_id"):
+            Tubelet(0, -1, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
