@@ -6,6 +6,9 @@ is two different tracks. Fitting is deterministic full-batch logistic
 regression, so the exact same pairs give the exact same model file.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from tubelink import (
@@ -41,9 +44,11 @@ model = fit_model(pairs)
 print(f"fitted weights: {np.round(model.weights, 3)}")
 print(f"fitted bias:    {model.bias:.3f}")
 
-save_model(model, "/tmp/fitted-model.txt")
-assert load_model("/tmp/fitted-model.txt") == model
-print("model file round-trips exactly: /tmp/fitted-model.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "fitted-model.txt"
+    save_model(model, path)
+    assert load_model(path) == model
+print("model file round-trips exactly")
 
 # sanity: both models separate true links from cross-track links
 for name, m in [("default", default_model()), ("fitted", model)]:

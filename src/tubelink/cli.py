@@ -104,6 +104,14 @@ def cmd_postprocess(args) -> int:
         raise TubelinkError(
             f"got {len(args.detections)} --detections but {len(args.out)} --out paths"
         )
+    # a file that two videos write, or that one writes and another reads,
+    # would hold what the worker schedule leaves; a video may overwrite its own input
+    ins = [os.path.realpath(p) for p in args.detections]
+    outs = [os.path.realpath(p) for p in args.out]
+    for k, o in enumerate(outs):
+        if o in outs[:k] or o in ins[:k] + ins[k + 1:]:
+            raise TubelinkError(
+                f"--out {args.out[k]} is also another video's --out or --detections")
     pipeline, run = _settings(args, PipelineConfig, RunSettings, what="postprocess")
     run = RunSettings(**run)
     config = PipelineConfig(model=load_model(run.model), **pipeline)

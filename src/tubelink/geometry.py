@@ -105,14 +105,15 @@ def iou(a: BBox, b: BBox) -> float:
 
     Areas are computed from the same corner differences as the intersection,
     which keeps iou(a, a) == 1.0 and the [0, 1] bounds exact in floating
-    point.
+    point. An intersection that rounds to 0 (boxes far smaller than their
+    coordinates, or an underflowing product) is 0, not 0/0.
     """
     ax2, ay2, bx2, by2 = a.x2, a.y2, b.x2, b.y2
     ix = min(ax2, bx2) - max(a.x, b.x)
     iy = min(ay2, by2) - max(a.y, b.y)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
     inter = ix * iy
+    if ix <= 0.0 or iy <= 0.0 or inter == 0.0:
+        return 0.0
     area_a = (ax2 - a.x) * (ay2 - a.y)
     area_b = (bx2 - b.x) * (by2 - b.y)
     return inter / (area_a + area_b - inter)
@@ -129,13 +130,15 @@ def iou_matrix(a: list[BBox], b: list[BBox]) -> np.ndarray:
 
 def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise IoU of corner boxes (x1, y1, x2, y2) on the last axis of
-    two arrays that broadcast against each other."""
+    two arrays that broadcast against each other; each element is iou's
+    value, with the same float operations."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return inter / (area_a + area_b - inter)
+    out = np.zeros(inter.shape)
+    return np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
 
 
 def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
@@ -152,12 +155,14 @@ def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
         raise ContractError("nms input mixes detections from different frames")
 
     ordered = sorted(dets, key=lambda d: (-d.score, d.bbox.x, d.bbox.y))
+    boxes, classes = [d.bbox for d in ordered], np.array([d.class_id for d in ordered])
+    # over[k, i]: row k, once kept, suppresses row i; each IoU is iou(k, i)'s value
+    over = iou_matrix(boxes, boxes) > iou_thresh
+    over &= classes[:, None] == classes[None, :]
+    suppressed = np.zeros(len(ordered), dtype=bool)
     kept: list[Detection] = []
-    for d in ordered:
-        suppressed = any(
-            k.class_id == d.class_id and iou(k.bbox, d.bbox) > iou_thresh
-            for k in kept
-        )
-        if not suppressed:
+    for k, d in enumerate(ordered):
+        if not suppressed[k]:
             kept.append(d)
+            suppressed |= over[k]
     return kept

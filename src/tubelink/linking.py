@@ -130,23 +130,24 @@ def link_tubelets(
     starts = sorted(ts, key=lambda t: (t.start_frame, t.tubelet_id))
     start_frames = [t.start_frame for t in starts]
 
-    heads = [box_terms(t.entries[0].bbox, t.entries[0].score) for t in starts]
+    # what the pair loop reads of each head, gathered once per tubelet
+    heads = [(t.tubelet_id, t.class_id, box_terms(t.entries[0].bbox, t.entries[0].score))
+             for t in starts]
 
     # tubelet_link_score of each candidate, with each box's terms computed once
     candidates: list[tuple[float, int, int]] = []
     for a in ts:
-        end = a.end_frame
+        end, a_id, a_class = a.end_frame, a.tubelet_id, a.class_id
         lo = bisect_left(start_frames, end + 1)
         hi = bisect_right(start_frames, end + 1 + g_max)
         tail = box_terms(a.entries[-1].bbox, a.entries[-1].score)
         for k in range(lo, hi):
-            b = starts[k]
-            if b.class_id != a.class_id or b.tubelet_id == a.tubelet_id:
+            b_id, b_class, head = heads[k]
+            if b_class != a_class or b_id == a_id:
                 continue
-            f = pair_features(tail, heads[k], 1.0, shape, start_frames[k] - end)
-            s = link_score(m, f)
+            s = link_score(m, pair_features(tail, head, 1.0, shape, start_frames[k] - end))
             if s >= tau_tub:
-                candidates.append((s, a.tubelet_id, b.tubelet_id))
+                candidates.append((s, a_id, b_id))
 
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     successor: dict[int, int] = {}

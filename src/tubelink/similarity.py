@@ -38,9 +38,14 @@ DEFAULT_WEIGHTS = (-400.0, -400.0, -2.0, -2.0, 1.5, 1.0, 4.0, 1.0)
 DEFAULT_BIAS = -4.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkFeatures:
-    """Features of an ordered detection pair (earlier frame -> later frame)."""
+    """Features of an ordered detection pair (earlier frame -> later frame).
+
+    Slotted and not frozen: one is built per scored pair, and a frozen
+    dataclass sets each field through object.__setattr__, about three times
+    the cost of the construction.
+    """
 
     dx: float                 # center x displacement / frame width
     dy: float                 # center y displacement / frame height
@@ -109,7 +114,8 @@ def pair_features(
     ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
     iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     inter = ix * iy
-    overlap = 0.0 if ix <= 0.0 or iy <= 0.0 else inter / (a_area + b_area - inter)
+    overlap = (0.0 if ix <= 0.0 or iy <= 0.0 or inter == 0.0
+               else inter / (a_area + b_area - inter))
     app = 0.0
     if a_app is not None and b_app is not None:
         if len(a_app) != len(b_app):
@@ -164,7 +170,8 @@ def link_score(m: SimilarityModel, f: LinkFeatures) -> float:
 
     Extreme inputs that would saturate the sigmoid in float64 clamp to the
     nearest representable neighbors of 0 and 1, so the score never reaches
-    either endpoint.
+    either endpoint. A logit with no value (weighted terms of +inf and -inf)
+    raises ValidationError.
     """
     # feature_vector's terms, added in its order, without building it
     w0, w1, w2, w3, w4, w5, w6, w7 = m.weights
@@ -174,10 +181,12 @@ def link_score(m: SimilarityModel, f: LinkFeatures) -> float:
     # numerically stable sigmoid
     if z >= 0.0:
         s = 1.0 / (1.0 + math.exp(-z))
-    else:
+    elif z < 0.0:
         e = math.exp(z)
         s = e / (1.0 + e)
-    return min(max(s, _SCORE_MIN), _SCORE_MAX)
+    else:
+        raise ValidationError("link score logit is undefined: weighted terms of +inf and -inf")
+    return _SCORE_MIN if s < _SCORE_MIN else _SCORE_MAX if s > _SCORE_MAX else s
 
 
 def load_model(source: str | Path) -> SimilarityModel:

@@ -10,7 +10,7 @@ are the dominant false-positive shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -96,16 +96,19 @@ def match_frame_pair(
     if not frame_t or not frame_t1:
         return []
 
-    terms_t1 = [box_terms(d.bbox, d.score, d.appearance) for d in frame_t1]
+    # what the pair loop reads of each later box, gathered once per box
+    later = [(j, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
+             for j, d in enumerate(frame_t1)]
     scored: list[tuple[float, int, int]] = []
     for i, d1 in enumerate(frame_t):
         terms = box_terms(d1.bbox, d1.score, d1.appearance)
-        for j, d2 in enumerate(frame_t1):
-            if d1.class_id != d2.class_id:
+        class_id, frame_idx = d1.class_id, d1.frame_idx
+        for j, class_j, frame_j, terms_j in later:
+            if class_j != class_id:
                 continue
-            if d1.frame_idx >= d2.frame_idx:
-                link_features(d1, d2, shape)  # raises its ContractError
-            s = link_score(m, pair_features(terms, terms_t1[j], 1.0, shape))
+            if frame_idx >= frame_j:
+                link_features(d1, frame_t1[j], shape)  # raises its ContractError
+            s = link_score(m, pair_features(terms, terms_j, 1.0, shape))
             if s >= tau_link:
                 scored.append((s, i, j))
 
@@ -216,7 +219,8 @@ def rescore(t: Tubelet, alpha: float = 0.5) -> Tubelet:
         raise ContractError(f"alpha must be in [0,1], got {alpha}")
     mean = t.mean_score()
     entries = tuple(
-        replace(e, score=alpha * e.score + (1.0 - alpha) * mean) for e in t.entries
+        TubeletEntry(e.frame_idx, e.bbox, alpha * e.score + (1.0 - alpha) * mean, e.interpolated)
+        for e in t.entries
     )
     return Tubelet(t.tubelet_id, t.class_id, entries)
 
@@ -246,7 +250,8 @@ def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
         mcy = sum(cy[lo:hi]) / span
         mw = sum(w[lo:hi]) / span
         mh = sum(h[lo:hi]) / span
-        entries.append(replace(e, bbox=BBox(mcx - mw / 2.0, mcy - mh / 2.0, mw, mh)))
+        bbox = BBox(mcx - mw / 2.0, mcy - mh / 2.0, mw, mh)
+        entries.append(TubeletEntry(e.frame_idx, bbox, e.score, e.interpolated))
     return Tubelet(t.tubelet_id, t.class_id, tuple(entries))
 
 

@@ -61,6 +61,16 @@ class TestFrameShape:
         assert FrameShape(2 ** 1000, 1).width == 2 ** 1000
 
 
+# boxes whose corner differences round to 0 (1e20 + 1 == 1e20), whose
+# intersection underflows, that repeat, touch or overlap exactly by half
+DEGENERATE = [
+    BBox(1e20, 1e20, 1.0, 1.0), BBox(1e20, 0.0, 1.0, 5.0), BBox(0.0, 1e20, 3.0, 1.0),
+    BBox(0.0, 0.0, 1e-200, 1e-200), BBox(0.0, 0.0, 1e-300, 3.0), BBox(0.0, 0.0, 5e-324, 5e-324),
+    BBox(0.0, 0.0, 10.0, 10.0), BBox(0.0, 0.0, 10.0, 10.0), BBox(10.0, 0.0, 10.0, 10.0),
+    BBox(0.0, 0.0, 20.0, 10.0), BBox(5.0, 0.0, 10.0, 10.0),
+]
+
+
 class TestIou:
     def test_identical_boxes(self):
         b = BBox(0, 0, 10, 10)
@@ -85,13 +95,22 @@ class TestIou:
             assert 0.0 <= v <= 1.0
             assert iou(a, a) == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matrix_matches_scalar(self, rng):
-        a = [random_bbox(rng) for _ in range(7)]
-        b = [random_bbox(rng) for _ in range(5)]
-        mat = iou_matrix(a, b)
-        for i in range(7):
-            for j in range(5):
-                assert mat[i, j] == pytest.approx(iou(a[i], b[j]), abs=1e-12)
+        # exact ==: iou_corners repeats iou's float operations, and NMS
+        # decides on its values; degenerate boxes included
+        a = DEGENERATE + [random_bbox(rng) for _ in range(7)]
+        b = DEGENERATE + [random_bbox(rng) for _ in range(5)]
+        assert iou_matrix(a, b).tolist() == [[iou(p, q) for q in b] for p in a]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_intersection_that_rounds_to_zero_is_zero(self):
+        far, tiny = BBox(1e20, 1e20, 1.0, 1.0), BBox(0.0, 0.0, 1e-200, 1e-200)
+        # 1e20 + 1 == 1e20: the matrix gave 0/0 = nan with a RuntimeWarning
+        assert iou(far, far) == 0.0
+        # 1e-200 * 1e-200 underflows: the scalar raised ZeroDivisionError
+        assert iou(tiny, tiny) == 0.0
+        assert iou_matrix([far, tiny], [far, tiny]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_matrix_empty(self):
         assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
@@ -162,3 +181,69 @@ class TestNms:
             assert len(once) <= len(dets)
             assert all(d in dets for d in once)  # survivors untouched
             assert nms(once, 0.5) == once
+
+
+def oracle_nms(dets, iou_thresh):
+    """The seed's nms: each visited detection against every kept one."""
+    ordered = sorted(dets, key=lambda d: (-d.score, d.bbox.x, d.bbox.y))
+    kept = []
+    for d in ordered:
+        if not any(k.class_id == d.class_id and iou(k.bbox, d.bbox) > iou_thresh for k in kept):
+            kept.append(d)
+    return kept
+
+
+def crowded_frame(rng, n, classes=3):
+    """n detections of one frame: half on a coarse grid, so that boxes
+    repeat, scores and x/y tie and IoUs land exactly on 0.5; a few
+    degenerate boxes; the rest drawn freely."""
+    dets = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.5:
+            x, y = (float(v) for v in rng.integers(0, 3, 2) * 4.0)
+            w, h = (float(v) for v in rng.integers(1, 4, 2) * 8.0)
+            box = BBox(x, y, w, h)
+        elif u < 0.6:
+            box = DEGENERATE[int(rng.integers(0, len(DEGENERATE)))]
+        else:
+            box = random_bbox(rng, hi=40.0, smin=4.0, smax=30.0)
+        score = float(rng.choice([0.5, 0.7, 0.9])) if rng.random() < 0.5 else float(rng.uniform())
+        dets.append(Detection(0, int(rng.integers(0, classes)), box, score))
+    return dets
+
+
+class TestNmsMatchesPairwiseLoop:
+    """The one-matrix-per-frame nms keeps exactly the detections (the same
+    objects, in the same order) that the seed's pairwise loop keeps."""
+
+    @pytest.mark.parametrize("thresh", [0.3, 0.5, 0.7])
+    def test_random_crowded_frames(self, rng, thresh):
+        at_thresh = ties = 0
+        for n in [0, 1, 2, 40, 64] + [int(v) for v in rng.integers(0, 25, 300)]:
+            dets = crowded_frame(rng, n, classes=int(rng.integers(1, 4)))
+            got, want = nms(dets, thresh), oracle_nms(dets, thresh)
+            assert [id(d) for d in got] == [id(d) for d in want]
+            at_thresh += sum(iou(a.bbox, b.bbox) == thresh for a in dets for b in dets)
+            keys = [(d.score, d.bbox.x, d.bbox.y) for d in dets]
+            ties += len(keys) - len(set(keys))
+        assert ties > 50
+        if thresh == 0.5:
+            assert at_thresh > 100
+
+    def test_iou_exactly_at_threshold_is_kept(self):
+        wide, square = det(w=20.0, score=0.9), det(w=10.0, score=0.8)
+        assert iou(wide.bbox, square.bbox) == 0.5
+        assert nms([wide, square], 0.5) == oracle_nms([wide, square], 0.5) == [wide, square]
+        assert nms([wide, square], 0.4999) == [wide]
+
+    def test_identical_boxes_keep_the_first_visited(self):
+        dets = [det(score=0.8, cls=c) for c in (0, 1, 0, 1)]
+        kept = nms(dets, 0.5)
+        assert [id(d) for d in kept] == [id(dets[0]), id(dets[1])]
+
+    def test_degenerate_boxes_never_suppress(self):
+        # each pair's intersection rounds to 0, repeated boxes included
+        dets = [Detection(0, 0, DEGENERATE[k], 0.5) for k in (0, 1, 2, 3, 5) * 2]
+        assert [id(d) for d in nms(dets, 0.5)] == [id(d) for d in oracle_nms(dets, 0.5)]
+        assert len(nms(dets, 0.5)) == len(dets)

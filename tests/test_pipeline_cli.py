@@ -137,6 +137,14 @@ class TestCliPostprocess:
         assert rc == 1
         assert f"error: link feature {message}" in capsys.readouterr().err
 
+    def test_boxes_whose_intersection_underflows(self, tmp_path, capsys):
+        # 1e-200 * 1e-200 rounds to 0: the IoU divided 0 by 0, a traceback
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 0 0 1e-200 1e-200 0.9\n"
+                            "1 0 0 0 1e-200 1e-200 0.9\n")
+        argv = ["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")]
+        assert main(argv + ["--nms-iou", "0.5"]) == 0
+
     def test_descriptor_lengths_differ_is_a_data_error(self, tmp_path, capsys):
         # found by tests/test_fuzz_readers.py: np.dot's shape ValueError used
         # to escape as a traceback
@@ -240,6 +248,49 @@ class TestCliPostprocess:
         rc = main(["postprocess", "--detections", str(det_path),
                    "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
         assert rc == 1
+
+    @pytest.mark.parametrize("outs", [
+        ["o.txt", "o.txt"],          # one file written by two videos
+        ["o.txt", "./sub/../o.txt"],  # the same file under another spelling
+        ["raw1.txt", "o.txt"],       # video 0 writes what video 1 reads
+        ["o.txt", "raw0.txt"],       # video 1 writes what video 0 reads
+    ])
+    def test_colliding_out_paths_are_rejected(self, tmp_path, capsys, monkeypatch, outs):
+        # the file's bytes used to depend on --jobs and on the worker schedule
+        for seed in (0, 1):
+            write_scenario(tmp_path, seed=seed, frame_count=10)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.txt")}
+        monkeypatch.setattr(cli, "read_detections", None)  # no input is read
+        argv = ["postprocess", "--detections", "raw0.txt", "--detections", "raw1.txt",
+                "--jobs", "2"]
+        for o in outs:
+            argv += ["--out", o]
+        assert main(argv) == 1
+        assert "is also another video's --out or --detections" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.txt")} == before
+
+    def test_out_may_overwrite_its_own_input(self, tmp_path, capsys):
+        _, _, raw0 = write_scenario(tmp_path, seed=0, frame_count=10)
+        _, _, raw1 = write_scenario(tmp_path, seed=1, frame_count=10)
+        want = tmp_path / "want.txt"
+        assert main(["postprocess", "--detections", str(raw0), "--out", str(want)]) == 0
+        assert main(["postprocess", "--detections", str(raw0), "--detections", str(raw1),
+                     "--out", str(raw0), "--out", str(tmp_path / "o1.txt")]) == 0
+        assert raw0.read_bytes() == want.read_bytes()
+
+    def test_undefined_link_logit_is_a_data_error(self, tmp_path, capsys):
+        # 1.7e308 * |ln 3| overflows to +inf and -1.7e308 * |ln 3| to -inf:
+        # the pair used to score nan and was silently never linked
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("repp-model v1\n0 0 1.7e308 -1.7e308 0 0 0 0\n0\n")
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 1 1 5 5 0.5\n1 0 1 1 15 15 0.5\n")
+        rc = main(["postprocess", "--detections", str(det_path),
+                   "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
+        assert rc == 1
+        assert "error: link score logit is undefined" in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         rc = main(["postprocess", "--detections", str(tmp_path / "nope.txt"),

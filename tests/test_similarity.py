@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,28 @@ class TestLinkFeatures:
         with pytest.raises(ValidationError):
             LinkFeatures(float("nan"), 0, 0, 0, 0.5, 0.5, 1.0, 0.0)
 
+    def test_value_equality_and_repr(self):
+        values = (0.1, -0.2, 0.0, 0.5, 0.25, 0.5, 1.0, -0.5)
+        f = LinkFeatures(*values)
+        assert f == LinkFeatures(*values)
+        assert f != LinkFeatures(*values[:7], 0.5)
+        assert f != values
+        assert repr(f) == ("LinkFeatures(dx=0.1, dy=-0.2, log_w_ratio=0.0, log_h_ratio=0.5, "
+                           "iou=0.25, score_geo_mean=0.5, class_match=1.0, appearance_sim=-0.5)")
+        assert not hasattr(f, "__dict__")  # slotted: one is built per scored pair
+
+    @pytest.mark.parametrize("k, value, message", [
+        (4, -0.25, "iou feature out of [0,1]: -0.25"),
+        (4, 1.5, "iou feature out of [0,1]: 1.5"),
+        (6, 0.5, "class_match must be 0 or 1: 0.5"),
+        (6, -1.0, "class_match must be 0 or 1: -1.0"),
+    ])
+    def test_range_messages(self, k, value, message):
+        values = [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+        values[k] = value
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            LinkFeatures(*values)
+
 
 class TestLinkScore:
     def test_zero_model_gives_half(self, rng):
@@ -111,6 +134,18 @@ class TestLinkScore:
         m = default_model()
         far = LinkFeatures(5.0, 5.0, 3.0, 3.0, 0.0, 0.0, 0.0, -1.0)
         assert 0.0 < link_score(m, far) < 1.0
+
+    def test_undefined_logit_raises(self):
+        # 1e308 * 2.0**2 and -1e308 * 2.0**2 overflow to +inf and -inf: the
+        # score was nan, which no threshold accepts or rejects meaningfully
+        m = SimilarityModel((1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0)
+        with pytest.raises(ValidationError, match="link score logit is undefined"):
+            link_score(m, LinkFeatures(2.0, 2.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0))
+        # one infinite term alone saturates to the clamps
+        assert link_score(m, LinkFeatures(2.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0)) == (
+            math.nextafter(1.0, 0.0))
+        assert link_score(m, LinkFeatures(0.0, 2.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0)) == (
+            math.nextafter(0.0, 1.0))
 
     def test_default_model_monotonicity(self, rng):
         """Perturbing one feature in its 'worse' direction never raises the score."""
@@ -425,6 +460,14 @@ class TestLeanPathMatchesOracle:
         with pytest.raises(ValidationError, match="descriptor lengths differ: 1 and 2"):
             link_features(d1, d2, SHAPE)
 
+    def test_intersection_that_rounds_to_zero(self):
+        # 1e-200 * 1e-200 underflows and so do both areas: the seed divided
+        # 0 by 0 and raised ZeroDivisionError, a traceback in the CLI
+        tiny = (det(frame=0, w=1e-200, h=1e-200), det(frame=1, w=1e-200, h=1e-200))
+        assert link_features(*tiny, SHAPE) == oracle_link_features(*tiny, SHAPE)
+        assert link_features(*tiny, SHAPE).iou == 0.0
+        assert match_frame_pair([tiny[0]], [tiny[1]], default_model(), 0.5, SHAPE) == [(0, 0)]
+
     def test_sum_overflow_is_not_a_non_finite_field(self):
         f = LinkFeatures(1e308, 1e308, 1e308, 0.0, 0.5, 0.5, 1.0, 0.0)
         assert f.dx == 1e308
@@ -458,8 +501,9 @@ class TestLeanPathMatchesOracle:
     def test_wrong_frame_order_of_a_class_matched_pair(self):
         later, earlier = [det(frame=3, cls=0)], [det(frame=2, cls=0)]
         for match in (match_frame_pair, oracle_match_frame_pair):
-            with pytest.raises(ContractError):
-                match(later, earlier, default_model(), 0.5, SHAPE)
+            for frame_t1 in (earlier, [det(frame=3, cls=0)]):
+                with pytest.raises(ContractError):
+                    match(later, frame_t1, default_model(), 0.5, SHAPE)
             # a class-mismatched pair is never scored, so its order is not checked
             assert match(later, [det(frame=2, cls=1)], default_model(), 0.5, SHAPE) == []
 

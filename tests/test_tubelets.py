@@ -285,6 +285,66 @@ class TestSmoothCoordinates:
             smooth_coordinates(t, 4)
 
 
+def oracle_rescore(t, alpha):
+    """The seed's rescore, through dataclasses.replace."""
+    mean = t.mean_score()
+    entries = tuple(
+        dataclasses.replace(e, score=alpha * e.score + (1.0 - alpha) * mean) for e in t.entries
+    )
+    return Tubelet(t.tubelet_id, t.class_id, entries)
+
+
+def oracle_smooth_coordinates(t, window):
+    """The seed's smooth_coordinates, through dataclasses.replace."""
+    if window == 1 or len(t.entries) == 1:
+        return t
+    half, n = window // 2, len(t.entries)
+    cx = [e.bbox.x + e.bbox.w / 2.0 for e in t.entries]
+    cy = [e.bbox.y + e.bbox.h / 2.0 for e in t.entries]
+    w = [e.bbox.w for e in t.entries]
+    h = [e.bbox.h for e in t.entries]
+    entries = []
+    for k, e in enumerate(t.entries):
+        lo, hi = max(0, k - half), min(n, k + half + 1)
+        span = hi - lo
+        mcx, mcy = sum(cx[lo:hi]) / span, sum(cy[lo:hi]) / span
+        mw, mh = sum(w[lo:hi]) / span, sum(h[lo:hi]) / span
+        entries.append(dataclasses.replace(e, bbox=BBox(mcx - mw / 2.0, mcy - mh / 2.0, mw, mh)))
+    return Tubelet(t.tubelet_id, t.class_id, tuple(entries))
+
+
+def random_tubelet(rng):
+    """1 to 40 entries: scores that tie or are drawn freely, boxes that
+    repeat or wander, some entries interpolated."""
+    start, n = int(rng.integers(0, 50)), int(rng.integers(1, 41))
+    entries = []
+    for k in range(n):
+        if rng.random() < 0.3:
+            box = BBox(8.0, 16.0, 24.0, 32.0)
+        else:
+            box = BBox(*(float(v) for v in rng.uniform(-50.0, 500.0, 2)),
+                       *(float(v) for v in rng.uniform(0.5, 90.0, 2)))
+        score = 0.5 if rng.random() < 0.3 else float(rng.uniform())
+        entries.append(TubeletEntry(start + k, box, score, bool(rng.random() < 0.2)))
+    return Tubelet(int(rng.integers(0, 9)), int(rng.integers(0, 3)), tuple(entries))
+
+
+class TestRefinementMatchesReplace:
+    """rescore and smooth_coordinates build their entries directly; the
+    values equal the seed's dataclasses.replace versions exactly."""
+
+    def test_rescore(self, rng):
+        for _ in range(300):
+            t, alpha = random_tubelet(rng), float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+            assert rescore(t, alpha) == oracle_rescore(t, alpha)
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 9, 41])
+    def test_smooth_coordinates(self, rng, window):
+        for _ in range(200):
+            t = random_tubelet(rng)
+            assert smooth_coordinates(t, window) == oracle_smooth_coordinates(t, window)
+
+
 class TestFilterShort:
     def test_min_len_one_is_identity(self):
         ts = [tubelet([(0, BBox(0, 0, 5, 5), 0.5)], tid=0)]
