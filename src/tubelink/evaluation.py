@@ -146,7 +146,7 @@ def evaluate_streams(
     """
     preds: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h, score)
     gts: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h)
-    cell = 0  # numbers the (video, frame) pairs in stream order
+    cell = 0  # numbers the (video, frame) pairs that hold a box, in stream order
     for v, g in pairs:
         if v.video_id != g.video_id:
             raise ContractError(
@@ -162,7 +162,7 @@ def evaluate_streams(
                 f"frame shape mismatch for {v.video_id!r}: "
                 f"{v.frame_shape} vs {g.frame_shape}"
             )
-        for f in range(v.frame_count):
+        for f in sorted(v.frames.keys() | g.frames.keys()):
             for d in v.frames[f]:
                 b = d.bbox
                 preds[d.class_id].append((cell, b.x, b.y, b.w, b.h, d.score))

@@ -26,10 +26,17 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValidationError(f"bbox field {name} is not finite: {v!r}")
+        # The corners x + w and y + h are finite only when all four fields
+        # are, and every IoU takes differences of them: an inf corner gives NaN.
+        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+            for name in ("x", "y", "w", "h"):
+                v = getattr(self, name)
+                if not math.isfinite(v):
+                    raise ValidationError(f"bbox field {name} is not finite: {v!r}")
+            raise ValidationError(
+                f"bbox corner is not finite: x + w = {self.x + self.w!r}, "
+                f"y + h = {self.y + self.h!r}"
+            )
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"bbox has non-positive size: w={self.w}, h={self.h}")
 

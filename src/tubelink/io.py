@@ -14,12 +14,17 @@ without it the trailing floats (if any) are the appearance descriptor. Reals
 are serialized with Python's shortest exact representation, so a
 write -> read round trip reproduces every value bit for bit.
 
+Only frames that hold boxes are stored (see Frames). The header's
+frame_count bounds the frame indices, and time and memory follow the lines.
+
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +33,9 @@ from .geometry import BBox, Detection, FrameShape
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
-# Frames per video, about 9 h at 30 fps. Every frame gets a list, so the
-# bound is checked before any is made; the simulator's frame_count shares it.
+# Frames per video, about 9 h at 30 fps. Only frames that hold boxes are
+# stored, so the bound does not guard memory; it keeps frame indices in a
+# sane range, and the simulator's per-frame loop shares it.
 MAX_FRAME_COUNT = 1_000_000
 
 
@@ -42,37 +48,53 @@ def _check_video(video_id: str, frame_count: int) -> None:
         )
 
 
-@dataclass
-class VideoDetections:
-    """Frame-indexed detections for one video; every frame key is materialized.
+class Frames(dict):
+    """Frame index -> that frame's list, holding only the non-empty frames, in
+    frame order. Any other frame reads as an empty list that is not stored,
+    so time and memory follow the boxes, not the frame count."""
 
-    Frames with zero detections are present as empty lists so downstream gap
-    logic can tell "nothing detected" apart from "frame missing".
-    """
+    def __init__(self, frames: Mapping[int, list] = {}):
+        super().__init__((f, frames[f]) for f in sorted(frames) if frames[f])
+
+    def __missing__(self, frame_idx: int) -> list:
+        return []
+
+
+@dataclass
+class _Stream:
+    """One video's header fields and its boxes by frame, stored as Frames."""
 
     video_id: str
     frame_shape: FrameShape
     frame_count: int
-    frames: dict[int, list[Detection]] = field(default_factory=dict)
+    frames: dict[int, list] = field(default_factory=Frames)
 
     def __post_init__(self):
         _check_video(self.video_id, self.frame_count)
-        for idx, dets in self.frames.items():
+        for idx, boxes in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise ValidationError(
                     f"frame index {idx} outside [0, {self.frame_count})"
                 )
-            for d in dets:
-                if d.frame_idx != idx:
+            for b in boxes:
+                if b.frame_idx != idx:
                     raise ValidationError(
-                        f"detection frame_idx {d.frame_idx} stored under frame {idx}"
+                        f"box frame_idx {b.frame_idx} stored under frame {idx}"
                     )
-        for idx in range(self.frame_count):
-            self.frames.setdefault(idx, [])
+        self.frames = Frames(self.frames)
+
+
+@dataclass
+class VideoDetections(_Stream):
+    """Frame-indexed detections for one video.
+
+    Only frames with detections are stored; ``frames[t]`` of any other frame
+    is an empty list, so "no detections" and "frame missing" read the same.
+    """
 
     def all_detections(self) -> list[Detection]:
         """Detections flattened in (frame, file) order."""
-        return [d for idx in range(self.frame_count) for d in self.frames[idx]]
+        return [d for dets in self.frames.values() for d in dets]
 
 
 @dataclass(frozen=True)
@@ -93,34 +115,19 @@ class TrackBox:
 
 
 @dataclass
-class GroundTruth:
+class GroundTruth(_Stream):
     """Frame-indexed annotated boxes; track_ids are unique within a frame."""
 
-    video_id: str
-    frame_shape: FrameShape
-    frame_count: int
-    frames: dict[int, list[TrackBox]] = field(default_factory=dict)
-
     def __post_init__(self):
-        _check_video(self.video_id, self.frame_count)
+        super().__post_init__()
         for idx, boxes in self.frames.items():
-            if not (0 <= idx < self.frame_count):
-                raise ValidationError(
-                    f"frame index {idx} outside [0, {self.frame_count})"
-                )
             seen: set[int] = set()
             for b in boxes:
-                if b.frame_idx != idx:
-                    raise ValidationError(
-                        f"box frame_idx {b.frame_idx} stored under frame {idx}"
-                    )
                 if b.track_id in seen:
                     raise ValidationError(
                         f"duplicate track_id {b.track_id} in frame {idx}"
                     )
                 seen.add(b.track_id)
-        for idx in range(self.frame_count):
-            self.frames.setdefault(idx, [])
 
 
 def read_text(path: str | Path) -> str:
@@ -136,19 +143,12 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _parse_int(token: str, what: str, path: str, line_no: int) -> int:
+def _parse(kind: type, token: str, what: str, path: str, line_no: int) -> int | float:
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise ParseError(f"{what} is not an integer: {token!r}", path, line_no) from None
-
-
-def _parse_float(token: str, what: str, path: str, line_no: int) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise ParseError(f"{what} is not a number: {token!r}", path, line_no) from None
-    return v
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{what} is not {noun}: {token!r}", path, line_no) from None
 
 
 def _read_header(lines: list[str], path: str) -> tuple[str, FrameShape, int]:
@@ -161,15 +161,64 @@ def _read_header(lines: list[str], path: str) -> tuple[str, FrameShape, int]:
             path, 1,
         )
     _, video_id, w, h, n = parts
-    width = _parse_int(w, "width", path, 1)
-    height = _parse_int(h, "height", path, 1)
-    frame_count = _parse_int(n, "frame_count", path, 1)
+    width = _parse(int, w, "width", path, 1)
+    height = _parse(int, h, "height", path, 1)
+    frame_count = _parse(int, n, "frame_count", path, 1)
     try:
         _check_video(video_id, frame_count)
         shape = FrameShape(width, height)
     except ValidationError as e:
         raise ValidationError(f"{path}:1: {e}") from None
     return video_id, shape, frame_count
+
+
+_DETECTION_COLUMNS = ("frame_idx", "class_id", "x", "y", "w", "h", "score")
+_GROUND_TRUTH_COLUMNS = ("frame_idx", "class_id", "track_id", "x", "y", "w", "h")
+_INTEGER_COLUMNS = {"frame_idx", "class_id", "track_id", "tubelet_id"}
+
+
+def _read_records(
+    lines: list[str], first: int, path: str, frame_count: int,
+    columns: tuple[str, ...], make: Callable, tail: str | None = None,
+) -> defaultdict[int, list]:
+    """The records of lines[first:] by frame index, one per non-blank line.
+
+    A line holds the named columns, then, when `tail` names them, any number
+    of trailing reals. make(fields) parses them with int() and float() and
+    builds the record, which has a frame_idx. Every error names the path and
+    line; a field that does not parse is also named.
+    """
+    records: defaultdict[int, list] = defaultdict(list)
+    n = len(columns)
+    for line_no, raw in enumerate(lines[first:], start=first + 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) < n or (len(parts) > n and tail is None):
+            raise ParseError(
+                f"line needs {'at least ' if tail else ''}{n} fields "
+                f"({' '.join(columns)}), got {len(parts)}",
+                path, line_no,
+            )
+        try:
+            record = make(parts)
+        except ValidationError as e:
+            raise ValidationError(f"{path}:{line_no}: {e}") from None
+        except ValueError:  # parse again, field by field, to name the first bad one
+            for c, t in zip([*columns, *[tail] * (len(parts) - n)], parts):
+                _parse(int if c in _INTEGER_COLUMNS else float, t, c, path, line_no)
+            raise
+        if record.frame_idx >= frame_count:  # the record's own check rejects a negative one
+            raise ValidationError(
+                f"{path}:{line_no}: frame_idx {record.frame_idx} outside [0, {frame_count})"
+            )
+        records[record.frame_idx].append(record)
+    return records
+
+
+def _write_stream(s: _Stream, lines: list[str], path: str | Path) -> None:
+    header = f"{HEADER_TAG} {s.video_id} {s.frame_shape.width} {s.frame_shape.height} {s.frame_count}"
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def read_detections(path: str | Path) -> VideoDetections:
@@ -184,60 +233,32 @@ def read_detections_with_ids(
     """Like read_detections, but also recover the tubelet-id column if present.
 
     Returns (stream, ids) where ids maps frame_idx -> list of tubelet ids
-    parallel to that frame's detections, or None when the file carries no
-    ``#tubelets`` marker.
+    parallel to that frame's detections, stored like the stream's frames, or
+    None when the file carries no ``#tubelets`` marker.
     """
     path = str(path)
     lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
-
-    body_start = 1
     has_ids = len(lines) > 1 and lines[1].strip() == TUBELET_TAG
-    if has_ids:
-        body_start = 2
+    ids: defaultdict[int, list[int]] = defaultdict(list)
 
-    frames: dict[int, list[Detection]] = {i: [] for i in range(frame_count)}
-    ids: dict[int, list[int]] = {i: [] for i in range(frame_count)}
-    base = 8 if has_ids else 7
+    columns = _DETECTION_COLUMNS + (("tubelet_id",) if has_ids else ())
+    n = len(columns)
 
-    for line_no, raw in enumerate(lines[body_start:], start=body_start + 1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) < base:
-            raise ParseError(
-                f"detection line needs at least {base} fields, got {len(parts)}",
-                path, line_no,
-            )
-        frame_idx = _parse_int(parts[0], "frame_idx", path, line_no)
-        class_id = _parse_int(parts[1], "class_id", path, line_no)
-        x = _parse_float(parts[2], "x", path, line_no)
-        y = _parse_float(parts[3], "y", path, line_no)
-        w = _parse_float(parts[4], "w", path, line_no)
-        h = _parse_float(parts[5], "h", path, line_no)
-        score = _parse_float(parts[6], "score", path, line_no)
-        if has_ids:
-            tubelet_id = _parse_int(parts[7], "tubelet_id", path, line_no)
-        appearance = None
-        if len(parts) > base:
-            appearance = tuple(
-                _parse_float(t, "appearance component", path, line_no)
-                for t in parts[base:]
-            )
-        if not (0 <= frame_idx < frame_count):
-            raise ValidationError(
-                f"{path}:{line_no}: frame_idx {frame_idx} outside [0, {frame_count})"
-            )
-        try:
-            det = Detection(frame_idx, class_id, BBox(x, y, w, h), score, appearance)
-        except ValidationError as e:
-            raise ValidationError(f"{path}:{line_no}: {e}") from None
-        frames[frame_idx].append(det)
+    def detection(p: list[str]) -> Detection:
+        frame_idx, class_id = int(p[0]), int(p[1])
+        x, y, w, h, score = map(float, p[2:7])
+        tubelet_id = int(p[7]) if has_ids else None
+        appearance = tuple(map(float, p[n:])) if len(p) > n else None
+        det = Detection(frame_idx, class_id, BBox(x, y, w, h), score, appearance)
         if has_ids:
             ids[frame_idx].append(tubelet_id)
+        return det
 
+    frames = _read_records(lines, 2 if has_ids else 1, path, frame_count, columns, detection,
+                           tail="appearance component")
     stream = VideoDetections(video_id, shape, frame_count, frames)
-    return stream, (ids if has_ids else None)
+    return stream, (Frames(ids) if has_ids else None)
 
 
 def write_detections(
@@ -248,18 +269,19 @@ def write_detections(
     """Write a detection stream; read_detections(write_detections(v)) == v.
 
     tubelet_ids, when given, must hold one id per detection, keyed and
-    ordered exactly like v.frames; they are emitted as an extra column
-    announced by a ``#tubelets`` marker line.
+    ordered exactly like v.frames (a frame without detections may hold an
+    empty list); they are emitted as an extra column announced by a
+    ``#tubelets`` marker line.
     """
-    out = [f"{HEADER_TAG} {v.video_id} {v.frame_shape.width} {v.frame_shape.height} {v.frame_count}"]
+    out = []
     if tubelet_ids is not None:
+        for idx in sorted(v.frames.keys() | tubelet_ids.keys()):
+            if len(tubelet_ids.get(idx, ())) != len(v.frames[idx]):
+                raise ValidationError(
+                    f"tubelet_ids for frame {idx} do not match detection count"
+                )
         out.append(TUBELET_TAG)
-    for idx in range(v.frame_count):
-        dets = v.frames[idx]
-        if tubelet_ids is not None and len(tubelet_ids.get(idx, [])) != len(dets):
-            raise ValidationError(
-                f"tubelet_ids for frame {idx} do not match detection count"
-            )
+    for idx, dets in v.frames.items():
         for j, d in enumerate(dets):
             b = d.bbox
             fields = [
@@ -271,7 +293,7 @@ def write_detections(
             if d.appearance is not None:
                 fields.extend(_fmt(a) for a in d.appearance)
             out.append(" ".join(fields))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_stream(v, out, path)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
@@ -279,46 +301,17 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     path = str(path)
     lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
-
-    frames: dict[int, list[TrackBox]] = {i: [] for i in range(frame_count)}
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 7:
-            raise ParseError(
-                f"ground-truth line needs 7 fields "
-                f"(frame_idx class_id track_id x y w h), got {len(parts)}",
-                path, line_no,
-            )
-        frame_idx = _parse_int(parts[0], "frame_idx", path, line_no)
-        class_id = _parse_int(parts[1], "class_id", path, line_no)
-        track_id = _parse_int(parts[2], "track_id", path, line_no)
-        x = _parse_float(parts[3], "x", path, line_no)
-        y = _parse_float(parts[4], "y", path, line_no)
-        w = _parse_float(parts[5], "w", path, line_no)
-        h = _parse_float(parts[6], "h", path, line_no)
-        if not (0 <= frame_idx < frame_count):
-            raise ValidationError(
-                f"{path}:{line_no}: frame_idx {frame_idx} outside [0, {frame_count})"
-            )
-        try:
-            box = TrackBox(frame_idx, class_id, track_id, BBox(x, y, w, h))
-        except ValidationError as e:
-            raise ValidationError(f"{path}:{line_no}: {e}") from None
-        frames[frame_idx].append(box)
-
+    frames = _read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
+                           lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
+                                              BBox(*map(float, p[3:7]))))
     return GroundTruth(video_id, shape, frame_count, frames)
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     """Write ground truth in the format read_ground_truth expects."""
-    out = [f"{HEADER_TAG} {gt.video_id} {gt.frame_shape.width} {gt.frame_shape.height} {gt.frame_count}"]
-    for idx in range(gt.frame_count):
-        for b in gt.frames[idx]:
-            bb = b.bbox
-            out.append(
-                f"{b.frame_idx} {b.class_id} {b.track_id} "
-                f"{_fmt(bb.x)} {_fmt(bb.y)} {_fmt(bb.w)} {_fmt(bb.h)}"
-            )
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    out = [
+        f"{b.frame_idx} {b.class_id} {b.track_id} "
+        f"{_fmt(b.bbox.x)} {_fmt(b.bbox.y)} {_fmt(b.bbox.w)} {_fmt(b.bbox.h)}"
+        for boxes in gt.frames.values() for b in boxes
+    ]
+    _write_stream(gt, out, path)

@@ -9,11 +9,12 @@ independently to reproduce the three-row ablation
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ContractError
 from .geometry import Detection, nms
-from .io import VideoDetections
+from .io import Frames, VideoDetections
 from .linking import link_tubelets
 from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, setting, validate
 from .similarity import SimilarityModel, default_model
@@ -88,8 +89,8 @@ def tubelets_to_detections(
     Within a frame, detections are ordered by tubelet id, which is
     deterministic because ids are canonical.
     """
-    frames: dict[int, list[Detection]] = {f: [] for f in range(source.frame_count)}
-    ids: dict[int, list[int]] = {f: [] for f in range(source.frame_count)}
+    frames: defaultdict[int, list[Detection]] = defaultdict(list)
+    ids: defaultdict[int, list[int]] = defaultdict(list)
     for t in sorted(tubelets, key=lambda t: t.tubelet_id):
         for e in t.entries:
             if e.frame_idx >= source.frame_count:
@@ -100,4 +101,4 @@ def tubelets_to_detections(
             frames[e.frame_idx].append(Detection(e.frame_idx, t.class_id, e.bbox, e.score))
             ids[e.frame_idx].append(t.tubelet_id)
     out = VideoDetections(source.video_id, source.frame_shape, source.frame_count, frames)
-    return out, ids
+    return out, Frames(ids)

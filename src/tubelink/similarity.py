@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, ContractError, FitError, ValidationError
 from .geometry import BBox, Detection, FrameShape, center
@@ -235,6 +234,8 @@ def fit_model(
     shuffling, so identical input yields a bitwise-identical model. Requires
     at least one positive and one negative label.
     """
+    from scipy.special import expit  # only fitting needs scipy; keep it off the import path
+
     if not pairs:
         raise FitError("fit_model needs at least one labeled pair")
     labels = {label for _, label in pairs}

@@ -15,6 +15,7 @@ positives), so a seed reproduces the exact same files anywhere.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
 
 from numpy.random import Generator, PCG64
@@ -157,8 +158,8 @@ def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
             "vx": vx, "vy": vy, "base": base, "burst_left": 0,
         })
 
-    gt_frames: dict[int, list[TrackBox]] = {f: [] for f in range(config.frame_count)}
-    det_frames: dict[int, list[Detection]] = {f: [] for f in range(config.frame_count)}
+    gt_frames: defaultdict[int, list[TrackBox]] = defaultdict(list)
+    det_frames: defaultdict[int, list[Detection]] = defaultdict(list)
 
     for f in range(config.frame_count):
         for tid, tr in enumerate(tracks):

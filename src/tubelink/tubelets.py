@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, ValidationError
 from .geometry import BBox, Detection, FrameShape
 from .io import VideoDetections
-from .similarity import SimilarityModel, box_terms, link_features, link_score, pair_features
+from .similarity import SimilarityModel, box_terms, link_score, pair_features
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,10 @@ def match_frame_pair(
             if class_j != class_id:
                 continue
             if frame_idx >= frame_j:
-                link_features(d1, frame_t1[j], shape)  # raises its ContractError
+                raise ContractError(
+                    f"frame_t must lie in an earlier frame than frame_t1 "
+                    f"(got {frame_idx} and {frame_j})"
+                )
             s = link_score(m, pair_features(terms, terms_j, 1.0, shape))
             if s >= tau_link:
                 scored.append((s, i, j))
@@ -131,6 +133,8 @@ def match_frame_pair(
 def _exact_assignment(
     scored: list[tuple[float, int, int]], n: int, n1: int
 ) -> list[tuple[int, int]]:
+    from scipy.optimize import linear_sum_assignment  # only exact mode needs scipy
+
     # eligible pairs cost -score, everything else 0: minimizing the total
     # yields the maximum-score matching, forced zero-cost pairs are dropped
     if not scored:
@@ -149,12 +153,11 @@ def _exact_assignment(
 class _Chain:
     """Mutable accumulator used only while building."""
 
-    __slots__ = ("class_id", "entries", "seq")
+    __slots__ = ("class_id", "entries")
 
-    def __init__(self, det: Detection, seq: int):
+    def __init__(self, det: Detection):
         self.class_id = det.class_id
         self.entries = [TubeletEntry(det.frame_idx, det.bbox, det.score)]
-        self.seq = seq
 
 
 def build_tubelets(
@@ -170,37 +173,29 @@ def build_tubelets(
     tubelet. Ids are assigned by (start_frame, first box x, y), which makes
     the output deterministic for a given input.
     """
-    chains: list[_Chain] = []
-    seq = 0
-    active: list[_Chain] = []
-    for d in v.frames.get(0, []):
-        c = _Chain(d, seq)
-        seq += 1
-        active.append(c)
-        chains.append(c)
-
-    for t in range(v.frame_count - 1):
-        curr = v.frames[t + 1]
-        matches = match_frame_pair(
-            v.frames[t], curr, m, tau_link, v.frame_shape, assignment
-        )
+    chains: list[_Chain] = []  # in creation order
+    prev_t, prev, active = -1, [], []  # the last stored frame and its chains
+    for t, curr in v.frames.items():
+        if t != prev_t + 1:
+            prev = []  # the frame before t holds no detections
+        matches = match_frame_pair(prev, curr, m, tau_link, v.frame_shape, assignment)
         matched_next = {j: i for i, j in matches}
-        next_active: list[_Chain] = [None] * len(curr)  # type: ignore[list-item]
+        next_active: list[_Chain] = []
         for j, d in enumerate(curr):
             i = matched_next.get(j)
             if i is not None:
                 chain = active[i]
                 chain.entries.append(TubeletEntry(d.frame_idx, d.bbox, d.score))
             else:
-                chain = _Chain(d, seq)
-                seq += 1
+                chain = _Chain(d)
                 chains.append(chain)
-            next_active[j] = chain
-        active = next_active
+            next_active.append(chain)
+        prev_t, prev, active = t, curr, next_active
 
+    # a stable sort: ties keep creation order
     ordered = sorted(
         chains,
-        key=lambda c: (c.entries[0].frame_idx, c.entries[0].bbox.x, c.entries[0].bbox.y, c.seq),
+        key=lambda c: (c.entries[0].frame_idx, c.entries[0].bbox.x, c.entries[0].bbox.y),
     )
     return [
         Tubelet(tubelet_id=k, class_id=c.class_id, entries=tuple(c.entries))

@@ -23,6 +23,12 @@ class TestBBoxValidation:
         with pytest.raises(ValidationError):
             BBox(0, 0, float("inf"), 10)
 
+    @pytest.mark.parametrize("box", [(1e308, 0, 1e308, 5), (0, 1.5e308, 5, 1e308)])
+    def test_corner_overflow_rejected(self, box):
+        # finite fields whose corner x + w or y + h is inf: every IoU would be NaN
+        with pytest.raises(ValidationError, match="bbox corner is not finite"):
+            BBox(*box)
+
 
 class TestDetectionValidation:
     def test_score_above_one_rejected(self):

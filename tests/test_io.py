@@ -36,6 +36,19 @@ class TestReadDetections:
         assert len(v.frames[1]) == 1
         assert v.frames[1][0].bbox == BBox(10, 10, 5, 5)
 
+    def test_lines_in_any_frame_order(self, tmp_path):
+        # frames are stored in frame order whatever the order of the lines,
+        # as the tubelet builder walks them
+        lines = ["2 0 10 10 5 5 0.5", "0 0 10 10 5 5 0.6", "2 1 20 20 5 5 0.7", "1 0 11 10 5 5 0.8"]
+        v = read_detections(write(tmp_path, "#video v 1280 720 4\n" + "\n".join(lines) + "\n"))
+        ordered = read_detections(write(tmp_path, "#video v 1280 720 4\n" + "\n".join(
+            [lines[1], lines[3], lines[0], lines[2]]) + "\n", name="ordered.txt"))
+        assert list(v.frames) == [0, 1, 2]
+        assert v == ordered and v.all_detections() == ordered.all_detections()
+        write_detections(v, tmp_path / "a.txt")
+        write_detections(ordered, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+
     def test_score_out_of_range(self, tmp_path):
         p = write(tmp_path, "#video v 1280 720 3\n1 0 10 10 5 5 1.3\n")
         with pytest.raises(ValidationError, match=r"score out of \[0,1\]"):
@@ -65,6 +78,12 @@ class TestReadDetections:
         p = write(tmp_path, "#video v 1280 720 1\n0 0 1 1 5 5 0.5 0.6 0.8\n")
         v = read_detections(p)
         assert v.frames[0][0].appearance == (0.6, 0.8)
+
+    def test_corner_overflow_names_file_and_line(self, tmp_path):
+        # x + w is inf, and the IoU of such a box with itself NaN
+        p = write(tmp_path, "#video v 1280 720 2\n0 0 1 1 5 5 0.5\n1 0 1e308 0 1e308 5 0.9\n")
+        with pytest.raises(ValidationError, match=f"{p}:3: bbox corner is not finite"):
+            read_detections(p)
 
     def test_nan_appearance_names_file_and_line(self, tmp_path):
         p = write(tmp_path, "#video v 1280 720 2\n0 0 1 1 5 5 0.5 1 0\n1 0 1 1 5 5 0.9 nan 0\n")
@@ -135,9 +154,19 @@ class TestRoundTrip:
         write_detections(v, p, ids)
         back, back_ids = read_detections_with_ids(p)
         assert back == v
-        assert back_ids == ids
+        # frames without detections store no list, and read as an empty one
+        assert all(back_ids[f] == ids[f] for f in range(4))
         # plain reader accepts the same file
         assert read_detections(p) == v
+
+    def test_ids_are_stored_like_frames(self, tmp_path):
+        # only frames with detections hold ids, in frame order; reading the
+        # ids of another frame stores nothing
+        p = write(tmp_path, "#video v 1280 720 4\n#tubelets\n2 0 1 1 5 5 0.5 7\n0 0 1 1 5 5 0.5 3\n")
+        back, back_ids = read_detections_with_ids(p)
+        assert back_ids[1] == [] and back_ids[3] == []
+        assert list(back_ids.items()) == [(0, [3]), (2, [7])]
+        assert list(back_ids) == list(back.frames)
 
     def test_tubelet_ids_with_appearance(self, rng, tmp_path):
         v = random_stream(rng, frame_count=4, with_appearance=True)
@@ -151,6 +180,11 @@ class TestRoundTrip:
         v = VideoDetections("v", SHAPE, 1, {0: [det()]})
         with pytest.raises(ValidationError):
             write_detections(v, tmp_path / "out.txt", {0: [1, 2]})
+
+    def test_tubelet_ids_for_a_frame_without_detections_rejected(self, tmp_path):
+        v = VideoDetections("v", SHAPE, 6, {0: [det()]})
+        with pytest.raises(ValidationError, match="tubelet_ids for frame 5 do not match"):
+            write_detections(v, tmp_path / "out.txt", {0: [1], 5: [3]})
 
 
 class TestGroundTruthIO:

@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +20,17 @@ from tubelink import (
 )
 from tubelink import cli
 from tubelink.cli import main
+from tubelink.io import MAX_FRAME_COUNT
 
 from conftest import random_stream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*argv, cwd=None):
+    """Run a fresh interpreter that imports tubelink from src/."""
+    return subprocess.run([sys.executable, *argv], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
 
 
 def write_scenario(tmp_path, seed=0, **overrides):
@@ -45,6 +59,13 @@ class TestPostprocessVideo:
         write_detections(out, p, ids)
         back, back_ids = read_detections_with_ids(p)
         assert back == out and back_ids == ids
+
+    def test_ids_are_stored_like_frames(self, rng):
+        v = random_stream(rng, frame_count=12)
+        out, ids = postprocess_video(v, PipelineConfig(min_len=1, tubelet_link=False))
+        empty = [f for f in range(12) if not out.frames[f]]
+        assert empty and all(ids[f] == [] for f in empty)
+        assert list(ids) == list(out.frames)  # reading an empty frame stored nothing
 
     def test_nms_stage(self, rng):
         from conftest import SHAPE, det
@@ -144,6 +165,19 @@ class TestCliPostprocess:
                             "1 0 0 0 1e-200 1e-200 0.9\n")
         argv = ["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")]
         assert main(argv + ["--nms-iou", "0.5"]) == 0
+
+    def test_boxes_whose_corners_overflow(self, tmp_path):
+        # x + w is inf: the IoU was NaN, NMS printed numpy's RuntimeWarning and
+        # linking failed on a NaN feature. A fresh process, so that stderr
+        # holds any warning.
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 1e308 0 1e308 5 0.9\n"
+                            "0 0 1e308 0 1e308 5 0.9\n1 0 1e308 0 1e308 5 0.9\n")
+        done = python("-m", "tubelink", "postprocess", "--detections", str(det_path),
+                      "--out", str(tmp_path / "o.txt"), "--nms-iou", "0.5")
+        assert done.returncode == 1
+        assert f"error: {det_path}:2: bbox corner is not finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_descriptor_lengths_differ_is_a_data_error(self, tmp_path, capsys):
         # found by tests/test_fuzz_readers.py: np.dot's shape ValueError used
@@ -359,6 +393,35 @@ class TestCliPostprocess:
         rc = main(["postprocess", "--detections", str(det_path),
                    "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
         assert rc == 1
+
+
+class TestFreshProcess:
+    def test_import_loads_no_scipy(self):
+        # scipy costs about 0.45 s and 50 MiB to import; only fit_model and
+        # exact assignment use it, and they import it themselves
+        done = python("-c", "import sys, tubelink; "
+                            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_header_only_stream_at_the_frame_bound(self, tmp_path):
+        # storage follows the lines, not the header: this 23-byte pair of
+        # files used to take about 5.7 s and 645 MiB
+        header = f"#video v 10 10 {MAX_FRAME_COUNT}\n"
+        (tmp_path / "raw.txt").write_text(header)
+        (tmp_path / "gt.txt").write_text(header)
+        code = ("import resource, sys\n"
+                "from tubelink.cli import main\n"
+                "rc = (main(['postprocess', '--detections', 'raw.txt', '--out', 'out.txt'])\n"
+                "      or main(['eval', '--detections', 'out.txt', '--ground-truth', 'gt.txt']))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                "sys.exit(rc)\n")
+        start = time.perf_counter()
+        done = python("-c", code, cwd=tmp_path)
+        wall = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert wall < 2.0
+        assert int(done.stdout.split()[-1]) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def parse_map_lines(out):

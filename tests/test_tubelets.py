@@ -175,6 +175,13 @@ class TestBuildTubelets:
             keys = [(t.start_frame, t.entries[0].bbox.x, t.entries[0].bbox.y) for t in ts]
             assert keys == sorted(keys)
 
+    def test_ties_on_start_and_corner_keep_file_order(self):
+        # same frame, same top-left corner: ids follow the order in the frame
+        a, b = det(frame=1, w=10, cls=0), det(frame=1, w=20, cls=1)
+        for frame in ([a, b], [b, a]):
+            ts = build_tubelets(VideoDetections("v", SHAPE, 3, {1: frame}), MODEL)
+            assert [t.class_id for t in ts] == [d.class_id for d in frame]
+
     def test_partition_property(self, rng):
         def key(frame_idx, bbox, score):
             return (frame_idx, bbox.x, bbox.y, bbox.w, bbox.h, score)
