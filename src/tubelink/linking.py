@@ -10,12 +10,10 @@ confidences.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .errors import ContractError
-from .geometry import BBox, FrameShape
+from .geometry import BBox, FrameShape, center
 from .similarity import SimilarityModel, box_terms, link_score, pair_features
-from .tubelets import Tubelet, TubeletEntry
+from .tubelets import Tubelet, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates
 
 
 def tubelet_gap(a: Tubelet, b: Tubelet) -> int:
@@ -74,8 +72,7 @@ def interpolate_gap(
     else:
         score = (tail.score + head.score) / 2.0
 
-    tcx, tcy = tail.bbox.x + tail.bbox.w / 2.0, tail.bbox.y + tail.bbox.h / 2.0
-    hcx, hcy = head.bbox.x + head.bbox.w / 2.0, head.bbox.y + head.bbox.h / 2.0
+    (tcx, tcy), (hcx, hcy) = center(tail.bbox), center(head.bbox)
 
     out = []
     for k in range(1, gap + 1):
@@ -106,9 +103,10 @@ def link_tubelets(
     """Merge tubelets whose end/start boxes look like the same object.
 
     Candidate pairs share a class, are separated by 0..g_max empty frames and
-    score at least tau_tub. Pairs are accepted greedily by descending score
-    (ties by ascending id pair); each tubelet gains at most one successor and
-    one predecessor, and accepted chains collapse transitively into single
+    score at least tau_tub. The linker that build_tubelets runs with g_max = 0
+    scores them and accepts them greedily by descending score (ties by
+    ascending id pair); each tubelet gains at most one successor and one
+    predecessor, and accepted chains collapse transitively into single
     tubelets with their gaps filled by interpolate_gap. Surviving entries of
     the inputs are carried over bit for bit; ids are reassigned in canonical
     (start_frame, x, y) order, which leaves an already-canonical input
@@ -120,57 +118,26 @@ def link_tubelets(
         raise ContractError(f"tau_tub must be in (0,1], got {tau_tub}")
     if shape is None:
         raise ContractError("link_tubelets needs the frame shape")
-    ids = [t.tubelet_id for t in ts]
-    if len(set(ids)) != len(ids):
-        raise ContractError("tubelet ids must be unique before linking")
-    if not ts:
-        return []
-
     by_id = {t.tubelet_id: t for t in ts}
-    starts = sorted(ts, key=lambda t: (t.start_frame, t.tubelet_id))
-    start_frames = [t.start_frame for t in starts]
+    if len(by_id) != len(ts):
+        raise ContractError("tubelet ids must be unique before linking")
 
-    # what the pair loop reads of each head, gathered once per tubelet
-    heads = [(t.tubelet_id, t.class_id, box_terms(t.entries[0].bbox, t.entries[0].score))
-             for t in starts]
-
-    # tubelet_link_score of each candidate, with each box's terms computed once
-    candidates: list[tuple[float, int, int]] = []
-    for a in ts:
-        end, a_id, a_class = a.end_frame, a.tubelet_id, a.class_id
-        lo = bisect_left(start_frames, end + 1)
-        hi = bisect_right(start_frames, end + 1 + g_max)
-        tail = box_terms(a.entries[-1].bbox, a.entries[-1].score)
-        for k in range(lo, hi):
-            b_id, b_class, head = heads[k]
-            if b_class != a_class or b_id == a_id:
-                continue
-            s = link_score(m, pair_features(tail, head, 1.0, shape, start_frames[k] - end))
-            if s >= tau_tub:
-                candidates.append((s, a_id, b_id))
-
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    successor: dict[int, int] = {}
-    predecessor: dict[int, int] = {}
-    for _, a_id, b_id in candidates:
-        if a_id in successor or b_id in predecessor:
-            continue
-        successor[a_id] = b_id
-        predecessor[b_id] = a_id
+    tails = [(t.tubelet_id, t.class_id, t.end_frame,
+              box_terms(t.entries[-1].bbox, t.entries[-1].score)) for t in ts]
+    heads = sorted(((t.tubelet_id, t.class_id, t.start_frame,
+                     box_terms(t.entries[0].bbox, t.entries[0].score)) for t in ts),
+                   key=lambda h: h[2])
+    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
 
     merged: list[Tubelet] = []
-    for t in ts:
-        if t.tubelet_id in predecessor:
-            continue  # not a chain head
-        entries = list(t.entries)
-        cur = t
-        while cur.tubelet_id in successor:
-            nxt = by_id[successor[cur.tubelet_id]]
+    for chain in _follow_chains(by_id, successor):
+        parts = [by_id[k] for k in chain]
+        entries = list(parts[0].entries)
+        for cur, nxt in zip(parts, parts[1:]):
             if tubelet_gap(cur, nxt) >= 1:
                 entries.extend(interpolate_gap(cur, nxt, score_mode))
             entries.extend(nxt.entries)
-            cur = nxt
-        merged.append(Tubelet(t.tubelet_id, t.class_id, tuple(entries)))
+        merged.append(Tubelet(parts[0].tubelet_id, parts[0].class_id, tuple(entries)))
 
     merged.sort(key=lambda t: (t.start_frame, t.entries[0].bbox.x, t.entries[0].bbox.y, t.tubelet_id))
     return [Tubelet(k, t.class_id, t.entries) for k, t in enumerate(merged)]

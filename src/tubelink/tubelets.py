@@ -1,8 +1,11 @@
 """Tubelet construction from per-frame detections, plus per-tubelet refinement.
 
 A tubelet is a frame-contiguous chain of boxes with one identity and class.
-The builder links detections of consecutive frames one-to-one by similarity
-score; refinement then blends confidences toward the tubelet mean, smooths
+One linker serves both levels: _link_candidates scores same-class tail ->
+head pairs, _accept_greedy accepts them one-to-one by descending score and
+_follow_chains collapses the accepted links into chains. The builder is its
+gap-0 case over single detections, linking.link_tubelets its g_max case over
+tubelets. Refinement then blends confidences toward the tubelet mean, smooths
 coordinates with a centered moving average and drops short tubelets, which
 are the dominant false-positive shape.
 """
@@ -10,12 +13,14 @@ are the dominant false-positive shape.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import BBox, Detection, FrameShape
+from .geometry import BBox, Detection, FrameShape, center
 from .io import VideoDetections
 from .similarity import SimilarityModel, box_terms, link_score, pair_features
 
@@ -72,6 +77,58 @@ class Tubelet:
         return sum(e.score for e in self.entries) / len(self.entries)
 
 
+def _link_candidates(tails: list[tuple], heads: list[tuple], m: SimilarityModel,
+                     g_max: int, tau: float, shape: FrameShape) -> list[tuple[float, int, int]]:
+    """The link scorer of both levels: (score, tail key, head key) of each
+    same-class pair reaching tau whose head starts 1..g_max + 1 frames after
+    its tail ends, the displacement divided by that frame distance. Tails and
+    heads are (key, class_id, frame, box_terms) records, the frame being a
+    tail's last and a head's first; heads come in frame order."""
+    starts = [h[2] for h in heads]
+    out: list[tuple[float, int, int]] = []
+    for key, class_id, end, terms in tails:
+        lo, hi = bisect_left(starts, end + 1), bisect_right(starts, end + 1 + g_max)
+        for head_key, head_class, start, head_terms in heads[lo:hi]:
+            if head_class == class_id:
+                s = link_score(m, pair_features(terms, head_terms, 1.0, shape, start - end))
+                if s >= tau:
+                    out.append((s, key, head_key))
+    return out
+
+
+def _accept_greedy(candidates: list[tuple[float, int, int]]) -> dict[int, int]:
+    """The greedy acceptor of both levels: by descending score, ties by
+    ascending (tail, head) key pair, a candidate is accepted while its tail has
+    no successor and its head no predecessor. Returns successor[tail] = head
+    in acceptance order."""
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    successor: dict[int, int] = {}
+    linked: set[int] = set()
+    for _, a, b in candidates:
+        if a not in successor and b not in linked:
+            successor[a] = b
+            linked.add(b)
+    return successor
+
+
+def _follow_chains(keys, successor: dict[int, int]) -> list[list[int]]:
+    """The keys split into chains along the accepted links, one chain per key
+    that no link enters, in the order of those keys."""
+    linked = set(successor.values())
+    chains = [[k] for k in keys if k not in linked]
+    for chain in chains:
+        while chain[-1] in successor:
+            chain.append(successor[chain[-1]])
+    return chains
+
+
+def _check_matching(tau_link: float, assignment: str) -> None:
+    if not (0.0 < tau_link < 1.0):
+        raise ContractError(f"tau_link must be in (0,1), got {tau_link}")
+    if assignment not in ("greedy", "exact"):
+        raise ContractError(f"unknown assignment mode: {assignment!r}")
+
+
 def match_frame_pair(
     frame_t: list[Detection],
     frame_t1: list[Detection],
@@ -82,52 +139,32 @@ def match_frame_pair(
 ) -> list[tuple[int, int]]:
     """One-to-one matching between two consecutive frames' detections.
 
-    Class-mismatched pairs are excluded before scoring. The default greedy
-    mode accepts pairs by descending score (ties by ascending index pair) as
-    long as both endpoints are free and the score reaches tau_link; "exact"
-    solves the maximum-total-score assignment over the eligible pairs
-    instead. Returned pairs are (index in frame_t, index in frame_t1).
+    Class-mismatched pairs are excluded before scoring; a class-matched pair
+    whose frame_t1 box is not in a later frame raises ContractError. The
+    default greedy mode accepts pairs by descending score (ties by ascending
+    index pair) as long as both endpoints are free and the score reaches
+    tau_link; "exact" solves the maximum-total-score assignment over the
+    eligible pairs instead. Scoring is the tubelet linker's, so for boxes
+    more than one frame apart the displacement is divided by their frame
+    distance. Returned pairs are (index in frame_t, index in frame_t1).
     """
-    if not (0.0 < tau_link < 1.0):
-        raise ContractError(f"tau_link must be in (0,1), got {tau_link}")
-    if assignment not in ("greedy", "exact"):
-        raise ContractError(f"unknown assignment mode: {assignment!r}")
+    _check_matching(tau_link, assignment)
     if not frame_t or not frame_t1:
         return []
-
-    # what the pair loop reads of each later box, gathered once per box
-    later = [(j, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
-             for j, d in enumerate(frame_t1)]
-    scored: list[tuple[float, int, int]] = []
-    for i, d1 in enumerate(frame_t):
-        terms = box_terms(d1.bbox, d1.score, d1.appearance)
-        class_id, frame_idx = d1.class_id, d1.frame_idx
-        for j, class_j, frame_j, terms_j in later:
-            if class_j != class_id:
-                continue
-            if frame_idx >= frame_j:
-                raise ContractError(
-                    f"frame_t must lie in an earlier frame than frame_t1 "
-                    f"(got {frame_idx} and {frame_j})"
-                )
-            s = link_score(m, pair_features(terms, terms_j, 1.0, shape))
-            if s >= tau_link:
-                scored.append((s, i, j))
-
+    if any(d.class_id == d1.class_id and d.frame_idx >= d1.frame_idx
+           for d in frame_t for d1 in frame_t1):
+        raise ContractError("frame_t must lie in an earlier frame than frame_t1")
+    tails, heads = (
+        [(k, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
+         for k, d in enumerate(frame)]
+        for frame in (frame_t, frame_t1)
+    )
+    heads.sort(key=lambda h: h[2])
+    # frames are >= 0, so a window of the last head's frame reaches every head
+    scored = _link_candidates(tails, heads, m, heads[-1][2], tau_link, shape)
     if assignment == "exact":
         return _exact_assignment(scored, len(frame_t), len(frame_t1))
-
-    scored.sort(key=lambda p: (-p[0], p[1], p[2]))
-    taken_t: set[int] = set()
-    taken_t1: set[int] = set()
-    out: list[tuple[int, int]] = []
-    for _, i, j in scored:
-        if i in taken_t or j in taken_t1:
-            continue
-        taken_t.add(i)
-        taken_t1.add(j)
-        out.append((i, j))
-    return out
+    return list(_accept_greedy(scored).items())
 
 
 def _exact_assignment(
@@ -150,16 +187,6 @@ def _exact_assignment(
     return out
 
 
-class _Chain:
-    """Mutable accumulator used only while building."""
-
-    __slots__ = ("class_id", "entries")
-
-    def __init__(self, det: Detection):
-        self.class_id = det.class_id
-        self.entries = [TubeletEntry(det.frame_idx, det.bbox, det.score)]
-
-
 def build_tubelets(
     v: VideoDetections,
     m: SimilarityModel,
@@ -168,39 +195,42 @@ def build_tubelets(
 ) -> list[Tubelet]:
     """Partition a detection stream into tubelets.
 
-    Consecutive frames are matched pairwise; a detection with no backward
-    match starts a new tubelet, so every detection lands in exactly one
-    tubelet. Ids are assigned by (start_frame, first box x, y), which makes
-    the output deterministic for a given input.
+    This is link_tubelets with g_max = 0 over one-box tubelets, each box's
+    box_terms computed once. Greedy decisions of different frame pairs never
+    compete for an endpoint, so one sort over the stream gives each frame
+    pair's greedy matching; "exact" solves each frame pair on its full cost
+    matrix instead. A detection with no backward link starts a new tubelet,
+    so every detection lands in exactly one tubelet. Ids are assigned by
+    (start_frame, first box x, y), ties in stream order, which makes the
+    output deterministic for a given input.
     """
-    chains: list[_Chain] = []  # in creation order
-    prev_t, prev, active = -1, [], []  # the last stored frame and its chains
-    for t, curr in v.frames.items():
-        if t != prev_t + 1:
-            prev = []  # the frame before t holds no detections
-        matches = match_frame_pair(prev, curr, m, tau_link, v.frame_shape, assignment)
-        matched_next = {j: i for i, j in matches}
-        next_active: list[_Chain] = []
-        for j, d in enumerate(curr):
-            i = matched_next.get(j)
-            if i is not None:
-                chain = active[i]
-                chain.entries.append(TubeletEntry(d.frame_idx, d.bbox, d.score))
-            else:
-                chain = _Chain(d)
-                chains.append(chain)
-            next_active.append(chain)
-        prev_t, prev, active = t, curr, next_active
+    _check_matching(tau_link, assignment)
+    dets: list[Detection] = []
+    first: dict[int, int] = {}  # the key of each stored frame's first detection
+    for t, frame in v.frames.items():
+        first[t] = len(dets)
+        dets.extend(frame)
+    nodes = [(k, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
+             for k, d in enumerate(dets)]
+    scored = _link_candidates(nodes, nodes, m, 0, tau_link, v.frame_shape)
+    if assignment == "greedy":
+        successor = _accept_greedy(scored)
+    else:  # each frame pair's candidates, in the pair's own indices
+        per_pair: defaultdict[int, list] = defaultdict(list)
+        for s, a, b in scored:
+            t = dets[a].frame_idx
+            per_pair[t].append((s, a - first[t], b - first[t + 1]))
+        successor = {
+            first[t] + i: first[t + 1] + j for t, pair in per_pair.items()
+            for i, j in _exact_assignment(pair, len(v.frames[t]), len(v.frames[t + 1]))
+        }
 
-    # a stable sort: ties keep creation order
-    ordered = sorted(
-        chains,
-        key=lambda c: (c.entries[0].frame_idx, c.entries[0].bbox.x, c.entries[0].bbox.y),
-    )
-    return [
-        Tubelet(tubelet_id=k, class_id=c.class_id, entries=tuple(c.entries))
-        for k, c in enumerate(ordered)
-    ]
+    entries = [TubeletEntry(d.frame_idx, d.bbox, d.score) for d in dets]
+    chains = _follow_chains(range(len(dets)), successor)
+    # a stable sort: ties keep stream order
+    chains.sort(key=lambda c: (dets[c[0]].frame_idx, dets[c[0]].bbox.x, dets[c[0]].bbox.y))
+    return [Tubelet(k, dets[c[0]].class_id, tuple(entries[i] for i in c))
+            for k, c in enumerate(chains)]
 
 
 def rescore(t: Tubelet, alpha: float = 0.5) -> Tubelet:
@@ -232,8 +262,7 @@ def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
         return t
     half = window // 2
     n = len(t.entries)
-    cx = [e.bbox.x + e.bbox.w / 2.0 for e in t.entries]
-    cy = [e.bbox.y + e.bbox.h / 2.0 for e in t.entries]
+    cx, cy = zip(*(center(e.bbox) for e in t.entries))
     w = [e.bbox.w for e in t.entries]
     h = [e.bbox.h for e in t.entries]
 

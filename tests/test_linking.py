@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import math
 
 import pytest
 
@@ -180,6 +181,12 @@ class TestLinkTubelets:
         out = link_tubelets(ts, MODEL, g_max=0, tau_tub=1.0, shape=SHAPE)
         assert out == ts
 
+    def test_score_equal_to_the_threshold_merges(self):
+        a, b = run(0, 3), run(6, 3, tid=1, box=BBox(104, 100, 40, 44))
+        s = tubelet_link_score(a, b, MODEL, SHAPE)
+        assert len(link_tubelets([a, b], MODEL, 5, s, SHAPE)) == 1
+        assert len(link_tubelets([a, b], MODEL, 5, math.nextafter(s, 1.0), SHAPE)) == 2
+
     def test_chain_collapses_transitively(self):
         # A --gap-- B --gap-- C with a shared moving box line
         frame_map = {}
@@ -349,6 +356,22 @@ class TestLeanPathMatchesOracle:
                       if a.class_id == b.class_id and 0 <= tubelet_gap(a, b) <= g_max]
             ties += len(scores) - len(set(scores))
         assert ties > 100
+
+    def test_build_tubelets_is_gap_0_linking(self, rng):
+        # without descriptors, since link_tubelets scores no appearance
+        streams = [VideoDetections("v", SHAPE, 12, {
+            f: [Detection(f, int(rng.integers(0, 2)), random_box(rng), float(rng.choice([0.5, 0.8])))
+                for _ in range(int(rng.integers(0, 6)))]
+            for f in range(12)}) for _ in range(30)]
+        streams += [generate(ScenarioConfig(
+            seed=seed, frame_count=60, num_tracks=8, classes=2, drop_prob=0.15,
+            jitter_sigma=2.0, fp_rate=2.0))[1] for seed in range(10)]
+        for v in streams:
+            m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
+            dets = [d for frame in v.frames.values() for d in frame]
+            singles = [Tubelet(k, d.class_id, (TubeletEntry(d.frame_idx, d.bbox, d.score),))
+                       for k, d in enumerate(dets)]
+            assert build_tubelets(v, m, tau) == link_tubelets(singles, m, 0, tau, v.frame_shape)
 
     def test_link_tubelets_on_simulated_streams(self):
         for seed in range(4):

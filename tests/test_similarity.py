@@ -14,6 +14,8 @@ from tubelink import (
     LinkFeatures,
     SimilarityModel,
     ScenarioConfig,
+    Tubelet,
+    TubeletEntry,
     ValidationError,
     VideoDetections,
     build_tubelets,
@@ -30,7 +32,6 @@ from tubelink import (
     save_model,
     tubelet_gap,
 )
-from tubelink import tubelets as tubelets_module
 from tubelink.tubelets import _exact_assignment
 
 from conftest import SHAPE, det, random_bbox, unit_vector
@@ -514,18 +515,54 @@ class TestLeanPathMatchesOracle:
                       default_model(), 0.5, SHAPE)
 
     @pytest.mark.parametrize("assignment", ["greedy", "exact"])
-    def test_build_tubelets(self, rng, monkeypatch, assignment):
-        streams = [
-            VideoDetections("v", SHAPE, 10, {
-                f: [random_det(rng, f) for _ in range(int(rng.integers(0, 6)))]
-                for f in range(10)
-            })
-            for _ in range(20)
-        ]
+    def test_build_tubelets(self, rng, assignment):
+        streams = [VideoDetections("v", SHAPE, 10, {f: random_frame(rng, f) for f in range(10)})
+                   for _ in range(20)]
         streams.append(generate(ScenarioConfig(
             seed=3, frame_count=40, num_tracks=6, classes=2, jitter_sigma=2.0,
             drop_prob=0.1, fp_rate=2.0, appearance_dim=4))[1])
-        cases = [(v, random_model(rng), float(rng.uniform(0.05, 0.95))) for v in streams]
-        lean = [build_tubelets(v, m, tau, assignment) for v, m, tau in cases]
-        monkeypatch.setattr(tubelets_module, "match_frame_pair", oracle_match_frame_pair)
-        assert lean == [build_tubelets(v, m, tau, assignment) for v, m, tau in cases]
+        empty = copies = 0
+        for v in streams:
+            m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
+            assert build_tubelets(v, m, tau, assignment) == \
+                oracle_build_tubelets(v, m, tau, assignment)
+            empty += v.frame_count - len(v.frames)
+            copies += sum(len(f) - len(set(f)) for f in v.frames.values())
+        assert empty > 20 and copies > 20
+
+
+def random_frame(rng, f):
+    """Up to 5 detections, a copy of one of them (equal scores) on half the
+    frames; no detections on a third of them."""
+    if rng.random() < 1 / 3:
+        return []
+    frame = [random_det(rng, f) for _ in range(int(rng.integers(1, 6)))]
+    if rng.random() < 0.5:
+        frame.append(frame[int(rng.integers(0, len(frame)))])
+    return frame
+
+
+def oracle_build_tubelets(v, m, tau_link, assignment):
+    """The per-frame build loop that build_tubelets ran before both levels
+    shared one linker: each stored frame matched to the frame before it by
+    oracle_match_frame_pair, one chain per detection without a backward
+    match, chains ordered by (start frame, x, y) and then creation order."""
+    chains, prev_t, prev, active = [], -1, [], []
+    for t, curr in v.frames.items():
+        if t != prev_t + 1:
+            prev = []
+        back = {j: i for i, j in oracle_match_frame_pair(
+            prev, curr, m, tau_link, v.frame_shape, assignment)}
+        next_active = []
+        for j, d in enumerate(curr):
+            if j in back:
+                chain = active[back[j]]
+            else:
+                chain = []
+                chains.append(chain)
+            chain.append(d)
+            next_active.append(chain)
+        prev_t, prev, active = t, curr, next_active
+    chains.sort(key=lambda c: (c[0].frame_idx, c[0].bbox.x, c[0].bbox.y))
+    return [Tubelet(k, c[0].class_id, tuple(TubeletEntry(d.frame_idx, d.bbox, d.score) for d in c))
+            for k, c in enumerate(chains)]

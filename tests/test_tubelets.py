@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tubelink import (
     match_frame_pair,
     rescore,
     smooth_coordinates,
+    tubelet_link_score,
 )
 
 from conftest import SHAPE, det, random_stream
@@ -71,6 +73,26 @@ class TestMatchFramePair:
     def test_unknown_assignment_mode(self):
         with pytest.raises(ContractError):
             match_frame_pair([], [], MODEL, 0.5, SHAPE, assignment="magic")
+
+    def test_score_equal_to_the_threshold_links(self):
+        a, b = det(frame=0, x=100), det(frame=1, x=105, w=12)
+        s = link_score(MODEL, link_features(a, b, SHAPE))
+        assert match_frame_pair([a], [b], MODEL, s, SHAPE) == [(0, 0)]
+        assert match_frame_pair([a], [b], MODEL, math.nextafter(s, 1.0), SHAPE) == []
+        v = VideoDetections("v", SHAPE, 2, {0: [a], 1: [b]})
+        assert len(build_tubelets(v, MODEL, s)) == 1
+        assert len(build_tubelets(v, MODEL, math.nextafter(s, 1.0))) == 2
+
+    def test_frames_further_apart_divide_the_displacement(self):
+        # 96 px in x on a 1280-wide frame scores 0.21 over one frame and,
+        # divided by 3, 0.66 over three, as the one-box tubelets do
+        a = det(frame=0, x=100)
+        assert match_frame_pair([a], [det(frame=1, x=196)], MODEL, 0.5, SHAPE) == []
+        b = det(frame=3, x=196)
+        assert match_frame_pair([a], [b], MODEL, 0.5, SHAPE) == [(0, 0)]
+        ta, tb = (Tubelet(k, 0, (TubeletEntry(d.frame_idx, d.bbox, d.score),))
+                  for k, d in enumerate((a, b)))
+        assert tubelet_link_score(ta, tb, MODEL, SHAPE) == pytest.approx(0.66, abs=0.005)
 
     def test_matches_exhaustive_greedy_trace(self, rng):
         for _ in range(300):
