@@ -55,7 +55,6 @@ from .tubelets import (
     TubeletEntry,
     build_tubelets,
     filter_short,
-    match_frame_pair,
     rescore,
     smooth_coordinates,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "LinkFeatures", "SimilarityModel", "link_features", "link_score",
     "feature_vector", "load_model", "save_model", "fit_model",
     "default_model", "DEFAULT_WEIGHTS", "DEFAULT_BIAS",
-    "Tubelet", "TubeletEntry", "match_frame_pair", "build_tubelets",
+    "Tubelet", "TubeletEntry", "build_tubelets",
     "rescore", "smooth_coordinates", "filter_short",
     "tubelet_gap", "tubelet_link_score", "interpolate_gap", "link_tubelets",
     "EvalReport", "IOU_THRESHOLDS", "match_predictions", "average_precision",

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,13 +206,8 @@ def cmd_inspect(args) -> int:
         print(f"video {stream.video_id}: {stream.frame_count} frames, "
               f"{total} detections, {per_frame:.2f}/frame")
         if ids is not None:
-            lengths: dict[int, int] = {}
-            for frame_ids in ids.values():
-                for tid in frame_ids:
-                    lengths[tid] = lengths.get(tid, 0) + 1
-            hist: dict[int, int] = {}
-            for n in lengths.values():
-                hist[n] = hist.get(n, 0) + 1
+            lengths = Counter(tid for frame_ids in ids.values() for tid in frame_ids)
+            hist = Counter(lengths.values())
             if hist:
                 bars = " ".join(f"{k}:{hist[k]}" for k in sorted(hist))
                 print(f"  tubelets: {len(lengths)}, length histogram: {bars}")

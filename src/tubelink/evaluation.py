@@ -66,7 +66,6 @@ def match_predictions(
     preds: list[Detection],
     gts: list[BBox],
     iou_thresh: float,
-    iou_mat: np.ndarray | None = None,
 ) -> list[bool]:
     """Label each prediction TP/FP against one frame's same-class gt boxes.
 
@@ -74,12 +73,8 @@ def match_predictions(
     claims the unclaimed gt box of maximal IoU when that IoU is at least
     iou_thresh (ties on IoU go to the earliest gt). Returns flags parallel to
     the input order; unclaimed gt boxes are the false negatives.
-
-    iou_mat can carry a precomputed preds x gts IoU matrix so sweeping many
-    thresholds does not recompute overlaps.
     """
-    if iou_mat is None:
-        iou_mat = iou_matrix([d.bbox for d in preds], gts)
+    iou_mat = iou_matrix([d.bbox for d in preds], gts)
     order = sorted(
         range(len(preds)), key=lambda i: (-preds[i].score, preds[i].bbox.x, preds[i].bbox.y)
     )

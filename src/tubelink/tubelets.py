@@ -1,13 +1,14 @@
 """Tubelet construction from per-frame detections, plus per-tubelet refinement.
 
 A tubelet is a frame-contiguous chain of boxes with one identity and class.
-One linker serves both levels: _link_candidates scores same-class tail ->
-head pairs, _accept_greedy accepts them one-to-one by descending score and
-_follow_chains collapses the accepted links into chains. The builder is its
-gap-0 case over single detections, linking.link_tubelets its g_max case over
-tubelets. Refinement then blends confidences toward the tubelet mean, smooths
-coordinates with a centered moving average and drops short tubelets, which
-are the dominant false-positive shape.
+This module holds the one linker of both levels: _link_candidates scores
+same-class tail -> head pairs, _accept_greedy accepts them one-to-one by
+descending score and _follow_chains collapses the accepted links into chains.
+It has two callers: build_tubelets, its gap-0 case over single detections,
+and linking.link_tubelets, its g_max case over tubelets. Refinement then
+blends confidences toward the tubelet mean, smooths coordinates with a
+centered moving average and drops short tubelets, which are the dominant
+false-positive shape.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ def _link_candidates(tails: list[tuple], heads: list[tuple], m: SimilarityModel,
 def _accept_greedy(candidates: list[tuple[float, int, int]]) -> dict[int, int]:
     """The greedy acceptor of both levels: by descending score, ties by
     ascending (tail, head) key pair, a candidate is accepted while its tail has
-    no successor and its head no predecessor. Returns successor[tail] = head
-    in acceptance order."""
+    no successor and its head no predecessor. Returns successor[tail] = head."""
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     successor: dict[int, int] = {}
     linked: set[int] = set()
@@ -122,69 +122,22 @@ def _follow_chains(keys, successor: dict[int, int]) -> list[list[int]]:
     return chains
 
 
-def _check_matching(tau_link: float, assignment: str) -> None:
-    if not (0.0 < tau_link < 1.0):
-        raise ContractError(f"tau_link must be in (0,1), got {tau_link}")
-    if assignment not in ("greedy", "exact"):
-        raise ContractError(f"unknown assignment mode: {assignment!r}")
-
-
-def match_frame_pair(
-    frame_t: list[Detection],
-    frame_t1: list[Detection],
-    m: SimilarityModel,
-    tau_link: float,
-    shape: FrameShape,
-    assignment: str = "greedy",
-) -> list[tuple[int, int]]:
-    """One-to-one matching between two consecutive frames' detections.
-
-    Class-mismatched pairs are excluded before scoring; a class-matched pair
-    whose frame_t1 box is not in a later frame raises ContractError. The
-    default greedy mode accepts pairs by descending score (ties by ascending
-    index pair) as long as both endpoints are free and the score reaches
-    tau_link; "exact" solves the maximum-total-score assignment over the
-    eligible pairs instead. Scoring is the tubelet linker's, so for boxes
-    more than one frame apart the displacement is divided by their frame
-    distance. Returned pairs are (index in frame_t, index in frame_t1).
-    """
-    _check_matching(tau_link, assignment)
-    if not frame_t or not frame_t1:
-        return []
-    if any(d.class_id == d1.class_id and d.frame_idx >= d1.frame_idx
-           for d in frame_t for d1 in frame_t1):
-        raise ContractError("frame_t must lie in an earlier frame than frame_t1")
-    tails, heads = (
-        [(k, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
-         for k, d in enumerate(frame)]
-        for frame in (frame_t, frame_t1)
-    )
-    heads.sort(key=lambda h: h[2])
-    # frames are >= 0, so a window of the last head's frame reaches every head
-    scored = _link_candidates(tails, heads, m, heads[-1][2], tau_link, shape)
-    if assignment == "exact":
-        return _exact_assignment(scored, len(frame_t), len(frame_t1))
-    return list(_accept_greedy(scored).items())
-
-
 def _exact_assignment(
     scored: list[tuple[float, int, int]], n: int, n1: int
 ) -> list[tuple[int, int]]:
+    """The maximum-total-score one-to-one matching of one frame pair's scored
+    (score, i, j) candidates, as (i, j) pairs in no set order."""
     from scipy.optimize import linear_sum_assignment  # only exact mode needs scipy
 
     # eligible pairs cost -score, everything else 0: minimizing the total
     # yields the maximum-score matching, forced zero-cost pairs are dropped
-    if not scored:
-        return []
     cost = np.zeros((n, n1))
     eligible = np.zeros((n, n1), dtype=bool)
     for s, i, j in scored:
         cost[i, j] = -s
         eligible[i, j] = True
     rows, cols = linear_sum_assignment(cost)
-    out = [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
-    out.sort()
-    return out
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
 
 
 def build_tubelets(
@@ -204,7 +157,10 @@ def build_tubelets(
     (start_frame, first box x, y), ties in stream order, which makes the
     output deterministic for a given input.
     """
-    _check_matching(tau_link, assignment)
+    if not (0.0 < tau_link < 1.0):
+        raise ContractError(f"tau_link must be in (0,1), got {tau_link}")
+    if assignment not in ("greedy", "exact"):
+        raise ContractError(f"unknown assignment mode: {assignment!r}")
     dets: list[Detection] = []
     first: dict[int, int] = {}  # the key of each stored frame's first detection
     for t, frame in v.frames.items():

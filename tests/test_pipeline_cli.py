@@ -410,18 +410,21 @@ class TestFreshProcess:
         header = f"#video v 10 10 {MAX_FRAME_COUNT}\n"
         (tmp_path / "raw.txt").write_text(header)
         (tmp_path / "gt.txt").write_text(header)
-        code = ("import resource, sys\n"
+        # the peak is read from the child's own VmHWM: on Linux, ru_maxrss of
+        # a spawned child starts at its parent's high-water mark
+        code = ("import re, sys\n"
                 "from tubelink.cli import main\n"
                 "rc = (main(['postprocess', '--detections', 'raw.txt', '--out', 'out.txt'])\n"
                 "      or main(['eval', '--detections', 'out.txt', '--ground-truth', 'gt.txt']))\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                "with open('/proc/self/status') as f:\n"
+                "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n"
                 "sys.exit(rc)\n")
         start = time.perf_counter()
         done = python("-c", code, cwd=tmp_path)
         wall = time.perf_counter() - start
         assert done.returncode == 0, done.stderr
         assert wall < 2.0
-        assert int(done.stdout.split()[-1]) < 200 * 1024  # ru_maxrss is in KiB on Linux
+        assert int(done.stdout.split()[-1]) < 200 * 1024  # VmHWM is in KiB
 
 
 def parse_map_lines(out):
@@ -513,3 +516,21 @@ class TestCliInspect:
         rc = main(["inspect", "--detections", str(det_path), "--postprocess"])
         assert rc == 0
         assert "length histogram" in capsys.readouterr().out
+
+    def test_tubelet_lengths_of_a_marked_file(self, tmp_path, capsys):
+        # tubelet 7 spans 3 frames, 2 and 9 one frame each, 4 two frames
+        lines = ["#video v 10 10 4", "#tubelets",
+                 "0 0 1 1 2 2 0.5 7", "0 0 5 5 2 2 0.5 2",
+                 "1 0 1 1 2 2 0.5 7", "1 1 5 5 2 2 0.5 4",
+                 "2 0 1 1 2 2 0.5 7", "2 1 5 5 2 2 0.5 4", "3 0 1 1 2 2 0.5 9"]
+        p = tmp_path / "marked.txt"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["inspect", "--detections", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "video v: 4 frames, 7 detections, 1.75/frame",
+            "  tubelets: 4, length histogram: 1:2 2:1 3:1",
+        ]
+        p.write_text("#video v 10 10 4\n#tubelets\n")
+        assert main(["inspect", "--detections", str(p)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "video v: 4 frames, 0 detections, 0.00/frame", "  tubelets: 0"]

@@ -28,7 +28,6 @@ from tubelink import (
     link_features,
     link_score,
     load_model,
-    match_frame_pair,
     save_model,
     tubelet_gap,
 )
@@ -467,7 +466,8 @@ class TestLeanPathMatchesOracle:
         tiny = (det(frame=0, w=1e-200, h=1e-200), det(frame=1, w=1e-200, h=1e-200))
         assert link_features(*tiny, SHAPE) == oracle_link_features(*tiny, SHAPE)
         assert link_features(*tiny, SHAPE).iou == 0.0
-        assert match_frame_pair([tiny[0]], [tiny[1]], default_model(), 0.5, SHAPE) == [(0, 0)]
+        v = VideoDetections("v", SHAPE, 2, {0: [tiny[0]], 1: [tiny[1]]})
+        assert [len(t) for t in build_tubelets(v, default_model(), 0.5)] == [2]
 
     def test_sum_overflow_is_not_a_non_finite_field(self):
         f = LinkFeatures(1e308, 1e308, 1e308, 0.0, 0.5, 0.5, 1.0, 0.0)
@@ -492,27 +492,20 @@ class TestLeanPathMatchesOracle:
                     frame.append(frame[int(rng.integers(0, len(frame)))])  # a copy ties
                 frames.append(frame)
             m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
-            got = match_frame_pair(*frames, m, tau, SHAPE, assignment)
-            assert got == oracle_match_frame_pair(*frames, m, tau, SHAPE, assignment)
+            v = VideoDetections("v", SHAPE, 5, {3: frames[0], 4: frames[1]})
+            assert build_tubelets(v, m, tau, assignment) == \
+                oracle_build_tubelets(v, m, tau, assignment)
             scores = [link_score(m, link_features(d1, d2, SHAPE))
                       for d1 in frames[0] for d2 in frames[1] if d1.class_id == d2.class_id]
             ties += len(scores) - len(set(scores))
         assert ties > 100
 
-    def test_wrong_frame_order_of_a_class_matched_pair(self):
-        later, earlier = [det(frame=3, cls=0)], [det(frame=2, cls=0)]
-        for match in (match_frame_pair, oracle_match_frame_pair):
-            for frame_t1 in (earlier, [det(frame=3, cls=0)]):
-                with pytest.raises(ContractError):
-                    match(later, frame_t1, default_model(), 0.5, SHAPE)
-            # a class-mismatched pair is never scored, so its order is not checked
-            assert match(later, [det(frame=2, cls=1)], default_model(), 0.5, SHAPE) == []
-
     def test_size_ratio_overflow_in_match_frame_pair(self):
-        for match in (match_frame_pair, oracle_match_frame_pair):
+        small, big = det(frame=0, w=1e-300), det(frame=1, w=1e300)
+        v = VideoDetections("v", SHAPE, 2, {0: [small], 1: [big]})
+        for build in (build_tubelets, oracle_build_tubelets):
             with pytest.raises(ValidationError):
-                match([det(frame=0, w=1e-300)], [det(frame=1, w=1e300)],
-                      default_model(), 0.5, SHAPE)
+                build(v, default_model(), 0.5, "greedy")
 
     @pytest.mark.parametrize("assignment", ["greedy", "exact"])
     def test_build_tubelets(self, rng, assignment):

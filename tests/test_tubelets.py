@@ -19,10 +19,8 @@ from tubelink import (
     generate,
     link_features,
     link_score,
-    match_frame_pair,
     rescore,
     smooth_coordinates,
-    tubelet_link_score,
 )
 
 from conftest import SHAPE, det, random_stream
@@ -50,49 +48,47 @@ def greedy_oracle(frame_t, frame_t1, tau):
     return out
 
 
+def linked_pairs(frame_t, frame_t1, tau, assignment="greedy"):
+    """The (i, j) index pairs that build_tubelets links on the two-frame
+    stream frame_t, frame_t1, sorted; boxes map back to indices by identity."""
+    index = {id(d.bbox): k for frame in (frame_t, frame_t1) for k, d in enumerate(frame)}
+    v = VideoDetections("v", SHAPE, 2, {0: frame_t, 1: frame_t1})
+    return sorted((index[id(t.entries[0].bbox)], index[id(t.entries[1].bbox)])
+                  for t in build_tubelets(v, MODEL, tau, assignment) if len(t) == 2)
+
+
 def tubelet(entries, cls=0, tid=0):
     return Tubelet(tid, cls, tuple(TubeletEntry(*e) for e in entries))
 
 
 class TestMatchFramePair:
+    """The matching of one pair of consecutive frames, as build_tubelets
+    makes it on a two-frame stream."""
+
     def test_single_identical_pair(self):
         a, b = det(frame=0), det(frame=1)
-        assert match_frame_pair([a], [b], MODEL, 0.5, SHAPE) == [(0, 0)]
+        assert linked_pairs([a], [b], 0.5) == [(0, 0)]
 
     def test_empty_next_frame(self):
-        assert match_frame_pair([det(frame=0)], [], MODEL, 0.5, SHAPE) == []
+        assert linked_pairs([det(frame=0)], [], 0.5) == []
 
     def test_class_mismatch_excluded(self):
         a, b = det(frame=0, cls=0), det(frame=1, cls=1)
-        assert match_frame_pair([a], [b], MODEL, 0.5, SHAPE) == []
+        assert linked_pairs([a], [b], 0.5) == []
 
     def test_threshold_out_of_range(self):
         with pytest.raises(ContractError):
-            match_frame_pair([], [], MODEL, 0.0, SHAPE)
+            linked_pairs([], [], 0.0)
 
     def test_unknown_assignment_mode(self):
         with pytest.raises(ContractError):
-            match_frame_pair([], [], MODEL, 0.5, SHAPE, assignment="magic")
+            linked_pairs([], [], 0.5, assignment="magic")
 
     def test_score_equal_to_the_threshold_links(self):
         a, b = det(frame=0, x=100), det(frame=1, x=105, w=12)
         s = link_score(MODEL, link_features(a, b, SHAPE))
-        assert match_frame_pair([a], [b], MODEL, s, SHAPE) == [(0, 0)]
-        assert match_frame_pair([a], [b], MODEL, math.nextafter(s, 1.0), SHAPE) == []
-        v = VideoDetections("v", SHAPE, 2, {0: [a], 1: [b]})
-        assert len(build_tubelets(v, MODEL, s)) == 1
-        assert len(build_tubelets(v, MODEL, math.nextafter(s, 1.0))) == 2
-
-    def test_frames_further_apart_divide_the_displacement(self):
-        # 96 px in x on a 1280-wide frame scores 0.21 over one frame and,
-        # divided by 3, 0.66 over three, as the one-box tubelets do
-        a = det(frame=0, x=100)
-        assert match_frame_pair([a], [det(frame=1, x=196)], MODEL, 0.5, SHAPE) == []
-        b = det(frame=3, x=196)
-        assert match_frame_pair([a], [b], MODEL, 0.5, SHAPE) == [(0, 0)]
-        ta, tb = (Tubelet(k, 0, (TubeletEntry(d.frame_idx, d.bbox, d.score),))
-                  for k, d in enumerate((a, b)))
-        assert tubelet_link_score(ta, tb, MODEL, SHAPE) == pytest.approx(0.66, abs=0.005)
+        assert linked_pairs([a], [b], s) == [(0, 0)]
+        assert linked_pairs([a], [b], math.nextafter(s, 1.0)) == []
 
     def test_matches_exhaustive_greedy_trace(self, rng):
         for _ in range(300):
@@ -109,8 +105,8 @@ class TestMatchFramePair:
                     score=float(rng.uniform(0.1, 1.0)), cls=int(rng.integers(0, 2)))
                 for _ in range(n1)
             ]
-            got = match_frame_pair(frame_t, frame_t1, MODEL, 0.3, SHAPE)
-            assert got == greedy_oracle(frame_t, frame_t1, 0.3)
+            got = linked_pairs(frame_t, frame_t1, 0.3)
+            assert got == sorted(greedy_oracle(frame_t, frame_t1, 0.3))
 
     def test_3x3_against_oracle(self, rng):
         for _ in range(100):
@@ -124,8 +120,8 @@ class TestMatchFramePair:
                     score=float(rng.uniform(0.5, 1.0)))
                 for _ in range(3)
             ]
-            got = match_frame_pair(frame_t, frame_t1, MODEL, 0.3, SHAPE)
-            assert got == greedy_oracle(frame_t, frame_t1, 0.3)
+            got = linked_pairs(frame_t, frame_t1, 0.3)
+            assert got == sorted(greedy_oracle(frame_t, frame_t1, 0.3))
 
     def test_exact_mode_maximizes_total_score(self, rng):
         def total(pairs, frame_t, frame_t1):
@@ -148,7 +144,7 @@ class TestMatchFramePair:
                     score=float(rng.uniform(0.4, 1.0)))
                 for _ in range(n)
             ]
-            got = match_frame_pair(frame_t, frame_t1, MODEL, 0.3, SHAPE, assignment="exact")
+            got = linked_pairs(frame_t, frame_t1, 0.3, assignment="exact")
             # brute-force best one-to-one matching over eligible pairs
             best = 0.0
             for perm in permutations(range(n)):
