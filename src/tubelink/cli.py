@@ -18,13 +18,15 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TubelinkError
-from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_streams
+from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_columns, evaluate_streams
 from .io import (
+    read_columns,
     read_detections,
     read_detections_with_ids,
     read_ground_truth,
@@ -154,20 +156,33 @@ def _print_report(report: EvalReport, title: str) -> None:
     print(f"mAP50-95 {report.map50_95:.4f}")
 
 
+def _read_eval_pairs(dets: list[str], gts: list[str]) -> tuple[list[tuple], Callable]:
+    """Every (detections, ground truth) pair, read in order, and the function
+    that evaluates them: their read_columns results, or, once a file is left
+    to the object readers, their streams. Those readers then raise their
+    error for that file or take it."""
+    columns = []
+    for d, g in zip(dets, gts):
+        for path, ground_truth in ((d, False), (g, True)):
+            c = read_columns(path, ground_truth)
+            if c is None:
+                streams = [(read_detections(a), read_ground_truth(b)) for a, b in zip(dets, gts)]
+                return streams, evaluate_streams
+            columns.append(c)
+    return list(zip(columns[::2], columns[1::2])), evaluate_columns
+
+
 def cmd_eval(args) -> int:
     if len(args.detections) != len(args.ground_truth):
         raise TubelinkError(
             f"got {len(args.detections)} --detections but "
             f"{len(args.ground_truth)} --ground-truth paths"
         )
-    pairs = [
-        (read_detections(d), read_ground_truth(g))
-        for d, g in zip(args.detections, args.ground_truth)
-    ]
+    pairs, evaluate = _read_eval_pairs(args.detections, args.ground_truth)
     if args.per_video:
         for v, g in pairs:
-            _print_report(evaluate_streams([(v, g)]), f"video {v.video_id}")
-    report = evaluate_streams(pairs)
+            _print_report(evaluate([(v, g)]), f"video {v.video_id}")
+    report = evaluate(pairs)
     _print_report(report, "pooled" if len(pairs) > 1 else f"video {pairs[0][0].video_id}")
 
     if args.out:

@@ -10,6 +10,11 @@ match_predictions and average_precision score one (class, frame) cell at one
 threshold; evaluate_streams gives their numbers in one columnar pass. It
 computes each same-cell IoU once, in chunks, and runs the greedy claim for all
 10 thresholds together. PR curves are built only when looked up.
+
+evaluate_streams walks the per-box objects into per-class row tables;
+evaluate_columns builds the same tables, in the same order, from the arrays of
+io.read_columns. Both feed one row core, so their reports are the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import BBox, Detection, iou_corners, iou_matrix
-from .io import GroundTruth, VideoDetections
+from .io import BoxColumns, GroundTruth, VideoDetections
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
-_PAIR_CHUNK = 1 << 15  # same-cell pairs whose IoU is computed at once, to bound memory
+_PAIR_CHUNK = 1 << 13  # same-cell pairs whose IoU is computed at once, to bound memory
 
 
 @dataclass
@@ -143,20 +148,7 @@ def evaluate_streams(
     gts: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h)
     cell = 0  # numbers the (video, frame) pairs that hold a box, in stream order
     for v, g in pairs:
-        if v.video_id != g.video_id:
-            raise ContractError(
-                f"video_id mismatch: {v.video_id!r} vs {g.video_id!r}"
-            )
-        if v.frame_count != g.frame_count:
-            raise ContractError(
-                f"frame_count mismatch for {v.video_id!r}: "
-                f"{v.frame_count} vs {g.frame_count}"
-            )
-        if v.frame_shape != g.frame_shape:
-            raise ContractError(
-                f"frame shape mismatch for {v.video_id!r}: "
-                f"{v.frame_shape} vs {g.frame_shape}"
-            )
+        _check_pair(v, g)
         for f in sorted(v.frames.keys() | g.frames.keys()):
             for d in v.frames[f]:
                 b = d.bbox
@@ -165,15 +157,60 @@ def evaluate_streams(
                 b = t.bbox
                 gts[t.class_id].append((cell, b.x, b.y, b.w, b.h))
             cell += 1
+    return _evaluate_rows(preds, gts)
 
+
+def evaluate_columns(pairs: list[tuple[BoxColumns, BoxColumns]]) -> EvalReport:
+    """evaluate_streams of the streams that these read_columns results hold:
+    the same row tables in the same order, so the same report."""
+    preds: dict[int, list] = defaultdict(list)  # class -> row tables, one per pair
+    gts: dict[int, list] = defaultdict(list)
+    cell = 0
+    for v, g in pairs:
+        _check_pair(v, g)
+        frames = np.union1d(v.frame_idx, g.frame_idx)  # the frames that hold a box, sorted
+        for rows, s in ((preds, v), (gts, g)):
+            cells = cell + np.searchsorted(frames, s.frame_idx)
+            table = np.column_stack([cells, s.box, *([] if s.score is None else [s.score])])
+            order = np.lexsort((cells, s.class_id))  # stable: file order within a cell
+            classes, first = np.unique(s.class_id[order], return_index=True)
+            for c, part in zip(classes.tolist(), np.split(order, first[1:])):
+                rows[c].append(table[part])
+        cell += len(frames)
+    return _evaluate_rows(*({c: t[0] if len(t) == 1 else np.concatenate(t) for c, t in rows.items()}
+                            for rows in (preds, gts)))
+
+
+def _check_pair(v: VideoDetections | BoxColumns, g: GroundTruth | BoxColumns) -> None:
+    if v.video_id != g.video_id:
+        raise ContractError(
+            f"video_id mismatch: {v.video_id!r} vs {g.video_id!r}"
+        )
+    if v.frame_count != g.frame_count:
+        raise ContractError(
+            f"frame_count mismatch for {v.video_id!r}: "
+            f"{v.frame_count} vs {g.frame_count}"
+        )
+    if v.frame_shape != g.frame_shape:
+        raise ContractError(
+            f"frame shape mismatch for {v.video_id!r}: "
+            f"{v.frame_shape} vs {g.frame_shape}"
+        )
+
+
+def _evaluate_rows(preds: Mapping[int, list | np.ndarray],
+                   gts: Mapping[int, list | np.ndarray]) -> EvalReport:
+    """The report of per-class prediction rows (cell, x, y, w, h, score) and gt
+    rows (cell, x, y, w, h), each in cell order and in file order within a
+    cell. A float array given as rows is used, and changed, in place."""
     classes = sorted(preds.keys() | gts.keys())
     per_class_ap: dict[tuple[int, float], float] = {}
     flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]] = {}
     count_acc = {t: [0, 0, 0] for t in IOU_THRESHOLDS}
 
     for c in classes:
-        p = np.array(preds.get(c, ()), dtype=float).reshape(-1, 6)
-        q = np.array(gts.get(c, ()), dtype=float).reshape(-1, 5)
+        p = np.asarray(preds.get(c, ()), dtype=float).reshape(-1, 6)
+        q = np.asarray(gts.get(c, ()), dtype=float).reshape(-1, 5)
         p[:, 3:5] += p[:, 1:3]  # (w, h) -> (x2, y2), the corners iou_matrix uses
         q[:, 3:5] += q[:, 1:3]
         labels = _match_class(p, q)

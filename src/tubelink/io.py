@@ -19,6 +19,10 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
+
+read_columns gives eval a file's boxes as arrays, with no per-box objects. It
+takes only files that the object readers take, with the same values, and
+leaves any other file to them, so their errors are the only ones.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .geometry import BBox, Detection, FrameShape
@@ -120,14 +127,21 @@ class GroundTruth(_Stream):
 
     def __post_init__(self):
         super().__post_init__()
-        for idx, boxes in self.frames.items():
-            seen: set[int] = set()
-            for b in boxes:
-                if b.track_id in seen:
-                    raise ValidationError(
-                        f"duplicate track_id {b.track_id} in frame {idx}"
-                    )
-                seen.add(b.track_id)
+        repeat = _repeated_track(self.frames)
+        if repeat is not None:
+            raise ValidationError(repeat[2])
+
+
+def _repeated_track(frames: Frames) -> tuple[int, int, str] | None:
+    """The first box whose track_id repeats one before it in its frame, frames
+    in frame order, as (frame, position in the frame, message); or None."""
+    for idx, boxes in frames.items():
+        seen: set[int] = set()
+        for k, b in enumerate(boxes):
+            if b.track_id in seen:
+                return idx, k, f"duplicate track_id {b.track_id} in frame {idx}"
+            seen.add(b.track_id)
+    return None
 
 
 def read_text(path: str | Path) -> str:
@@ -136,11 +150,6 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", str(path)) from None
-
-
-def _fmt(v: float) -> str:
-    # repr gives the shortest string that parses back to the same float
-    return repr(float(v))
 
 
 def _parse(kind: type, token: str, what: str, path: str, line_no: int) -> int | float:
@@ -281,18 +290,17 @@ def write_detections(
                     f"tubelet_ids for frame {idx} do not match detection count"
                 )
         out.append(TUBELET_TAG)
+    # repr gives the shortest string that parses back to the same float
     for idx, dets in v.frames.items():
         for j, d in enumerate(dets):
             b = d.bbox
-            fields = [
-                str(d.frame_idx), str(d.class_id),
-                _fmt(b.x), _fmt(b.y), _fmt(b.w), _fmt(b.h), _fmt(d.score),
-            ]
+            line = (f"{d.frame_idx} {d.class_id} {float(b.x)!r} {float(b.y)!r} "
+                    f"{float(b.w)!r} {float(b.h)!r} {float(d.score)!r}")
             if tubelet_ids is not None:
-                fields.append(str(tubelet_ids[idx][j]))
+                line = f"{line} {tubelet_ids[idx][j]}"
             if d.appearance is not None:
-                fields.extend(_fmt(a) for a in d.appearance)
-            out.append(" ".join(fields))
+                line = " ".join([line, *map(repr, map(float, d.appearance))])
+            out.append(line)
     _write_stream(v, out, path)
 
 
@@ -301,9 +309,15 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     path = str(path)
     lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
-    frames = _read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
-                           lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
-                                              BBox(*map(float, p[3:7]))))
+    frames = Frames(_read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
+                                  lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
+                                                     BBox(*map(float, p[3:7])))))
+    repeat = _repeated_track(frames)
+    if repeat is not None:  # the stream's own check, with the repeated box's line named
+        idx, k, message = repeat
+        line_no = [n for n, raw in enumerate(lines[1:], start=2)
+                   if (p := raw.split()) and int(p[0]) == idx][k]
+        raise ValidationError(f"{path}:{line_no}: {message}")
     return GroundTruth(video_id, shape, frame_count, frames)
 
 
@@ -311,7 +325,80 @@ def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     """Write ground truth in the format read_ground_truth expects."""
     out = [
         f"{b.frame_idx} {b.class_id} {b.track_id} "
-        f"{_fmt(b.bbox.x)} {_fmt(b.bbox.y)} {_fmt(b.bbox.w)} {_fmt(b.bbox.h)}"
+        f"{float(b.bbox.x)!r} {float(b.bbox.y)!r} {float(b.bbox.w)!r} {float(b.bbox.h)!r}"
         for boxes in gt.frames.values() for b in boxes
     ]
     _write_stream(gt, out, path)
+
+
+@dataclass
+class BoxColumns:
+    """A stream file's header fields and its boxes as arrays in file order."""
+
+    video_id: str
+    frame_shape: FrameShape
+    frame_count: int
+    frame_idx: np.ndarray  # int64
+    class_id: np.ndarray  # int64
+    box: np.ndarray  # one row (x, y, w, h) per box
+    score: np.ndarray | None  # None for ground truth
+
+
+_COLUMN_CHUNK = 1 << 8  # lines read_columns splits at a time, to bound the tokens it holds
+_DTYPE = {int: np.int64, float: np.float64}
+
+
+def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns | None:
+    """The boxes of a detection or ground-truth file as columns, or None when
+    the file is left to read_detections or read_ground_truth.
+
+    The header is read, and fails, as those readers read it. Each line is
+    split once, a chunk of lines at a time; integers are parsed with int()
+    and reals with float(), as those readers parse them, and each of their
+    value rules is checked in bulk, the descriptors' too. A file that breaks
+    a rule, or whose integers exceed int64, gives None. So a file taken here
+    is one the object reader takes, with the same values in the same order.
+    """
+    path = str(path)
+    lines = read_text(path).splitlines()
+    video_id, shape, frame_count = _read_header(lines, path)
+    has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
+    n = 7 + has_ids  # the columns before any descriptor
+    kinds = (int, int, int, *[float] * 4) if ground_truth else (int, int, *[float] * 5, int)[:n]
+    chunks: list[list[np.ndarray]] = [[np.empty(0, _DTYPE[kind])] for kind in kinds]
+    ok = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1 + has_ids, len(lines), _COLUMN_CHUNK):
+            rows = [p for p in map(str.split, lines[first:first + _COLUMN_CHUNK]) if p]
+            widths = set(map(len, rows))
+            if min(widths, default=n) < n or (ground_truth and widths - {n}):
+                return None
+            flat = list(chain.from_iterable(rows if widths <= {n} else (p[:n] for p in rows)))
+            try:
+                for j, kind in enumerate(kinds):
+                    chunks[j].append(np.fromiter(map(kind, flat[j::n]), _DTYPE[kind], len(rows)))
+                # the descriptors of each length, one row per component
+                tails = [np.array([list(map(float, p[n:])) for p in rows if len(p) == k]).T
+                         for k in widths - {n}]
+            except (ValueError, OverflowError):
+                return None
+            for a in tails:  # summed in sum(a * a for a in it)'s order; a NaN or inf fails
+                norm2 = a[0] * a[0]
+                for c in a[1:]:
+                    norm2 = norm2 + c * c
+                ok.append(abs(np.sqrt(norm2) - 1.0) <= 1e-6)
+        frame, cls, *cols = map(np.concatenate, chunks)
+        x, y, w, h = cols[1:5] if ground_truth else cols[:4]
+        ok += [frame >= 0, frame < frame_count, cls >= 0,
+               np.isfinite(x + w), np.isfinite(y + h), w > 0, h > 0]
+        if ground_truth:
+            track = cols[0]
+            order = np.lexsort((track, frame))
+            f, t = frame[order], track[order]
+            ok += [track >= 0, ~((f[1:] == f[:-1]) & (t[1:] == t[:-1]))]
+        else:
+            ok.append((cols[4] >= 0) & (cols[4] <= 1))  # NaN and +-inf fail too
+    if not all(c.all() for c in ok):
+        return None
+    return BoxColumns(video_id, shape, frame_count, frame, cls, np.column_stack([x, y, w, h]),
+                      None if ground_truth else cols[4])

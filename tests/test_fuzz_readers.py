@@ -3,6 +3,10 @@ to read_detections, read_ground_truth and load_model must either parse or
 raise a TubelinkError (the CLI's exit 1), in bounded time. A stream that
 reads is also postprocessed, since that is what the CLI does with it.
 
+test_fuzz_eval_paths_agree feeds random detection/ground-truth file pairs to
+``eval`` twice: on the column path, and with every file left to the object
+readers. Exit code, stderr, printed tables and report bytes must agree.
+
 The case these tests found, descriptors of different lengths in one stream,
 has its named regression test in test_pipeline_cli.py
 (test_descriptor_lengths_differ_is_a_data_error). The header bound, the
@@ -10,10 +14,15 @@ UTF-8 check and the size-ratio error have theirs in test_io.py
 (TestHeaderBounds, TestNotUtf8) and test_pipeline_cli.py.
 """
 
+import contextlib
+import io
+from unittest import mock
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tubelink import cli
 from tubelink import (
     PipelineConfig,
     TubelinkError,
@@ -143,3 +152,81 @@ def test_fuzz_read_ground_truth(path, text):
 @given(mostly(MODEL_TEXTS, RAW_BYTES))
 def test_fuzz_load_model(path, text):
     feed(path, text, load_model)
+
+
+# Mostly valid eval inputs, so that both paths often get to the evaluator;
+# the odd token is one the two parsers must treat alike.
+ODD_INT = st.sampled_from(["-1", "-0", "1_0", "+2", "1.5", str(2 ** 63), "-" + str(2 ** 63 + 1),
+                           "99999999999999999999999", HUGE, "x"])
+ODD_REAL = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "1_0.5", "1e308", "5e-324",
+                            "0x1", "x"])
+EVAL_INT = lambda lo, hi: mostly(st.integers(lo, hi).map(str), ODD_INT, odds=50)
+EVAL_REAL = lambda lo, hi: mostly(reals(lo, hi), ODD_REAL, odds=100)
+EVAL_BOX = [EVAL_REAL(-10, 60), EVAL_REAL(-10, 60), EVAL_REAL(1, 40), EVAL_REAL(1, 40)]
+EVAL_DESCRIPTOR = mostly(st.sampled_from([[], ["0.6", "0.8"], ["1", "0"], ["0", "-1"]]),
+                         st.lists(NUMBER, max_size=3), odds=20)
+BLANK = st.sampled_from(["", "   "])
+
+
+def eval_text(header, fields, tail=st.just([]), marker=False):
+    line = st.builds(lambda head, rest: " ".join([*head, *rest]), st.tuples(*fields), tail)
+    body = st.lists(mostly(line, BLANK, odds=8), max_size=8)
+    return st.builds(lambda h, b: "\n".join([h, *(["#tubelets"] if marker else []), *b]),
+                     header, body)
+
+
+EVAL_HEADER = st.builds(lambda video, n: f"#video {video} 100 100 {n}",
+                        mostly(st.just("v"), st.just("w"), odds=12),
+                        mostly(st.just("4"), st.sampled_from(["3", "5"]), odds=12))
+EVAL_FRAME, EVAL_CLASS = EVAL_INT(0, 3), EVAL_INT(0, 2)
+EVAL_DETECTIONS = st.one_of(
+    eval_text(EVAL_HEADER, [EVAL_FRAME, EVAL_CLASS, *EVAL_BOX, EVAL_REAL(0, 1)], EVAL_DESCRIPTOR),
+    eval_text(EVAL_HEADER, [EVAL_FRAME, EVAL_CLASS, *EVAL_BOX, EVAL_REAL(0, 1), EVAL_INT(0, 5)],
+              EVAL_DESCRIPTOR, marker=True),
+)
+# track ids 0..9 in frames 0..3 repeat now and then
+EVAL_GROUND_TRUTH = eval_text(EVAL_HEADER, [EVAL_FRAME, EVAL_CLASS, EVAL_INT(0, 9), *EVAL_BOX])
+EVAL_PAIRS = st.lists(st.tuples(mostly(EVAL_DETECTIONS, DETECTION_TEXTS),
+                                mostly(EVAL_GROUND_TRUTH, GROUND_TRUTH_TEXTS)),
+                      min_size=1, max_size=2)
+
+GOOD_DETECTIONS = "#video v 100 100 4\n0 0 1 1 5 5 0.5\n2 1 3 3 5 5 0.9\n"
+GOOD_GROUND_TRUTH = "#video v 100 100 4\n0 0 0 1 1 5 5\n2 1 0 3 3 6 5\n"
+
+
+def run_eval(paths, per_video, out, pr):
+    """eval's exit code, stdout, stderr and report bytes."""
+    for p in (out, pr):
+        p.unlink(missing_ok=True)
+    argv = [a for d, g in paths for a in ("--detections", str(d), "--ground-truth", str(g))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["eval", *argv, *(["--per-video"] if per_video else []),
+                         "--out", str(out), "--pr-out", str(pr)])
+    files = [p.read_bytes() if p.exists() else None for p in (out, pr)]
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@FUZZ
+@given(EVAL_PAIRS, st.booleans())
+# two bad lines in one file: the first in file order wins
+@example([("#video v 100 100 4\n0 0 1 1 5 5 1.5\n0 0 x 1 5 5 0.5\n", GOOD_GROUND_TRUTH)], False)
+# a metadata mismatch in pair 1 and a parse error in pair 2: the read error wins
+@example([(GOOD_DETECTIONS, GOOD_GROUND_TRUTH.replace("v", "w", 1)),
+          (GOOD_DETECTIONS + "1 0 1 1 5 x 0.5\n", GOOD_GROUND_TRUTH)], True)
+# a repeated track id, and a class id beyond int64
+@example([(GOOD_DETECTIONS, GOOD_GROUND_TRUTH + "\n2 0 0 1 1 5 5\n")], False)
+@example([(GOOD_DETECTIONS + f"1 {2 ** 64} 1 1 5 5 0.5\n", GOOD_GROUND_TRUTH)], True)
+def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
+    tmp = tmp_path_factory.getbasetemp()
+    paths = []
+    for k, pair in enumerate(texts):
+        paths.append((tmp / f"d{k}.txt", tmp / f"g{k}.txt"))
+        for p, text in zip(paths[-1], pair):
+            p.write_text(text, encoding="utf-8")
+    out, pr = tmp / "report.json", tmp / "pr.csv"
+    with time_limit(2.0):
+        columns = run_eval(paths, per_video, out, pr)
+        with mock.patch.object(cli, "read_columns", lambda path, ground_truth=False: None):
+            objects = run_eval(paths, per_video, out, pr)
+    assert columns == objects

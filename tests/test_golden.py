@@ -3,7 +3,10 @@
 Each case hashes four artifacts with sha256: the simulated input (ground
 truth, then detections), the ``postprocess`` output, the ``eval --out`` JSON
 and the ``eval --pr-out`` CSV. The input hash is asserted first, so a
-simulator change is reported as one and not as a pipeline change. A change
+simulator change is reported as one and not as a pipeline change. Two more
+tables pin ``eval`` on its own: the ``eval --out`` JSON of each scenario's
+raw input, with its descriptors, and one pooled two-video ``eval
+--per-video`` call (printed tables, then JSON). A change
 meant to keep output bytes keeps every hash here; a change meant to alter
 them updates the table and says why. To print the table of the code under
 test, run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -108,19 +111,68 @@ GOLDEN = {
 }
 
 
-def run_case(name, flags, tmp_path):
-    gt_path, det_path = tmp_path / "gt.txt", tmp_path / "dets.txt"
-    out, report, pr = tmp_path / "out.txt", tmp_path / "report.json", tmp_path / "pr.csv"
+RAW_NAMES = sorted({name for name, _ in CASES})
+
+# eval --out JSON of each scenario's raw detections against its ground truth
+GOLDEN_RAW_EVAL = {
+    '0': '125994582b7239f53347af93037859c665d8d5fec41bb6065ae09952e1e13b0f',
+    '1': '7c79c531282cc813bb34032a755e075f365c81e98c878664762431f95af0d064',
+    '2': '4a113ce5f55e68a244a7f5d2403a19e8416e7dcdeb32381362fd7f07a5be3f47',
+    'crowded': '9f08a9505113d0bb7cfe35d16d09fe402b8eaa14e6a1e623fd714d101ead69f9',
+    'multiclass': 'ee3164c1e91076349d82ead911ba80086d7a8ac807c368d225c9116181630713',
+}
+
+# eval --per-video of two videos pooled: postprocess output of scenario 1 and
+# the raw detections of "multiclass"; (printed tables, eval --out JSON)
+GOLDEN_POOLED = (
+    '5c83227f3b65576fe5e4b16d5064f5459052db845df26228ea1861912ef58959',
+    '93acd4938a27015afb404fbd66cbc394fd42f82207c13c416fb90591ed036606',
+)
+
+
+def digest(*paths):
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
+def write_inputs(name, tmp_path):
+    gt_path, det_path = tmp_path / f"{name}.gt.txt", tmp_path / f"{name}.dets.txt"
     gt, dets = generate(scenario(name))
     write_ground_truth(gt, gt_path)
     write_detections(dets, det_path)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["postprocess", "--detections", str(det_path), "--out", str(out),
-                     *FLAGS[flags]]) == 0
-        assert main(["eval", "--detections", str(out), "--ground-truth", str(gt_path),
-                     "--out", str(report), "--pr-out", str(pr)]) == 0
-    digest = lambda *paths: hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    return gt_path, det_path
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(map(str, argv))) == 0
+    return out.getvalue()
+
+
+def run_case(name, flags, tmp_path):
+    gt_path, det_path = write_inputs(name, tmp_path)
+    out, report, pr = tmp_path / "out.txt", tmp_path / "report.json", tmp_path / "pr.csv"
+    run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS[flags])
+    run_cli("eval", "--detections", out, "--ground-truth", gt_path,
+            "--out", report, "--pr-out", pr)
     return digest(gt_path, det_path), digest(out), digest(report), digest(pr)
+
+
+def run_raw_eval(name, tmp_path):
+    gt_path, det_path = write_inputs(name, tmp_path)
+    report = tmp_path / "report.json"
+    run_cli("eval", "--detections", det_path, "--ground-truth", gt_path, "--out", report)
+    return digest(report)
+
+
+def run_pooled(tmp_path):
+    gt1, det1 = write_inputs("1", tmp_path)
+    gt2, det2 = write_inputs("multiclass", tmp_path)
+    out1, report = tmp_path / "out1.txt", tmp_path / "report.json"
+    run_cli("postprocess", "--detections", det1, "--out", out1)
+    tables = run_cli("eval", "--detections", out1, "--ground-truth", gt1,
+                     "--detections", det2, "--ground-truth", gt2, "--per-video", "--out", report)
+    return hashlib.sha256(tables.encode("utf-8")).hexdigest(), digest(report)
 
 
 @pytest.mark.parametrize("name,flags", CASES, ids=[f"{n}-{f}" for n, f in CASES])
@@ -129,6 +181,15 @@ def test_pipeline_bytes_match_golden(name, flags, tmp_path):
     want = GOLDEN[name, flags]
     assert got[0] == want[0], "the simulated input changed"
     assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("name", RAW_NAMES)
+def test_raw_input_eval_matches_golden(name, tmp_path):
+    assert run_raw_eval(name, tmp_path) == GOLDEN_RAW_EVAL[name]
+
+
+def test_pooled_per_video_eval_matches_golden(tmp_path):
+    assert run_pooled(tmp_path) == GOLDEN_POOLED
 
 
 if __name__ == "__main__":
@@ -140,3 +201,10 @@ if __name__ == "__main__":
         sys.stdout.write(f"    ({name!r}, {flags!r}): (\n")
         sys.stdout.writelines(f"        {h!r},\n" for h in hashes)
         sys.stdout.write("    ),\n")
+    sys.stdout.write("\nGOLDEN_RAW_EVAL\n")
+    for name in RAW_NAMES:
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.write(f"    {name!r}: {run_raw_eval(name, Path(tmp))!r},\n")
+    sys.stdout.write("\nGOLDEN_POOLED\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.writelines(f"    {h!r},\n" for h in run_pooled(Path(tmp)))

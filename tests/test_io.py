@@ -1,10 +1,15 @@
+import re
+
+import numpy as np
 import pytest
 
 from tubelink import (
     BBox,
+    Detection,
     GroundTruth,
     ParseError,
     TrackBox,
+    TubelinkError,
     ValidationError,
     VideoDetections,
     load_model,
@@ -15,9 +20,9 @@ from tubelink import (
     write_ground_truth,
 )
 
-from tubelink.io import MAX_FRAME_COUNT
+from tubelink.io import MAX_FRAME_COUNT, read_columns
 
-from conftest import SHAPE, det, random_ground_truth, random_stream
+from conftest import SHAPE, det, random_ground_truth, random_stream, unit_vector
 from test_simulate import time_limit
 
 
@@ -176,6 +181,19 @@ class TestRoundTrip:
         back, back_ids = read_detections_with_ids(p)
         assert back == v and back_ids == ids
 
+    def test_numpy_values_print_as_python_floats(self, tmp_path):
+        # every real is written as repr(float(v)), whatever its type
+        d = Detection(np.int64(1), np.int64(2), BBox(np.float32(0.1), np.float64(2.5), 3, 4.0),
+                      np.float32(0.7), (np.float32(0.6), 0.8))
+        p = tmp_path / "out.txt"
+        write_detections(VideoDetections("v", SHAPE, 2, {1: [d]}), p, {1: [np.int64(5)]})
+        assert p.read_text().splitlines()[1:] == [
+            "#tubelets", "1 2 0.10000000149011612 2.5 3.0 4.0 0.699999988079071 5 "
+                         "0.6000000238418579 0.8"]
+        g = TrackBox(np.int64(0), 1, np.int64(2), BBox(np.float32(0.1), 1, 2, np.float64(3)))
+        write_ground_truth(GroundTruth("v", SHAPE, 1, {0: [g]}), p)
+        assert p.read_text().splitlines()[1:] == ["0 1 2 0.10000000149011612 1.0 2.0 3.0"]
+
     def test_mismatched_tubelet_ids_rejected(self, tmp_path):
         v = VideoDetections("v", SHAPE, 1, {0: [det()]})
         with pytest.raises(ValidationError):
@@ -191,6 +209,15 @@ class TestGroundTruthIO:
     def test_duplicate_track_id_rejected(self, tmp_path):
         p = write(tmp_path, "#video v 1280 720 2\n0 0 1 10 10 5 5\n0 0 1 50 50 5 5\n")
         with pytest.raises(ValidationError, match="duplicate track_id"):
+            read_ground_truth(p)
+
+    def test_duplicate_track_id_names_path_and_line(self, tmp_path):
+        # the repeated box's line, counting blank lines; the first frame in
+        # frame order that repeats a track is named, as the stream's own check does
+        p = write(tmp_path, "#video v 1280 720 3\n2 0 4 1 1 5 5\n2 0 4 9 9 5 5\n"
+                            "0 0 1 10 10 5 5\n\n0 0 2 30 30 5 5\n0 0 1 50 50 5 5\n")
+        message = f"{p}:7: duplicate track_id 1 in frame 0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read_ground_truth(p)
 
     def test_two_tracks(self, tmp_path):
@@ -231,3 +258,113 @@ class TestContainerValidation:
         ]
         with pytest.raises(ValidationError):
             GroundTruth("v", SHAPE, 1, {0: boxes})
+
+
+def columns_of(detections, frame_order=None):
+    """The arrays read_columns gives for these objects, listed in file order."""
+    order = range(len(detections)) if frame_order is None else frame_order
+    boxes = [detections[k] for k in order]
+    return ([b.frame_idx for b in boxes], [b.class_id for b in boxes],
+            [[b.bbox.x, b.bbox.y, b.bbox.w, b.bbox.h] for b in boxes],
+            [getattr(b, "score", None) for b in boxes])
+
+
+def assert_columns(c, stream, frame_order=None):
+    boxes = [b for bs in stream.frames.values() for b in bs]
+    frame, cls, box, score = columns_of(boxes, frame_order)
+    assert (c.video_id, c.frame_shape, c.frame_count) == (
+        stream.video_id, stream.frame_shape, stream.frame_count)
+    assert c.frame_idx.dtype == np.int64 and c.class_id.dtype == np.int64
+    assert c.frame_idx.tolist() == frame and c.class_id.tolist() == cls
+    assert c.box.tolist() == box
+    assert (c.score is None) == isinstance(stream, GroundTruth)
+    if c.score is not None:
+        assert c.score.tolist() == score
+
+
+class TestReadColumns:
+    """read_columns takes only files that the object readers take, with the
+    same values in file order, and leaves every other file to them."""
+
+    def test_same_values_as_the_object_readers(self, rng, tmp_path):
+        p = tmp_path / "in.txt"
+        for k in range(60):
+            # every third stream carries descriptors on some lines, every other one ids
+            v = random_stream(rng, with_appearance=(k % 3 == 0))
+            ids = {f: list(range(len(d))) for f, d in v.frames.items()} if k % 2 else None
+            write_detections(v, p, ids)
+            assert_columns(read_columns(p), v)
+            g = random_ground_truth(rng)
+            write_ground_truth(g, p)
+            assert_columns(read_columns(p, ground_truth=True), g)
+
+    def test_lines_keep_file_order(self, tmp_path):
+        lines = ["2 0 10 10 5 5 0.5", "", "0 0 10 10 5 5 0.6", "   ", "2 1 20 20 5 5 0.7"]
+        p = write(tmp_path, "#video v 1280 720 4\n" + "\n".join(lines) + "\n")
+        c = read_columns(p)
+        assert c.frame_idx.tolist() == [2, 0, 2] and c.score.tolist() == [0.5, 0.6, 0.7]
+        assert_columns(c, read_detections(p), frame_order=[1, 0, 2])
+
+    def test_header_only(self, tmp_path):
+        c = read_columns(write(tmp_path, "#video v 1280 720 4\n#tubelets\n"))
+        assert c.frame_count == 4 and c.box.shape == (0, 4) and len(c.score) == 0
+
+    @pytest.mark.parametrize("body", [
+        "0 0 1 1 5 5 1.3", "0 0 1 1 5 5 nan", "0 0 1 1 5 5 -inf", "4 0 1 1 5 5 0.5",
+        "-1 0 1 1 5 5 0.5", "0 -1 1 1 5 5 0.5", "0 0 1 1 0 5 0.5", "0 0 1 1 5 -0.0 0.5",
+        "0 0 1e308 1 1e308 5 0.5", "0 0 1 inf 5 5 0.5", "0 0 x 1 5 5 0.5", "1.5 0 1 1 5 5 0.5",
+        "0 0 1 1 5 5", "0 0 1 1 5 5 0.5 nan", "0 0 1 1 5 5 0.5 inf 0", "0 0 1 1 5 5 0.5 0.6 0.7",
+        "0 0 1 1 5 5 0.5 1e200 1", "0 0 1 1 5 5 0.5\n0 0 1 1 5", "0 0 1 1 5 5 0.5\n#tubelets",
+        "#tubelets\n0 0 1 1 5 5 0.5 1.5", "#tubelets\n0 0 1 1 5 5 0.5",
+    ])
+    def test_rejects_what_read_detections_rejects(self, tmp_path, body):
+        p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
+        assert read_columns(p) is None
+        with pytest.raises(TubelinkError):
+            read_detections(p)
+
+    @pytest.mark.parametrize("body", [
+        "0 0 1 1 1 5 5\n0 0 1 8 8 5 5", "0 0 -1 1 1 5 5", "0 0 1 1 1 5 5 0.5", "0 0 1 1 1 5",
+        "0 0 1 1 1 5 x",
+    ])
+    def test_rejects_what_read_ground_truth_rejects(self, tmp_path, body):
+        p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
+        assert read_columns(p, ground_truth=True) is None
+        with pytest.raises(TubelinkError):
+            read_ground_truth(p)
+
+    def test_descriptor_norms_at_the_bound_agree(self, rng, tmp_path):
+        # norms within rounding of 1 +- 1e-6, where a sum in another order
+        # would decide some lines the other way
+        p = tmp_path / "in.txt"
+        accepted = 0
+        for k in range(300):
+            scale = 1.0 + (1e-6 if k % 2 else -1e-6) * (1.0 + float(rng.integers(-40, 41)) * 1e-11)
+            v = np.array(unit_vector(rng, 16)) * scale
+            p.write_text("#video v 1280 720 1\n0 0 1 1 5 5 0.5 " + " ".join(map(repr, v.tolist())))
+            taken = read_columns(p) is not None
+            try:
+                read_detections(p)
+            except ValidationError:
+                assert not taken
+            else:
+                assert taken
+                accepted += 1
+        assert 0 < accepted < 300
+
+    @pytest.mark.parametrize("line", ["0 99999999999999999999999 1 1 5 5 0.5",
+                                      f"0 {2 ** 63} 1 1 5 5 0.5"])
+    def test_integers_beyond_int64_are_left_to_the_object_reader(self, tmp_path, line):
+        p = write(tmp_path, f"#video v 1280 720 4\n{line}\n")
+        assert read_columns(p) is None
+        assert read_detections(p).frames[0][0].class_id == int(line.split()[1])
+
+    @pytest.mark.parametrize("text", ["", "#video v 1280 720\n", "#video v 0 720 4\n",
+                                      "#video v 1280 720 x\n0 0 x 1 5 5 0.5\n"])
+    def test_header_errors_are_the_object_readers(self, tmp_path, text):
+        p = write(tmp_path, text)
+        for ground_truth, reader in ((False, read_detections), (True, read_ground_truth)):
+            with pytest.raises(TubelinkError) as want:
+                reader(p)
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                read_columns(p, ground_truth)

@@ -20,7 +20,7 @@ from tubelink import (
 )
 from tubelink import cli
 from tubelink.cli import main
-from tubelink.io import MAX_FRAME_COUNT
+from tubelink.io import MAX_FRAME_COUNT, read_columns
 
 from conftest import random_stream
 
@@ -497,6 +497,49 @@ class TestCliEval:
         _, _, d2 = write_scenario(tmp_path, seed=2, frame_count=30)
         rc = main(["eval", "--detections", str(d2), "--ground-truth", str(g1)])
         assert rc == 1
+
+    def test_postprocess_output_takes_the_column_path(self, tmp_path, capsys, monkeypatch):
+        _, gt_path, det_path = write_scenario(tmp_path, seed=1, frame_count=40, classes=3)
+        out = tmp_path / "out.txt"
+        assert main(["postprocess", "--detections", str(det_path), "--out", str(out)]) == 0
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read into objects")
+
+        monkeypatch.setattr(cli, "read_detections", refuse)
+        monkeypatch.setattr(cli, "read_ground_truth", refuse)
+        assert main(["eval", "--detections", str(out), "--ground-truth", str(gt_path),
+                     "--per-video", "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("case", ["descriptors", "ragged", "beyond_int64"])
+    def test_both_eval_paths_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, case):
+        # raw simulator output carries descriptors on the true positives only,
+        # so its lines differ in length; an integer beyond int64 takes the object path
+        _, gt_path, det_path = write_scenario(tmp_path, seed=2, frame_count=40, classes=4,
+                                              appearance_dim=4 if case != "beyond_int64" else 0,
+                                              fp_rate=0.0 if case == "descriptors" else 1.0)
+        if case == "beyond_int64":
+            with det_path.open("a") as f:
+                f.write("3 99999999999999999999999 1 1 5 5 0.5\n")
+        assert (read_columns(det_path) is None) == (case == "beyond_int64")
+
+        def run():
+            report, pr = tmp_path / "r.json", tmp_path / "pr.csv"
+            assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path),
+                         "--detections", str(det_path), "--ground-truth", str(gt_path),
+                         "--per-video", "--out", str(report), "--pr-out", str(pr)]) == 0
+            return capsys.readouterr().out, report.read_bytes(), pr.read_bytes()
+
+        columns = run()
+        monkeypatch.setattr(cli, "read_columns", lambda path, ground_truth=False: None)
+        assert run() == columns
+
+    def test_repeated_track_names_file_and_line(self, tmp_path, capsys):
+        det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 1 1 5 5 0.5\n")
+        gt_path.write_text("#video v 100 100 2\n0 0 0 1 1 5 5\n0 0 0 9 9 5 5\n")
+        assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)]) == 1
+        assert capsys.readouterr().err == f"error: {gt_path}:3: duplicate track_id 0 in frame 0\n"
 
 
 class TestCliInspect:
