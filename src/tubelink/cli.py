@@ -8,7 +8,8 @@ are the field names of ScenarioConfig, or of PipelineConfig and RunSettings;
 each flag is ``--`` plus a key with ``-`` for ``_``. ``no_repp`` and
 ``no_tubelet_link`` (``--no-repp``, ``--no-tubelet-link``) switch a stage
 off. File booleans are strict (``1/true/yes/0/false/no``). A bad file value
-exits 1 before any input is read; a bad flag value exits 2.
+exits 1 before any input is read; a bad flag value exits 2. ``eval`` reads
+every file with io.read_columns and scores the columns with evaluate_columns.
 """
 
 from __future__ import annotations
@@ -18,22 +19,23 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TubelinkError
-from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_columns, evaluate_streams
+from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_columns
 from .io import (
     read_columns,
     read_detections,
     read_detections_with_ids,
-    read_ground_truth,
     read_text,
     write_detections,
     write_ground_truth,
 )
+# not called here: perfbench/run.py's traced eval wraps these cli attributes by name
+from .evaluation import evaluate_streams  # noqa: F401
+from .io import read_ground_truth  # noqa: F401
 from .pipeline import PipelineConfig, postprocess_video
 from .similarity import load_model
 from .settings import add_flags, int_at_least, read_settings, setting, settings_of
@@ -156,33 +158,18 @@ def _print_report(report: EvalReport, title: str) -> None:
     print(f"mAP50-95 {report.map50_95:.4f}")
 
 
-def _read_eval_pairs(dets: list[str], gts: list[str]) -> tuple[list[tuple], Callable]:
-    """Every (detections, ground truth) pair, read in order, and the function
-    that evaluates them: their read_columns results, or, once a file is left
-    to the object readers, their streams. Those readers then raise their
-    error for that file or take it."""
-    columns = []
-    for d, g in zip(dets, gts):
-        for path, ground_truth in ((d, False), (g, True)):
-            c = read_columns(path, ground_truth)
-            if c is None:
-                streams = [(read_detections(a), read_ground_truth(b)) for a, b in zip(dets, gts)]
-                return streams, evaluate_streams
-            columns.append(c)
-    return list(zip(columns[::2], columns[1::2])), evaluate_columns
-
-
 def cmd_eval(args) -> int:
     if len(args.detections) != len(args.ground_truth):
         raise TubelinkError(
             f"got {len(args.detections)} --detections but "
             f"{len(args.ground_truth)} --ground-truth paths"
         )
-    pairs, evaluate = _read_eval_pairs(args.detections, args.ground_truth)
+    pairs = [(read_columns(d), read_columns(g, ground_truth=True))
+             for d, g in zip(args.detections, args.ground_truth)]
     if args.per_video:
         for v, g in pairs:
-            _print_report(evaluate([(v, g)]), f"video {v.video_id}")
-    report = evaluate(pairs)
+            _print_report(evaluate_columns([(v, g)]), f"video {v.video_id}")
+    report = evaluate_columns(pairs)
     _print_report(report, "pooled" if len(pairs) > 1 else f"video {pairs[0][0].video_id}")
 
     if args.out:

@@ -7,14 +7,10 @@ reaches the threshold. AP uses 101-point interpolation over the precision
 envelope. Everything is deterministic for a given input.
 
 match_predictions and average_precision score one (class, frame) cell at one
-threshold; evaluate_streams gives their numbers in one columnar pass. It
-computes each same-cell IoU once, in chunks, and runs the greedy claim for all
-10 thresholds together. PR curves are built only when looked up.
-
-evaluate_streams walks the per-box objects into per-class row tables;
-evaluate_columns builds the same tables, in the same order, from the arrays of
-io.read_columns. Both feed one row core, so their reports are the same bit
-for bit.
+threshold; evaluate_columns gives their numbers in one columnar pass over the
+arrays of io.read_columns. It computes each same-cell IoU once, in chunks, and
+runs the greedy claim for all 10 thresholds together. PR curves are built only
+when looked up. evaluate_streams is evaluate_columns of io.columns_of.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import BBox, Detection, iou_corners, iou_matrix
-from .io import BoxColumns, GroundTruth, VideoDetections
+from .io import BoxColumns, GroundTruth, VideoDetections, columns_of
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
@@ -134,9 +130,7 @@ def evaluate(preds: VideoDetections, gt: GroundTruth) -> EvalReport:
     return evaluate_streams([(preds, gt)])
 
 
-def evaluate_streams(
-    pairs: list[tuple[VideoDetections, GroundTruth]]
-) -> EvalReport:
+def evaluate_streams(pairs: list[tuple[VideoDetections, GroundTruth]]) -> EvalReport:
     """Evaluate prediction/ground-truth pairs, pooling detections across videos.
 
     Every pair must agree on video_id, frame shape and frame count. Classes
@@ -144,30 +138,26 @@ def evaluate_streams(
     mAP50-95 averages AP over the 10 thresholds 0.50:0.05:0.95, then over
     classes.
     """
-    preds: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h, score)
-    gts: dict[int, list] = defaultdict(list)  # class -> rows (cell, x, y, w, h)
-    cell = 0  # numbers the (video, frame) pairs that hold a box, in stream order
-    for v, g in pairs:
-        _check_pair(v, g)
-        for f in sorted(v.frames.keys() | g.frames.keys()):
-            for d in v.frames[f]:
-                b = d.bbox
-                preds[d.class_id].append((cell, b.x, b.y, b.w, b.h, d.score))
-            for t in g.frames[f]:
-                b = t.bbox
-                gts[t.class_id].append((cell, b.x, b.y, b.w, b.h))
-            cell += 1
-    return _evaluate_rows(preds, gts)
+    return evaluate_columns([(columns_of(v), columns_of(g)) for v, g in pairs])
 
 
 def evaluate_columns(pairs: list[tuple[BoxColumns, BoxColumns]]) -> EvalReport:
-    """evaluate_streams of the streams that these read_columns results hold:
-    the same row tables in the same order, so the same report."""
+    """The report of evaluate_streams for pairs of columns, as io.read_columns
+    or io.columns_of gives them. Only the order of boxes within a frame enters
+    it, so a file's columns and its stream's give the same report.
+    """
     preds: dict[int, list] = defaultdict(list)  # class -> row tables, one per pair
     gts: dict[int, list] = defaultdict(list)
-    cell = 0
+    cell = 0  # numbers the (video, frame) pairs that hold a box, in pair order
     for v, g in pairs:
-        _check_pair(v, g)
+        if v.video_id != g.video_id:
+            raise ContractError(f"video_id mismatch: {v.video_id!r} vs {g.video_id!r}")
+        if v.frame_count != g.frame_count:
+            raise ContractError(f"frame_count mismatch for {v.video_id!r}: "
+                                f"{v.frame_count} vs {g.frame_count}")
+        if v.frame_shape != g.frame_shape:
+            raise ContractError(f"frame shape mismatch for {v.video_id!r}: "
+                                f"{v.frame_shape} vs {g.frame_shape}")
         frames = np.union1d(v.frame_idx, g.frame_idx)  # the frames that hold a box, sorted
         for rows, s in ((preds, v), (gts, g)):
             cells = cell + np.searchsorted(frames, s.frame_idx)
@@ -181,36 +171,18 @@ def evaluate_columns(pairs: list[tuple[BoxColumns, BoxColumns]]) -> EvalReport:
                             for rows in (preds, gts)))
 
 
-def _check_pair(v: VideoDetections | BoxColumns, g: GroundTruth | BoxColumns) -> None:
-    if v.video_id != g.video_id:
-        raise ContractError(
-            f"video_id mismatch: {v.video_id!r} vs {g.video_id!r}"
-        )
-    if v.frame_count != g.frame_count:
-        raise ContractError(
-            f"frame_count mismatch for {v.video_id!r}: "
-            f"{v.frame_count} vs {g.frame_count}"
-        )
-    if v.frame_shape != g.frame_shape:
-        raise ContractError(
-            f"frame shape mismatch for {v.video_id!r}: "
-            f"{v.frame_shape} vs {g.frame_shape}"
-        )
-
-
-def _evaluate_rows(preds: Mapping[int, list | np.ndarray],
-                   gts: Mapping[int, list | np.ndarray]) -> EvalReport:
-    """The report of per-class prediction rows (cell, x, y, w, h, score) and gt
-    rows (cell, x, y, w, h), each in cell order and in file order within a
-    cell. A float array given as rows is used, and changed, in place."""
+def _evaluate_rows(preds: Mapping[int, np.ndarray], gts: Mapping[int, np.ndarray]) -> EvalReport:
+    """The report of per-class float arrays of prediction rows (cell, x, y, w,
+    h, score) and gt rows (cell, x, y, w, h), each in cell order and in file
+    order within a cell. The arrays are changed in place."""
     classes = sorted(preds.keys() | gts.keys())
     per_class_ap: dict[tuple[int, float], float] = {}
     flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]] = {}
     count_acc = {t: [0, 0, 0] for t in IOU_THRESHOLDS}
 
     for c in classes:
-        p = np.asarray(preds.get(c, ()), dtype=float).reshape(-1, 6)
-        q = np.asarray(gts.get(c, ()), dtype=float).reshape(-1, 5)
+        p = preds.get(c, np.empty((0, 6)))
+        q = gts.get(c, np.empty((0, 5)))
         p[:, 3:5] += p[:, 1:3]  # (w, h) -> (x2, y2), the corners iou_matrix uses
         q[:, 3:5] += q[:, 1:3]
         labels = _match_class(p, q)

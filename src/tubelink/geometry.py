@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 
+_MAX_ID = 2 ** 63 - 1  # the largest class or track id, so that ids fit int64 columns
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -89,6 +91,8 @@ class Detection:
             raise ValidationError(f"frame_idx must be >= 0, got {self.frame_idx}")
         if self.class_id < 0:
             raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
+        if self.class_id > _MAX_ID:
+            raise ValidationError(f"class_id must be at most 2**63 - 1, got {self.class_id}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score out of [0,1]: {self.score!r}")
         if self.appearance is not None:

@@ -20,9 +20,10 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
-read_columns gives eval a file's boxes as arrays, with no per-box objects. It
-takes only files that the object readers take, with the same values, and
-leaves any other file to them, so their errors are the only ones.
+read_columns gives eval a file's boxes as arrays. A file that keeps every
+rule is parsed in bulk, with no per-box objects; any other file is read by
+read_detections or read_ground_truth, so their errors are the only ones.
+Class and track ids are at most 2**63 - 1, so every stream fits the arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import BBox, Detection, FrameShape
+from .geometry import _MAX_ID, BBox, Detection, FrameShape
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
@@ -118,6 +119,10 @@ class TrackBox:
             raise ValidationError(
                 f"frame_idx/class_id/track_id must be >= 0: "
                 f"({self.frame_idx}, {self.class_id}, {self.track_id})"
+            )
+        if max(self.class_id, self.track_id) > _MAX_ID:
+            raise ValidationError(
+                f"class_id/track_id must be at most 2**63 - 1: ({self.class_id}, {self.track_id})"
             )
 
 
@@ -309,16 +314,16 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
     path = str(path)
     lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
-    frames = Frames(_read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
-                                  lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
-                                                     BBox(*map(float, p[3:7])))))
-    repeat = _repeated_track(frames)
-    if repeat is not None:  # the stream's own check, with the repeated box's line named
-        idx, k, message = repeat
+    records = _read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
+                            lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
+                                               BBox(*map(float, p[3:7]))))
+    try:
+        return GroundTruth(video_id, shape, frame_count, records)
+    except ValidationError:  # the one check the records have not passed: name the repeat's line
+        idx, k, message = _repeated_track(Frames(records))
         line_no = [n for n, raw in enumerate(lines[1:], start=2)
                    if (p := raw.split()) and int(p[0]) == idx][k]
-        raise ValidationError(f"{path}:{line_no}: {message}")
-    return GroundTruth(video_id, shape, frame_count, frames)
+        raise ValidationError(f"{path}:{line_no}: {message}") from None
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
@@ -344,16 +349,41 @@ class BoxColumns:
     score: np.ndarray | None  # None for ground truth
 
 
-_COLUMN_CHUNK = 1 << 8  # lines read_columns splits at a time, to bound the tokens it holds
+def columns_of(s: VideoDetections | GroundTruth) -> BoxColumns:
+    """A stream's boxes as columns in stored order: by frame, then as listed."""
+    boxes = [b for bs in s.frames.values() for b in bs]
+    return BoxColumns(
+        s.video_id, s.frame_shape, s.frame_count,
+        np.array([b.frame_idx for b in boxes], np.int64),
+        np.array([b.class_id for b in boxes], np.int64),
+        np.array([(b.bbox.x, b.bbox.y, b.bbox.w, b.bbox.h) for b in boxes], float).reshape(-1, 4),
+        np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
+    )
+
+
+def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
+    """The boxes of a detection or ground-truth file as columns.
+
+    A file that _bulk_columns takes gives its boxes in file order. Any other
+    file is read by read_detections or read_ground_truth, which raise its
+    error; should one take it, columns_of gives its boxes, in frame order.
+    """
+    columns = _bulk_columns(path, ground_truth)
+    if columns is None:
+        return columns_of((read_ground_truth if ground_truth else read_detections)(path))
+    return columns
+
+
+_COLUMN_CHUNK = 1 << 8  # lines _bulk_columns splits at a time, to bound the tokens it holds
 _DTYPE = {int: np.int64, float: np.float64}
 
 
-def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns | None:
-    """The boxes of a detection or ground-truth file as columns, or None when
-    the file is left to read_detections or read_ground_truth.
+def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
+    """read_columns of a file that keeps every rule, with no per-box objects;
+    None for any other file.
 
-    The header is read, and fails, as those readers read it. Each line is
-    split once, a chunk of lines at a time; integers are parsed with int()
+    The header is read, and fails, as the object readers read it. Each line
+    is split once, a chunk of lines at a time; integers are parsed with int()
     and reals with float(), as those readers parse them, and each of their
     value rules is checked in bulk, the descriptors' too. A file that breaks
     a rule, or whose integers exceed int64, gives None. So a file taken here

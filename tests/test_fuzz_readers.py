@@ -4,8 +4,10 @@ raise a TubelinkError (the CLI's exit 1), in bounded time. A stream that
 reads is also postprocessed, since that is what the CLI does with it.
 
 test_fuzz_eval_paths_agree feeds random detection/ground-truth file pairs to
-``eval`` twice: on the column path, and with every file left to the object
-readers. Exit code, stderr, printed tables and report bytes must agree.
+``eval`` twice: as read_columns reads them, parsing in bulk each file that
+keeps every rule, and with the bulk parse refusing every file, so that all
+of them are read by the object readers. Exit code, stderr, printed tables
+and report bytes must agree.
 
 The case these tests found, descriptors of different lengths in one stream,
 has its named regression test in test_pipeline_cli.py
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tubelink import cli
+from tubelink import cli, io as tubelink_io
 from tubelink import (
     PipelineConfig,
     TubelinkError,
@@ -192,6 +194,8 @@ EVAL_PAIRS = st.lists(st.tuples(mostly(EVAL_DETECTIONS, DETECTION_TEXTS),
 
 GOOD_DETECTIONS = "#video v 100 100 4\n0 0 1 1 5 5 0.5\n2 1 3 3 5 5 0.9\n"
 GOOD_GROUND_TRUTH = "#video v 100 100 4\n0 0 0 1 1 5 5\n2 1 0 3 3 6 5\n"
+# a class id beyond int64, which both routes reject
+BEYOND_INT64 = [(GOOD_DETECTIONS + f"1 {2 ** 64} 1 1 5 5 0.5\n", GOOD_GROUND_TRUTH)]
 
 
 def run_eval(paths, per_video, out, pr):
@@ -216,7 +220,7 @@ def run_eval(paths, per_video, out, pr):
           (GOOD_DETECTIONS + "1 0 1 1 5 x 0.5\n", GOOD_GROUND_TRUTH)], True)
 # a repeated track id, and a class id beyond int64
 @example([(GOOD_DETECTIONS, GOOD_GROUND_TRUTH + "\n2 0 0 1 1 5 5\n")], False)
-@example([(GOOD_DETECTIONS + f"1 {2 ** 64} 1 1 5 5 0.5\n", GOOD_GROUND_TRUTH)], True)
+@example(BEYOND_INT64, True)
 def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
     tmp = tmp_path_factory.getbasetemp()
     paths = []
@@ -227,6 +231,8 @@ def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
     out, pr = tmp / "report.json", tmp / "pr.csv"
     with time_limit(2.0):
         columns = run_eval(paths, per_video, out, pr)
-        with mock.patch.object(cli, "read_columns", lambda path, ground_truth=False: None):
+        with mock.patch.object(tubelink_io, "_bulk_columns", lambda path, ground_truth: None):
             objects = run_eval(paths, per_video, out, pr)
     assert columns == objects
+    if texts == BEYOND_INT64:
+        assert columns[0] == 1

@@ -20,7 +20,8 @@ from tubelink import (
     write_ground_truth,
 )
 
-from tubelink.io import MAX_FRAME_COUNT, read_columns
+from tubelink import io
+from tubelink.io import MAX_FRAME_COUNT, columns_of, read_columns
 
 from conftest import SHAPE, det, random_ground_truth, random_stream, unit_vector
 from test_simulate import time_limit
@@ -260,7 +261,7 @@ class TestContainerValidation:
             GroundTruth("v", SHAPE, 1, {0: boxes})
 
 
-def columns_of(detections, frame_order=None):
+def listed_columns(detections, frame_order=None):
     """The arrays read_columns gives for these objects, listed in file order."""
     order = range(len(detections)) if frame_order is None else frame_order
     boxes = [detections[k] for k in order]
@@ -271,7 +272,7 @@ def columns_of(detections, frame_order=None):
 
 def assert_columns(c, stream, frame_order=None):
     boxes = [b for bs in stream.frames.values() for b in bs]
-    frame, cls, box, score = columns_of(boxes, frame_order)
+    frame, cls, box, score = listed_columns(boxes, frame_order)
     assert (c.video_id, c.frame_shape, c.frame_count) == (
         stream.video_id, stream.frame_shape, stream.frame_count)
     assert c.frame_idx.dtype == np.int64 and c.class_id.dtype == np.int64
@@ -282,9 +283,27 @@ def assert_columns(c, stream, frame_order=None):
         assert c.score.tolist() == score
 
 
+def assert_same_columns(a, b):
+    """Two BoxColumns hold equal header fields and equal arrays of one dtype."""
+    assert (a.video_id, a.frame_shape, a.frame_count) == (b.video_id, b.frame_shape, b.frame_count)
+    for x, y in [(a.frame_idx, b.frame_idx), (a.class_id, b.class_id), (a.box, b.box),
+                 (a.score, b.score)]:
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
+
+
+def assert_raises_as(p, reader, ground_truth=False):
+    """read_columns raises what reader raises for p: the same type and message."""
+    with pytest.raises(TubelinkError) as want:
+        reader(p)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        read_columns(p, ground_truth)
+
+
 class TestReadColumns:
-    """read_columns takes only files that the object readers take, with the
-    same values in file order, and leaves every other file to them."""
+    """read_columns parses in bulk only files that the object readers take,
+    with the same values in file order, and gives every other file to them."""
 
     def test_same_values_as_the_object_readers(self, rng, tmp_path):
         p = tmp_path / "in.txt"
@@ -294,9 +313,11 @@ class TestReadColumns:
             ids = {f: list(range(len(d))) for f, d in v.frames.items()} if k % 2 else None
             write_detections(v, p, ids)
             assert_columns(read_columns(p), v)
+            assert_same_columns(columns_of(read_detections(p)), read_columns(p))
             g = random_ground_truth(rng)
             write_ground_truth(g, p)
             assert_columns(read_columns(p, ground_truth=True), g)
+            assert_same_columns(columns_of(read_ground_truth(p)), read_columns(p, True))
 
     def test_lines_keep_file_order(self, tmp_path):
         lines = ["2 0 10 10 5 5 0.5", "", "0 0 10 10 5 5 0.6", "   ", "2 1 20 20 5 5 0.7"]
@@ -319,9 +340,8 @@ class TestReadColumns:
     ])
     def test_rejects_what_read_detections_rejects(self, tmp_path, body):
         p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
-        assert read_columns(p) is None
-        with pytest.raises(TubelinkError):
-            read_detections(p)
+        assert io._bulk_columns(p, False) is None
+        assert_raises_as(p, read_detections)
 
     @pytest.mark.parametrize("body", [
         "0 0 1 1 1 5 5\n0 0 1 8 8 5 5", "0 0 -1 1 1 5 5", "0 0 1 1 1 5 5 0.5", "0 0 1 1 1 5",
@@ -329,9 +349,8 @@ class TestReadColumns:
     ])
     def test_rejects_what_read_ground_truth_rejects(self, tmp_path, body):
         p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
-        assert read_columns(p, ground_truth=True) is None
-        with pytest.raises(TubelinkError):
-            read_ground_truth(p)
+        assert io._bulk_columns(p, True) is None
+        assert_raises_as(p, read_ground_truth, ground_truth=True)
 
     def test_descriptor_norms_at_the_bound_agree(self, rng, tmp_path):
         # norms within rounding of 1 +- 1e-6, where a sum in another order
@@ -342,13 +361,15 @@ class TestReadColumns:
             scale = 1.0 + (1e-6 if k % 2 else -1e-6) * (1.0 + float(rng.integers(-40, 41)) * 1e-11)
             v = np.array(unit_vector(rng, 16)) * scale
             p.write_text("#video v 1280 720 1\n0 0 1 1 5 5 0.5 " + " ".join(map(repr, v.tolist())))
-            taken = read_columns(p) is not None
+            taken = io._bulk_columns(p, False) is not None
             try:
                 read_detections(p)
             except ValidationError:
                 assert not taken
+                assert_raises_as(p, read_detections)
             else:
                 assert taken
+                read_columns(p)
                 accepted += 1
         assert 0 < accepted < 300
 
@@ -356,15 +377,55 @@ class TestReadColumns:
                                       f"0 {2 ** 63} 1 1 5 5 0.5"])
     def test_integers_beyond_int64_are_left_to_the_object_reader(self, tmp_path, line):
         p = write(tmp_path, f"#video v 1280 720 4\n{line}\n")
-        assert read_columns(p) is None
-        assert read_detections(p).frames[0][0].class_id == int(line.split()[1])
+        assert io._bulk_columns(p, False) is None
+        assert_raises_as(p, read_detections)
 
     @pytest.mark.parametrize("text", ["", "#video v 1280 720\n", "#video v 0 720 4\n",
                                       "#video v 1280 720 x\n0 0 x 1 5 5 0.5\n"])
     def test_header_errors_are_the_object_readers(self, tmp_path, text):
         p = write(tmp_path, text)
         for ground_truth, reader in ((False, read_detections), (True, read_ground_truth)):
-            with pytest.raises(TubelinkError) as want:
-                reader(p)
-            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-                read_columns(p, ground_truth)
+            assert_raises_as(p, reader, ground_truth)
+
+    def test_a_file_the_object_reader_takes_gives_its_columns(self, tmp_path, monkeypatch):
+        # should the bulk checks refuse a file that the object reader takes,
+        # its stream gives the columns: frame order within the file's frames
+        p = write(tmp_path, "#video v 1280 720 4\n2 0 10 10 5 5 0.5\n0 1 1 1 5 5 0.6 0.6 0.8\n"
+                            "2 1 20 20 5 5 0.7\n")
+        bulk = read_columns(p)
+        monkeypatch.setattr(io, "_bulk_columns", lambda path, ground_truth: None)
+        c = read_columns(p)
+        assert_same_columns(c, columns_of(read_detections(p)))
+        assert c.frame_idx.tolist() == [0, 2, 2] and bulk.frame_idx.tolist() == [2, 0, 2]
+        assert c.score.tolist() == [0.6, 0.5, 0.7]
+
+
+MAX_ID = 2 ** 63 - 1
+
+
+class TestIdBound:
+    """Class and track ids are at most 2**63 - 1, so every stream fits int64 columns."""
+
+    @pytest.mark.parametrize("i", [MAX_ID, np.int64(MAX_ID)])
+    def test_largest_id_is_taken(self, i):
+        assert Detection(0, i, BBox(0, 0, 1, 1), 0.5).class_id == MAX_ID
+        assert TrackBox(0, i, i, BBox(0, 0, 1, 1)).track_id == MAX_ID
+
+    def test_larger_id_is_rejected(self):
+        with pytest.raises(ValidationError, match="class_id must be at most"):
+            Detection(0, MAX_ID + 1, BBox(0, 0, 1, 1), 0.5)
+        for cls, track in ((MAX_ID + 1, 0), (0, MAX_ID + 1)):
+            with pytest.raises(ValidationError, match="class_id/track_id must be at most"):
+                TrackBox(0, cls, track, BBox(0, 0, 1, 1))
+
+    @pytest.mark.parametrize("ground_truth,line", [
+        (False, "0 {} 1 1 5 5 0.5"), (True, "0 {} 0 1 1 5 5"), (True, "0 0 {} 1 1 5 5")])
+    def test_readers_name_path_and_line(self, tmp_path, ground_truth, line):
+        reader = read_ground_truth if ground_truth else read_detections
+        first = "0 1 1 1 1 5 5" if ground_truth else "0 1 1 1 5 5 0.5"
+        p = write(tmp_path, f"#video v 1280 720 4\n{first}\n\n{line.format(MAX_ID + 1)}\n")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}:4: .* at most 2\*\*63 - 1"):
+            reader(p)
+        assert_raises_as(p, reader, ground_truth)
+        p.write_text(f"#video v 1280 720 4\n{first}\n\n{line.format(MAX_ID)}\n")
+        assert_same_columns(read_columns(p, ground_truth), columns_of(reader(p)))

@@ -18,9 +18,9 @@ from tubelink import (
     write_detections,
     write_ground_truth,
 )
-from tubelink import cli
+from tubelink import cli, io
 from tubelink.cli import main
-from tubelink.io import MAX_FRAME_COUNT, read_columns
+from tubelink.io import MAX_FRAME_COUNT
 
 from conftest import random_stream
 
@@ -506,22 +506,20 @@ class TestCliEval:
         def refuse(path):
             raise AssertionError(f"{path} was read into objects")
 
-        monkeypatch.setattr(cli, "read_detections", refuse)
-        monkeypatch.setattr(cli, "read_ground_truth", refuse)
+        monkeypatch.setattr(io, "read_detections", refuse)
+        monkeypatch.setattr(io, "read_ground_truth", refuse)
         assert main(["eval", "--detections", str(out), "--ground-truth", str(gt_path),
                      "--per-video", "--out", str(tmp_path / "r.json")]) == 0
 
-    @pytest.mark.parametrize("case", ["descriptors", "ragged", "beyond_int64"])
+    @pytest.mark.parametrize("case", ["descriptors", "ragged"])
     def test_both_eval_paths_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, case):
         # raw simulator output carries descriptors on the true positives only,
-        # so its lines differ in length; an integer beyond int64 takes the object path
+        # so its lines differ in length; both files are parsed in bulk
         _, gt_path, det_path = write_scenario(tmp_path, seed=2, frame_count=40, classes=4,
-                                              appearance_dim=4 if case != "beyond_int64" else 0,
+                                              appearance_dim=4,
                                               fp_rate=0.0 if case == "descriptors" else 1.0)
-        if case == "beyond_int64":
-            with det_path.open("a") as f:
-                f.write("3 99999999999999999999999 1 1 5 5 0.5\n")
-        assert (read_columns(det_path) is None) == (case == "beyond_int64")
+        assert io._bulk_columns(det_path, False) is not None
+        assert io._bulk_columns(gt_path, True) is not None
 
         def run():
             report, pr = tmp_path / "r.json", tmp_path / "pr.csv"
@@ -531,7 +529,7 @@ class TestCliEval:
             return capsys.readouterr().out, report.read_bytes(), pr.read_bytes()
 
         columns = run()
-        monkeypatch.setattr(cli, "read_columns", lambda path, ground_truth=False: None)
+        monkeypatch.setattr(io, "_bulk_columns", lambda path, ground_truth: None)
         assert run() == columns
 
     def test_repeated_track_names_file_and_line(self, tmp_path, capsys):
@@ -540,6 +538,17 @@ class TestCliEval:
         gt_path.write_text("#video v 100 100 2\n0 0 0 1 1 5 5\n0 0 0 9 9 5 5\n")
         assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)]) == 1
         assert capsys.readouterr().err == f"error: {gt_path}:3: duplicate track_id 0 in frame 0\n"
+
+    @pytest.mark.parametrize("command", ["postprocess", "eval", "inspect"])
+    def test_id_beyond_int64_exits_1_on_every_command(self, tmp_path, capsys, command):
+        det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
+        det_path.write_text(f"#video v 100 100 2\n0 0 1 1 5 5 0.5\n1 {2 ** 63} 1 1 5 5 0.5\n")
+        gt_path.write_text("#video v 100 100 2\n0 0 0 1 1 5 5\n")
+        argv = {"postprocess": ["--out", str(tmp_path / "o.txt")],
+                "eval": ["--ground-truth", str(gt_path)], "inspect": []}[command]
+        assert main([command, "--detections", str(det_path), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {det_path}:3: class_id must be at most 2**63 - 1, got {2 ** 63}\n")
 
 
 class TestCliInspect:
