@@ -3,6 +3,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelink import (
     BBox,
@@ -27,6 +29,7 @@ from tubelink import (
 from tubelink.similarity import box_terms, pair_features
 
 from conftest import SHAPE, det
+from test_tubelets import ORACLE, tubelets
 from test_similarity import (
     oracle_tubelet_features, oracle_tubelet_link_score, random_box, random_model,
 )
@@ -143,6 +146,37 @@ class TestInterpolateGap:
     def test_unknown_score_mode(self):
         with pytest.raises(ContractError):
             interpolate_gap(run(0, 5), run(7, 5, tid=1), score_mode="max")
+
+
+def oracle_interpolate_gap(a, b, score_mode="mean"):
+    """The per-entry arithmetic of interpolate_gap: one entry per missing
+    frame, each box and score computed on its own."""
+    gap = b.start_frame - a.end_frame - 1
+    tail, head = a.entries[-1], b.entries[0]
+    if score_mode == "mean":
+        score = (sum(e.score for e in a.entries) / len(a.entries)
+                 + sum(e.score for e in b.entries) / len(b.entries)) / 2.0
+    else:
+        score = (tail.score + head.score) / 2.0
+    tcx, tcy = tail.bbox.x + tail.bbox.w / 2.0, tail.bbox.y + tail.bbox.h / 2.0
+    hcx, hcy = head.bbox.x + head.bbox.w / 2.0, head.bbox.y + head.bbox.h / 2.0
+    out = []
+    for k in range(1, gap + 1):
+        t = k / (gap + 1)
+        cx, cy = tcx + t * (hcx - tcx), tcy + t * (hcy - tcy)
+        w = tail.bbox.w + t * (head.bbox.w - tail.bbox.w)
+        h = tail.bbox.h + t * (head.bbox.h - tail.bbox.h)
+        out.append(TubeletEntry(tail.frame_idx + k, BBox(cx - w / 2.0, cy - h / 2.0, w, h),
+                                score, True))
+    return out
+
+
+class TestInterpolateGapMatchesPerEntryArithmetic:
+    @ORACLE
+    @given(tubelets(start=st.integers(0, 5)), tubelets(start=st.integers(46, 90)),
+           st.sampled_from(["mean", "endpoint"]))
+    def test_interpolate_gap(self, a, b, mode):
+        assert interpolate_gap(a, b, mode) == oracle_interpolate_gap(a, b, mode)
 
 
 def split_track_stream(gap_start=5, gap_len=3, frames=15):

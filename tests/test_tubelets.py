@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelink import (
     BBox,
@@ -368,6 +370,38 @@ class TestRefinementMatchesReplace:
         for _ in range(200):
             t = random_tubelet(rng)
             assert smooth_coordinates(t, window) == oracle_smooth_coordinates(t, window)
+
+
+# Hypothesis-drawn tubelets: coordinates that tie or are drawn freely, boxes
+# that repeat, scores at 0, 1/2, 1 or anywhere in [0, 1], interpolated flags
+COORD = st.one_of(st.sampled_from([0.0, 8.0, -0.5]), st.floats(-1e5, 1e5))
+SIZE = st.one_of(st.sampled_from([1.0, 24.0]), st.floats(1e-3, 1e4))
+BOX = st.one_of(st.just(BBox(8.0, 16.0, 24.0, 32.0)), st.builds(BBox, COORD, COORD, SIZE, SIZE))
+SCORE = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tubelets(draw, start=st.integers(0, 50)):
+    first = draw(start)
+    entries = draw(st.lists(st.tuples(BOX, SCORE, st.booleans()), min_size=1, max_size=40))
+    return Tubelet(draw(st.integers(0, 9)), draw(st.integers(0, 3)), tuple(
+        TubeletEntry(first + k, box, score, flag) for k, (box, score, flag) in enumerate(entries)))
+
+
+class TestRefinementMatchesPerEntryArithmetic:
+    """rescore and smooth_coordinates give, value for value, what the
+    per-entry arithmetic of the oracles above gives."""
+
+    @ORACLE
+    @given(tubelets(), st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    def test_rescore(self, t, alpha):
+        assert rescore(t, alpha) == oracle_rescore(t, alpha)
+
+    @ORACLE
+    @given(tubelets(), st.sampled_from([1, 3, 5, 7, 9, 41]))
+    def test_smooth_coordinates(self, t, window):
+        assert smooth_coordinates(t, window) == oracle_smooth_coordinates(t, window)
 
 
 class TestFilterShort:
