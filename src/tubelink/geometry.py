@@ -55,6 +55,15 @@ class BBox:
         return self.y + self.h
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def check_boxes(box: np.ndarray) -> None:
+    """Raise BBox's own error for the first row (x, y, w, h) that it rejects."""
+    x, y, w, h = box.T
+    bad = ~(np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0))
+    if bad.any():
+        BBox(*box[bad.argmax()].tolist())
+
+
 @dataclass(frozen=True)
 class FrameShape:
     """Pixel dimensions of the video frames a stream was produced from."""
@@ -158,22 +167,34 @@ def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
     Detections are visited by descending score (ties by smaller x, then y);
     a detection is dropped when its IoU with an already kept detection of the
     same class exceeds iou_thresh. Survivors keep their fields untouched and
-    are returned in visit order, so the result is deterministic.
+    are returned in visit order, so the result is deterministic. This is
+    nms_rows over the frame's boxes.
     """
-    if not (0.0 < iou_thresh < 1.0):
-        raise ContractError(f"iou_thresh must be in (0,1), got {iou_thresh}")
     if len({d.frame_idx for d in dets}) > 1:
         raise ContractError("nms input mixes detections from different frames")
+    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets], float).reshape(-1, 4)
+    kept = nms_rows(np.zeros(len(dets), np.int64), np.array([d.class_id for d in dets], np.int64),
+                    box, np.array([d.score for d in dets], float), iou_thresh)
+    return [dets[i] for i in kept.tolist()]
 
-    ordered = sorted(dets, key=lambda d: (-d.score, d.bbox.x, d.bbox.y))
-    boxes, classes = [d.bbox for d in ordered], np.array([d.class_id for d in ordered])
-    # over[k, i]: row k, once kept, suppresses row i; each IoU is iou(k, i)'s value
-    over = iou_matrix(boxes, boxes) > iou_thresh
-    over &= classes[:, None] == classes[None, :]
-    suppressed = np.zeros(len(ordered), dtype=bool)
-    kept: list[Detection] = []
-    for k, d in enumerate(ordered):
-        if not suppressed[k]:
-            kept.append(d)
-            suppressed |= over[k]
-    return kept
+
+def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np.ndarray,
+             iou_thresh: float) -> np.ndarray:
+    """nms of each frame of rows grouped by frame: the kept rows, frame by
+    frame, each frame's in visit order."""
+    if not (0.0 < iou_thresh < 1.0):
+        raise ContractError(f"iou_thresh must be in (0,1), got {iou_thresh}")
+    kept: list[int] = []
+    bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        order = lo + np.lexsort((box[lo:hi, 1], box[lo:hi, 0], -score[lo:hi]))  # stable
+        corners = np.column_stack([box[order, :2], box[order, :2] + box[order, 2:]])
+        # over[k, i]: row k, once kept, suppresses row i; each IoU is iou(k, i)'s value
+        over = iou_corners(corners[:, None], corners[None, :]) > iou_thresh
+        over &= class_id[order, None] == class_id[None, order]
+        suppressed = np.zeros(hi - lo, dtype=bool)
+        for k, row in enumerate(order.tolist()):
+            if not suppressed[k]:
+                kept.append(row)
+                suppressed |= over[k]
+    return np.array(kept, np.int64)

@@ -20,10 +20,13 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
-read_columns gives eval a file's boxes as arrays. A file that keeps every
-rule is parsed in bulk, with no per-box objects; any other file is read by
-read_detections or read_ground_truth, so their errors are the only ones.
-Class and track ids are at most 2**63 - 1, so every stream fits the arrays.
+read_columns gives eval and postprocess a file's boxes as arrays, the
+descriptors as rows of one matrix. A file that keeps every rule is parsed in
+bulk, with no per-box objects; any other file is read by read_detections or
+read_ground_truth, so their errors are the only ones. Class and track ids
+are at most 2**63 - 1, so every stream fits the arrays; tubelet ids are
+checked, not stored. write_detections writes a stream or columns, each line
+formatted in one place.
 """
 
 from __future__ import annotations
@@ -276,37 +279,43 @@ def read_detections_with_ids(
 
 
 def write_detections(
-    v: VideoDetections,
+    v: VideoDetections | BoxColumns,
     path: str | Path,
-    tubelet_ids: dict[int, list[int]] | None = None,
+    tubelet_ids: dict[int, list[int]] | np.ndarray | None = None,
 ) -> None:
     """Write a detection stream; read_detections(write_detections(v)) == v.
 
     tubelet_ids, when given, must hold one id per detection, keyed and
     ordered exactly like v.frames (a frame without detections may hold an
     empty list); they are emitted as an extra column announced by a
-    ``#tubelets`` marker line.
+    ``#tubelets`` marker line. Columns, as postprocess writes them, are
+    written row by row, their tubelet_ids being one array parallel to the rows.
     """
-    out = []
-    if tubelet_ids is not None:
-        for idx in sorted(v.frames.keys() | tubelet_ids.keys()):
-            if len(tubelet_ids.get(idx, ())) != len(v.frames[idx]):
-                raise ValidationError(
-                    f"tubelet_ids for frame {idx} do not match detection count"
-                )
-        out.append(TUBELET_TAG)
+    if isinstance(v, BoxColumns):
+        rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
+        descriptors = [None if a is None else a.tolist() for a in v.descriptors()]
+        ids = None if tubelet_ids is None else np.asarray(tubelet_ids).tolist()
+    else:
+        ids = None
+        if tubelet_ids is not None:
+            for idx in sorted(v.frames.keys() | tubelet_ids.keys()):
+                if len(tubelet_ids.get(idx, ())) != len(v.frames[idx]):
+                    raise ValidationError(
+                        f"tubelet_ids for frame {idx} do not match detection count"
+                    )
+            ids = [i for idx in v.frames for i in tubelet_ids[idx]]
+        dets = v.all_detections()
+        rows = [(d.frame_idx, d.class_id, float((b := d.bbox).x), float(b.y), float(b.w),
+                 float(b.h), float(d.score)) for d in dets]
+        descriptors = [d.appearance for d in dets]
     # repr gives the shortest string that parses back to the same float
-    for idx, dets in v.frames.items():
-        for j, d in enumerate(dets):
-            b = d.bbox
-            line = (f"{d.frame_idx} {d.class_id} {float(b.x)!r} {float(b.y)!r} "
-                    f"{float(b.w)!r} {float(b.h)!r} {float(d.score)!r}")
-            if tubelet_ids is not None:
-                line = f"{line} {tubelet_ids[idx][j]}"
-            if d.appearance is not None:
-                line = " ".join([line, *map(repr, map(float, d.appearance))])
-            out.append(line)
-    _write_stream(v, out, path)
+    out = [f"{f} {k} {x!r} {y!r} {w!r} {h!r} {s!r}" for f, k, x, y, w, h, s in rows]
+    if ids is not None:
+        out = [f"{line} {i}" for line, i in zip(out, ids)]
+    for i, a in enumerate(descriptors):
+        if a is not None:
+            out[i] = " ".join([out[i], *map(repr, map(float, a))])
+    _write_stream(v, out if ids is None else [TUBELET_TAG, *out], path)
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
@@ -347,17 +356,34 @@ class BoxColumns:
     class_id: np.ndarray  # int64
     box: np.ndarray  # one row (x, y, w, h) per box
     score: np.ndarray | None  # None for ground truth
+    descriptor: np.ndarray  # a box's descriptor is the first descriptor_len values of its row
+    descriptor_len: np.ndarray  # int64, 0 for a box without one
+
+    def descriptors(self) -> list[np.ndarray | None]:
+        """Each box's descriptor as a view of its row, or None."""
+        return [a[:k] if k else None for a, k in zip(self.descriptor, self.descriptor_len.tolist())]
+
+    def take(self, rows: np.ndarray) -> BoxColumns:
+        """These columns at the given rows, in their order."""
+        return BoxColumns(self.video_id, self.frame_shape, self.frame_count,
+                          *(None if a is None else a[rows] for a in (
+                              self.frame_idx, self.class_id, self.box, self.score,
+                              self.descriptor, self.descriptor_len)))
 
 
 def columns_of(s: VideoDetections | GroundTruth) -> BoxColumns:
     """A stream's boxes as columns in stored order: by frame, then as listed."""
     boxes = [b for bs in s.frames.values() for b in bs]
+    apps = [getattr(b, "appearance", None) or () for b in boxes]
+    width = max(map(len, apps), default=0)
     return BoxColumns(
         s.video_id, s.frame_shape, s.frame_count,
         np.array([b.frame_idx for b in boxes], np.int64),
         np.array([b.class_id for b in boxes], np.int64),
         np.array([(b.bbox.x, b.bbox.y, b.bbox.w, b.bbox.h) for b in boxes], float).reshape(-1, 4),
         np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
+        np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
+        np.array(list(map(len, apps)), np.int64),
     )
 
 
@@ -385,8 +411,9 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     The header is read, and fails, as the object readers read it. Each line
     is split once, a chunk of lines at a time; integers are parsed with int()
     and reals with float(), as those readers parse them, and each of their
-    value rules is checked in bulk, the descriptors' too. A file that breaks
-    a rule, or whose integers exceed int64, gives None. So a file taken here
+    value rules is checked in bulk, the descriptors' too. A tubelet id may be
+    any integer: it is parsed and not stored. A file that breaks a rule, or
+    whose class or frame ids exceed int64, gives None. So a file taken here
     is one the object reader takes, with the same values in the same order.
     """
     path = str(path)
@@ -394,9 +421,9 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     video_id, shape, frame_count = _read_header(lines, path)
     has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
     n = 7 + has_ids  # the columns before any descriptor
-    kinds = (int, int, int, *[float] * 4) if ground_truth else (int, int, *[float] * 5, int)[:n]
+    kinds = (int, int, int, *[float] * 4) if ground_truth else (int, int, *[float] * 5)
     chunks: list[list[np.ndarray]] = [[np.empty(0, _DTYPE[kind])] for kind in kinds]
-    ok = []
+    ok, descriptors, count = [], [], 0  # descriptors: (rows, one row per component)
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1 + has_ids, len(lines), _COLUMN_CHUNK):
             rows = [p for p in map(str.split, lines[first:first + _COLUMN_CHUNK]) if p]
@@ -407,16 +434,21 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
             try:
                 for j, kind in enumerate(kinds):
                     chunks[j].append(np.fromiter(map(kind, flat[j::n]), _DTYPE[kind], len(rows)))
-                # the descriptors of each length, one row per component
-                tails = [np.array([list(map(float, p[n:])) for p in rows if len(p) == k]).T
-                         for k in widths - {n}]
+                if has_ids:
+                    list(map(int, flat[7::n]))
+                for k in widths - {n}:  # the descriptors of each length
+                    at = [i for i, p in enumerate(rows) if len(p) == k]
+                    a = chain.from_iterable(rows[i][n:] for i in at)
+                    descriptors.append((count + np.array(at), np.fromiter(
+                        map(float, a), float, len(at) * (k - n)).reshape(-1, k - n).T))
             except (ValueError, OverflowError):
                 return None
-            for a in tails:  # summed in sum(a * a for a in it)'s order; a NaN or inf fails
-                norm2 = a[0] * a[0]
-                for c in a[1:]:
-                    norm2 = norm2 + c * c
-                ok.append(abs(np.sqrt(norm2) - 1.0) <= 1e-6)
+            count += len(rows)
+        for _, a in descriptors:  # summed in sum(a * a for a in it)'s order; a NaN or inf fails
+            norm2 = a[0] * a[0]
+            for c in a[1:]:
+                norm2 = norm2 + c * c
+            ok.append(abs(np.sqrt(norm2) - 1.0) <= 1e-6)
         frame, cls, *cols = map(np.concatenate, chunks)
         x, y, w, h = cols[1:5] if ground_truth else cols[:4]
         ok += [frame >= 0, frame < frame_count, cls >= 0,
@@ -430,5 +462,9 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
             ok.append((cols[4] >= 0) & (cols[4] <= 1))  # NaN and +-inf fail too
     if not all(c.all() for c in ok):
         return None
+    descriptor_len = np.zeros(count, np.int64)
+    descriptor = np.zeros((count, max((len(a) for _, a in descriptors), default=0)))
+    for at, a in descriptors:
+        descriptor_len[at], descriptor[at, :len(a)] = len(a), a.T
     return BoxColumns(video_id, shape, frame_count, frame, cls, np.column_stack([x, y, w, h]),
-                      None if ground_truth else cols[4])
+                      None if ground_truth else cols[4], descriptor, descriptor_len)

@@ -6,14 +6,21 @@ tubelet with the start of another when the temporal gap is at most g_max and
 the end/start boxes score as the same object, then fills the gap by linear
 interpolation. Interpolated frames get the average of the two fragments'
 confidences.
+
+_link and _interpolate do this for TubeletColumns; link_tubelets and
+interpolate_gap are their adapters for Tubelet objects.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ContractError
-from .geometry import BBox, FrameShape, center
-from .similarity import SimilarityModel, box_terms, link_score, pair_features
-from .tubelets import Tubelet, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates
+from .geometry import BBox, FrameShape, check_boxes
+from .similarity import SimilarityModel, box_terms, box_terms_of, link_score, pair_features
+from .tubelets import (
+    Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates, _means,
+)
 
 
 def tubelet_gap(a: Tubelet, b: Tubelet) -> int:
@@ -48,6 +55,35 @@ def tubelet_link_score(
     return link_score(m, f)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _interpolate(t: TubeletColumns, cur: np.ndarray, nxt: np.ndarray,
+                 score_mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """interpolate_gap of each pair of tubelets (cur[i], nxt[i]) of t, the
+    gaps laid end to end: the frame, box and score of each synthesized entry,
+    and the pair it fills."""
+    if score_mode not in ("mean", "endpoint"):
+        raise ContractError(f"unknown score_mode: {score_mode!r}")
+    tail, head = (t.start + t.length - 1)[cur], t.start[nxt]
+    gap = t.frame[head] - t.frame[tail] - 1
+    if len(gap) and gap.min() < 1:
+        raise ContractError(f"interpolate_gap needs a gap of at least 1 frame, got {gap.min()}")
+    if score_mode == "mean":
+        means = _means(t)
+        score = (means[cur] + means[nxt]) / 2.0
+    else:
+        score = (t.score[tail] + t.score[head]) / 2.0
+    pair = np.repeat(np.arange(len(gap)), gap)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(gap) - gap, gap) + 1
+    f = k / (gap + 1)[pair]
+    (tx, ty, tw, th), (hx, hy, hw, hh) = t.box[tail[pair]].T, t.box[head[pair]].T
+    tcx, tcy, hcx, hcy = tx + tw / 2.0, ty + th / 2.0, hx + hw / 2.0, hy + hh / 2.0
+    cx, cy = tcx + f * (hcx - tcx), tcy + f * (hcy - tcy)
+    w, h = tw + f * (hw - tw), th + f * (hh - th)
+    box = np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h])
+    check_boxes(box)
+    return t.frame[tail[pair]] + k, box, score[pair], pair
+
+
 def interpolate_gap(
     a: Tubelet, b: Tubelet, score_mode: str = "mean"
 ) -> list[TubeletEntry]:
@@ -59,37 +95,54 @@ def interpolate_gap(
     two endpoint scores with score_mode="endpoint"). Entries are flagged
     interpolated.
     """
-    if score_mode not in ("mean", "endpoint"):
-        raise ContractError(f"unknown score_mode: {score_mode!r}")
-    gap = tubelet_gap(a, b)
-    if gap < 1:
-        raise ContractError(
-            f"interpolate_gap needs a gap of at least 1 frame, got {gap}"
-        )
-    tail, head = a.entries[-1], b.entries[0]
-    if score_mode == "mean":
-        score = (a.mean_score() + b.mean_score()) / 2.0
-    else:
-        score = (tail.score + head.score) / 2.0
+    frame, box, score, _ = _interpolate(TubeletColumns.of([a, b]), np.array([0]), np.array([1]),
+                                        score_mode)
+    return [TubeletEntry(f, BBox(*b), s, True)
+            for f, b, s in zip(frame.tolist(), box.tolist(), score.tolist())]
 
-    (tcx, tcy), (hcx, hcy) = center(tail.bbox), center(head.bbox)
 
-    out = []
-    for k in range(1, gap + 1):
-        t = k / (gap + 1)
-        cx = tcx + t * (hcx - tcx)
-        cy = tcy + t * (hcy - tcy)
-        w = tail.bbox.w + t * (head.bbox.w - tail.bbox.w)
-        h = tail.bbox.h + t * (head.bbox.h - tail.bbox.h)
-        out.append(
-            TubeletEntry(
-                frame_idx=tail.frame_idx + k,
-                bbox=BBox(cx - w / 2.0, cy - h / 2.0, w, h),
-                score=score,
-                interpolated=True,
-            )
-        )
-    return out
+def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
+          shape: FrameShape | None, score_mode: str) -> tuple[TubeletColumns, np.ndarray]:
+    """link_tubelets over TubeletColumns: the merged tubelets, and for each
+    of their entries its row in t's entries followed by the synthesized ones."""
+    if g_max < 0:
+        raise ContractError(f"g_max must be >= 0, got {g_max}")
+    if shape is None:
+        raise ContractError("link_tubelets needs the frame shape")
+    keys = t.tubelet_id
+    if len(set(keys)) != len(keys):
+        raise ContractError("tubelet ids must be unique before linking")
+
+    start, classes = t.start, t.class_id.tolist()
+    end = start + t.length - 1
+    first, last = t.frame[start].tolist(), t.frame[end].tolist()
+    no_app = [None] * len(keys)
+    tails = list(zip(keys, classes, last, box_terms_of(t.box[end], t.score[end], no_app)))
+    heads = sorted(zip(keys, classes, first, box_terms_of(t.box[start], t.score[start], no_app)),
+                   key=lambda h: h[2])
+    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
+
+    at = {k: i for i, k in enumerate(keys)}
+    chains = [[at[k] for k in chain] for chain in _follow_chains(keys, successor)]
+    x, y = t.box[start, 0].tolist(), t.box[start, 1].tolist()
+    chains.sort(key=lambda c: (first[c[0]], x[c[0]], y[c[0]], keys[c[0]]))
+    rank = np.empty(len(keys), np.int64)
+    for r, chain in enumerate(chains):
+        rank[chain] = r
+    cur = np.array([i for chain in chains for i in chain[:-1]], np.int64)
+    nxt = np.array([i for chain in chains for i in chain[1:]], np.int64)
+    fill = t.frame[start[nxt]] - t.frame[end[cur]] > 1
+    frame, box, score, pair = _interpolate(t, cur[fill], nxt[fill], score_mode)
+
+    # each merged tubelet's entries are its parts' and its gaps', in frame order
+    owner = np.concatenate([np.repeat(rank, t.length), rank[cur[fill]][pair]])
+    frame = np.concatenate([t.frame, frame])
+    order = np.lexsort((frame, owner))
+    merged = TubeletColumns(
+        list(range(len(chains))), t.class_id[[c[0] for c in chains]],
+        np.bincount(owner, minlength=len(chains)), frame[order],
+        np.concatenate([t.box, box])[order], np.concatenate([t.score, score])[order])
+    return merged, order
 
 
 def link_tubelets(
@@ -103,41 +156,18 @@ def link_tubelets(
     """Merge tubelets whose end/start boxes look like the same object.
 
     Candidate pairs share a class, are separated by 0..g_max empty frames and
-    score at least tau_tub. The linker that build_tubelets runs with g_max = 0
-    scores them and accepts them greedily by descending score (ties by
-    ascending id pair); each tubelet gains at most one successor and one
-    predecessor, and accepted chains collapse transitively into single
-    tubelets with their gaps filled by interpolate_gap. Surviving entries of
-    the inputs are carried over bit for bit; ids are reassigned in canonical
-    (start_frame, x, y) order, which leaves an already-canonical input
-    unchanged when nothing merges.
+    score at least tau_tub, which is in (0,1). The linker that build_tubelets
+    runs with g_max = 0 scores them and accepts them greedily by descending
+    score (ties by ascending id pair); each tubelet gains at most one
+    successor and one predecessor, and accepted chains collapse transitively
+    into single tubelets with their gaps filled by interpolate_gap. Surviving
+    entries of the inputs are carried over as they are; ids are reassigned in
+    canonical (start_frame, x, y) order, which leaves an already-canonical
+    input unchanged when nothing merges.
     """
-    if g_max < 0:
-        raise ContractError(f"g_max must be >= 0, got {g_max}")
-    if not (0.0 < tau_tub <= 1.0):
-        raise ContractError(f"tau_tub must be in (0,1], got {tau_tub}")
-    if shape is None:
-        raise ContractError("link_tubelets needs the frame shape")
-    by_id = {t.tubelet_id: t for t in ts}
-    if len(by_id) != len(ts):
-        raise ContractError("tubelet ids must be unique before linking")
-
-    tails = [(t.tubelet_id, t.class_id, t.end_frame,
-              box_terms(t.entries[-1].bbox, t.entries[-1].score)) for t in ts]
-    heads = sorted(((t.tubelet_id, t.class_id, t.start_frame,
-                     box_terms(t.entries[0].bbox, t.entries[0].score)) for t in ts),
-                   key=lambda h: h[2])
-    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
-
-    merged: list[Tubelet] = []
-    for chain in _follow_chains(by_id, successor):
-        parts = [by_id[k] for k in chain]
-        entries = list(parts[0].entries)
-        for cur, nxt in zip(parts, parts[1:]):
-            if tubelet_gap(cur, nxt) >= 1:
-                entries.extend(interpolate_gap(cur, nxt, score_mode))
-            entries.extend(nxt.entries)
-        merged.append(Tubelet(parts[0].tubelet_id, parts[0].class_id, tuple(entries)))
-
-    merged.sort(key=lambda t: (t.start_frame, t.entries[0].bbox.x, t.entries[0].bbox.y, t.tubelet_id))
-    return [Tubelet(k, t.class_id, t.entries) for k, t in enumerate(merged)]
+    merged, order = _link(TubeletColumns.of(ts), m, g_max, tau_tub, shape, score_mode)
+    entries = [e for t in ts for e in t.entries]
+    n = len(entries)
+    return merged.tubelets([
+        entries[i] if i < n else TubeletEntry(f, BBox(*b), s, True) for i, f, b, s in zip(
+            order.tolist(), merged.frame.tolist(), merged.box.tolist(), merged.score.tolist())])

@@ -5,6 +5,11 @@ rescoring, coordinate smoothing, short-tubelet removal, and tubelet linking
 with gap interpolation. The two refinement stages can be switched off
 independently to reproduce the three-row ablation
 (raw / +refinement / +refinement+linking).
+
+_postprocess runs the stages on the arrays of io.BoxColumns, from the rows
+a file was read into to the rows that are written, with no per-box object;
+the tubelets in between are tubelets.TubeletColumns. postprocess_video and
+tubelets_to_detections are its adapters for stream and tubelet objects.
 """
 
 from __future__ import annotations
@@ -12,13 +17,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractError
-from .geometry import Detection, nms
-from .io import Frames, VideoDetections
-from .linking import link_tubelets
+from .geometry import BBox, Detection, nms_rows
+from .io import BoxColumns, Frames, VideoDetections, columns_of
+from .linking import _link
 from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, setting, validate
 from .similarity import SimilarityModel, default_model
-from .tubelets import Tubelet, build_tubelets, filter_short, rescore, smooth_coordinates
+from .tubelets import Tubelet, TubeletColumns, _build, _rescore, _smooth
 
 
 @dataclass
@@ -50,6 +57,53 @@ class PipelineConfig:
         validate(self)
 
 
+def _postprocess(c: BoxColumns, config: PipelineConfig) -> tuple[BoxColumns, np.ndarray | None]:
+    """postprocess_video over columns: the output rows and each row's tubelet
+    id, or the input rows in frame order and None when every stage is off."""
+    c = c.take(np.argsort(c.frame_idx, kind="stable"))  # as Frames stores them
+    if config.nms_iou is not None:
+        c = c.take(nms_rows(c.frame_idx, c.class_id, c.box, c.score, config.nms_iou))
+    if not config.repp and not config.tubelet_link:
+        return c, None
+
+    t, _ = _build(c, config.model, config.tau_link, config.assignment)
+    if config.repp:
+        t.score = _rescore(t, config.alpha)
+        t.box = _smooth(t, config.smooth_window)
+        t = t.select(t.length >= config.min_len)
+    if config.tubelet_link:
+        t, _ = _link(t, config.model, config.g_max, config.tau_tub, c.frame_shape,
+                     config.interp_score)
+    return _flatten(t, c)
+
+
+def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections
+             ) -> tuple[BoxColumns, np.ndarray]:
+    """tubelets_to_detections of tubelets in id order, as columns."""
+    owner = np.repeat(np.arange(len(t.length)), t.length)
+    if (beyond := t.frame >= source.frame_count).any():
+        k = beyond.argmax()
+        raise ContractError(f"tubelet {t.tubelet_id[owner[k]]} reaches frame {t.frame[k]} "
+                            f"beyond the video's {source.frame_count} frames")
+    order = np.argsort(t.frame, kind="stable")
+    n = len(order)
+    return (BoxColumns(source.video_id, source.frame_shape, source.frame_count, t.frame[order],
+                       t.class_id[owner[order]], t.box[order], t.score[order], np.zeros((n, 0)),
+                       np.zeros(n, np.int64)), np.asarray(t.tubelet_id)[owner[order]])
+
+
+def _objects(c: BoxColumns, ids: np.ndarray | None) -> tuple[VideoDetections, Frames | None]:
+    """The stream of the columns, and their ids by frame."""
+    frames, by_frame = defaultdict(list), defaultdict(list)
+    for f, k, b, s, a in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.box.tolist(),
+                             c.score.tolist(), c.descriptors()):
+        frames[f].append(Detection(f, k, BBox(*b), s, None if a is None else tuple(a.tolist())))
+    for f, i in zip(c.frame_idx.tolist(), [] if ids is None else ids.tolist()):
+        by_frame[f].append(i)
+    stream = VideoDetections(c.video_id, c.frame_shape, c.frame_count, frames)
+    return stream, None if ids is None else Frames(by_frame)
+
+
 def postprocess_video(
     v: VideoDetections, config: PipelineConfig | None = None
 ) -> tuple[VideoDetections, dict[int, list[int]] | None]:
@@ -59,26 +113,7 @@ def postprocess_video(
     (input, None) when every stage is disabled. With all stages off the
     output is the input, which is the ablation baseline.
     """
-    config = config or PipelineConfig()
-
-    if config.nms_iou is not None:
-        frames = {f: nms(dets, config.nms_iou) for f, dets in v.frames.items()}
-        v = VideoDetections(v.video_id, v.frame_shape, v.frame_count, frames)
-
-    if not config.repp and not config.tubelet_link:
-        return v, None
-
-    tubelets = build_tubelets(v, config.model, config.tau_link, config.assignment)
-    if config.repp:
-        tubelets = [rescore(t, config.alpha) for t in tubelets]
-        tubelets = [smooth_coordinates(t, config.smooth_window) for t in tubelets]
-        tubelets = filter_short(tubelets, config.min_len)
-    if config.tubelet_link:
-        tubelets = link_tubelets(
-            tubelets, config.model, config.g_max, config.tau_tub,
-            v.frame_shape, config.interp_score,
-        )
-    return tubelets_to_detections(tubelets, v)
+    return _objects(*_postprocess(columns_of(v), config or PipelineConfig()))
 
 
 def tubelets_to_detections(
@@ -89,16 +124,5 @@ def tubelets_to_detections(
     Within a frame, detections are ordered by tubelet id, which is
     deterministic because ids are canonical.
     """
-    frames: defaultdict[int, list[Detection]] = defaultdict(list)
-    ids: defaultdict[int, list[int]] = defaultdict(list)
-    for t in sorted(tubelets, key=lambda t: t.tubelet_id):
-        for e in t.entries:
-            if e.frame_idx >= source.frame_count:
-                raise ContractError(
-                    f"tubelet {t.tubelet_id} reaches frame {e.frame_idx} beyond "
-                    f"the video's {source.frame_count} frames"
-                )
-            frames[e.frame_idx].append(Detection(e.frame_idx, t.class_id, e.bbox, e.score))
-            ids[e.frame_idx].append(t.tubelet_id)
-    out = VideoDetections(source.video_id, source.frame_shape, source.frame_count, frames)
-    return out, Frames(ids)
+    t = TubeletColumns.of(sorted(tubelets, key=lambda t: t.tubelet_id))
+    return _objects(*_flatten(t, source))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError, ValidationError
-from .geometry import BBox, Detection, FrameShape, center
+from .geometry import BBox, Detection, FrameShape
 from .io import read_text
 
 MODEL_MAGIC = "repp-model v1"
@@ -93,12 +93,19 @@ def default_model() -> SimilarityModel:
 
 
 def box_terms(b: BBox, score: float, appearance: tuple[float, ...] | None = None) -> tuple:
-    """What pair_features needs of a box, computed once per box however many
-    pairs it is in: corners and area (as geometry.iou computes them),
-    centre, size, score and descriptor."""
-    x2, y2 = b.x2, b.y2
+    """box_terms_of for one box."""
     app = None if appearance is None else np.array(appearance)
-    return (b.x, b.y, x2, y2, (x2 - b.x) * (y2 - b.y), *center(b), b.w, b.h, score, app)
+    return box_terms_of(np.array([[b.x, b.y, b.w, b.h]], float), np.array([score], float), [app])[0]
+
+
+def box_terms_of(box: np.ndarray, score: np.ndarray, appearance: list) -> list[tuple]:
+    """What pair_features needs of each box row (x, y, w, h), computed once
+    per box however many pairs it is in: corners and area (as geometry.iou
+    computes them), centre, size, score and descriptor (an array or None)."""
+    x, y, w, h = box.T
+    x2, y2 = x + w, y + h
+    terms = (x, y, x2, y2, (x2 - x) * (y2 - y), x + w / 2.0, y + h / 2.0, w, h, score)
+    return list(zip(*(a.tolist() for a in terms), appearance))
 
 
 def pair_features(

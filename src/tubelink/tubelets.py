@@ -4,11 +4,16 @@ A tubelet is a frame-contiguous chain of boxes with one identity and class.
 This module holds the one linker of both levels: _link_candidates scores
 same-class tail -> head pairs, _accept_greedy accepts them one-to-one by
 descending score and _follow_chains collapses the accepted links into chains.
-It has two callers: build_tubelets, its gap-0 case over single detections,
-and linking.link_tubelets, its g_max case over tubelets. Refinement then
-blends confidences toward the tubelet mean, smooths coordinates with a
-centered moving average and drops short tubelets, which are the dominant
+It has two callers: _build, its gap-0 case over single detections,
+and linking._link, its g_max case over tubelets. Refinement then blends
+confidences toward the tubelet mean, smooths coordinates with a centered
+moving average and drops short tubelets, which are the dominant
 false-positive shape.
+
+The pipeline works on TubeletColumns, all tubelets at once in arrays.
+build_tubelets, rescore and smooth_coordinates, which take and give Tubelet
+objects, are adapters over the same code; filter_short applies its one
+comparison to a list.
 """
 
 from __future__ import annotations
@@ -17,13 +22,16 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import BBox, Detection, FrameShape, center
-from .io import VideoDetections
-from .similarity import SimilarityModel, box_terms, link_score, pair_features
+from .geometry import BBox, FrameShape, check_boxes
+from .io import BoxColumns, VideoDetections, columns_of
+from .similarity import SimilarityModel, box_terms_of, link_score, pair_features
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,46 @@ class Tubelet:
         return len(self.entries)
 
     def mean_score(self) -> float:
-        return sum(e.score for e in self.entries) / len(self.entries)
+        return float(_means(TubeletColumns.of([self]))[0])
+
+
+@dataclass
+class TubeletColumns:
+    """Tubelets as arrays: tubelet k holds the length[k] entries from
+    start[k] on, and the entries run tubelet after tubelet."""
+
+    tubelet_id: list[int]
+    class_id: np.ndarray  # int64, one per tubelet
+    length: np.ndarray  # int64, one per tubelet
+    frame: np.ndarray  # int64, one per entry
+    box: np.ndarray  # one row (x, y, w, h) per entry
+    score: np.ndarray
+
+    @property
+    def start(self) -> np.ndarray:
+        return np.cumsum(self.length) - self.length
+
+    @classmethod
+    def of(cls, ts: list[Tubelet]) -> TubeletColumns:
+        es = [e for t in ts for e in t.entries]
+        boxes = [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for e in es]
+        return cls([t.tubelet_id for t in ts], np.array([t.class_id for t in ts], np.int64),
+                   np.array([len(t) for t in ts], np.int64),
+                   np.array([e.frame_idx for e in es], np.int64),
+                   np.array(boxes, float).reshape(-1, 4), np.array([e.score for e in es], float))
+
+    def select(self, keep: np.ndarray) -> TubeletColumns:
+        """The tubelets where keep is True."""
+        rows = np.repeat(keep, self.length)
+        return TubeletColumns([i for i, k in zip(self.tubelet_id, keep.tolist()) if k],
+                              self.class_id[keep], self.length[keep], self.frame[rows],
+                              self.box[rows], self.score[rows])
+
+    def tubelets(self, entries: list[TubeletEntry]) -> list[Tubelet]:
+        """Tubelet objects of these tubelets, made of the given entries."""
+        ends = np.cumsum(self.length).tolist()
+        return [Tubelet(i, c, tuple(entries[end - n:end])) for i, c, n, end in zip(
+            self.tubelet_id, self.class_id.tolist(), self.length.tolist(), ends)]
 
 
 def _link_candidates(tails: list[tuple], heads: list[tuple], m: SimilarityModel,
@@ -84,16 +131,22 @@ def _link_candidates(tails: list[tuple], heads: list[tuple], m: SimilarityModel,
     same-class pair reaching tau whose head starts 1..g_max + 1 frames after
     its tail ends, the displacement divided by that frame distance. Tails and
     heads are (key, class_id, frame, box_terms) records, the frame being a
-    tail's last and a head's first; heads come in frame order."""
-    starts = [h[2] for h in heads]
+    tail's last and a head's first; heads come in frame order. tau is in
+    (0,1) at both levels, since link_score stays below 1."""
+    if not (0.0 < tau < 1.0):
+        raise ContractError(f"link threshold must be in (0,1), got {tau}")
+    by_class: defaultdict[int, list[tuple]] = defaultdict(list)  # each in frame order
+    for h in heads:
+        by_class[h[1]].append(h)
+    starts = {c: [h[2] for h in hs] for c, hs in by_class.items()}
     out: list[tuple[float, int, int]] = []
     for key, class_id, end, terms in tails:
-        lo, hi = bisect_left(starts, end + 1), bisect_right(starts, end + 1 + g_max)
-        for head_key, head_class, start, head_terms in heads[lo:hi]:
-            if head_class == class_id:
-                s = link_score(m, pair_features(terms, head_terms, 1.0, shape, start - end))
-                if s >= tau:
-                    out.append((s, key, head_key))
+        hs, at = by_class.get(class_id, []), starts.get(class_id, [])
+        for head_key, _, start, head_terms in hs[bisect_left(at, end + 1):
+                                                 bisect_right(at, end + 1 + g_max)]:
+            s = link_score(m, pair_features(terms, head_terms, 1.0, shape, start - end))
+            if s >= tau:
+                out.append((s, key, head_key))
     return out
 
 
@@ -140,6 +193,40 @@ def _exact_assignment(
     return [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
 
 
+def _build(c: BoxColumns, m: SimilarityModel, tau_link: float,
+           assignment: str) -> tuple[TubeletColumns, np.ndarray]:
+    """build_tubelets over rows grouped by frame: the tubelets, and the row
+    of each of their entries."""
+    if assignment not in ("greedy", "exact"):
+        raise ContractError(f"unknown assignment mode: {assignment!r}")
+    frames = c.frame_idx.tolist()
+    nodes = list(zip(range(len(frames)), c.class_id.tolist(), frames,
+                     box_terms_of(c.box, c.score, c.descriptors())))
+    scored = _link_candidates(nodes, nodes, m, 0, tau_link, c.frame_shape)
+    if assignment == "greedy":
+        successor = _accept_greedy(scored)
+    else:  # each frame pair's candidates, in the pair's own indices
+        stored, first, size = (a.tolist() for a in np.unique(
+            c.frame_idx, return_index=True, return_counts=True))
+        first, size = dict(zip(stored, first)), dict(zip(stored, size))
+        per_pair: defaultdict[int, list] = defaultdict(list)
+        for s, a, b in scored:
+            t = frames[a]
+            per_pair[t].append((s, a - first[t], b - first[t + 1]))
+        successor = {
+            first[t] + i: first[t + 1] + j for t, pair in per_pair.items()
+            for i, j in _exact_assignment(pair, size[t], size[t + 1])
+        }
+    chains = _follow_chains(range(len(frames)), successor)
+    x, y = c.box[:, 0].tolist(), c.box[:, 1].tolist()
+    # a stable sort: ties keep stream order
+    chains.sort(key=lambda ch: (frames[ch[0]], x[ch[0]], y[ch[0]]))
+    rows = np.fromiter(chain.from_iterable(chains), np.int64, len(frames))
+    length = np.fromiter(map(len, chains), np.int64, len(chains))
+    return TubeletColumns(list(range(len(chains))), c.class_id[rows[np.cumsum(length) - length]],
+                          length, c.frame_idx[rows], c.box[rows], c.score[rows]), rows
+
+
 def build_tubelets(
     v: VideoDetections,
     m: SimilarityModel,
@@ -157,36 +244,49 @@ def build_tubelets(
     (start_frame, first box x, y), ties in stream order, which makes the
     output deterministic for a given input.
     """
-    if not (0.0 < tau_link < 1.0):
-        raise ContractError(f"tau_link must be in (0,1), got {tau_link}")
-    if assignment not in ("greedy", "exact"):
-        raise ContractError(f"unknown assignment mode: {assignment!r}")
-    dets: list[Detection] = []
-    first: dict[int, int] = {}  # the key of each stored frame's first detection
-    for t, frame in v.frames.items():
-        first[t] = len(dets)
-        dets.extend(frame)
-    nodes = [(k, d.class_id, d.frame_idx, box_terms(d.bbox, d.score, d.appearance))
-             for k, d in enumerate(dets)]
-    scored = _link_candidates(nodes, nodes, m, 0, tau_link, v.frame_shape)
-    if assignment == "greedy":
-        successor = _accept_greedy(scored)
-    else:  # each frame pair's candidates, in the pair's own indices
-        per_pair: defaultdict[int, list] = defaultdict(list)
-        for s, a, b in scored:
-            t = dets[a].frame_idx
-            per_pair[t].append((s, a - first[t], b - first[t + 1]))
-        successor = {
-            first[t] + i: first[t + 1] + j for t, pair in per_pair.items()
-            for i, j in _exact_assignment(pair, len(v.frames[t]), len(v.frames[t + 1]))
-        }
+    t, rows = _build(columns_of(v), m, tau_link, assignment)
+    dets = v.all_detections()
+    return t.tubelets([TubeletEntry(dets[i].frame_idx, dets[i].bbox, dets[i].score)
+                       for i in rows.tolist()])
 
-    entries = [TubeletEntry(d.frame_idx, d.bbox, d.score) for d in dets]
-    chains = _follow_chains(range(len(dets)), successor)
-    # a stable sort: ties keep stream order
-    chains.sort(key=lambda c: (dets[c[0]].frame_idx, dets[c[0]].bbox.x, dets[c[0]].bbox.y))
-    return [Tubelet(k, dets[c[0]].class_id, tuple(entries[i] for i in c))
-            for k, c in enumerate(chains)]
+
+def _means(t: TubeletColumns) -> np.ndarray:
+    """Each tubelet's mean score: its scores added left to right, which is
+    what sum() does up to Python 3.11 (later ones compensate), over its length."""
+    scores, ends = t.score.tolist(), np.cumsum(t.length).tolist()
+    return np.array([reduce(add, scores[end - n:end], 0.0) / n
+                     for end, n in zip(ends, t.length.tolist())])
+
+
+def _rescore(t: TubeletColumns, alpha: float) -> np.ndarray:
+    """rescore's scores of every entry."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ContractError(f"alpha must be in [0,1], got {alpha}")
+    return alpha * t.score + (1.0 - alpha) * np.repeat(_means(t), t.length)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _smooth(t: TubeletColumns, window: int) -> np.ndarray:
+    """smooth_coordinates' boxes of every entry."""
+    if window < 1 or window % 2 == 0:
+        raise ContractError(f"window must be an odd integer >= 1, got {window}")
+    if window == 1:
+        return t.box
+    x, y, w, h = t.box.T
+    terms = np.column_stack([x + w / 2.0, y + h / 2.0, w, h])  # centre and size
+    size = np.repeat(t.length, t.length)
+    at = np.arange(len(size))
+    pos = at - np.repeat(t.start, t.length)
+    total, span = np.zeros(terms.shape), np.zeros(len(size))
+    for offset in range(-(window // 2), window // 2 + 1):  # left to right, as in _means
+        inside = (pos + offset >= 0) & (pos + offset < size)
+        total += np.where(inside[:, None], terms[np.where(inside, at + offset, at)], 0.0)
+        span += inside
+    cx, cy, mw, mh = (total / span[:, None]).T
+    box = np.where((size > 1)[:, None],
+                   np.column_stack([cx - mw / 2.0, cy - mh / 2.0, mw, mh]), t.box)
+    check_boxes(box)
+    return box
 
 
 def rescore(t: Tubelet, alpha: float = 0.5) -> Tubelet:
@@ -196,14 +296,9 @@ def rescore(t: Tubelet, alpha: float = 0.5) -> Tubelet:
     The mean itself is preserved for every alpha, and variance shrinks by
     alpha^2. Geometry is untouched.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ContractError(f"alpha must be in [0,1], got {alpha}")
-    mean = t.mean_score()
-    entries = tuple(
-        TubeletEntry(e.frame_idx, e.bbox, alpha * e.score + (1.0 - alpha) * mean, e.interpolated)
-        for e in t.entries
-    )
-    return Tubelet(t.tubelet_id, t.class_id, entries)
+    scores = _rescore(TubeletColumns.of([t]), alpha).tolist()
+    return Tubelet(t.tubelet_id, t.class_id, tuple(
+        TubeletEntry(e.frame_idx, e.bbox, s, e.interpolated) for e, s in zip(t.entries, scores)))
 
 
 def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
@@ -212,27 +307,12 @@ def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
     The window must be odd so the average is centered; scores and
     interpolation flags pass through unchanged.
     """
-    if window < 1 or window % 2 == 0:
-        raise ContractError(f"window must be an odd integer >= 1, got {window}")
-    if window == 1 or len(t.entries) == 1:
+    boxes = _smooth(TubeletColumns.of([t]), window).tolist()
+    if window == 1 or len(t) == 1:
         return t
-    half = window // 2
-    n = len(t.entries)
-    cx, cy = zip(*(center(e.bbox) for e in t.entries))
-    w = [e.bbox.w for e in t.entries]
-    h = [e.bbox.h for e in t.entries]
-
-    entries = []
-    for k, e in enumerate(t.entries):
-        lo, hi = max(0, k - half), min(n, k + half + 1)
-        span = hi - lo
-        mcx = sum(cx[lo:hi]) / span
-        mcy = sum(cy[lo:hi]) / span
-        mw = sum(w[lo:hi]) / span
-        mh = sum(h[lo:hi]) / span
-        bbox = BBox(mcx - mw / 2.0, mcy - mh / 2.0, mw, mh)
-        entries.append(TubeletEntry(e.frame_idx, bbox, e.score, e.interpolated))
-    return Tubelet(t.tubelet_id, t.class_id, tuple(entries))
+    return Tubelet(t.tubelet_id, t.class_id, tuple(
+        TubeletEntry(e.frame_idx, BBox(*b), e.score, e.interpolated)
+        for e, b in zip(t.entries, boxes)))
 
 
 def filter_short(ts: list[Tubelet], min_len: int = 2) -> list[Tubelet]:

@@ -25,7 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from tubelink import generate, standard_scenario, write_detections, write_ground_truth
+from tubelink import (
+    BBox, Detection, Tubelet, TubeletEntry, generate, standard_scenario, write_detections,
+    write_ground_truth,
+)
 from tubelink.cli import main
 
 FLAGS = {
@@ -303,6 +306,30 @@ def test_all_stages_off_passes_the_input_through(tmp_path):
     run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS["off"])
     assert any(len(line.split()) > 7 for line in det_path.read_text().splitlines())  # descriptors
     assert out.read_bytes() == det_path.read_bytes()
+
+
+GUARDED = [("0", "default"), ("0", "nms"), ("0", "no-link"), ("multiclass", "default"),
+           ("multiclass", "off"), ("multiclass:again", "default")]
+
+
+@pytest.mark.parametrize("name,flags", GUARDED, ids=[f"{n}-{f}" for n, f in GUARDED])
+def test_postprocess_builds_no_per_box_object(name, flags, tmp_path, monkeypatch):
+    # postprocess runs on arrays from read to write: with the per-box value
+    # types unable to be built, it still writes the golden bytes
+    _, det_path = write_inputs(name, tmp_path)
+
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for cls in (BBox, Detection, TubeletEntry, Tubelet):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="a BBox was built"):
+        BBox(0.0, 0.0, 1.0, 1.0)
+    out = tmp_path / "out.txt"
+    run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS[flags])
+    if name.endswith(":again"):
+        run_cli("postprocess", "--detections", out, "--out", out, *FLAGS[flags])
+    assert digest(out) == GOLDEN[name, flags][1]
 
 
 @pytest.mark.parametrize("name", RAW_NAMES)

@@ -287,7 +287,8 @@ def assert_same_columns(a, b):
     """Two BoxColumns hold equal header fields and equal arrays of one dtype."""
     assert (a.video_id, a.frame_shape, a.frame_count) == (b.video_id, b.frame_shape, b.frame_count)
     for x, y in [(a.frame_idx, b.frame_idx), (a.class_id, b.class_id), (a.box, b.box),
-                 (a.score, b.score)]:
+                 (a.score, b.score), (a.descriptor, b.descriptor),
+                 (a.descriptor_len, b.descriptor_len)]:
         assert (x is None) == (y is None)
         if x is not None:
             assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
@@ -398,6 +399,42 @@ class TestReadColumns:
         assert_same_columns(c, columns_of(read_detections(p)))
         assert c.frame_idx.tolist() == [0, 2, 2] and bulk.frame_idx.tolist() == [2, 0, 2]
         assert c.score.tolist() == [0.6, 0.5, 0.7]
+
+
+class TestDescriptorColumns:
+    """Both column routes give each box's descriptor as a row prefix of one
+    matrix, and the writer writes columns as it writes the stream."""
+
+    def test_descriptors_of_several_lengths(self, tmp_path):
+        p = write(tmp_path, "#video v 1280 720 4\n2 0 1 1 5 5 0.5 0.6 0.8\n0 1 1 1 5 5 0.6\n"
+                            "2 1 2 2 5 5 0.7 0 0 1\n1 0 3 3 5 5 0.2 -1\n")
+        c = read_columns(p)
+        assert c.descriptor_len.tolist() == [2, 0, 3, 1]
+        assert c.descriptor.tolist() == [[0.6, 0.8, 0], [0, 0, 0], [0, 0, 1], [-1, 0, 0]]
+        assert [None if a is None else a.tolist() for a in c.descriptors()] == [
+            [0.6, 0.8], None, [0.0, 0.0, 1.0], [-1.0]]
+        stream = columns_of(read_detections(p))  # frame order
+        assert stream.descriptor_len.tolist() == [0, 1, 2, 3]
+        assert_same_columns(c.take(np.argsort(c.frame_idx, kind="stable")), stream)
+
+    def test_columns_write_the_bytes_of_their_stream(self, rng, tmp_path):
+        for k in range(40):
+            v = random_stream(rng, with_appearance=(k % 2 == 0))
+            ids = {f: [7 * f + j for j in range(len(d))] for f, d in v.frames.items()}
+            for tubelet_ids in (None, ids):
+                write_detections(v, tmp_path / "a.txt", tubelet_ids)
+                flat = None if tubelet_ids is None else np.array(
+                    [i for f in v.frames for i in ids[f]], np.int64)
+                write_detections(columns_of(v), tmp_path / "b.txt", flat)
+                assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize("tubelet_id", [2 ** 63, 2 ** 70, -1])
+    def test_any_tubelet_id_is_read_in_bulk(self, tmp_path, tubelet_id):
+        # the ids are checked to be integers, as read_detections reads them, and not stored
+        p = write(tmp_path, "#video v 1280 720 4\n#tubelets\n"
+                            f"0 0 1 1 5 5 0.5 {tubelet_id}\n")
+        assert io._bulk_columns(p, False) is not None
+        assert read_detections_with_ids(p)[1] == {0: [tubelet_id]}
 
 
 MAX_ID = 2 ** 63 - 1

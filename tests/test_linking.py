@@ -29,7 +29,7 @@ from tubelink import (
 from tubelink.similarity import box_terms, pair_features
 
 from conftest import SHAPE, det
-from test_tubelets import ORACLE, tubelets
+from test_tubelets import ORACLE, added, tubelets
 from test_similarity import (
     oracle_tubelet_features, oracle_tubelet_link_score, random_box, random_model,
 )
@@ -139,6 +139,13 @@ class TestInterpolateGap:
             assert e.bbox.x == pytest.approx(box.x)
             assert e.bbox.w == pytest.approx(box.w)
 
+    def test_box_that_overflows_rejected(self):
+        # the centres' difference is not finite, so neither is the box between
+        a = tubelet([(0, BBox(-1.6e308, 0, 1, 1), 0.8)])
+        b = tubelet([(3, BBox(1.6e308, 0, 1, 1), 0.8)], tid=1)
+        with pytest.raises(ValidationError, match="bbox field x is not finite"):
+            interpolate_gap(a, b)
+
     def test_adjacent_rejected(self):
         with pytest.raises(ContractError):
             interpolate_gap(run(0, 5), run(5, 5, tid=1))
@@ -154,8 +161,8 @@ def oracle_interpolate_gap(a, b, score_mode="mean"):
     gap = b.start_frame - a.end_frame - 1
     tail, head = a.entries[-1], b.entries[0]
     if score_mode == "mean":
-        score = (sum(e.score for e in a.entries) / len(a.entries)
-                 + sum(e.score for e in b.entries) / len(b.entries)) / 2.0
+        score = (added(e.score for e in a.entries) / len(a.entries)
+                 + added(e.score for e in b.entries) / len(b.entries)) / 2.0
     else:
         score = (tail.score + head.score) / 2.0
     tcx, tcy = tail.bbox.x + tail.bbox.w / 2.0, tail.bbox.y + tail.bbox.h / 2.0
@@ -211,9 +218,19 @@ class TestLinkTubelets:
         assert len(out) == 2
 
     def test_degenerate_parameters_identity(self):
+        # the largest threshold below 1, which link_score can still reach
         ts = build_tubelets(split_track_stream(), MODEL)
-        out = link_tubelets(ts, MODEL, g_max=0, tau_tub=1.0, shape=SHAPE)
+        out = link_tubelets(ts, MODEL, g_max=0, tau_tub=math.nextafter(1.0, 0.0), shape=SHAPE)
         assert out == ts
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5])
+    def test_threshold_outside_the_open_unit_interval_rejected(self, tau):
+        # link_score stays below 1, so a threshold of 1 used to link nothing silently
+        ts = build_tubelets(split_track_stream(), MODEL)
+        with pytest.raises(ContractError, match=r"must be in \(0,1\)"):
+            link_tubelets(ts, MODEL, g_max=5, tau_tub=tau, shape=SHAPE)
+        with pytest.raises(ContractError, match=r"must be in \(0,1\)"):
+            build_tubelets(split_track_stream(), MODEL, tau_link=tau)
 
     def test_score_equal_to_the_threshold_merges(self):
         a, b = run(0, 3), run(6, 3, tid=1, box=BBox(104, 100, 40, 44))

@@ -78,6 +78,15 @@ class TestPostprocessVideo:
         )
         assert out.frames[0] == [dup[0]]
 
+    def test_tubelet_ids_of_any_size_flatten(self):
+        from conftest import SHAPE
+        from tubelink import BBox, Tubelet, TubeletEntry, VideoDetections, tubelets_to_detections
+
+        ts = [Tubelet(i, 0, (TubeletEntry(1, BBox(i % 7, 0, 5, 5), 0.5),)) for i in (2 ** 70, 3)]
+        out, ids = tubelets_to_detections(ts, VideoDetections("v", SHAPE, 2, {}))
+        assert ids == {1: [3, 2 ** 70]}
+        assert [d.bbox.x for d in out.frames[1]] == [3.0, float(2 ** 70 % 7)]
+
     def test_link_without_refinement(self, tmp_path):
         # tubelet linking alone still needs tubelets built underneath
         cfg, _, det_path = write_scenario(
@@ -179,6 +188,16 @@ class TestCliPostprocess:
         assert f"error: {det_path}:2: bbox corner is not finite" in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
+    def test_smoothed_box_that_overflows_is_a_data_error(self, tmp_path, capsys):
+        # each box's corner is finite, but the sum of their centres is not:
+        # the smoothed box is rejected as BBox rejects it, not written as inf
+        det_path = tmp_path / "raw.txt"
+        det_path.write_text("#video v 100 100 2\n0 0 1.6e308 0 1e307 5 0.9\n"
+                            "1 0 1.6e308 0 1e307 5 0.9\n")
+        rc = main(["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bbox field x is not finite: inf\n"
+
     def test_descriptor_lengths_differ_is_a_data_error(self, tmp_path, capsys):
         # found by tests/test_fuzz_readers.py: np.dot's shape ValueError used
         # to escape as a traceback
@@ -251,6 +270,47 @@ class TestCliPostprocess:
         assert main(argv) == 0
         assert seen == [workers]
         assert all((tmp_path / f"o{k}.txt").exists() for k in range(3))
+
+    @pytest.mark.parametrize("tubelet_id", [2 ** 63, -1])
+    def test_any_tubelet_id_takes_the_column_path(self, tmp_path, capsys, monkeypatch,
+                                                   tubelet_id):
+        # the ids of a #tubelets file are read as read_detections reads them,
+        # and neither postprocess nor eval uses them
+        det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
+        det_path.write_text(f"#video v 100 100 3\n#tubelets\n0 0 1 1 5 5 0.5 {tubelet_id}\n"
+                            f"1 0 1 1 5 5 0.7 {tubelet_id}\n2 1 9 9 5 5 0.6 3\n")
+        gt_path.write_text("#video v 100 100 3\n0 0 0 1 1 5 5\n")
+        want = tmp_path / "want.txt"
+        refined, ids = postprocess_video(read_detections(det_path))
+        write_detections(refined, want, ids)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read into objects")
+
+        monkeypatch.setattr(io, "read_detections", refuse)
+        monkeypatch.setattr(io, "read_ground_truth", refuse)
+        out = tmp_path / "out.txt"
+        assert main(["postprocess", "--detections", str(det_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)]) == 0
+
+    def test_lines_out_of_frame_order_give_the_bytes_of_frame_order(self, tmp_path, capsys):
+        # the rows are sorted by frame with a stable sort, as the object reader
+        # stores them: odd frames first, each frame's lines in file order
+        _, _, det_path = write_scenario(tmp_path, seed=3, frame_count=40, classes=3,
+                                        appearance_dim=4)
+        header, *lines = det_path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.txt"
+        odd_first = sorted(lines, key=lambda line: int(line.split()[0]) % 2 == 0)
+        shuffled.write_text("\n".join([header, *odd_first]))
+        assert shuffled.read_text().splitlines()[1].split()[0] == "1"
+        for flags in ([], ["--nms-iou", "0.5"], ["--no-repp", "--no-tubelet-link"]):
+            outs = [tmp_path / "o1.txt", tmp_path / "o2.txt"]
+            for src, out in zip((det_path, shuffled), outs):
+                argv = ["postprocess", "--detections", str(src), "--out", str(out), *flags]
+                assert main(argv) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() == det_path.read_bytes()  # all stages off
 
     def test_output_reusable_as_input(self, tmp_path, capsys):
         _, _, det_path = write_scenario(tmp_path, seed=3, frame_count=40)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubelink import (
@@ -24,6 +24,8 @@ from tubelink import (
     rescore,
     smooth_coordinates,
 )
+
+from tubelink.tubelets import TubeletColumns, _rescore, _smooth
 
 from conftest import SHAPE, det, random_stream
 
@@ -312,9 +314,18 @@ class TestSmoothCoordinates:
             smooth_coordinates(t, 4)
 
 
+def added(xs):
+    """xs added left to right: the seed's sum() on Python 3.11, which is what
+    tubelink computes on every version (later sum()s compensate)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def oracle_rescore(t, alpha):
     """The seed's rescore, through dataclasses.replace."""
-    mean = t.mean_score()
+    mean = added(e.score for e in t.entries) / len(t.entries)
     entries = tuple(
         dataclasses.replace(e, score=alpha * e.score + (1.0 - alpha) * mean) for e in t.entries
     )
@@ -334,8 +345,8 @@ def oracle_smooth_coordinates(t, window):
     for k, e in enumerate(t.entries):
         lo, hi = max(0, k - half), min(n, k + half + 1)
         span = hi - lo
-        mcx, mcy = sum(cx[lo:hi]) / span, sum(cy[lo:hi]) / span
-        mw, mh = sum(w[lo:hi]) / span, sum(h[lo:hi]) / span
+        mcx, mcy = added(cx[lo:hi]) / span, added(cy[lo:hi]) / span
+        mw, mh = added(w[lo:hi]) / span, added(h[lo:hi]) / span
         entries.append(dataclasses.replace(e, bbox=BBox(mcx - mw / 2.0, mcy - mh / 2.0, mw, mh)))
     return Tubelet(t.tubelet_id, t.class_id, tuple(entries))
 
@@ -402,6 +413,24 @@ class TestRefinementMatchesPerEntryArithmetic:
     @given(tubelets(), st.sampled_from([1, 3, 5, 7, 9, 41]))
     def test_smooth_coordinates(self, t, window):
         assert smooth_coordinates(t, window) == oracle_smooth_coordinates(t, window)
+
+
+class TestBatchedRefinementMatchesPerTubelet:
+    """The array core refines all tubelets at once; each tubelet's values are
+    the oracles' of that tubelet alone, windows never reaching across."""
+
+    @ORACLE
+    @given(st.lists(tubelets(), max_size=6), st.sampled_from([0.0, 0.3, 1.0]),
+           st.sampled_from([1, 3, 5, 9]))
+    # a one-entry tubelet keeps its box: (0.1 + 0.35) - 0.35 is not 0.1
+    @example([Tubelet(0, 0, (TubeletEntry(4, BBox(0.1, 0.1, 0.7, 0.7), 0.5),))], 0.3, 5)
+    def test_rescore_and_smooth(self, ts, alpha, window):
+        t = TubeletColumns.of(ts)
+        assert _rescore(t, alpha).tolist() == [
+            e.score for x in ts for e in oracle_rescore(x, alpha).entries]
+        assert _smooth(t, window).tolist() == [
+            [e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h]
+            for x in ts for e in oracle_smooth_coordinates(x, window).entries]
 
 
 class TestFilterShort:
