@@ -18,6 +18,14 @@ from .errors import ContractError, ValidationError
 _MAX_ID = 2 ** 63 - 1  # the largest class or track id, so that ids fit int64 columns
 
 
+def added(values):
+    """The values added left to right, as sum() does up to Python 3.11 (3.12 compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box: top-left corner (x, y), positive width and height."""
@@ -108,7 +116,7 @@ class Detection:
             # a NaN would pass the norm test below, as every comparison with it fails
             if not all(map(math.isfinite, self.appearance)):
                 raise ValidationError("appearance vector has a non-finite component")
-            norm = math.sqrt(sum(a * a for a in self.appearance))
+            norm = math.sqrt(added(a * a for a in self.appearance))
             if abs(norm - 1.0) > 1e-6:
                 raise ValidationError(
                     f"appearance vector is not unit-norm (|v| = {norm:.9f})"

@@ -20,13 +20,13 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
-read_columns gives eval and postprocess a file's boxes as arrays, the
-descriptors as rows of one matrix. A file that keeps every rule is parsed in
-bulk, with no per-box objects; any other file is read by read_detections or
+read_columns gives eval and postprocess a file's boxes as arrays in stored
+order, by frame, the descriptors as rows of one matrix. A file that keeps
+every rule is parsed in bulk; any other file is read by read_detections or
 read_ground_truth, so their errors are the only ones. Class and track ids
 are at most 2**63 - 1, so every stream fits the arrays; tubelet ids are
-checked, not stored. write_detections writes a stream or columns, each line
-formatted in one place.
+checked, not stored. columns_of and stream_of map a stream to columns and
+back. write_detections writes either, each line formatted in one place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .geometry import _MAX_ID, BBox, Detection, FrameShape
+from .geometry import _MAX_ID, BBox, Detection, FrameShape, added
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
@@ -295,6 +295,8 @@ def write_detections(
         rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
         descriptors = [None if a is None else a.tolist() for a in v.descriptors()]
         ids = None if tubelet_ids is None else np.asarray(tubelet_ids).tolist()
+        if ids is not None and len(ids) != len(descriptors):
+            raise ValidationError(f"{len(ids)} tubelet_ids for {len(descriptors)} detections")
     else:
         ids = None
         if tubelet_ids is not None:
@@ -347,7 +349,7 @@ def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
 
 @dataclass
 class BoxColumns:
-    """A stream file's header fields and its boxes as arrays in file order."""
+    """A stream file's header fields and its boxes as arrays."""
 
     video_id: str
     frame_shape: FrameShape
@@ -387,17 +389,30 @@ def columns_of(s: VideoDetections | GroundTruth) -> BoxColumns:
     )
 
 
-def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
-    """The boxes of a detection or ground-truth file as columns.
+def stream_of(c: BoxColumns, ids: np.ndarray | None) -> tuple[VideoDetections, Frames | None]:
+    """The detection stream of columns in stored order, the inverse of
+    columns_of, and the tubelet ids parallel to the rows by frame, or None."""
+    frames, by_frame = defaultdict(list), defaultdict(list)
+    for f, k, b, s, a in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.box.tolist(),
+                             c.score.tolist(), c.descriptors()):
+        frames[f].append(Detection(f, k, BBox(*b), s, None if a is None else tuple(a.tolist())))
+    for f, i in zip(c.frame_idx.tolist(), [] if ids is None else ids.tolist()):
+        by_frame[f].append(i)
+    stream = VideoDetections(c.video_id, c.frame_shape, c.frame_count, frames)
+    return stream, None if ids is None else Frames(by_frame)
 
-    A file that _bulk_columns takes gives its boxes in file order. Any other
-    file is read by read_detections or read_ground_truth, which raise its
-    error; should one take it, columns_of gives its boxes, in frame order.
+
+def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
+    """A detection or ground-truth file's boxes as columns in stored order.
+
+    A file that _bulk_columns takes has its rows sorted by frame, stably. Any
+    other file is read by read_detections or read_ground_truth, which raise
+    its error; should one take it, columns_of gives its boxes.
     """
     columns = _bulk_columns(path, ground_truth)
     if columns is None:
         return columns_of((read_ground_truth if ground_truth else read_detections)(path))
-    return columns
+    return columns.take(np.argsort(columns.frame_idx, kind="stable"))
 
 
 _COLUMN_CHUNK = 1 << 8  # lines _bulk_columns splits at a time, to bound the tokens it holds
@@ -414,7 +429,7 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     value rules is checked in bulk, the descriptors' too. A tubelet id may be
     any integer: it is parsed and not stored. A file that breaks a rule, or
     whose class or frame ids exceed int64, gives None. So a file taken here
-    is one the object reader takes, with the same values in the same order.
+    is one the object reader takes, with the same values, in file order.
     """
     path = str(path)
     lines = read_text(path).splitlines()
@@ -444,11 +459,8 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
             except (ValueError, OverflowError):
                 return None
             count += len(rows)
-        for _, a in descriptors:  # summed in sum(a * a for a in it)'s order; a NaN or inf fails
-            norm2 = a[0] * a[0]
-            for c in a[1:]:
-                norm2 = norm2 + c * c
-            ok.append(abs(np.sqrt(norm2) - 1.0) <= 1e-6)
+        for _, a in descriptors:  # Detection's norm, component by component; a NaN or inf fails
+            ok.append(abs(np.sqrt(added(a * a)) - 1.0) <= 1e-6)
         frame, cls, *cols = map(np.concatenate, chunks)
         x, y, w, h = cols[1:5] if ground_truth else cols[:4]
         ok += [frame >= 0, frame < frame_count, cls >= 0,

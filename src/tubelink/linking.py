@@ -7,8 +7,9 @@ the end/start boxes score as the same object, then fills the gap by linear
 interpolation. Interpolated frames get the average of the two fragments'
 confidences.
 
-_link and _interpolate do this for TubeletColumns; link_tubelets and
-interpolate_gap are their adapters for Tubelet objects.
+_link and _interpolate do this for TubeletColumns. link_tubelets and
+interpolate_gap run them between TubeletColumns.of and .tubelets, so what
+they give is equal in value and flag to the entries it stands for.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .geometry import BBox, FrameShape, check_boxes
+from .geometry import FrameShape, check_boxes
 from .similarity import SimilarityModel, box_terms, box_terms_of, link_score, pair_features
 from .tubelets import (
     Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates, _means,
@@ -57,10 +58,9 @@ def tubelet_link_score(
 
 @np.errstate(over="ignore", invalid="ignore")
 def _interpolate(t: TubeletColumns, cur: np.ndarray, nxt: np.ndarray,
-                 score_mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """interpolate_gap of each pair of tubelets (cur[i], nxt[i]) of t, the
-    gaps laid end to end: the frame, box and score of each synthesized entry,
-    and the pair it fills."""
+                 score_mode: str) -> TubeletColumns:
+    """interpolate_gap of each pair of tubelets (cur[i], nxt[i]) of t: the
+    synthesized entries of the gap of pair i as tubelet i."""
     if score_mode not in ("mean", "endpoint"):
         raise ContractError(f"unknown score_mode: {score_mode!r}")
     tail, head = (t.start + t.length - 1)[cur], t.start[nxt]
@@ -81,7 +81,8 @@ def _interpolate(t: TubeletColumns, cur: np.ndarray, nxt: np.ndarray,
     w, h = tw + f * (hw - tw), th + f * (hh - th)
     box = np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h])
     check_boxes(box)
-    return t.frame[tail[pair]] + k, box, score[pair], pair
+    return TubeletColumns(list(range(len(gap))), t.class_id[cur], gap,
+                          t.frame[tail[pair]] + k, box, score[pair], np.ones(len(pair), bool))
 
 
 def interpolate_gap(
@@ -95,16 +96,13 @@ def interpolate_gap(
     two endpoint scores with score_mode="endpoint"). Entries are flagged
     interpolated.
     """
-    frame, box, score, _ = _interpolate(TubeletColumns.of([a, b]), np.array([0]), np.array([1]),
-                                        score_mode)
-    return [TubeletEntry(f, BBox(*b), s, True)
-            for f, b, s in zip(frame.tolist(), box.tolist(), score.tolist())]
+    gaps = _interpolate(TubeletColumns.of([a, b]), np.array([0]), np.array([1]), score_mode)
+    return list(gaps.tubelets()[0].entries)
 
 
 def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
-          shape: FrameShape | None, score_mode: str) -> tuple[TubeletColumns, np.ndarray]:
-    """link_tubelets over TubeletColumns: the merged tubelets, and for each
-    of their entries its row in t's entries followed by the synthesized ones."""
+          shape: FrameShape | None, score_mode: str) -> TubeletColumns:
+    """link_tubelets over TubeletColumns."""
     if g_max < 0:
         raise ContractError(f"g_max must be >= 0, got {g_max}")
     if shape is None:
@@ -132,17 +130,15 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     cur = np.array([i for chain in chains for i in chain[:-1]], np.int64)
     nxt = np.array([i for chain in chains for i in chain[1:]], np.int64)
     fill = t.frame[start[nxt]] - t.frame[end[cur]] > 1
-    frame, box, score, pair = _interpolate(t, cur[fill], nxt[fill], score_mode)
+    gaps = _interpolate(t, cur[fill], nxt[fill], score_mode)
 
     # each merged tubelet's entries are its parts' and its gaps', in frame order
-    owner = np.concatenate([np.repeat(rank, t.length), rank[cur[fill]][pair]])
-    frame = np.concatenate([t.frame, frame])
-    order = np.lexsort((frame, owner))
-    merged = TubeletColumns(
-        list(range(len(chains))), t.class_id[[c[0] for c in chains]],
-        np.bincount(owner, minlength=len(chains)), frame[order],
-        np.concatenate([t.box, box])[order], np.concatenate([t.score, score])[order])
-    return merged, order
+    owner = np.concatenate([np.repeat(rank, t.length), np.repeat(rank[cur[fill]], gaps.length)])
+    order = np.lexsort((np.concatenate([t.frame, gaps.frame]), owner))
+    entries = [np.concatenate([getattr(t, k), getattr(gaps, k)])[order]
+               for k in ("frame", "box", "score", "interpolated")]
+    return TubeletColumns(list(range(len(chains))), t.class_id[[c[0] for c in chains]],
+                          np.bincount(owner, minlength=len(chains)), *entries)
 
 
 def link_tubelets(
@@ -161,13 +157,8 @@ def link_tubelets(
     score (ties by ascending id pair); each tubelet gains at most one
     successor and one predecessor, and accepted chains collapse transitively
     into single tubelets with their gaps filled by interpolate_gap. Surviving
-    entries of the inputs are carried over as they are; ids are reassigned in
-    canonical (start_frame, x, y) order, which leaves an already-canonical
-    input unchanged when nothing merges.
+    entries of the inputs are carried over with their values and flags; ids
+    are reassigned in canonical (start_frame, x, y) order, which leaves an
+    already-canonical input unchanged when nothing merges.
     """
-    merged, order = _link(TubeletColumns.of(ts), m, g_max, tau_tub, shape, score_mode)
-    entries = [e for t in ts for e in t.entries]
-    n = len(entries)
-    return merged.tubelets([
-        entries[i] if i < n else TubeletEntry(f, BBox(*b), s, True) for i, f, b, s in zip(
-            order.tolist(), merged.frame.tolist(), merged.box.tolist(), merged.score.tolist())])
+    return _link(TubeletColumns.of(ts), m, g_max, tau_tub, shape, score_mode).tubelets()

@@ -9,19 +9,19 @@ independently to reproduce the three-row ablation
 _postprocess runs the stages on the arrays of io.BoxColumns, from the rows
 a file was read into to the rows that are written, with no per-box object;
 the tubelets in between are tubelets.TubeletColumns. postprocess_video and
-tubelets_to_detections are its adapters for stream and tubelet objects.
+tubelets_to_detections convert their objects with io.columns_of or
+TubeletColumns.of, and give the result back through io.stream_of.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
-from .geometry import BBox, Detection, nms_rows
-from .io import BoxColumns, Frames, VideoDetections, columns_of
+from .geometry import nms_rows
+from .io import BoxColumns, VideoDetections, columns_of, stream_of
 from .linking import _link
 from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, setting, validate
 from .similarity import SimilarityModel, default_model
@@ -58,22 +58,20 @@ class PipelineConfig:
 
 
 def _postprocess(c: BoxColumns, config: PipelineConfig) -> tuple[BoxColumns, np.ndarray | None]:
-    """postprocess_video over columns: the output rows and each row's tubelet
-    id, or the input rows in frame order and None when every stage is off."""
-    c = c.take(np.argsort(c.frame_idx, kind="stable"))  # as Frames stores them
+    """postprocess_video over columns in stored order: the output rows and
+    each row's tubelet id, or the input rows and None when every stage is off."""
     if config.nms_iou is not None:
         c = c.take(nms_rows(c.frame_idx, c.class_id, c.box, c.score, config.nms_iou))
     if not config.repp and not config.tubelet_link:
         return c, None
 
-    t, _ = _build(c, config.model, config.tau_link, config.assignment)
+    t = _build(c, config.model, config.tau_link, config.assignment)
     if config.repp:
         t.score = _rescore(t, config.alpha)
         t.box = _smooth(t, config.smooth_window)
         t = t.select(t.length >= config.min_len)
     if config.tubelet_link:
-        t, _ = _link(t, config.model, config.g_max, config.tau_tub, c.frame_shape,
-                     config.interp_score)
+        t = _link(t, config.model, config.g_max, config.tau_tub, c.frame_shape, config.interp_score)
     return _flatten(t, c)
 
 
@@ -92,18 +90,6 @@ def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections
                        np.zeros(n, np.int64)), np.asarray(t.tubelet_id)[owner[order]])
 
 
-def _objects(c: BoxColumns, ids: np.ndarray | None) -> tuple[VideoDetections, Frames | None]:
-    """The stream of the columns, and their ids by frame."""
-    frames, by_frame = defaultdict(list), defaultdict(list)
-    for f, k, b, s, a in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.box.tolist(),
-                             c.score.tolist(), c.descriptors()):
-        frames[f].append(Detection(f, k, BBox(*b), s, None if a is None else tuple(a.tolist())))
-    for f, i in zip(c.frame_idx.tolist(), [] if ids is None else ids.tolist()):
-        by_frame[f].append(i)
-    stream = VideoDetections(c.video_id, c.frame_shape, c.frame_count, frames)
-    return stream, None if ids is None else Frames(by_frame)
-
-
 def postprocess_video(
     v: VideoDetections, config: PipelineConfig | None = None
 ) -> tuple[VideoDetections, dict[int, list[int]] | None]:
@@ -113,7 +99,7 @@ def postprocess_video(
     (input, None) when every stage is disabled. With all stages off the
     output is the input, which is the ablation baseline.
     """
-    return _objects(*_postprocess(columns_of(v), config or PipelineConfig()))
+    return stream_of(*_postprocess(columns_of(v), config or PipelineConfig()))
 
 
 def tubelets_to_detections(
@@ -125,4 +111,4 @@ def tubelets_to_detections(
     deterministic because ids are canonical.
     """
     t = TubeletColumns.of(sorted(tubelets, key=lambda t: t.tubelet_id))
-    return _objects(*_flatten(t, source))
+    return stream_of(*_flatten(t, source))

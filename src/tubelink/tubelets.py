@@ -11,9 +11,10 @@ moving average and drops short tubelets, which are the dominant
 false-positive shape.
 
 The pipeline works on TubeletColumns, all tubelets at once in arrays.
-build_tubelets, rescore and smooth_coordinates, which take and give Tubelet
-objects, are adapters over the same code; filter_short applies its one
-comparison to a list.
+TubeletColumns.of and .tubelets convert Tubelet objects to columns and back,
+losing nothing. build_tubelets, rescore and smooth_coordinates run the array
+code between the two, so their entries equal the input's in value and flag
+but are new objects. filter_short applies its one comparison to a list.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import BBox, FrameShape, check_boxes
+from .geometry import BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
 from .similarity import SimilarityModel, box_terms_of, link_score, pair_features
 
@@ -97,6 +96,7 @@ class TubeletColumns:
     frame: np.ndarray  # int64, one per entry
     box: np.ndarray  # one row (x, y, w, h) per entry
     score: np.ndarray
+    interpolated: np.ndarray  # bool, one per entry
 
     @property
     def start(self) -> np.ndarray:
@@ -109,20 +109,22 @@ class TubeletColumns:
         return cls([t.tubelet_id for t in ts], np.array([t.class_id for t in ts], np.int64),
                    np.array([len(t) for t in ts], np.int64),
                    np.array([e.frame_idx for e in es], np.int64),
-                   np.array(boxes, float).reshape(-1, 4), np.array([e.score for e in es], float))
+                   np.array(boxes, float).reshape(-1, 4), np.array([e.score for e in es], float),
+                   np.array([e.interpolated for e in es], bool))
 
     def select(self, keep: np.ndarray) -> TubeletColumns:
         """The tubelets where keep is True."""
         rows = np.repeat(keep, self.length)
         return TubeletColumns([i for i, k in zip(self.tubelet_id, keep.tolist()) if k],
                               self.class_id[keep], self.length[keep], self.frame[rows],
-                              self.box[rows], self.score[rows])
+                              self.box[rows], self.score[rows], self.interpolated[rows])
 
-    def tubelets(self, entries: list[TubeletEntry]) -> list[Tubelet]:
-        """Tubelet objects of these tubelets, made of the given entries."""
-        ends = np.cumsum(self.length).tolist()
-        return [Tubelet(i, c, tuple(entries[end - n:end])) for i, c, n, end in zip(
-            self.tubelet_id, self.class_id.tolist(), self.length.tolist(), ends)]
+    def tubelets(self) -> list[Tubelet]:
+        """The Tubelet objects of these columns, the inverse of of()."""
+        entries = list(map(TubeletEntry, self.frame.tolist(), [BBox(*b) for b in self.box.tolist()],
+                           self.score.tolist(), self.interpolated.tolist()))
+        return [Tubelet(i, c, tuple(entries[s:s + n])) for i, c, s, n in zip(
+            self.tubelet_id, self.class_id.tolist(), self.start.tolist(), self.length.tolist())]
 
 
 def _link_candidates(tails: list[tuple], heads: list[tuple], m: SimilarityModel,
@@ -193,10 +195,8 @@ def _exact_assignment(
     return [(int(i), int(j)) for i, j in zip(rows, cols) if eligible[i, j]]
 
 
-def _build(c: BoxColumns, m: SimilarityModel, tau_link: float,
-           assignment: str) -> tuple[TubeletColumns, np.ndarray]:
-    """build_tubelets over rows grouped by frame: the tubelets, and the row
-    of each of their entries."""
+def _build(c: BoxColumns, m: SimilarityModel, tau_link: float, assignment: str) -> TubeletColumns:
+    """build_tubelets over rows grouped by frame."""
     if assignment not in ("greedy", "exact"):
         raise ContractError(f"unknown assignment mode: {assignment!r}")
     frames = c.frame_idx.tolist()
@@ -224,7 +224,8 @@ def _build(c: BoxColumns, m: SimilarityModel, tau_link: float,
     rows = np.fromiter(chain.from_iterable(chains), np.int64, len(frames))
     length = np.fromiter(map(len, chains), np.int64, len(chains))
     return TubeletColumns(list(range(len(chains))), c.class_id[rows[np.cumsum(length) - length]],
-                          length, c.frame_idx[rows], c.box[rows], c.score[rows]), rows
+                          length, c.frame_idx[rows], c.box[rows], c.score[rows],
+                          np.zeros(len(rows), bool))
 
 
 def build_tubelets(
@@ -244,17 +245,13 @@ def build_tubelets(
     (start_frame, first box x, y), ties in stream order, which makes the
     output deterministic for a given input.
     """
-    t, rows = _build(columns_of(v), m, tau_link, assignment)
-    dets = v.all_detections()
-    return t.tubelets([TubeletEntry(dets[i].frame_idx, dets[i].bbox, dets[i].score)
-                       for i in rows.tolist()])
+    return _build(columns_of(v), m, tau_link, assignment).tubelets()
 
 
 def _means(t: TubeletColumns) -> np.ndarray:
-    """Each tubelet's mean score: its scores added left to right, which is
-    what sum() does up to Python 3.11 (later ones compensate), over its length."""
+    """Each tubelet's mean score: its scores added left to right, over its length."""
     scores, ends = t.score.tolist(), np.cumsum(t.length).tolist()
-    return np.array([reduce(add, scores[end - n:end], 0.0) / n
+    return np.array([added(scores[end - n:end]) / n
                      for end, n in zip(ends, t.length.tolist())])
 
 
@@ -296,9 +293,9 @@ def rescore(t: Tubelet, alpha: float = 0.5) -> Tubelet:
     The mean itself is preserved for every alpha, and variance shrinks by
     alpha^2. Geometry is untouched.
     """
-    scores = _rescore(TubeletColumns.of([t]), alpha).tolist()
-    return Tubelet(t.tubelet_id, t.class_id, tuple(
-        TubeletEntry(e.frame_idx, e.bbox, s, e.interpolated) for e, s in zip(t.entries, scores)))
+    c = TubeletColumns.of([t])
+    c.score = _rescore(c, alpha)
+    return c.tubelets()[0]
 
 
 def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
@@ -307,12 +304,9 @@ def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
     The window must be odd so the average is centered; scores and
     interpolation flags pass through unchanged.
     """
-    boxes = _smooth(TubeletColumns.of([t]), window).tolist()
-    if window == 1 or len(t) == 1:
-        return t
-    return Tubelet(t.tubelet_id, t.class_id, tuple(
-        TubeletEntry(e.frame_idx, BBox(*b), e.score, e.interpolated)
-        for e, b in zip(t.entries, boxes)))
+    c = TubeletColumns.of([t])
+    c.box = _smooth(c, window)
+    return c.tubelets()[0]
 
 
 def filter_short(ts: list[Tubelet], min_len: int = 2) -> list[Tubelet]:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -20,11 +21,28 @@ from tubelink import (
     write_ground_truth,
 )
 
-from tubelink import io
+from tubelink import geometry, io
 from tubelink.io import MAX_FRAME_COUNT, columns_of, read_columns
 
 from conftest import SHAPE, det, random_ground_truth, random_stream, unit_vector
 from test_simulate import time_limit
+
+
+# 16-dim vectors of norm about 1 + 1e-6 that adding the squares left to right
+# takes (True) or refuses (False), and a compensated sum decides the other way
+NORM_WITNESSES = [
+    (True, [0.3964540671512442, 0.15358940999732745, 0.3127439999049429, 0.1583860035341212,
+            -0.12176506473646868, 0.20011211166038081, 0.02445182871870839,
+            -0.03727365017348007, 0.47397709919982267, 0.19036933994391544,
+            -0.10030881306963046, -0.005631543497432015, 0.5551959006979683,
+            -0.044979795604010914, 0.1834634969105587, 0.15674773285518148]),
+    (False, [0.1909988130307513, -0.4664059196425996, 0.17751521927221864,
+             -0.10703777083770359, 0.26771948194987516, -0.11105640772014516,
+             -0.2210197035034576, -0.38089562068016647, -0.03096945922614779,
+             0.22122902277611936, -0.23136301783162025, 0.09835702086578917,
+             -0.07346574746302845, -0.5467905395406897, -0.046157897909783994,
+             -0.07394460741516921]),
+]
 
 
 def write(tmp_path, text, name="in.txt"):
@@ -205,6 +223,18 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="tubelet_ids for frame 5 do not match"):
             write_detections(v, tmp_path / "out.txt", {0: [1], 5: [3]})
 
+    @pytest.mark.parametrize("count", [0, 2, 5, 7])
+    def test_columns_need_one_tubelet_id_per_row(self, tmp_path, count):
+        # 6 rows: too few ids or too many, and nothing is written
+        frames = {f: [det(f), det(f, x=50.0)] for f in range(3)}
+        c = columns_of(VideoDetections("v", SHAPE, 3, frames))
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValidationError, match=f"^{count} tubelet_ids for 6 detections$"):
+            write_detections(c, p, np.arange(count))
+        assert not p.exists()
+        write_detections(c, p, np.arange(6))
+        assert len(p.read_text().splitlines()) == 8
+
 
 class TestGroundTruthIO:
     def test_duplicate_track_id_rejected(self, tmp_path):
@@ -261,18 +291,16 @@ class TestContainerValidation:
             GroundTruth("v", SHAPE, 1, {0: boxes})
 
 
-def listed_columns(detections, frame_order=None):
-    """The arrays read_columns gives for these objects, listed in file order."""
-    order = range(len(detections)) if frame_order is None else frame_order
-    boxes = [detections[k] for k in order]
+def listed_columns(boxes):
+    """The arrays read_columns gives for these objects, listed in stored order."""
     return ([b.frame_idx for b in boxes], [b.class_id for b in boxes],
             [[b.bbox.x, b.bbox.y, b.bbox.w, b.bbox.h] for b in boxes],
             [getattr(b, "score", None) for b in boxes])
 
 
-def assert_columns(c, stream, frame_order=None):
+def assert_columns(c, stream):
     boxes = [b for bs in stream.frames.values() for b in bs]
-    frame, cls, box, score = listed_columns(boxes, frame_order)
+    frame, cls, box, score = listed_columns(boxes)
     assert (c.video_id, c.frame_shape, c.frame_count) == (
         stream.video_id, stream.frame_shape, stream.frame_count)
     assert c.frame_idx.dtype == np.int64 and c.class_id.dtype == np.int64
@@ -304,7 +332,7 @@ def assert_raises_as(p, reader, ground_truth=False):
 
 class TestReadColumns:
     """read_columns parses in bulk only files that the object readers take,
-    with the same values in file order, and gives every other file to them."""
+    with the same values in stored order, and gives every other file to them."""
 
     def test_same_values_as_the_object_readers(self, rng, tmp_path):
         p = tmp_path / "in.txt"
@@ -320,12 +348,13 @@ class TestReadColumns:
             assert_columns(read_columns(p, ground_truth=True), g)
             assert_same_columns(columns_of(read_ground_truth(p)), read_columns(p, True))
 
-    def test_lines_keep_file_order(self, tmp_path):
+    def test_lines_come_in_stored_order(self, tmp_path):
+        # by frame, then as listed, as read_detections stores them
         lines = ["2 0 10 10 5 5 0.5", "", "0 0 10 10 5 5 0.6", "   ", "2 1 20 20 5 5 0.7"]
         p = write(tmp_path, "#video v 1280 720 4\n" + "\n".join(lines) + "\n")
         c = read_columns(p)
-        assert c.frame_idx.tolist() == [2, 0, 2] and c.score.tolist() == [0.5, 0.6, 0.7]
-        assert_columns(c, read_detections(p), frame_order=[1, 0, 2])
+        assert c.frame_idx.tolist() == [0, 2, 2] and c.score.tolist() == [0.6, 0.5, 0.7]
+        assert_columns(c, read_detections(p))
 
     def test_header_only(self, tmp_path):
         c = read_columns(write(tmp_path, "#video v 1280 720 4\n#tubelets\n"))
@@ -374,6 +403,25 @@ class TestReadColumns:
                 accepted += 1
         assert 0 < accepted < 300
 
+    @pytest.mark.parametrize("taken,v", NORM_WITNESSES)
+    def test_detection_adds_the_squares_left_to_right(self, tmp_path, monkeypatch, taken, v):
+        # a compensated sum of the squares, as sum() is from Python 3.12 on,
+        # decides these vectors the other way; with it patched in for sum(),
+        # Detection must still decide as the bulk reader does
+        left_to_right = 0.0
+        for a in v:
+            left_to_right += a * a
+        unit = lambda norm2: abs(math.sqrt(norm2) - 1.0) <= 1e-6
+        assert unit(left_to_right) == taken != unit(math.fsum(a * a for a in v))
+        monkeypatch.setattr(geometry, "sum", math.fsum, raising=False)
+        p = write(tmp_path, "#video v 1280 720 1\n0 0 1 1 5 5 0.5 " + " ".join(map(repr, v)))
+        assert (io._bulk_columns(p, False) is not None) == taken
+        if taken:
+            det(app=tuple(v))
+        else:
+            with pytest.raises(ValidationError, match="not unit-norm"):
+                det(app=tuple(v))
+
     @pytest.mark.parametrize("line", ["0 99999999999999999999999 1 1 5 5 0.5",
                                       f"0 {2 ** 63} 1 1 5 5 0.5"])
     def test_integers_beyond_int64_are_left_to_the_object_reader(self, tmp_path, line):
@@ -390,15 +438,15 @@ class TestReadColumns:
 
     def test_a_file_the_object_reader_takes_gives_its_columns(self, tmp_path, monkeypatch):
         # should the bulk checks refuse a file that the object reader takes,
-        # its stream gives the columns: frame order within the file's frames
+        # its stream gives the columns, in the stored order that bulk gives
         p = write(tmp_path, "#video v 1280 720 4\n2 0 10 10 5 5 0.5\n0 1 1 1 5 5 0.6 0.6 0.8\n"
                             "2 1 20 20 5 5 0.7\n")
         bulk = read_columns(p)
         monkeypatch.setattr(io, "_bulk_columns", lambda path, ground_truth: None)
         c = read_columns(p)
         assert_same_columns(c, columns_of(read_detections(p)))
-        assert c.frame_idx.tolist() == [0, 2, 2] and bulk.frame_idx.tolist() == [2, 0, 2]
-        assert c.score.tolist() == [0.6, 0.5, 0.7]
+        assert_same_columns(c, bulk)
+        assert c.frame_idx.tolist() == [0, 2, 2] and c.score.tolist() == [0.6, 0.5, 0.7]
 
 
 class TestDescriptorColumns:
@@ -408,14 +456,12 @@ class TestDescriptorColumns:
     def test_descriptors_of_several_lengths(self, tmp_path):
         p = write(tmp_path, "#video v 1280 720 4\n2 0 1 1 5 5 0.5 0.6 0.8\n0 1 1 1 5 5 0.6\n"
                             "2 1 2 2 5 5 0.7 0 0 1\n1 0 3 3 5 5 0.2 -1\n")
-        c = read_columns(p)
-        assert c.descriptor_len.tolist() == [2, 0, 3, 1]
-        assert c.descriptor.tolist() == [[0.6, 0.8, 0], [0, 0, 0], [0, 0, 1], [-1, 0, 0]]
+        c = read_columns(p)  # stored order: frames 0, 1, 2, 2
+        assert c.descriptor_len.tolist() == [0, 1, 2, 3]
+        assert c.descriptor.tolist() == [[0, 0, 0], [-1, 0, 0], [0.6, 0.8, 0], [0, 0, 1]]
         assert [None if a is None else a.tolist() for a in c.descriptors()] == [
-            [0.6, 0.8], None, [0.0, 0.0, 1.0], [-1.0]]
-        stream = columns_of(read_detections(p))  # frame order
-        assert stream.descriptor_len.tolist() == [0, 1, 2, 3]
-        assert_same_columns(c.take(np.argsort(c.frame_idx, kind="stable")), stream)
+            None, [-1.0], [0.6, 0.8], [0.0, 0.0, 1.0]]
+        assert_same_columns(c, columns_of(read_detections(p)))
 
     def test_columns_write_the_bytes_of_their_stream(self, rng, tmp_path):
         for k in range(40):

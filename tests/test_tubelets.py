@@ -54,10 +54,13 @@ def greedy_oracle(frame_t, frame_t1, tau):
 
 def linked_pairs(frame_t, frame_t1, tau, assignment="greedy"):
     """The (i, j) index pairs that build_tubelets links on the two-frame
-    stream frame_t, frame_t1, sorted; boxes map back to indices by identity."""
-    index = {id(d.bbox): k for frame in (frame_t, frame_t1) for k, d in enumerate(frame)}
+    stream frame_t, frame_t1, sorted. Entries map back to indices by value,
+    (frame, box, score), which must tell every detection apart."""
+    index = {(d.frame_idx, d.bbox, d.score): k
+             for frame in (frame_t, frame_t1) for k, d in enumerate(frame)}
+    assert len(index) == len(frame_t) + len(frame_t1), "two detections share a value"
     v = VideoDetections("v", SHAPE, 2, {0: frame_t, 1: frame_t1})
-    return sorted((index[id(t.entries[0].bbox)], index[id(t.entries[1].bbox)])
+    return sorted(tuple(index[e.frame_idx, e.bbox, e.score] for e in t.entries)
                   for t in build_tubelets(v, MODEL, tau, assignment) if len(t) == 2)
 
 
