@@ -22,19 +22,20 @@ with the offending path/line, never a partially built stream.
 
 read_columns gives eval and postprocess a file's boxes as arrays in stored
 order, by frame, the descriptors as rows of one matrix. A file that keeps
-every rule is parsed in bulk; any other file is read by read_detections or
-read_ground_truth, so their errors are the only ones. Class and track ids
-are at most 2**63 - 1, so every stream fits the arrays; tubelet ids are
-checked, not stored. columns_of and stream_of map a stream to columns and
-back. write_detections writes either, each line formatted in one place.
+every rule is parsed in bulk by numpy's C text reader; any other file is
+read by read_detections or read_ground_truth, so their errors are the only
+ones. Class and track ids are at most 2**63 - 1, so every stream fits the
+arrays; tubelet ids are checked, not stored. columns_of and stream_of map a
+stream to columns and back. write_detections writes either, each line
+formatted in one place.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -293,10 +294,11 @@ def write_detections(
     """
     if isinstance(v, BoxColumns):
         rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
-        descriptors = [None if a is None else a.tolist() for a in v.descriptors()]
+        descriptors = ([None if a is None else a.tolist() for a in v.descriptors()]
+                       if v.descriptor_len.any() else [])
         ids = None if tubelet_ids is None else np.asarray(tubelet_ids).tolist()
-        if ids is not None and len(ids) != len(descriptors):
-            raise ValidationError(f"{len(ids)} tubelet_ids for {len(descriptors)} detections")
+        if ids is not None and len(ids) != len(v.frame_idx):
+            raise ValidationError(f"{len(ids)} tubelet_ids for {len(v.frame_idx)} detections")
     else:
         ids = None
         if tubelet_ids is not None:
@@ -311,9 +313,11 @@ def write_detections(
                  float(b.h), float(d.score)) for d in dets]
         descriptors = [d.appearance for d in dets]
     # repr gives the shortest string that parses back to the same float
-    out = [f"{f} {k} {x!r} {y!r} {w!r} {h!r} {s!r}" for f, k, x, y, w, h, s in rows]
-    if ids is not None:
-        out = [f"{line} {i}" for line, i in zip(out, ids)]
+    if ids is None:
+        out = [f"{f} {k} {x!r} {y!r} {w!r} {h!r} {s!r}" for f, k, x, y, w, h, s in rows]
+    else:
+        out = [f"{f} {k} {x!r} {y!r} {w!r} {h!r} {s!r} {i}"
+               for (f, k, x, y, w, h, s), i in zip(rows, ids)]
     for i, a in enumerate(descriptors):
         if a is not None:
             out[i] = " ".join([out[i], *map(repr, map(float, a))])
@@ -415,68 +419,86 @@ def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     return columns.take(np.argsort(columns.frame_idx, kind="stable"))
 
 
-_COLUMN_CHUNK = 1 << 8  # lines _bulk_columns splits at a time, to bound the tokens it holds
-_DTYPE = {int: np.int64, float: np.float64}
+# A line's fields before its descriptor, as _bulk_columns parses them
+_FIELDS = {
+    False: [("frame", np.int64), ("class", np.int64), ("box", np.float64, (4,)),
+            ("score", np.float64)],
+    True: [("frame", np.int64), ("class", np.int64), ("track", np.int64),
+           ("box", np.float64, (4,))],
+}
+
+
+def _load(lines: list[str], fields: list, k: int) -> np.ndarray:
+    """The non-blank lines parsed by numpy's C text reader, as rows of the
+    fields and then k descriptor components. A warning raises: older numpy
+    releases only warn of some loose integers, such as 1.0, that later ones
+    refuse."""
+    dtype = np.dtype([*fields, ("descriptor", np.float64, (k,))])
+    if not any(map(str.strip, lines)):  # numpy warns of an input with no data
+        return np.zeros(0, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype, comments=None, ndmin=1)
 
 
 def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     """read_columns of a file that keeps every rule, with no per-box objects;
     None for any other file.
 
-    The header is read, and fails, as the object readers read it. Each line
-    is split once, a chunk of lines at a time; integers are parsed with int()
-    and reals with float(), as those readers parse them, and each of their
-    value rules is checked in bulk, the descriptors' too. A tubelet id may be
-    any integer: it is parsed and not stored. A file that breaks a rule, or
-    whose class or frame ids exceed int64, gives None. So a file taken here
-    is one the object reader takes, with the same values, in file order.
+    The header is read, and fails, as the object readers read it. numpy's C
+    text reader parses the body: it splits where str.split splits and parses
+    reals as float() does. One call reads every line at the first line's
+    width; lines of several widths (descriptors on some lines only) take one
+    call per width. A token numpy refuses, such as 1_0, which int() takes,
+    gives None. A tubelet id may be any integer: int() checks it, and it is
+    not stored. Each value rule of the object readers is checked in bulk, so
+    a file taken here is one they take, with the same values, in file order.
     """
     path = str(path)
     lines = read_text(path).splitlines()
     video_id, shape, frame_count = _read_header(lines, path)
     has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
     n = 7 + has_ids  # the columns before any descriptor
-    kinds = (int, int, int, *[float] * 4) if ground_truth else (int, int, *[float] * 5)
-    chunks: list[list[np.ndarray]] = [[np.empty(0, _DTYPE[kind])] for kind in kinds]
-    ok, descriptors, count = [], [], 0  # descriptors: (rows, one row per component)
+    body, fields = lines[1 + has_ids:], [*_FIELDS[ground_truth], *[("id", object)] * has_ids]
+    width = n if ground_truth else max(n, next((len(p) for p in map(str.split, body) if p), n))
+    try:
+        try:
+            parts = [(slice(None), _load(body, fields, width - n))]  # (where in the file, rows)
+        except ValueError:  # lines of several widths, or a token numpy refuses
+            counts = [len(line.split()) for line in body]
+            widths = np.array([k for k in counts if k])
+            if ground_truth or not n <= widths.min() < widths.max():  # one width: a refusal
+                return None
+            parts = [(widths == k, _load([s for s, c in zip(body, counts) if c == k],
+                                         fields, k - n)) for k in set(counts) - {0}]
+        if has_ids:  # any integer, as read_detections takes it
+            for _, a in parts:
+                list(map(int, a["id"]))
+    except (ValueError, OverflowError, Warning):
+        return None
+    count = sum(len(a) for _, a in parts)
+    head, descriptor_len = np.zeros(count, _FIELDS[ground_truth]), np.zeros(count, np.int64)
+    descriptor = np.zeros((count, max(a["descriptor"].shape[1] for _, a in parts)))
+    ok = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1 + has_ids, len(lines), _COLUMN_CHUNK):
-            rows = [p for p in map(str.split, lines[first:first + _COLUMN_CHUNK]) if p]
-            widths = set(map(len, rows))
-            if min(widths, default=n) < n or (ground_truth and widths - {n}):
-                return None
-            flat = list(chain.from_iterable(rows if widths <= {n} else (p[:n] for p in rows)))
-            try:
-                for j, kind in enumerate(kinds):
-                    chunks[j].append(np.fromiter(map(kind, flat[j::n]), _DTYPE[kind], len(rows)))
-                if has_ids:
-                    list(map(int, flat[7::n]))
-                for k in widths - {n}:  # the descriptors of each length
-                    at = [i for i, p in enumerate(rows) if len(p) == k]
-                    a = chain.from_iterable(rows[i][n:] for i in at)
-                    descriptors.append((count + np.array(at), np.fromiter(
-                        map(float, a), float, len(at) * (k - n)).reshape(-1, k - n).T))
-            except (ValueError, OverflowError):
-                return None
-            count += len(rows)
-        for _, a in descriptors:  # Detection's norm, component by component; a NaN or inf fails
-            ok.append(abs(np.sqrt(added(a * a)) - 1.0) <= 1e-6)
-        frame, cls, *cols = map(np.concatenate, chunks)
-        x, y, w, h = cols[1:5] if ground_truth else cols[:4]
+        for at, a in parts:
+            d = a["descriptor"]
+            head[at] = a[[*head.dtype.names]]
+            descriptor[at, :d.shape[1]], descriptor_len[at] = d, d.shape[1]
+            if d.shape[1]:  # Detection's norm, component by component; a NaN or inf fails
+                ok.append(abs(np.sqrt(added(d.T * d.T)) - 1.0) <= 1e-6)
+        frame, cls, box = head["frame"], head["class"], head["box"]
+        x, y, w, h = box.T
         ok += [frame >= 0, frame < frame_count, cls >= 0,
                np.isfinite(x + w), np.isfinite(y + h), w > 0, h > 0]
         if ground_truth:
-            track = cols[0]
+            track = head["track"]
             order = np.lexsort((track, frame))
             f, t = frame[order], track[order]
             ok += [track >= 0, ~((f[1:] == f[:-1]) & (t[1:] == t[:-1]))]
         else:
-            ok.append((cols[4] >= 0) & (cols[4] <= 1))  # NaN and +-inf fail too
+            ok.append((head["score"] >= 0) & (head["score"] <= 1))  # NaN and +-inf fail too
     if not all(c.all() for c in ok):
         return None
-    descriptor_len = np.zeros(count, np.int64)
-    descriptor = np.zeros((count, max((len(a) for _, a in descriptors), default=0)))
-    for at, a in descriptors:
-        descriptor_len[at], descriptor[at, :len(a)] = len(a), a.T
-    return BoxColumns(video_id, shape, frame_count, frame, cls, np.column_stack([x, y, w, h]),
-                      None if ground_truth else cols[4], descriptor, descriptor_len)
+    return BoxColumns(video_id, shape, frame_count, frame, cls, box,
+                      None if ground_truth else head["score"], descriptor, descriptor_len)

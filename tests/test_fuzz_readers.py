@@ -18,6 +18,7 @@ UTF-8 check and the size-ratio error have theirs in test_io.py
 
 import contextlib
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -157,21 +158,44 @@ def test_fuzz_load_model(path, text):
 
 
 # Mostly valid eval inputs, so that both paths often get to the evaluator;
-# the odd token is one the two parsers must treat alike.
-ODD_INT = st.sampled_from(["-1", "-0", "1_0", "+2", "1.5", str(2 ** 63), "-" + str(2 ** 63 + 1),
-                           "99999999999999999999999", HUGE, "x"])
-ODD_REAL = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "1_0.5", "1e308", "5e-324",
-                            "0x1", "x"])
+# the odd token is one the two parsers must treat alike. Tokens that int() or
+# float() take and numpy's text reader refuses (1_0, 1.0, ٣) send a file to
+# the object reader.
+ODD_INT = st.one_of(
+    st.sampled_from(["-1", "-0", "1_0", "+2", "1.5", "1.0", "٣", str(2 ** 63),
+                     "-" + str(2 ** 63 + 1), "99999999999999999999999", HUGE, "x"]),
+    st.integers(10 ** 19, 10 ** 40 - 1).map(str),  # 20-40 digits, beyond int64
+)
+ODD_REAL = st.sampled_from(["nan", "+nan", "inf", "-inf", "-0.0", "0", "1_0", "1_0.5", "1e308",
+                            "5e-324", "1e", ".", "+.5e-3", "٣", "0x1", "x"])
 EVAL_INT = lambda lo, hi: mostly(st.integers(lo, hi).map(str), ODD_INT, odds=50)
-EVAL_REAL = lambda lo, hi: mostly(reals(lo, hi), ODD_REAL, odds=100)
+
+
+def long_reals(lo, hi):
+    """Decimal strings of about 20-40 digits, more than a float holds, near
+    floats in [lo, hi]: the digits past the 17th decide the rounding."""
+    return st.builds(lambda x, digits: f"{x:.17f}{digits}", st.floats(lo, hi),
+                     st.text("0123456789", min_size=3, max_size=21))
+
+
+EVAL_REAL = lambda lo, hi: mostly(mostly(reals(lo, hi), long_reals(lo, hi), odds=5), ODD_REAL,
+                                  odds=100)
 EVAL_BOX = [EVAL_REAL(-10, 60), EVAL_REAL(-10, 60), EVAL_REAL(1, 40), EVAL_REAL(1, 40)]
 EVAL_DESCRIPTOR = mostly(st.sampled_from([[], ["0.6", "0.8"], ["1", "0"], ["0", "-1"]]),
                          st.lists(NUMBER, max_size=3), odds=20)
-BLANK = st.sampled_from(["", "   "])
+# Every character that str.split splits on and str.splitlines leaves in a line
+# (\t, \x1f, \xa0, \u2003, ...) separates fields as a space does, and a line of
+# them alone is blank.
+IN_LINE_SPACE = [c for c in map(chr, range(sys.maxunicode + 1))
+                 if c.isspace() and len(f"a{c}a".splitlines()) == 1]
+SEPARATOR = mostly(st.just(" "), st.text(st.sampled_from(IN_LINE_SPACE), min_size=1, max_size=2),
+                   odds=8)
+BLANK = st.one_of(st.just(""), st.text(st.sampled_from(IN_LINE_SPACE), min_size=1, max_size=3))
 
 
 def eval_text(header, fields, tail=st.just([]), marker=False):
-    line = st.builds(lambda head, rest: " ".join([*head, *rest]), st.tuples(*fields), tail)
+    line = st.builds(lambda head, rest, sep: sep.join([*head, *rest]), st.tuples(*fields), tail,
+                     SEPARATOR)
     body = st.lists(mostly(line, BLANK, odds=8), max_size=8)
     return st.builds(lambda h, b: "\n".join([h, *(["#tubelets"] if marker else []), *b]),
                      header, body)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,38 @@ class TestReadColumns:
     def test_header_only(self, tmp_path):
         c = read_columns(write(tmp_path, "#video v 1280 720 4\n#tubelets\n"))
         assert c.frame_count == 4 and c.box.shape == (0, 4) and len(c.score) == 0
+
+    @pytest.mark.parametrize("ground_truth,body", [
+        # the width changes on the last line only
+        (False, "0 0 1 1 5 5 0.5\n1 0 1 1 5 5 0.6\n2 0 2 2 5 5 0.7 0.6 0.8"),
+        (False, "0 0 1 1 5 5 0.5 0.6 0.8\n1 0 1 1 5 5 0.6 1 0\n2 0 2 2 5 5 0.7"),
+        (False, "#tubelets\n0 0 1 1 5 5 0.5 3\n1 0 1 1 5 5 0.6 4 -1"),
+        (False, "0 0 1 1 5 5 0.5\n1 0 1 1 5 5"), (True, "0 0 0 1 1 5 5\n1 0 0 1 1 5 5 1"),
+        (True, "0 0 0 1 1 5 5 1"),  # one field too many, a unit descriptor were it detections
+        # a blank or whitespace-only first body line
+        (False, "\n0 0 1 1 5 5 0.5"), (False, " \t\x1f\xa0\u2003\n0 0 1 1 5 5 0.5 0 1"),
+        (False, "#tubelets\n  \n0 0 1 1 5 5 0.5 7"), (True, "\t\n0 0 0 1 1 5 5"),
+        # no box: a header-only body and an all-blank one
+        (False, ""), (False, "\n \n\t"), (False, "#tubelets\n\n"), (True, ""), (True, " \n\n"),
+        # a frame index written 1.0, which int() refuses
+        (False, "1.0 0 1 1 5 5 0.5"), (True, "1.0 0 0 1 1 5 5"),
+    ])
+    def test_bulk_edges_give_the_object_readers_columns(self, tmp_path, ground_truth, body):
+        # the lines are in frame order, so file order is stored order; numpy
+        # must not warn, not even of a body with no line to parse
+        p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
+        reader = read_ground_truth if ground_truth else read_detections
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bulk = io._bulk_columns(p, ground_truth)
+            try:
+                stream = reader(p)
+            except TubelinkError:
+                assert bulk is None
+                assert_raises_as(p, reader, ground_truth)
+            else:
+                assert bulk is not None
+                assert_same_columns(bulk, columns_of(stream))
 
     @pytest.mark.parametrize("body", [
         "0 0 1 1 5 5 1.3", "0 0 1 1 5 5 nan", "0 0 1 1 5 5 -inf", "4 0 1 1 5 5 0.5",
