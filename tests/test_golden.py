@@ -6,11 +6,12 @@ and the ``eval --pr-out`` CSV. A case is a scenario and a set of
 ``postprocess`` flags; a scenario name may add an input variant after a
 colon: ``reversed`` writes the detection lines in reverse order, so frames
 come out of order, and ``again`` postprocesses the ``#tubelets`` output of
-the first call once more. The input hash is asserted first, so a
-simulator change is reported as one and not as a pipeline change. Two more
-tables pin ``eval`` on its own: the ``eval --out`` JSON of each scenario's
-raw input, with its descriptors, and one pooled two-video ``eval
---per-video`` call (printed tables, then JSON). A change
+a first call with the default flags once more, with the case's flags. The
+input hash is asserted first, so a simulator change is reported as one and
+not as a pipeline change. Two more tables pin ``eval`` on its own: the
+``eval --out`` JSON of each scenario's raw input, with its descriptors, and
+one pooled two-video ``eval --per-video`` call (printed tables, then JSON).
+A last table pins the printed output of ``inspect``. A change
 meant to keep output bytes keeps every hash here; a change meant to alter
 them updates the table and says why. To print the table of the code under
 test, run ``PYTHONPATH=src python tests/test_golden.py``.
@@ -59,7 +60,8 @@ CASES += [("crowded", "nms"), ("multiclass", "default")]
 CASES += [("0", flags) for flags in ("no-repp", "no-link", "window1", "window7", "min-len1",
                                      "g-max0", "alpha0", "alpha1", "endpoint")]
 CASES += [("multiclass", "off"), ("multiclass", "no-repp"), ("0:reversed", "default"),
-          ("crowded:reversed", "nms"), ("0:again", "default"), ("multiclass:again", "default")]
+          ("crowded:reversed", "nms"), ("0:again", "default"), ("multiclass:again", "default"),
+          ("0:again", "off")]  # every stage off on a #tubelets input: the ids are dropped
 
 # (input, postprocess output, eval JSON, PR CSV) per case
 GOLDEN = {
@@ -219,6 +221,12 @@ GOLDEN = {
         '3611843780c40908c4dc5eb33beb3b8d43bb3d24a9e5dd0970ac66f93e0aa2c5',
         'c813bc38a3af5387a656ca6f69cbb83a8888604fd08e25dc157deb6c21c179a0',
     ),
+    ('0:again', 'off'): (
+        '59c18de59fa89018ba9336ec68484909518cbedc6272d6a95c99725343afd1ec',
+        '41b4db7841fdcde43b6ccb2d263d345d649a5e82a500664b17e35676cdeb1f64',
+        '187efc53197b1428fbea10f7184860012e70e1649bd73a89c572227398819551',
+        '7d45886cf91b1c0206dbd1a785f004c33b04102785a452ea8e01adde3c834585',
+    ),
 }
 
 
@@ -239,6 +247,23 @@ GOLDEN_POOLED = (
     '5c83227f3b65576fe5e4b16d5064f5459052db845df26228ea1861912ef58959',
     '93acd4938a27015afb404fbd66cbc394fd42f82207c13c416fb90591ed036606',
 )
+
+# inspect's printed output: a scenario's raw input or postprocess output with
+# the named flags, or a file of the given text
+INSPECTED = {
+    "multiclass-raw": None,  # descriptors on some lines only
+    "multiclass-default": None,
+    "crowded-nms": None,
+    "header-only-tubelets": "#video h 1280 720 4\n#tubelets\n",
+    "no-frames": "#video empty 1280 720 0\n",
+}
+GOLDEN_INSPECT = {
+    'multiclass-raw': 'e7168bcb5af83f1f95100d383514c9598cbd139724c987093994818f9f800131',
+    'multiclass-default': '1ad642f60ca0e2206ea30c0989432048f4051175a45b4ea4a9444c2d87f540d6',
+    'crowded-nms': 'b0179bb34ab5ece5a587eeb5760b11c6fb6aca4973ea27e8504aa9b01c6ed639',
+    'header-only-tubelets': 'a48c1e7d316c221c5bd34b8be520362e3d8648f7c22e1190c55c0702fe3284f9',
+    'no-frames': '3c48d04e066ece34f30b2576625747553595d81a131d21677eb7167215d1feb4',
+}
 
 
 def digest(*paths):
@@ -264,12 +289,17 @@ def run_cli(*argv):
     return out.getvalue()
 
 
+def run_postprocess(name, flags, det_path, out):
+    if name.endswith(":again"):
+        run_cli("postprocess", "--detections", det_path, "--out", out)
+        det_path = out
+    run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS[flags])
+
+
 def run_case(name, flags, tmp_path):
     gt_path, det_path = write_inputs(name, tmp_path)
     out, report, pr = tmp_path / "out.txt", tmp_path / "report.json", tmp_path / "pr.csv"
-    run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS[flags])
-    if name.endswith(":again"):
-        run_cli("postprocess", "--detections", out, "--out", out, *FLAGS[flags])
+    run_postprocess(name, flags, det_path, out)
     run_cli("eval", "--detections", out, "--ground-truth", gt_path,
             "--out", report, "--pr-out", pr)
     return digest(gt_path, det_path), digest(out), digest(report), digest(pr)
@@ -290,6 +320,20 @@ def run_pooled(tmp_path):
     tables = run_cli("eval", "--detections", out1, "--ground-truth", gt1,
                      "--detections", det2, "--ground-truth", gt2, "--per-video", "--out", report)
     return hashlib.sha256(tables.encode("utf-8")).hexdigest(), digest(report)
+
+
+def run_inspect(name, tmp_path):
+    path = tmp_path / "inspected.txt"
+    if INSPECTED[name] is not None:
+        path.write_text(INSPECTED[name], encoding="utf-8")
+    else:
+        scenario_name, flags = name.split("-")
+        _, det_path = write_inputs(scenario_name, tmp_path)
+        if flags == "raw":
+            path = det_path
+        else:
+            run_cli("postprocess", "--detections", det_path, "--out", path, *FLAGS[flags])
+    return hashlib.sha256(run_cli("inspect", "--detections", path).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name,flags", CASES, ids=[f"{n}-{f}" for n, f in CASES])
@@ -326,9 +370,7 @@ def test_postprocess_builds_no_per_box_object(name, flags, tmp_path, monkeypatch
     with pytest.raises(AssertionError, match="a BBox was built"):
         BBox(0.0, 0.0, 1.0, 1.0)
     out = tmp_path / "out.txt"
-    run_cli("postprocess", "--detections", det_path, "--out", out, *FLAGS[flags])
-    if name.endswith(":again"):
-        run_cli("postprocess", "--detections", out, "--out", out, *FLAGS[flags])
+    run_postprocess(name, flags, det_path, out)
     assert digest(out) == GOLDEN[name, flags][1]
 
 
@@ -339,6 +381,11 @@ def test_raw_input_eval_matches_golden(name, tmp_path):
 
 def test_pooled_per_video_eval_matches_golden(tmp_path):
     assert run_pooled(tmp_path) == GOLDEN_POOLED
+
+
+@pytest.mark.parametrize("name", INSPECTED)
+def test_inspect_prints_the_golden_text(name, tmp_path):
+    assert run_inspect(name, tmp_path) == GOLDEN_INSPECT[name]
 
 
 if __name__ == "__main__":
@@ -357,3 +404,7 @@ if __name__ == "__main__":
     sys.stdout.write("\nGOLDEN_POOLED\n")
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.writelines(f"    {h!r},\n" for h in run_pooled(Path(tmp)))
+    sys.stdout.write("\nGOLDEN_INSPECT\n")
+    for name in INSPECTED:
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.write(f"    {name!r}: {run_inspect(name, Path(tmp))!r},\n")
