@@ -8,8 +8,9 @@ are the field names of ScenarioConfig, or of PipelineConfig and RunSettings;
 each flag is ``--`` plus a key with ``-`` for ``_``. ``no_repp`` and
 ``no_tubelet_link`` (``--no-repp``, ``--no-tubelet-link``) switch a stage
 off. File booleans are strict (``1/true/yes/0/false/no``). A bad file value
-exits 1 before any input is read; a bad flag value exits 2. ``eval`` reads
-every file with io.read_columns and scores the columns with evaluate_columns.
+exits 1 before any input is read; a bad flag value exits 2. ``postprocess``,
+``eval`` and ``inspect`` read every file with io.read_columns; ``eval`` scores
+the columns with evaluate_columns.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TubelinkError
 from .evaluation import IOU_THRESHOLDS, EvalReport, evaluate_columns
-from .io import (
-    read_columns, read_detections_with_ids, read_text, write_detections, write_ground_truth,
-)
+from .io import BoxColumns, read_columns, read_text, write_detections, write_ground_truth
+from .pipeline import PipelineConfig, _postprocess
 # not called here: perfbench/run.py's traced eval and postprocess wrap these cli attributes
 from .evaluation import evaluate_streams  # noqa: F401
 from .io import read_detections, read_ground_truth  # noqa: F401
-from .pipeline import PipelineConfig, _postprocess, postprocess_video
+from .pipeline import postprocess_video  # noqa: F401
 from .similarity import load_model
 from .settings import add_flags, int_at_least, read_settings, setting, settings_of
 from .simulate import ScenarioConfig, describe, generate
@@ -91,10 +91,17 @@ def _add_postprocess(sub):
     p.set_defaults(func=cmd_postprocess)
 
 
-def _process_one(in_path: str, out_path: str, config: PipelineConfig) -> str:
-    refined, ids = _postprocess(read_columns(in_path), config)
-    write_detections(refined, out_path, ids)
+def _computed(in_path: str, config: PipelineConfig) -> BoxColumns:
+    return _postprocess(read_columns(in_path), config)
+
+
+def _written(refined: BoxColumns, out_path: str) -> str:
+    write_detections(refined, out_path)
     return f"{refined.video_id}: {len(refined.frame_idx)} detections -> {out_path}"
+
+
+def _process_one(in_path: str, out_path: str, config: PipelineConfig) -> str:
+    return _written(_computed(in_path, config), out_path)
 
 
 def cmd_postprocess(args) -> int:
@@ -114,14 +121,18 @@ def cmd_postprocess(args) -> int:
     run = RunSettings(**run)
     config = PipelineConfig(model=load_model(run.model), **pipeline)
     if run.jobs > 1 and len(args.detections) > 1:
+        # workers only compute: the outputs are written here, in input order,
+        # up to the first failure, so every --jobs leaves the same files
         workers = min(run.jobs, len(args.detections), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_process_one, i, o, config)
-                for i, o in zip(args.detections, args.out)
-            ]
-            for fut in futures:
-                print(fut.result())
+            ahead = deque()  # at most one video per worker computed ahead of the writes
+            for i, o in zip(args.detections, args.out):
+                ahead.append((pool.submit(_computed, i, config), o))
+                if len(ahead) == workers:
+                    fut, out = ahead.popleft()
+                    print(_written(fut.result(), out))
+            for fut, out in ahead:
+                print(_written(fut.result(), out))
     else:
         for i, o in zip(args.detections, args.out):
             print(_process_one(i, o, config))
@@ -185,23 +196,18 @@ def cmd_eval(args) -> int:
 def _add_inspect(sub):
     p = sub.add_parser("inspect", help="print per-video stream statistics")
     p.add_argument("--detections", action="append", required=True, help="stream file (repeatable)")
-    p.add_argument("--postprocess", action="store_true",
-                   help="run the default pipeline before computing tubelet stats")
-    p.add_argument("--model", default="default", help="similarity model for --postprocess")
     p.set_defaults(func=cmd_inspect)
 
 
 def cmd_inspect(args) -> int:
     for path in args.detections:
-        stream, ids = read_detections_with_ids(path)
-        if args.postprocess:
-            stream, ids = postprocess_video(stream, PipelineConfig(model=load_model(args.model)))
-        total = sum(len(d) for d in stream.frames.values())
-        per_frame = total / stream.frame_count if stream.frame_count else 0.0
-        print(f"video {stream.video_id}: {stream.frame_count} frames, "
+        c = read_columns(path)
+        total = len(c.frame_idx)
+        per_frame = total / c.frame_count if c.frame_count else 0.0
+        print(f"video {c.video_id}: {c.frame_count} frames, "
               f"{total} detections, {per_frame:.2f}/frame")
-        if ids is not None:
-            lengths = Counter(tid for frame_ids in ids.values() for tid in frame_ids)
+        if c.tubelet_id is not None:
+            lengths = Counter(c.tubelet_id.tolist())
             hist = Counter(lengths.values())
             if hist:
                 bars = " ".join(f"{k}:{hist[k]}" for k in sorted(hist))

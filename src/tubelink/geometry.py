@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 
-_MAX_ID = 2 ** 63 - 1  # the largest class or track id, so that ids fit int64 columns
+_MAX_ID = 2 ** 63 - 1  # the largest class id, track id or tubelet frame: each fits int64 columns
 
 
 def added(values):

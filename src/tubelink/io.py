@@ -20,14 +20,14 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
-read_columns gives eval and postprocess a file's boxes as arrays in stored
-order, by frame, the descriptors as rows of one matrix. A file that keeps
+read_columns gives eval, postprocess and inspect a file's boxes as arrays in
+stored order, by frame: the descriptors as rows of one matrix, the ids of a
+``#tubelets`` file as a column of Python ints of any size. A file that keeps
 every rule is parsed in bulk by numpy's C text reader; any other file is
-read by read_detections or read_ground_truth, so their errors are the only
-ones. Class and track ids are at most 2**63 - 1, so every stream fits the
-arrays; tubelet ids are checked, not stored. columns_of and stream_of map a
-stream to columns and back. write_detections writes either, each line
-formatted in one place.
+read by read_detections_with_ids or read_ground_truth, so their errors are
+the only ones. Class and track ids are at most 2**63 - 1, so every stream
+fits the arrays. columns_of and stream_of map a stream and its ids to columns
+and back. write_detections writes either, each line formatted in one place.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ import warnings
 from collections import defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ContractError, ParseError, ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape, added
 
 HEADER_TAG = "#video"
@@ -282,23 +283,23 @@ def read_detections_with_ids(
 def write_detections(
     v: VideoDetections | BoxColumns,
     path: str | Path,
-    tubelet_ids: dict[int, list[int]] | np.ndarray | None = None,
+    tubelet_ids: dict[int, list[int]] | None = None,
 ) -> None:
     """Write a detection stream; read_detections(write_detections(v)) == v.
 
-    tubelet_ids, when given, must hold one id per detection, keyed and
-    ordered exactly like v.frames (a frame without detections may hold an
-    empty list); they are emitted as an extra column announced by a
-    ``#tubelets`` marker line. Columns, as postprocess writes them, are
-    written row by row, their tubelet_ids being one array parallel to the rows.
+    tubelet_ids, when given with a stream, must hold one id per detection,
+    keyed and ordered exactly like v.frames (a frame without detections may
+    hold an empty list); they are emitted as an extra column announced by a
+    ``#tubelets`` marker line. Columns, as postprocess writes them, carry
+    their own tubelet_id column and are written row by row.
     """
     if isinstance(v, BoxColumns):
+        if tubelet_ids is not None:
+            raise ContractError("columns carry their tubelet ids: pass no tubelet_ids")
         rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
         descriptors = ([None if a is None else a.tolist() for a in v.descriptors()]
                        if v.descriptor_len.any() else [])
-        ids = None if tubelet_ids is None else np.asarray(tubelet_ids).tolist()
-        if ids is not None and len(ids) != len(v.frame_idx):
-            raise ValidationError(f"{len(ids)} tubelet_ids for {len(v.frame_idx)} detections")
+        ids = None if v.tubelet_id is None else v.tubelet_id.tolist()
     else:
         ids = None
         if tubelet_ids is not None:
@@ -364,6 +365,7 @@ class BoxColumns:
     score: np.ndarray | None  # None for ground truth
     descriptor: np.ndarray  # a box's descriptor is the first descriptor_len values of its row
     descriptor_len: np.ndarray  # int64, 0 for a box without one
+    tubelet_id: np.ndarray | None = None  # object, Python ints; None without a #tubelets marker
 
     def descriptors(self) -> list[np.ndarray | None]:
         """Each box's descriptor as a view of its row, or None."""
@@ -374,11 +376,12 @@ class BoxColumns:
         return BoxColumns(self.video_id, self.frame_shape, self.frame_count,
                           *(None if a is None else a[rows] for a in (
                               self.frame_idx, self.class_id, self.box, self.score,
-                              self.descriptor, self.descriptor_len)))
+                              self.descriptor, self.descriptor_len, self.tubelet_id)))
 
 
-def columns_of(s: VideoDetections | GroundTruth) -> BoxColumns:
-    """A stream's boxes as columns in stored order: by frame, then as listed."""
+def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> BoxColumns:
+    """A stream's boxes, and ids as read_detections_with_ids gives them, as
+    columns in stored order: by frame, then as listed."""
     boxes = [b for bs in s.frames.values() for b in bs]
     apps = [getattr(b, "appearance", None) or () for b in boxes]
     width = max(map(len, apps), default=0)
@@ -390,32 +393,34 @@ def columns_of(s: VideoDetections | GroundTruth) -> BoxColumns:
         np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
         np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
         np.array(list(map(len, apps)), np.int64),
+        None if ids is None else np.array([i for f in s.frames for i in ids[f]], object),
     )
 
 
-def stream_of(c: BoxColumns, ids: np.ndarray | None) -> tuple[VideoDetections, Frames | None]:
-    """The detection stream of columns in stored order, the inverse of
-    columns_of, and the tubelet ids parallel to the rows by frame, or None."""
-    frames, by_frame = defaultdict(list), defaultdict(list)
-    for f, k, b, s, a in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.box.tolist(),
-                             c.score.tolist(), c.descriptors()):
+def stream_of(c: BoxColumns) -> tuple[VideoDetections, Frames | None]:
+    """The detection stream of columns in stored order and its tubelet ids by
+    frame, parallel to the stream's frames, or None: the inverse of columns_of."""
+    frames, ids = defaultdict(list), defaultdict(list)
+    for f, k, b, s, a, i in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.box.tolist(),
+                                c.score.tolist(), c.descriptors(),
+                                repeat(None) if c.tubelet_id is None else c.tubelet_id.tolist()):
         frames[f].append(Detection(f, k, BBox(*b), s, None if a is None else tuple(a.tolist())))
-    for f, i in zip(c.frame_idx.tolist(), [] if ids is None else ids.tolist()):
-        by_frame[f].append(i)
+        ids[f].append(i)
     stream = VideoDetections(c.video_id, c.frame_shape, c.frame_count, frames)
-    return stream, None if ids is None else Frames(by_frame)
+    return stream, None if c.tubelet_id is None else Frames(ids)
 
 
 def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     """A detection or ground-truth file's boxes as columns in stored order.
 
     A file that _bulk_columns takes has its rows sorted by frame, stably. Any
-    other file is read by read_detections or read_ground_truth, which raise
-    its error; should one take it, columns_of gives its boxes.
+    other file is read by read_detections_with_ids or read_ground_truth,
+    which raise its error; should one take it, columns_of gives its columns.
     """
     columns = _bulk_columns(path, ground_truth)
     if columns is None:
-        return columns_of((read_ground_truth if ground_truth else read_detections)(path))
+        return (columns_of(read_ground_truth(path)) if ground_truth
+                else columns_of(*read_detections_with_ids(path)))
     return columns.take(np.argsort(columns.frame_idx, kind="stable"))
 
 
@@ -450,9 +455,9 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     reals as float() does. One call reads every line at the first line's
     width; lines of several widths (descriptors on some lines only) take one
     call per width. A token numpy refuses, such as 1_0, which int() takes,
-    gives None. A tubelet id may be any integer: int() checks it, and it is
-    not stored. Each value rule of the object readers is checked in bulk, so
-    a file taken here is one they take, with the same values, in file order.
+    gives None. A tubelet id may be any integer: int() parses it into the
+    column. Each value rule of the object readers is checked in bulk, so a
+    file taken here is one they take, with the same values, in file order.
     """
     path = str(path)
     lines = read_text(path).splitlines()
@@ -471,13 +476,13 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
                 return None
             parts = [(widths == k, _load([s for s, c in zip(body, counts) if c == k],
                                          fields, k - n)) for k in set(counts) - {0}]
-        if has_ids:  # any integer, as read_detections takes it
+        if has_ids:  # any integer, as read_detections_with_ids takes it
             for _, a in parts:
-                list(map(int, a["id"]))
+                a["id"] = list(map(int, a["id"]))
     except (ValueError, OverflowError, Warning):
         return None
     count = sum(len(a) for _, a in parts)
-    head, descriptor_len = np.zeros(count, _FIELDS[ground_truth]), np.zeros(count, np.int64)
+    head, descriptor_len = np.zeros(count, fields), np.zeros(count, np.int64)
     descriptor = np.zeros((count, max(a["descriptor"].shape[1] for _, a in parts)))
     ok = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -501,4 +506,5 @@ def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
     if not all(c.all() for c in ok):
         return None
     return BoxColumns(video_id, shape, frame_count, frame, cls, box,
-                      None if ground_truth else head["score"], descriptor, descriptor_len)
+                      None if ground_truth else head["score"], descriptor, descriptor_len,
+                      head["id"] if has_ids else None)

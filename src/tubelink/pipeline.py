@@ -6,16 +6,16 @@ with gap interpolation. The two refinement stages can be switched off
 independently to reproduce the three-row ablation
 (raw / +refinement / +refinement+linking).
 
-_postprocess runs the stages on the arrays of io.BoxColumns, from the rows
-a file was read into to the rows that are written, with no per-box object;
-the tubelets in between are tubelets.TubeletColumns. postprocess_video and
-tubelets_to_detections convert their objects with io.columns_of or
+_postprocess runs the stages on io.BoxColumns, from the rows a file was
+read into to the rows written with their tubelet ids, with no per-box
+object; the tubelets in between are tubelets.TubeletColumns. postprocess_video
+and tubelets_to_detections convert their objects with io.columns_of or
 TubeletColumns.of, and give the result back through io.stream_of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,13 +57,13 @@ class PipelineConfig:
         validate(self)
 
 
-def _postprocess(c: BoxColumns, config: PipelineConfig) -> tuple[BoxColumns, np.ndarray | None]:
-    """postprocess_video over columns in stored order: the output rows and
-    each row's tubelet id, or the input rows and None when every stage is off."""
+def _postprocess(c: BoxColumns, config: PipelineConfig) -> BoxColumns:
+    """postprocess_video over columns in stored order: the output rows with
+    their tubelet ids, or the input rows without ids when every stage is off."""
     if config.nms_iou is not None:
         c = c.take(nms_rows(c.frame_idx, c.class_id, c.box, c.score, config.nms_iou))
     if not config.repp and not config.tubelet_link:
-        return c, None
+        return replace(c, tubelet_id=None)
 
     t = _build(c, config.model, config.tau_link, config.assignment)
     if config.repp:
@@ -75,8 +75,7 @@ def _postprocess(c: BoxColumns, config: PipelineConfig) -> tuple[BoxColumns, np.
     return _flatten(t, c)
 
 
-def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections
-             ) -> tuple[BoxColumns, np.ndarray]:
+def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections) -> BoxColumns:
     """tubelets_to_detections of tubelets in id order, as columns."""
     owner = np.repeat(np.arange(len(t.length)), t.length)
     if (beyond := t.frame >= source.frame_count).any():
@@ -85,9 +84,9 @@ def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections
                             f"beyond the video's {source.frame_count} frames")
     order = np.argsort(t.frame, kind="stable")
     n = len(order)
-    return (BoxColumns(source.video_id, source.frame_shape, source.frame_count, t.frame[order],
-                       t.class_id[owner[order]], t.box[order], t.score[order], np.zeros((n, 0)),
-                       np.zeros(n, np.int64)), np.asarray(t.tubelet_id)[owner[order]])
+    return BoxColumns(source.video_id, source.frame_shape, source.frame_count, t.frame[order],
+                      t.class_id[owner[order]], t.box[order], t.score[order], np.zeros((n, 0)),
+                      np.zeros(n, np.int64), np.array(t.tubelet_id, object)[owner[order]])
 
 
 def postprocess_video(
@@ -99,7 +98,7 @@ def postprocess_video(
     (input, None) when every stage is disabled. With all stages off the
     output is the input, which is the ablation baseline.
     """
-    return stream_of(*_postprocess(columns_of(v), config or PipelineConfig()))
+    return stream_of(_postprocess(columns_of(v), config or PipelineConfig()))
 
 
 def tubelets_to_detections(
@@ -111,4 +110,4 @@ def tubelets_to_detections(
     deterministic because ids are canonical.
     """
     t = TubeletColumns.of(sorted(tubelets, key=lambda t: t.tubelet_id))
-    return stream_of(*_flatten(t, source))
+    return stream_of(_flatten(t, source))

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import BBox, FrameShape, added, check_boxes
+from .geometry import _MAX_ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
 from .similarity import SimilarityModel, box_terms_of, link_score, pair_features
 
@@ -45,6 +45,8 @@ class TubeletEntry:
     def __post_init__(self):
         if self.frame_idx < 0:
             raise ValidationError(f"frame_idx must be >= 0, got {self.frame_idx}")
+        if self.frame_idx > _MAX_ID:
+            raise ValidationError(f"frame_idx must be at most 2**63 - 1, got {self.frame_idx}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score out of [0,1]: {self.score!r}")
 
@@ -60,6 +62,8 @@ class Tubelet:
     def __post_init__(self):
         if self.class_id < 0:
             raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
+        if self.class_id > _MAX_ID:
+            raise ValidationError(f"class_id must be at most 2**63 - 1, got {self.class_id}")
         if not self.entries:
             raise ValidationError("tubelet must hold at least one entry")
         start = self.entries[0].frame_idx

@@ -7,6 +7,7 @@ import pytest
 
 from tubelink import (
     BBox,
+    ContractError,
     Detection,
     GroundTruth,
     ParseError,
@@ -226,14 +227,14 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("count", [0, 2, 5, 7])
     def test_columns_need_one_tubelet_id_per_row(self, tmp_path, count):
-        # 6 rows: too few ids or too many, and nothing is written
-        frames = {f: [det(f), det(f, x=50.0)] for f in range(3)}
-        c = columns_of(VideoDetections("v", SHAPE, 3, frames))
+        # columns carry one id per row in their tubelet_id column: an id
+        # array passed beside them, of any length, is refused and nothing is written
+        v = VideoDetections("v", SHAPE, 3, {f: [det(f), det(f, x=50.0)] for f in range(3)})
         p = tmp_path / "out.txt"
-        with pytest.raises(ValidationError, match=f"^{count} tubelet_ids for 6 detections$"):
-            write_detections(c, p, np.arange(count))
+        with pytest.raises(ContractError, match="^columns carry their tubelet ids"):
+            write_detections(columns_of(v), p, np.arange(count))
         assert not p.exists()
-        write_detections(c, p, np.arange(6))
+        write_detections(columns_of(v, {f: [2 * f, 2 * f + 1] for f in range(3)}), p)
         assert len(p.read_text().splitlines()) == 8
 
 
@@ -502,9 +503,7 @@ class TestDescriptorColumns:
             ids = {f: [7 * f + j for j in range(len(d))] for f, d in v.frames.items()}
             for tubelet_ids in (None, ids):
                 write_detections(v, tmp_path / "a.txt", tubelet_ids)
-                flat = None if tubelet_ids is None else np.array(
-                    [i for f in v.frames for i in ids[f]], np.int64)
-                write_detections(columns_of(v), tmp_path / "b.txt", flat)
+                write_detections(columns_of(v, tubelet_ids), tmp_path / "b.txt")
                 assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     @pytest.mark.parametrize("tubelet_id", [2 ** 63, 2 ** 70, -1])

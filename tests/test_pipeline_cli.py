@@ -235,6 +235,69 @@ class TestCliPostprocess:
         for s, p in zip(seq, par):
             assert s.read_bytes() == p.read_bytes()
 
+    def test_a_failing_video_leaves_the_files_of_jobs_1(self, tmp_path, capsys, monkeypatch):
+        # b holds a score of 1.5, and c writes over its own input: for every
+        # --jobs the run stops at b, with a written and c untouched
+        inputs = {}
+        for name, seed in (("a", 1), ("b", 2), ("c", 3)):
+            _, _, p = write_scenario(tmp_path, seed=seed, frame_count=30)
+            inputs[f"{name}.txt"] = p.read_bytes()
+        inputs["b.txt"] += b"3 0 1 1 5 5 1.5\n"
+        runs = []
+        for jobs in ("1", "3"):
+            d = tmp_path / f"jobs{jobs}"
+            d.mkdir()
+            for name, text in inputs.items():
+                (d / name).write_bytes(text)
+            monkeypatch.chdir(d)
+            code = main(["postprocess", "--jobs", jobs, "--detections", "a.txt", "--out", "a.out",
+                         "--detections", "b.txt", "--out", "b.out",
+                         "--detections", "c.txt", "--out", "c.txt"])
+            files = {p.name: p.read_bytes() for p in d.iterdir()}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        code, printed, files = runs[0]
+        assert code == 1 and printed.out.startswith("sim-1: ") and printed.out.count("\n") == 1
+        assert printed.err.startswith("error: b.txt:") and "score out of [0,1]: 1.5" in printed.err
+        assert files.keys() == {"a.txt", "b.txt", "c.txt", "a.out"}
+        assert files["c.txt"] == inputs["c.txt"]
+
+    def test_at_most_one_video_per_worker_is_computed_ahead(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # results wait in memory until they are written: at most one per worker
+        ahead, most = [], []
+
+        class CountingPool:
+            """Runs each task in this process and counts the results not yet taken."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                ahead.append(fut)
+                most.append(len(ahead))
+                take = fut.result
+                fut.result = lambda: ahead.remove(fut) or take()
+                return fut
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=10)
+        argv = ["postprocess", "--jobs", "2"]
+        for k in range(5):
+            argv += ["--detections", str(det_path), "--out", str(tmp_path / f"o{k}.txt")]
+        assert main(argv) == 0
+        assert max(most) == 2 and not ahead
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (64, 8, 3),   # capped by the number of inputs
         (2, 8, 2),    # as asked
@@ -624,10 +687,16 @@ class TestCliInspect:
         assert "0 detections" in out and "0.00/frame" in out
 
     def test_histogram_after_postprocess(self, tmp_path, capsys):
+        # inspect only reads: the pipeline's tubelets are those of postprocess' output
         _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=40)
-        rc = main(["inspect", "--detections", str(det_path), "--postprocess"])
-        assert rc == 0
+        out = tmp_path / "out.txt"
+        assert main(["postprocess", "--detections", str(det_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--detections", str(out)]) == 0
         assert "length histogram" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:
+            main(["inspect", "--detections", str(det_path), "--postprocess"])
+        assert usage.value.code == 2
 
     def test_tubelet_lengths_of_a_marked_file(self, tmp_path, capsys):
         # tubelet 7 spans 3 frames, 2 and 9 one frame each, 4 two frames

@@ -24,9 +24,11 @@ from tubelink import (
     default_model,
     link_tubelets,
     read_detections,
+    read_detections_with_ids,
     read_ground_truth,
     rescore,
     smooth_coordinates,
+    tubelets_to_detections,
     write_detections,
     write_ground_truth,
 )
@@ -43,6 +45,8 @@ MODEL = default_model()
 APPEARANCE = st.one_of(st.none(), st.sampled_from([
     (1.0,), (-1.0,), (0.6, 0.8), (0.0, -1.0), (0.28, 0.96, 0.0), (0.0, 0.0, 1.0, 0.0)]))
 CLASS = st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1))
+TUBELET_ID = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 70]))
+BOX_0 = BBox(8.0, 16.0, 24.0, 32.0)
 
 
 @st.composite
@@ -51,6 +55,12 @@ def streams(draw):
     frames = {f: [Detection(f, draw(CLASS), draw(BOX), draw(SCORE), draw(APPEARANCE))
                   for _ in range(draw(st.integers(0, 3)))] for f in range(frame_count)}
     return VideoDetections("v", SHAPE, frame_count, frames)
+
+
+def bulk_refused(f, *args):
+    """f(*args) with the bulk reader refusing every file."""
+    with mock.patch.object(io, "_bulk_columns", lambda path, ground_truth: None):
+        return f(*args)
 
 
 def any_ids(ts, ids):
@@ -81,19 +91,20 @@ class TestStreamColumns:
         ids, at = {}, 0
         for f, dets in v.frames.items():
             ids[f], at = flat[at:at + len(dets)], at + len(dets)
-        got = stream_of(columns_of(v), np.asarray(flat) if with_ids else None)
+        got = stream_of(columns_of(v, ids if with_ids else None))
         assert got == (v, ids if with_ids else None)
 
     @ORACLE
-    @given(streams(), st.booleans(), st.randoms(use_true_random=False))
+    @given(streams(), st.booleans(), st.randoms(use_true_random=False), st.data())
     def test_read_columns_gives_stored_order_on_both_routes(self, tmp_path_factory, v, with_ids,
-                                                            random):
+                                                            random, data):
         # the lines shuffled, so stored order differs from file order
         p = tmp_path_factory.mktemp("rc") / "in.txt"
         gt = GroundTruth(v.video_id, v.frame_shape, v.frame_count, {
             f: [TrackBox(f, d.class_id, k, d.bbox) for k, d in enumerate(dets)]
             for f, dets in v.frames.items()})
-        ids = {f: list(range(len(dets))) for f, dets in v.frames.items()} if with_ids else None
+        ids = {f: data.draw(st.lists(TUBELET_ID, min_size=len(dets), max_size=len(dets)))
+               for f, dets in v.frames.items()} if with_ids else None
         for ground_truth in (False, True):
             if ground_truth:
                 write_ground_truth(gt, p)
@@ -106,9 +117,31 @@ class TestStreamColumns:
             stored = columns_of((read_ground_truth if ground_truth else read_detections)(p))
             assert (np.diff(stored.frame_idx) >= 0).all()
             assert io._bulk_columns(p, ground_truth) is not None
-            assert_same_columns(read_columns(p, ground_truth), stored)
-            with mock.patch.object(io, "_bulk_columns", lambda path, ground_truth: None):
-                assert_same_columns(read_columns(p, ground_truth), stored)
+            # the ids as read_detections_with_ids reads them, in stored order
+            back = None if ground_truth else read_detections_with_ids(p)[1]
+            want = None if back is None else [i for f in back for i in back[f]]
+            for c in (read_columns(p, ground_truth), bulk_refused(read_columns, p, ground_truth)):
+                assert_same_columns(c, stored)
+                assert (c.tubelet_id is None) == (want is None)
+                if want is not None:
+                    assert c.tubelet_id.dtype == object and c.tubelet_id.tolist() == want
+                    assert all(type(i) is int for i in c.tubelet_id)
+
+    @ORACLE
+    @given(st.lists(tubelets(start=st.integers(0, 20)), max_size=6),
+           st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=6, max_size=6))
+    # ids that numpy would hold as float64 together, and one that float64 rounds
+    @example([Tubelet(0, 0, (TubeletEntry(0, BOX_0, 0.5),)),
+              Tubelet(0, 0, (TubeletEntry(1, BOX_0, 0.5),)),
+              Tubelet(0, 0, (TubeletEntry(1, BOX_0, 0.5),))], [-1, 2 ** 63, 2 ** 63 + 1, 0, 0, 0])
+    def test_tubelet_ids_of_any_size_are_written_and_read_back(self, tmp_path_factory, ts, ids):
+        ts = any_ids(ts, ids)
+        out, got = tubelets_to_detections(ts, VideoDetections("v", SHAPE, 60, {}))
+        assert Counter(i for f in got for i in got[f]) == Counter(
+            t.tubelet_id for t in ts for _ in t.entries)
+        p = tmp_path_factory.mktemp("ids") / "out.txt"
+        write_detections(out, p, got)
+        assert read_detections_with_ids(p) == (out, got)
 
 
 def entries_of(ts):

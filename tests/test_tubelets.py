@@ -21,6 +21,7 @@ from tubelink import (
     generate,
     link_features,
     link_score,
+    link_tubelets,
     rescore,
     smooth_coordinates,
 )
@@ -494,3 +495,25 @@ class TestTubeletInvariants:
         # tubelet_link_score used to catch this only by building a Detection
         with pytest.raises(ValidationError, match="class_id"):
             Tubelet(0, -1, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
+
+    def test_class_and_frame_beyond_int64_rejected(self):
+        # both are int64 columns in TubeletColumns: a larger value used to
+        # escape every stage as a raw OverflowError
+        box = BBox(0, 0, 5, 5)
+        with pytest.raises(ValidationError, match=r"^class_id must be at most 2\*\*63 - 1, got "
+                                                  f"{2 ** 63}$"):
+            Tubelet(0, 2 ** 63, (TubeletEntry(0, box, 0.5),))
+        with pytest.raises(ValidationError, match=r"^frame_idx must be at most 2\*\*63 - 1, got "
+                                                  f"{2 ** 63}$"):
+            TubeletEntry(2 ** 63, box, 0.5)
+        with pytest.raises(ValidationError, match="frame_idx must be at most"):
+            Tubelet(0, 0, (TubeletEntry(2 ** 63 - 1, box, 0.5), TubeletEntry(2 ** 63, box, 0.5)))
+
+    def test_largest_class_and_frame_pass_every_stage(self):
+        top = 2 ** 63 - 1
+        box = BBox(0, 0, 5, 5)
+        t = Tubelet(0, top, (TubeletEntry(top - 1, box, 0.4), TubeletEntry(top, box, 0.6)))
+        assert (t.class_id, t.end_frame) == (top, top)
+        assert rescore(t, 0.0).entries[1] == TubeletEntry(top, box, t.mean_score())
+        assert smooth_coordinates(t, 3) == t
+        assert link_tubelets([t], MODEL, 20, 0.5, SHAPE) == [t]
