@@ -27,6 +27,7 @@ from tubelink import (
     iou,
     link_features,
     link_score,
+    link_tubelets,
     load_model,
     save_model,
     tubelet_gap,
@@ -559,3 +560,64 @@ def oracle_build_tubelets(v, m, tau_link, assignment):
     chains.sort(key=lambda c: (c[0].frame_idx, c[0].bbox.x, c[0].bbox.y))
     return [Tubelet(k, c[0].class_id, tuple(TubeletEntry(d.frame_idx, d.bbox, d.score) for d in c))
             for k, c in enumerate(chains)]
+
+
+class TestFirstFailingPairRaises:
+    """Of a stream's candidate pairs, the first in enumeration order (tails
+    in stored order, each tail's heads in frame order) that cannot be scored
+    raises its own error, at both levels."""
+
+    UNDERFLOW = (det(frame=0, x=300.0, h=1e300), det(frame=1, x=300.0, h=1e-300))
+
+    @staticmethod
+    def build(frames, m=None):
+        v = VideoDetections("v", SHAPE, 2, {f: list(ds) for f, ds in frames.items()})
+        return build_tubelets(v, m or default_model(), 0.5)
+
+    @staticmethod
+    def link(pairs, m=None, g_max=3):
+        ts = [Tubelet(k, 0, (TubeletEntry(f, b, 0.9),))
+              for k, (f, b) in enumerate(p for pair in pairs for p in pair)]
+        return link_tubelets(ts, m or default_model(), g_max, 0.5, SHAPE)
+
+    def test_mixed_descriptor_lengths(self):
+        frames = {0: [det(frame=0, cls=0, app=(1.0, 0.0)), det(frame=0, cls=1, app=(0.6, 0.8))],
+                  1: [det(frame=1, cls=1, app=(0.0, 0.6, 0.8)),
+                      det(frame=1, cls=0, app=(0.0, 0.0, 1.0, 0.0))]}
+        with pytest.raises(ValidationError, match=re.escape("descriptor lengths differ: 2 and 4")):
+            self.build(frames)
+
+    def test_size_ratio_underflow(self):
+        with pytest.raises(ValidationError,
+                           match=re.escape("link feature log size ratio is not finite: -inf")):
+            self.build({0: [self.UNDERFLOW[0]], 1: [self.UNDERFLOW[1]]})
+        with pytest.raises(ValidationError,
+                           match=re.escape("link feature log size ratio is not finite: -inf")):
+            self.link([((0, self.UNDERFLOW[0].bbox), (2, self.UNDERFLOW[1].bbox))])
+
+    def test_non_finite_dx_before_an_underflow(self):
+        # the centre displacement 2e308 overflows to inf
+        far = (BBox(-1e308, 0.0, 1.0, 10.0), BBox(1e308, 0.0, 1.0, 10.0))
+        frames = {0: [det(frame=0, x=-1e308, w=1.0), self.UNDERFLOW[0]],
+                  1: [det(frame=1, x=1e308, w=1.0), self.UNDERFLOW[1]]}
+        message = re.escape("link feature dx is not finite: inf")
+        with pytest.raises(ValidationError, match=message):
+            self.build(frames)
+        with pytest.raises(ValidationError, match=message):
+            self.link([((0, far[0]), (1, far[1])),
+                       ((0, self.UNDERFLOW[0].bbox), (1, self.UNDERFLOW[1].bbox))], g_max=0)
+
+    def test_undefined_logit_before_an_underflow(self):
+        m = SimilarityModel((1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0)
+        # dx = dy = 2: weighted terms of +inf and -inf
+        frames = {0: [det(frame=0), self.UNDERFLOW[0]],
+                  1: [det(frame=1, x=2560.0, y=1440.0), self.UNDERFLOW[1]]}
+        with pytest.raises(ValidationError, match="link score logit is undefined"):
+            self.build(frames, m)
+
+    def test_underflow_before_a_non_finite_dx_in_one_pair(self):
+        # the log of the size ratio is taken before the features are checked
+        frames = {0: [det(frame=0, x=-1e308, w=1.0, h=1e300)],
+                  1: [det(frame=1, x=1e308, w=1.0, h=1e-300)]}
+        with pytest.raises(ValidationError, match="log size ratio is not finite"):
+            self.build(frames)
