@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import FrameShape, check_boxes
-from .similarity import SimilarityModel, box_terms, box_terms_of, link_score, pair_features
+from .similarity import SimilarityModel, link_score, one_pair_features
 from .tubelets import (
     Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates, _means,
 )
@@ -51,8 +51,8 @@ def tubelet_link_score(
             f"tubelets overlap or are out of order (gap {gap})"
         )
     tail, head = a.entries[-1], b.entries[0]
-    f = pair_features(box_terms(tail.bbox, tail.score), box_terms(head.bbox, head.score),
-                      1.0, shape, gap + 1)
+    f = one_pair_features((a.class_id, tail.bbox, tail.score, None),
+                          (b.class_id, head.bbox, head.score, None), gap + 1, shape)
     return link_score(m, f)
 
 
@@ -111,14 +111,13 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     if len(set(keys)) != len(keys):
         raise ContractError("tubelet ids must be unique before linking")
 
-    start, classes = t.start, t.class_id.tolist()
+    start = t.start
     end = start + t.length - 1
-    first, last = t.frame[start].tolist(), t.frame[end].tolist()
-    no_app = [None] * len(keys)
-    tails = list(zip(keys, classes, last, box_terms_of(t.box[end], t.score[end], no_app)))
-    heads = sorted(zip(keys, classes, first, box_terms_of(t.box[start], t.score[start], no_app)),
-                   key=lambda h: h[2])
-    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
+    no_app = np.zeros((len(keys), 0)), np.zeros(len(keys), np.int64)
+    tails, heads = ((t.frame[e], t.class_id, t.box[e], t.score[e], *no_app) for e in (end, start))
+    successor = _accept_greedy([(s, keys[a], keys[b]) for s, a, b in _link_candidates(
+        tails, heads, m, g_max, tau_tub, shape)])
+    first = t.frame[start].tolist()
 
     at = {k: i for i, k in enumerate(keys)}
     chains = [[at[k] for k in chain] for chain in _follow_chains(keys, successor)]

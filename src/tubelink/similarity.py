@@ -9,6 +9,11 @@ probability-like linking score.
 Displacement and size-ratio features enter the score as magnitudes
 (dx^2, dy^2, |log ratio|), so the score does not depend on motion direction:
 small jitters are cheap, large jumps expensive.
+
+feature_columns is the one feature path: it computes the features of many
+pairs with numpy, with the float operations of one pair in Python, so the
+linker's chunks and the single-pair functions (link_features, and
+linking.tubelet_link_score through one_pair_features) give the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, FitError, ValidationError
-from .geometry import BBox, Detection, FrameShape
+from .geometry import BBox, Detection, FrameShape, iou_corners
 from .io import read_text
 
 MODEL_MAGIC = "repp-model v1"
@@ -92,47 +97,63 @@ def default_model() -> SimilarityModel:
     return SimilarityModel(DEFAULT_WEIGHTS, DEFAULT_BIAS)
 
 
-def box_terms(b: BBox, score: float, appearance: tuple[float, ...] | None = None) -> tuple:
-    """box_terms_of for one box."""
-    app = None if appearance is None else np.array(appearance)
-    return box_terms_of(np.array([[b.x, b.y, b.w, b.h]], float), np.array([score], float), [app])[0]
+@np.errstate(over="ignore", invalid="ignore")
+def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.ndarray,
+                    shape: FrameShape) -> tuple[tuple[list, ...], ValidationError | None]:
+    """The link features of the pairs of rows a[i[k]] -> b[j[k]], the one
+    feature path of every scorer. A side holds BoxColumns' columns
+    (class_id, box, score, descriptor, descriptor_len); pair k's centre
+    displacement is divided by the frame side and then by steps[k], the
+    number of frames it spans.
+
+    Returns the LinkFeatures fields as 8 lists of floats, up to the first
+    pair whose features cannot be built, and that pair's ValidationError (or
+    None): its descriptor lengths differ, or a size ratio underflows the
+    log. Every value has the float operations of one pair in Python:
+    geometry.iou's for the IoU, np.dot's for the descriptor cosine, and
+    math.log for the size ratios, as np.log may round differently.
+    """
+    # each side at its pairs' rows, but for the descriptors: those are
+    # gathered per length below, only the values that a dot takes
+    (ac, abox, ascore, alen), (bc, bbox, bscore, blen) = (
+        [side[k][rows] for k in (0, 1, 2, 4)] for side, rows in ((a, i), (b, j)))
+    (ax, ay, aw, ah), (bx, by, bw, bh) = abox.T, bbox.T
+    overlap = iou_corners(np.column_stack([ax, ay, ax + aw, ay + ah]),
+                          np.column_stack([bx, by, bx + bw, by + bh]))
+    w_ratio, h_ratio = bw / aw, bh / ah
+    app = np.zeros(len(steps))
+    both = (alen > 0) & (blen > 0)
+    for k in np.unique(alen[both & (alen == blen)]).tolist():
+        at = np.flatnonzero(both & (alen == k) & (blen == k))
+        app[at] = np.matmul(a[3][i[at], None, :k], b[3][j[at], :k, None])[:, 0, 0]  # stacked dots
+    bad = (both & (alen != blen)) | (w_ratio == 0.0) | (h_ratio == 0.0)
+    n = int(bad.argmax()) if bad.any() else len(bad)
+    error = None
+    if n < len(bad):  # the checks of one pair, in their order
+        error = ValidationError(f"descriptor lengths differ: {alen[n]} and {blen[n]}"
+                                if both[n] and alen[n] != blen[n]
+                                else "link feature log size ratio is not finite: -inf")
+    dx = ((bx + bw / 2.0) - (ax + aw / 2.0)) / shape.width / steps
+    dy = ((by + bh / 2.0) - (ay + ah / 2.0)) / shape.height / steps
+    columns = [c[:n].tolist() for c in (dx, dy, w_ratio, h_ratio, overlap, np.sqrt(ascore * bscore),
+                                        np.where(ac == bc, 1.0, 0.0), np.clip(app, -1.0, 1.0))]
+    columns[2:4] = (list(map(math.log, c)) for c in columns[2:4])
+    return tuple(columns), error
 
 
-def box_terms_of(box: np.ndarray, score: np.ndarray, appearance: list) -> list[tuple]:
-    """What pair_features needs of each box row (x, y, w, h), computed once
-    per box however many pairs it is in: corners and area (as geometry.iou
-    computes them), centre, size, score and descriptor (an array or None)."""
-    x, y, w, h = box.T
-    x2, y2 = x + w, y + h
-    terms = (x, y, x2, y2, (x2 - x) * (y2 - y), x + w / 2.0, y + h / 2.0, w, h, score)
-    return list(zip(*(a.tolist() for a in terms), appearance))
-
-
-def pair_features(
-    a: tuple, b: tuple, class_match: float, shape: FrameShape, steps: int = 1
-) -> LinkFeatures:
-    """The link features of box a -> box b from their box_terms; every scorer
-    builds its features here. The centre displacement is divided by the
-    frame side and then by `steps`, the number of frames it spans."""
-    ax1, ay1, ax2, ay2, a_area, acx, acy, aw, ah, a_score, a_app = a
-    bx1, by1, bx2, by2, b_area, bcx, bcy, bw, bh, b_score, b_app = b
-    # geometry.iou's float ops; min/max keep the first of equal values
-    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
-    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
-    inter = ix * iy
-    overlap = (0.0 if ix <= 0.0 or iy <= 0.0 or inter == 0.0
-               else inter / (a_area + b_area - inter))
-    app = 0.0
-    if a_app is not None and b_app is not None:
-        if len(a_app) != len(b_app):
-            raise ValidationError(f"descriptor lengths differ: {len(a_app)} and {len(b_app)}")
-        app = max(-1.0, min(1.0, float(np.dot(a_app, b_app))))
-    try:
-        log_w, log_h = math.log(bw / aw), math.log(bh / ah)
-    except ValueError:  # the size ratio underflowed to 0
-        raise ValidationError("link feature log size ratio is not finite: -inf") from None
-    return LinkFeatures((bcx - acx) / shape.width / steps, (bcy - acy) / shape.height / steps,
-                        log_w, log_h, overlap, math.sqrt(a_score * b_score), class_match, app)
+def one_pair_features(a: tuple, b: tuple, steps: int, shape: FrameShape) -> LinkFeatures:
+    """feature_columns of the one pair a -> b, each side a (class_id, BBox,
+    score, descriptor or None) tuple."""
+    sides = []
+    for class_id, box, score, appearance in (a, b):
+        app = np.array([appearance or ()], float)
+        sides.append((np.array([class_id]), np.array([[box.x, box.y, box.w, box.h]], float),
+                      np.array([score], float), app, np.array([app.shape[1]])))
+    row = np.zeros(1, np.int64)
+    columns, error = feature_columns(*sides, row, row, np.array([steps]), shape)
+    if error:
+        raise error
+    return LinkFeatures(*(c[0] for c in columns))
 
 
 def link_features(d1: Detection, d2: Detection, shape: FrameShape) -> LinkFeatures:
@@ -145,12 +166,8 @@ def link_features(d1: Detection, d2: Detection, shape: FrameShape) -> LinkFeatur
             f"link_features needs d1.frame_idx < d2.frame_idx "
             f"(got {d1.frame_idx} and {d2.frame_idx})"
         )
-    return pair_features(
-        box_terms(d1.bbox, d1.score, d1.appearance),
-        box_terms(d2.bbox, d2.score, d2.appearance),
-        1.0 if d1.class_id == d2.class_id else 0.0,
-        shape,
-    )
+    return one_pair_features((d1.class_id, d1.bbox, d1.score, d1.appearance),
+                             (d2.class_id, d2.bbox, d2.score, d2.appearance), 1, shape)
 
 
 def feature_vector(f: LinkFeatures) -> tuple[float, ...]:

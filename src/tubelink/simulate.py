@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from numpy.random import Generator, PCG64
 
 from .errors import ValidationError
-from .geometry import BBox, Detection, FrameShape
+from .geometry import _MAX_ID, BBox, Detection, FrameShape
 from .io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
 from .settings import (
     FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least,
@@ -51,7 +51,7 @@ class ScenarioConfig:
     width: int = setting(1280, FRAME_SIDE)
     height: int = setting(720, FRAME_SIDE)
     num_tracks: int = setting(8, int_at_least(0))
-    classes: int = setting(1, int_at_least(1))
+    classes: int = setting(1, Check(lambda v: 1 <= v <= _MAX_ID, "an integer in [1, 2**63 - 1]"))
     box_min: float = setting(24.0, NON_NEGATIVE)
     box_max: float = setting(64.0, NON_NEGATIVE)
     speed_max: float = setting(4.0, NON_NEGATIVE)
@@ -59,7 +59,8 @@ class ScenarioConfig:
     jitter_sigma: float = setting(0.0, NON_NEGATIVE)
     drop_prob: float = setting(0.0, UNIT_HALF_OPEN)
     burst_prob: float = setting(0.0, UNIT_HALF_OPEN)
-    burst_max: int = setting(0, int_at_least(0))
+    # burst_max + 1 is the bound of an int64 draw
+    burst_max: int = setting(0, Check(lambda v: 0 <= v < _MAX_ID, "an integer in [0, 2**63 - 2]"))
     fp_rate: float = setting(
         0.0, Check(lambda v: 0.0 <= v <= MAX_FP_RATE, f"in [0, {MAX_FP_RATE:g}]"))
     tp_score_mean: float = setting(0.8, UNIT_CLOSED)

@@ -26,7 +26,8 @@ from tubelink import (
     tubelet_link_score,
 )
 
-from tubelink.similarity import box_terms, pair_features
+from tubelink import tubelets as tubelets_module
+from tubelink.similarity import one_pair_features
 
 from conftest import SHAPE, det
 from test_tubelets import ORACLE, added, tubelets
@@ -384,8 +385,9 @@ class TestLeanPathMatchesOracle:
                 assert tubelet_link_score(a, b, m, SHAPE) == oracle_tubelet_link_score(a, b, m, SHAPE)
                 # the features too, which a score can round away
                 tail, head = a.entries[-1], b.entries[0]
-                f = pair_features(box_terms(tail.bbox, tail.score),
-                                  box_terms(head.bbox, head.score), 1.0, SHAPE, tubelet_gap(a, b) + 1)
+                f = one_pair_features((a.class_id, tail.bbox, tail.score, None),
+                                      (b.class_id, head.bbox, head.score, None),
+                                      tubelet_gap(a, b) + 1, SHAPE)
                 assert f == oracle_tubelet_features(a, b, SHAPE)
 
     def test_size_ratio_overflow_raises_validation_error(self):
@@ -423,6 +425,32 @@ class TestLeanPathMatchesOracle:
             singles = [Tubelet(k, d.class_id, (TubeletEntry(d.frame_idx, d.bbox, d.score),))
                        for k, d in enumerate(dets)]
             assert build_tubelets(v, m, tau) == link_tubelets(singles, m, 0, tau, v.frame_shape)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_link_tubelets_in_small_chunks(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(tubelets_module, "_PAIR_CHUNK", chunk)
+        self.test_link_tubelets(rng)
+
+    def test_three_tubelets_at_the_int64_bound_merge(self):
+        # end + 1 + g_max leaves int64 here: the window must not wrap around
+        top = 2**63 - 1
+        ts = [run(top - 10, 1, tid=0), run(top - 5, 1, tid=1), run(top, 1, tid=2)]
+        for g_max in (20, 2**63, 10**23):
+            got = link_tubelets(ts, MODEL, g_max, 0.5, SHAPE)
+            assert got == oracle_link_tubelets(ts, MODEL, g_max, 0.5, SHAPE)
+            assert [(t.start_frame, len(t)) for t in got] == [(top - 10, 11)]
+
+    @pytest.mark.parametrize("g_max", [1, 7, 20, 2**63 - 2, 2**63 - 1, 2**63, 10**23])
+    @pytest.mark.parametrize("near", ["zero", "top"])
+    def test_frames_and_gaps_at_the_int64_bound(self, rng, g_max, near):
+        shift = 2**63 - 1 - 45 if near == "top" else 0
+        for _ in range(20):
+            ts = [Tubelet(t.tubelet_id, t.class_id, tuple(dataclasses.replace(
+                e, frame_idx=e.frame_idx + shift) for e in t.entries))
+                for t in random_tubelets(rng, int(rng.integers(0, 15)), frames=43)]
+            m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
+            assert link_tubelets(ts, m, g_max, tau, SHAPE) == \
+                oracle_link_tubelets(ts, m, g_max, tau, SHAPE)
 
     def test_link_tubelets_on_simulated_streams(self):
         for seed in range(4):

@@ -23,6 +23,7 @@ from tubelink.cli import main
 from tubelink.io import MAX_FRAME_COUNT
 
 from conftest import random_stream
+from test_simulate import time_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -166,6 +167,19 @@ class TestCliPostprocess:
         rc = main(["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
         assert rc == 1
         assert f"error: link feature {message}" in capsys.readouterr().err
+
+    def test_unbounded_gap_and_window(self, tmp_path):
+        # over 300 frames, no gap exceeds 298 frames and no tubelet 300: the
+        # largest settings give the bytes of these, in bounded time
+        _, _, det_path = write_scenario(tmp_path, seed=2)
+        outs = []
+        for g_max, window in (("300", "601"), (str(10**23), str(10**9 + 1))):
+            out = tmp_path / f"out{len(outs)}.txt"
+            with time_limit(30):
+                assert main(["postprocess", "--detections", str(det_path), "--out", str(out),
+                             "--g-max", g_max, "--smooth-window", window]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_boxes_whose_intersection_underflows(self, tmp_path, capsys):
         # 1e-200 * 1e-200 rounds to 0: the IoU divided 0 by 0, a traceback

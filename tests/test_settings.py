@@ -176,6 +176,25 @@ class TestScenarioLimits:
         with pytest.raises(ValidationError, match="fp_rate"):
             ScenarioConfig(fp_rate=MAX_FP_RATE * 1.01)
 
+    @pytest.mark.parametrize("name, largest", [("classes", 2**63 - 1), ("burst_max", 2**63 - 2)])
+    def test_int64_draws_are_bounded(self, tmp_path, capsys, name, largest):
+        # a value beyond int64 ended in numpy's "high is out of bounds" traceback
+        flag = "--" + name.replace("_", "-")
+        for value in (largest + 1, 10**23):
+            with pytest.raises(SystemExit) as e:
+                simulate(tmp_path, flag, str(value))
+            assert e.value.code == 2
+            assert f"{flag[2:]} must be an integer in" in capsys.readouterr().err
+        cfg = tmp_path / "s.txt"
+        cfg.write_text(f"{name} = {10**23}\n")
+        assert simulate(tmp_path, "--config", str(cfg)) == 1
+        assert f"{name} must be an integer in" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match=name):
+            ScenarioConfig(**{name: largest + 1})
+        ScenarioConfig(**{name: largest})
+        assert simulate(tmp_path, flag, str(largest), "--frame-count", "20",
+                        "--burst-prob", "0.5") == 0
+
     def test_frame_side_beyond_float_range_rejected(self, tmp_path):
         # both sides used to end in an OverflowError from float arithmetic
         with pytest.raises(ValidationError, match="width"):

@@ -32,6 +32,8 @@ from tubelink import (
     save_model,
     tubelet_gap,
 )
+from tubelink import tubelets
+from tubelink.similarity import feature_columns, one_pair_features
 from tubelink.tubelets import _exact_assignment
 
 from conftest import SHAPE, det, random_bbox, unit_vector
@@ -299,6 +301,14 @@ class TestFeatureVector:
 
 # ------------------------------------------- the lean path against the seed's
 
+@pytest.fixture(params=[1, 3, None], ids=["chunk1", "chunk3", "chunk_default"])
+def pair_chunk(request, monkeypatch):
+    """The candidate pairs' features computed 1, 3 or the default number of
+    pairs at a time: chunks must not change a score, an order or an error."""
+    if request.param:
+        monkeypatch.setattr(tubelets, "_PAIR_CHUNK", request.param)
+
+
 def oracle_link_features(d1, d2, shape):
     """The seed's per-pair link_features: every box term recomputed per pair."""
     if d1.frame_idx >= d2.frame_idx:
@@ -524,6 +534,71 @@ class TestLeanPathMatchesOracle:
             copies += sum(len(f) - len(set(f)) for f in v.frames.values())
         assert empty > 20 and copies > 20
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("assignment", ["greedy", "exact"])
+    def test_build_tubelets_in_small_chunks(self, rng, monkeypatch, assignment, chunk):
+        monkeypatch.setattr(tubelets, "_PAIR_CHUNK", chunk)
+        self.test_match_frame_pair(rng, assignment)
+        self.test_build_tubelets(rng, assignment)
+
+    def test_link_candidates_against_every_pair(self, rng, pair_chunk):
+        # tails and heads of their own, so that a tail's class may be missing
+        # from the heads; each pair scored alone, heads in frame order
+        def ends(n):
+            boxes = [random_box(rng) for _ in range(n)]
+            return (rng.integers(0, 12, n), rng.integers(0, 4, n),
+                    np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(n, 4),
+                    rng.uniform(0.0, 1.0, n), np.zeros((n, 0)), np.zeros(n, np.int64))
+
+        missing = 0
+        for _ in range(300):
+            tails, heads = ends(int(rng.integers(0, 8))), ends(int(rng.integers(0, 8)))
+            m, g_max = random_model(rng), int(rng.integers(0, 5))
+            tau = float(rng.uniform(0.05, 0.95))
+            expect = []
+            for a in range(len(tails[0])):
+                for b in sorted(range(len(heads[0])), key=lambda b: heads[0][b]):
+                    steps = int(heads[0][b] - tails[0][a])
+                    if heads[1][b] == tails[1][a] and 1 <= steps <= g_max + 1:
+                        f = one_pair_features(*((e[1][r], BBox(*e[2][r]), e[3][r], None)
+                                                for e, r in ((tails, a), (heads, b))), steps, SHAPE)
+                        if (s := link_score(m, f)) >= tau:
+                            expect.append((s, a, b))
+            assert tubelets._link_candidates(tails, heads, m, g_max, tau, SHAPE) == expect
+            missing += sum(min(heads[1], default=9) < c < max(heads[1], default=0)
+                           for c in set(tails[1].tolist()) - set(heads[1].tolist()))
+        assert missing > 30
+
+    def test_random_weight_signs(self, rng, pair_chunk):
+        # fit_model does not constrain signs: any weight may reward or penalize
+        for _ in range(30):
+            signs = rng.choice([-1.0, 1.0], 8)
+            m = SimilarityModel(tuple(float(v) for v in signs * rng.uniform(0.0, 50.0, 8)),
+                                float(rng.normal(0.0, 5.0)))
+            v = VideoDetections("v", SHAPE, 8, {f: random_frame(rng, f) for f in range(8)})
+            tau = float(rng.uniform(0.05, 0.95))
+            for assignment in ("greedy", "exact"):
+                assert build_tubelets(v, m, tau, assignment) == \
+                    oracle_build_tubelets(v, m, tau, assignment)
+
+    def test_batched_cosine_equals_np_dot_pair_by_pair(self, rng):
+        # descriptors of several lengths in one matrix, each row padded with
+        # zeros as BoxColumns stores them; pairs of equal lengths only
+        n, width = 4000, 40
+        lengths = rng.choice([1, 2, 3, 4, 5, 7, 8, 16, 17, 33, 40], n)
+        app = np.zeros((n, width))
+        for r, k in enumerate(lengths.tolist()):
+            app[r, :k] = unit_vector(rng, k)
+        i = rng.integers(0, n, 3 * n)
+        j = np.array([rng.choice(np.flatnonzero(lengths == lengths[a])) for a in i.tolist()])
+        side = (np.zeros(n, np.int64), np.tile([10.0, 10.0, 5.0, 5.0], (n, 1)), np.ones(n),
+                app, lengths)
+        columns, error = feature_columns(side, side, i, j, np.ones(len(i)), SHAPE)
+        assert error is None
+        expect = [max(-1.0, min(1.0, float(np.dot(app[a, :k], app[b, :k]))))
+                  for a, b, k in zip(i.tolist(), j.tolist(), lengths[i].tolist())]
+        assert columns[7] == expect
+
 
 def random_frame(rng, f):
     """Up to 5 detections, a copy of one of them (equal scores) on half the
@@ -580,14 +655,14 @@ class TestFirstFailingPairRaises:
               for k, (f, b) in enumerate(p for pair in pairs for p in pair)]
         return link_tubelets(ts, m or default_model(), g_max, 0.5, SHAPE)
 
-    def test_mixed_descriptor_lengths(self):
+    def test_mixed_descriptor_lengths(self, pair_chunk):
         frames = {0: [det(frame=0, cls=0, app=(1.0, 0.0)), det(frame=0, cls=1, app=(0.6, 0.8))],
                   1: [det(frame=1, cls=1, app=(0.0, 0.6, 0.8)),
                       det(frame=1, cls=0, app=(0.0, 0.0, 1.0, 0.0))]}
         with pytest.raises(ValidationError, match=re.escape("descriptor lengths differ: 2 and 4")):
             self.build(frames)
 
-    def test_size_ratio_underflow(self):
+    def test_size_ratio_underflow(self, pair_chunk):
         with pytest.raises(ValidationError,
                            match=re.escape("link feature log size ratio is not finite: -inf")):
             self.build({0: [self.UNDERFLOW[0]], 1: [self.UNDERFLOW[1]]})
@@ -595,7 +670,7 @@ class TestFirstFailingPairRaises:
                            match=re.escape("link feature log size ratio is not finite: -inf")):
             self.link([((0, self.UNDERFLOW[0].bbox), (2, self.UNDERFLOW[1].bbox))])
 
-    def test_non_finite_dx_before_an_underflow(self):
+    def test_non_finite_dx_before_an_underflow(self, pair_chunk):
         # the centre displacement 2e308 overflows to inf
         far = (BBox(-1e308, 0.0, 1.0, 10.0), BBox(1e308, 0.0, 1.0, 10.0))
         frames = {0: [det(frame=0, x=-1e308, w=1.0), self.UNDERFLOW[0]],
@@ -607,7 +682,7 @@ class TestFirstFailingPairRaises:
             self.link([((0, far[0]), (1, far[1])),
                        ((0, self.UNDERFLOW[0].bbox), (1, self.UNDERFLOW[1].bbox))], g_max=0)
 
-    def test_undefined_logit_before_an_underflow(self):
+    def test_undefined_logit_before_an_underflow(self, pair_chunk):
         m = SimilarityModel((1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0)
         # dx = dy = 2: weighted terms of +inf and -inf
         frames = {0: [det(frame=0), self.UNDERFLOW[0]],
@@ -615,7 +690,21 @@ class TestFirstFailingPairRaises:
         with pytest.raises(ValidationError, match="link score logit is undefined"):
             self.build(frames, m)
 
-    def test_underflow_before_a_non_finite_dx_in_one_pair(self):
+    def test_equal_heads_keep_row_order(self, pair_chunk):
+        # two heads of one class in one frame: the first listed is scored first
+        frames = {0: [det(frame=0, app=(1.0, 0.0))],
+                  1: [det(frame=1, x=5.0, app=(0.0, 0.0, 1.0, 0.0)),
+                      det(frame=1, app=(0.0, 0.6, 0.8))]}
+        with pytest.raises(ValidationError, match=re.escape("descriptor lengths differ: 2 and 4")):
+            self.build(frames)
+
+    def test_descriptor_lengths_before_the_log_in_one_pair(self, pair_chunk):
+        frames = {0: [det(frame=0, h=1e300, app=(1.0, 0.0))],
+                  1: [det(frame=1, h=1e-300, app=(0.0, 0.6, 0.8))]}
+        with pytest.raises(ValidationError, match=re.escape("descriptor lengths differ: 2 and 3")):
+            self.build(frames)
+
+    def test_underflow_before_a_non_finite_dx_in_one_pair(self, pair_chunk):
         # the log of the size ratio is taken before the features are checked
         frames = {0: [det(frame=0, x=-1e308, w=1.0, h=1e300)],
                   1: [det(frame=1, x=1e308, w=1.0, h=1e-300)]}

@@ -29,6 +29,7 @@ from tubelink import (
 from tubelink.tubelets import TubeletColumns, _rescore, _smooth
 
 from conftest import SHAPE, det, random_stream
+from test_simulate import time_limit
 
 MODEL = default_model()
 
@@ -435,6 +436,15 @@ class TestBatchedRefinementMatchesPerTubelet:
         assert _smooth(t, window).tolist() == [
             [e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h]
             for x in ts for e in oracle_smooth_coordinates(x, window).entries]
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(tubelets(), min_size=1, max_size=6))
+    def test_window_beyond_the_longest_tubelet(self, ts):
+        # the offsets of the window run over the longest tubelet, not the window
+        t = TubeletColumns.of(ts)
+        with time_limit(10):
+            assert _smooth(t, 10**9 + 1).tolist() == _smooth(t, 2 * int(t.length.max()) + 1).tolist()
 
 
 class TestFilterShort:

@@ -1,0 +1,80 @@
+"""Print a sha256 digest of every file of the run set, one `sha256  name`
+line per file, so that two checkouts give the same bytes exactly when a
+`diff` of their outputs is empty.
+
+The run set is every perfbench workload video at seeds 0 and 7919 with the
+workload's postprocess flags (the scenarios are read from perfbench/run.py's
+WORKLOADS), and standard_scenario seeds 0-9 with the default flags, with
+`--nms-iou 0.5` and with `--assignment exact`. Each run calls `simulate`,
+`postprocess` and `eval --out` through tubelink.cli.main in a temporary
+directory; its files are the ground truth, the detections, the postprocess
+output and the eval report. Any exit code but 0 ends the script with 1.
+
+Run from anywhere: python tools/digest_runs.py > digest.txt
+It imports tubelink from the src/ next to this file.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from tubelink import cli, describe, standard_scenario  # noqa: E402
+
+SEEDS = (0, 7919)
+STANDARD = {"default": [], "nms-0.5": ["--nms-iou", "0.5"], "exact": ["--assignment", "exact"]}
+
+
+def workloads() -> dict:
+    """perfbench/run.py's WORKLOADS, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS
+
+
+def runs():
+    """(directory name, scenario, postprocess flags) of every run."""
+    for name, w in workloads().items():
+        for seed in SEEDS:
+            for cfg in w.scenarios(seed):
+                yield f"{name}-seed{seed}", cfg, w.postprocess_flags()
+    for variant, flags in STANDARD.items():
+        for seed in range(10):
+            yield f"standard_scenario-{variant}", standard_scenario(seed), flags
+
+
+def call(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"digest_runs: exit code {code} from {' '.join(argv)}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for group, cfg, flags in runs():
+            stem = Path(tmp) / group / cfg.video_id
+            stem.parent.mkdir(exist_ok=True)
+            files = [Path(f"{stem}.{ext}") for ext in ("cfg", "gt", "det", "out.det", "eval.json")]
+            scenario, gt, det, out, report = files
+            scenario.write_text(describe(cfg), encoding="utf-8")
+            call(["simulate", "--config", str(scenario), "--ground-truth", str(gt),
+                  "--detections", str(det)])
+            call(["postprocess", "--detections", str(det), "--out", str(out), *flags])
+            call(["eval", "--detections", str(out), "--ground-truth", str(gt),
+                  "--out", str(report)])
+            for f in files[1:]:
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                print(f"{digest}  {f.relative_to(tmp)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
