@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
+from .settings import UNIT_OPEN
 
 _MAX_ID = 2 ** 63 - 1  # the largest class id, track id or tubelet frame: each fits int64 columns
 
@@ -49,10 +50,6 @@ class BBox:
             )
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"bbox has non-positive size: w={self.w}, h={self.h}")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
     @property
     def x2(self) -> float:
@@ -134,7 +131,9 @@ def iou(a: BBox, b: BBox) -> float:
     Areas are computed from the same corner differences as the intersection,
     which keeps iou(a, a) == 1.0 and the [0, 1] bounds exact in floating
     point. An intersection that rounds to 0 (boxes far smaller than their
-    coordinates, or an underflowing product) is 0, not 0/0.
+    coordinates, or an underflowing product) is 0, not 0/0. An intersection
+    that overflows is divided out of the union: each area's sides are taken
+    over the intersection's before they are multiplied, so no term overflows.
     """
     ax2, ay2, bx2, by2 = a.x2, a.y2, b.x2, b.y2
     ix = min(ax2, bx2) - max(a.x, b.x)
@@ -142,9 +141,11 @@ def iou(a: BBox, b: BBox) -> float:
     inter = ix * iy
     if ix <= 0.0 or iy <= 0.0 or inter == 0.0:
         return 0.0
-    area_a = (ax2 - a.x) * (ay2 - a.y)
-    area_b = (bx2 - b.x) * (by2 - b.y)
-    return inter / (area_a + area_b - inter)
+    aw, ah, bw, bh = ax2 - a.x, ay2 - a.y, bx2 - b.x, by2 - b.y
+    out = inter / (aw * ah + bw * bh - inter)
+    if math.isfinite(out):
+        return out
+    return 1.0 / (aw / ix * (ah / iy) + bw / ix * (bh / iy) - 1.0)
 
 
 def iou_matrix(a: list[BBox], b: list[BBox]) -> np.ndarray:
@@ -156,6 +157,7 @@ def iou_matrix(a: list[BBox], b: list[BBox]) -> np.ndarray:
     return iou_corners(ax[:, None], bx[None, :])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise IoU of corner boxes (x1, y1, x2, y2) on the last axis of
     two arrays that broadcast against each other; each element is iou's
@@ -163,10 +165,12 @@ def iou_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    out = np.zeros(inter.shape)
-    return np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
+    aw, ah = a[..., 2] - a[..., 0], a[..., 3] - a[..., 1]
+    bw, bh = b[..., 2] - b[..., 0], b[..., 3] - b[..., 1]
+    out = np.divide(inter, aw * ah + bw * bh - inter, out=np.zeros(inter.shape), where=inter > 0.0)
+    if np.isfinite(out).all():
+        return out
+    return np.where(np.isfinite(out), out, 1.0 / (aw / ix * (ah / iy) + bw / ix * (bh / iy) - 1.0))
 
 
 def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
@@ -190,8 +194,7 @@ def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np
              iou_thresh: float) -> np.ndarray:
     """nms of each frame of rows grouped by frame: the kept rows, frame by
     frame, each frame's in visit order."""
-    if not (0.0 < iou_thresh < 1.0):
-        raise ContractError(f"iou_thresh must be in (0,1), got {iou_thresh}")
+    UNIT_OPEN.require("iou_thresh", iou_thresh, ContractError)
     kept: list[int] = []
     bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
     for lo, hi in zip(bounds, bounds[1:]):

@@ -18,10 +18,14 @@ import numpy as np
 
 from .errors import ContractError
 from .geometry import FrameShape, check_boxes
+from .settings import int_at_least, one_of
 from .similarity import SimilarityModel, link_score, one_pair_features
 from .tubelets import (
     Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates, _means,
 )
+
+G_MAX = int_at_least(0)
+SCORE_MODE = one_of("mean", "endpoint")
 
 
 def tubelet_gap(a: Tubelet, b: Tubelet) -> int:
@@ -61,8 +65,7 @@ def _interpolate(t: TubeletColumns, cur: np.ndarray, nxt: np.ndarray,
                  score_mode: str) -> TubeletColumns:
     """interpolate_gap of each pair of tubelets (cur[i], nxt[i]) of t: the
     synthesized entries of the gap of pair i as tubelet i."""
-    if score_mode not in ("mean", "endpoint"):
-        raise ContractError(f"unknown score_mode: {score_mode!r}")
+    SCORE_MODE.require("score_mode", score_mode, ContractError)
     tail, head = (t.start + t.length - 1)[cur], t.start[nxt]
     gap = t.frame[head] - t.frame[tail] - 1
     if len(gap) and gap.min() < 1:
@@ -103,8 +106,7 @@ def interpolate_gap(
 def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
           shape: FrameShape | None, score_mode: str) -> TubeletColumns:
     """link_tubelets over TubeletColumns."""
-    if g_max < 0:
-        raise ContractError(f"g_max must be >= 0, got {g_max}")
+    G_MAX.require("g_max", g_max, ContractError)
     if shape is None:
         raise ContractError("link_tubelets needs the frame shape")
     keys = t.tubelet_id

@@ -22,17 +22,20 @@ import numpy as np
 from .errors import ContractError
 from .geometry import nms_rows
 from .io import BoxColumns, VideoDetections, columns_of, stream_of
-from .linking import _link
-from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, setting, validate
+from .linking import G_MAX, SCORE_MODE, _link
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, setting, validate
 from .similarity import SimilarityModel, default_model
-from .tubelets import Tubelet, TubeletColumns, _build, _rescore, _smooth
+from .tubelets import ASSIGNMENT, MIN_LEN, Tubelet, TubeletColumns, _build, _rescore, _smooth
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for postprocess_video, each declared once, on its field.
 
-    Construction raises ValidationError on a value outside its field's check.
+    Construction raises ValidationError on a value outside its field's check,
+    and the config is frozen, so a checked config stays checked. The stage
+    functions check their arguments with the same Check objects and raise
+    ContractError with the same wording.
     ``postprocess`` reads the same fields: the file key is the field name, the
     flag is ``--`` plus the name with ``-`` for ``_``, and ``no_repp`` /
     ``no_tubelet_link`` switch a stage off. File booleans are strict; a bad
@@ -45,13 +48,13 @@ class PipelineConfig:
     repp: bool = setting(True, help="skip rescoring/smoothing/short-tubelet removal")
     tubelet_link: bool = setting(True, help="skip tubelet linking and gap interpolation")
     tau_link: float = setting(0.5, UNIT_OPEN)
-    assignment: str = setting("greedy", one_of("greedy", "exact"))
+    assignment: str = setting("greedy", ASSIGNMENT)
     alpha: float = setting(0.5, UNIT_CLOSED)
     smooth_window: int = setting(5, ODD_WINDOW)
-    min_len: int = setting(2, int_at_least(1))
-    g_max: int = setting(20, int_at_least(0))
+    min_len: int = setting(2, MIN_LEN)
+    g_max: int = setting(20, G_MAX)
     tau_tub: float = setting(0.5, UNIT_OPEN)
-    interp_score: str = setting("mean", one_of("mean", "endpoint"))
+    interp_score: str = setting("mean", SCORE_MODE)
 
     def __post_init__(self):
         validate(self)

@@ -3,8 +3,10 @@ carries its default, an optional one-field ``Check`` and its flag's help
 text; its type is the annotation (``int``, ``float``, ``str``, ``bool``, or
 one of these ``| None``). ``validate`` runs the checks on construction,
 ``add_flags`` derives argparse flags and ``read_settings`` reads ``key =
-value`` files. A bool setting that defaults to True is switched off by
-``--no-<name>`` and the file key ``no_<name>``; file booleans are strict.
+value`` files. A function that takes a setting checks it with the field's
+own ``Check`` through ``Check.require``, so a range is written once. A bool
+setting that defaults to True is switched off by ``--no-<name>`` and the
+file key ``no_<name>``; file booleans are strict.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ class Check(NamedTuple):
 
     ok: Callable[[Any], bool]
     expect: str
+
+    def require(self, name: str, value: Any, error: type[Exception] = ValidationError) -> None:
+        """Raise error, naming `name` and what it must be, unless value passes."""
+        if not self.ok(value):
+            raise error(f"{name} must be {self.expect}, got {value!r}")
 
 
 def int_at_least(lo: int) -> Check:
@@ -55,8 +62,8 @@ def validate(obj) -> None:
     check. None passes where None is the default."""
     for f in settings_of(obj):
         check, value = f.metadata["check"], getattr(obj, f.name)
-        if check and not (value is None and f.default is None) and not check.ok(value):
-            raise ValidationError(f"{f.name} must be {check.expect}, got {value!r}")
+        if check and not (value is None and f.default is None):
+            check.require(f.name, value)
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

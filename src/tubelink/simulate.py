@@ -31,6 +31,7 @@ from .settings import (
 MAX_TRACKS = 30
 # frame_count is bounded by io.MAX_FRAME_COUNT, the bound of a stream header
 MIN_BOX_SIDE = 2.0  # jittered sizes are clamped here so boxes stay valid
+BOX_SIDE = Check(lambda v: MIN_BOX_SIDE <= v < math.inf, f"a finite number >= {MIN_BOX_SIDE:g}")
 # False positives per frame, on average. Far beyond any use (the benchmark's
 # crowded scenario has 5), and it keeps numpy's Poisson draw in range.
 MAX_FP_RATE = 100.0
@@ -39,9 +40,10 @@ MAX_FP_RATE = 100.0
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one synthetic scenario, each setting declared
-    once, on its field: the ``simulate`` flags and config-file keys derive
-    from them. Construction raises ValidationError on a value outside its
-    field's check or the limits below. describe() keeps the field order.
+    once, on its field: the ``simulate`` flags, their ranges in ``--help``
+    and the config-file keys derive from them. Construction raises
+    ValidationError on a value outside its field's check, then on a break of
+    the cross-field rules in __post_init__. describe() keeps the field order.
     """
 
     seed: int = setting(0, int_at_least(0))
@@ -50,10 +52,11 @@ class ScenarioConfig:
         lambda v: 1 <= v <= MAX_FRAME_COUNT, f"an integer in [1, {MAX_FRAME_COUNT}]"))
     width: int = setting(1280, FRAME_SIDE)
     height: int = setting(720, FRAME_SIDE)
-    num_tracks: int = setting(8, int_at_least(0))
+    num_tracks: int = setting(
+        8, Check(lambda v: 0 <= v <= MAX_TRACKS, f"an integer in [0, {MAX_TRACKS}]"))
     classes: int = setting(1, Check(lambda v: 1 <= v <= _MAX_ID, "an integer in [1, 2**63 - 1]"))
-    box_min: float = setting(24.0, NON_NEGATIVE)
-    box_max: float = setting(64.0, NON_NEGATIVE)
+    box_min: float = setting(24.0, BOX_SIDE)
+    box_max: float = setting(64.0, BOX_SIDE)
     speed_max: float = setting(4.0, NON_NEGATIVE)
     sigma_motion: float = setting(0.5, NON_NEGATIVE)
     jitter_sigma: float = setting(0.0, NON_NEGATIVE)
@@ -72,15 +75,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         validate(self)
-        if self.num_tracks > MAX_TRACKS:
-            raise ValidationError(
-                f"num_tracks must be in [0, {MAX_TRACKS}], got {self.num_tracks}"
-            )
-        if not (MIN_BOX_SIDE <= self.box_min <= self.box_max):
-            raise ValidationError(
-                f"need {MIN_BOX_SIDE} <= box_min <= box_max, got "
-                f"{self.box_min}..{self.box_max}"
-            )
+        if self.box_min > self.box_max:
+            raise ValidationError(f"need box_min <= box_max, got {self.box_min}..{self.box_max}")
         if self.box_max >= min(self.width, self.height):
             raise ValidationError("box_max must be smaller than the frame")
         # A step longer than the narrowest span of box centres could overshoot
@@ -121,11 +117,8 @@ def standard_scenario(seed: int) -> ScenarioConfig:
 
 
 def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:
-    """Fold a coordinate back into [lo, hi]; returns (position, sign flip)."""
+    """Fold a coordinate back into [lo, hi], lo < hi; returns (position, sign flip)."""
     flip = 1.0
-    span = hi - lo
-    if span <= 0:
-        return lo, flip
     while pos < lo or pos > hi:
         if pos < lo:
             pos = 2 * lo - pos

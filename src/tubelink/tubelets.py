@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .geometry import _MAX_ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
 
 
@@ -133,6 +134,9 @@ class TubeletColumns:
             self.tubelet_id, self.class_id.tolist(), self.start.tolist(), self.length.tolist())]
 
 
+ASSIGNMENT = one_of("greedy", "exact")
+MIN_LEN = int_at_least(1)
+
 # the candidate pairs whose features are computed at once, about 0.7 kB each
 # meanwhile: 8,192 raised perfbench's peak_rss_mb by 2-4%, 2,048 ran as fast
 _PAIR_CHUNK = 2048
@@ -153,8 +157,7 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
     _PAIR_CHUNK pairs; then each pair gets its LinkFeatures and one
     link_score call, so the first pair that fails raises its own error.
     """
-    if not (0.0 < tau < 1.0):
-        raise ContractError(f"link threshold must be in (0,1), got {tau}")
+    UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
     if not len(t_frame) or not len(h_frame):
         return []
@@ -232,8 +235,7 @@ def _exact_assignment(
 
 def _build(c: BoxColumns, m: SimilarityModel, tau_link: float, assignment: str) -> TubeletColumns:
     """build_tubelets over rows grouped by frame."""
-    if assignment not in ("greedy", "exact"):
-        raise ContractError(f"unknown assignment mode: {assignment!r}")
+    ASSIGNMENT.require("assignment", assignment, ContractError)
     frames = c.frame_idx.tolist()
     ends = (c.frame_idx, c.class_id, c.box, c.score, c.descriptor, c.descriptor_len)
     scored = _link_candidates(ends, ends, m, 0, tau_link, c.frame_shape)
@@ -291,16 +293,14 @@ def _means(t: TubeletColumns) -> np.ndarray:
 
 def _rescore(t: TubeletColumns, alpha: float) -> np.ndarray:
     """rescore's scores of every entry."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ContractError(f"alpha must be in [0,1], got {alpha}")
+    UNIT_CLOSED.require("alpha", alpha, ContractError)
     return alpha * t.score + (1.0 - alpha) * np.repeat(_means(t), t.length)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _smooth(t: TubeletColumns, window: int) -> np.ndarray:
     """smooth_coordinates' boxes of every entry."""
-    if window < 1 or window % 2 == 0:
-        raise ContractError(f"window must be an odd integer >= 1, got {window}")
+    ODD_WINDOW.require("window", window, ContractError)
     if window == 1:
         return t.box
     x, y, w, h = t.box.T
@@ -347,6 +347,5 @@ def smooth_coordinates(t: Tubelet, window: int = 5) -> Tubelet:
 
 def filter_short(ts: list[Tubelet], min_len: int = 2) -> list[Tubelet]:
     """Drop tubelets shorter than min_len frames."""
-    if min_len < 1:
-        raise ContractError(f"min_len must be >= 1, got {min_len}")
+    MIN_LEN.require("min_len", min_len, ContractError)
     return [t for t in ts if len(t) >= min_len]

@@ -10,6 +10,7 @@ oracle criteria 2-4 on the synthetic suite.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def test_criterion_6_round_trip_and_determinism(tmp_path):
                    "--detections", inputs[0], "--detections", inputs[1],
                    "--out", outs[0], "--out", outs[1], "--jobs", jobs])
         assert rc == 0
-        runs[tag] = [open(o, "rb").read() for o in outs]
+        runs[tag] = [Path(o).read_bytes() for o in outs]
     assert runs["a"] == runs["b"] == runs["c"]
     report(6, "round trip exact over 300 streams; pipeline byte-identical "
               "across repeat runs and --jobs 1/2")

@@ -118,6 +118,17 @@ class TestIou:
         assert iou(tiny, tiny) == 0.0
         assert iou_matrix([far, tiny], [far, tiny]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_intersection_that_overflows(self):
+        # 1e200 * 1e200 is inf: both gave inf / (inf + inf - inf) = nan
+        huge = [BBox(0, 0, 1e200, 1e200), BBox(0, 0, 1e200, 5e199), BBox(5e199, 0, 1e200, 1e200),
+                BBox(-1e308, 0, 1.7e308, 1e200), BBox(0, 0, 1.0, 1.0)]
+        assert iou(huge[0], huge[0]) == 1.0
+        assert [iou(huge[0], b) for b in huge[:3]] == [1.0, 0.5, 1 / 3]
+        assert iou(huge[0], huge[3]) == pytest.approx(1e200 / 1.7e308, rel=1e-15)
+        assert iou(huge[0], huge[4]) == 0.0  # 1 / 1e400 rounds to 0
+        assert iou_matrix(huge, huge).tolist() == [[iou(p, q) for q in huge] for p in huge]
+
     def test_matrix_empty(self):
         assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubelink import (
+    ContractError,
     PipelineConfig,
     postprocess_video,
     read_detections,
@@ -26,6 +27,8 @@ from conftest import random_stream
 from test_simulate import time_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# two valid boxes in consecutive frames whose intersection overflows a float
+HUGE_BOXES = "0 0 0 0 1e200 1e200 0.9\n1 0 0 0 1e200 1e200 0.9\n"
 
 
 def python(*argv, cwd=None):
@@ -87,6 +90,9 @@ class TestPostprocessVideo:
         out, ids = tubelets_to_detections(ts, VideoDetections("v", SHAPE, 2, {}))
         assert ids == {1: [3, 2 ** 70]}
         assert [d.bbox.x for d in out.frames[1]] == [3.0, float(2 ** 70 % 7)]
+        with pytest.raises(ContractError,
+                           match="^tubelet 3 reaches frame 1 beyond the video's 1 frames$"):
+            tubelets_to_detections(ts, VideoDetections("v", SHAPE, 1, {}))
 
     def test_link_without_refinement(self, tmp_path):
         # tubelet linking alone still needs tubelets built underneath
@@ -140,10 +146,12 @@ class TestCliSimulate:
         assert e.value.code == 2
 
     def test_invalid_scenario_is_data_error(self, tmp_path, capsys):
-        rc = main(["simulate", "--num-tracks", "31",
+        # each flag is in range; only the rule across fields fails
+        rc = main(["simulate", "--box-min", "50", "--box-max", "40",
                    "--ground-truth", str(tmp_path / "g"),
                    "--detections", str(tmp_path / "d")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: need box_min <= box_max, got 50.0..40.0\n"
 
 
 class TestCliPostprocess:
@@ -188,6 +196,21 @@ class TestCliPostprocess:
                             "1 0 0 0 1e-200 1e-200 0.9\n")
         argv = ["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")]
         assert main(argv + ["--nms-iou", "0.5"]) == 0
+
+    def test_boxes_whose_intersection_overflows(self, tmp_path, capsys):
+        # 1e200 * 1e200 is inf: the IoU was NaN, so linking failed on a NaN
+        # feature and NMS printed numpy's RuntimeWarnings. A fresh process for
+        # NMS, so that stderr holds any warning.
+        raw, linked, twins = tmp_path / "raw.txt", tmp_path / "linked.txt", tmp_path / "twins.txt"
+        raw.write_text("#video v 100 100 2\n" + HUGE_BOXES)
+        assert main(["postprocess", "--detections", str(raw), "--out", str(linked)]) == 0
+        _, ids = read_detections_with_ids(linked)
+        assert ids == {0: [0], 1: [0]}
+        (tmp_path / "dup.txt").write_text("#video v 100 100 1\n" + 2 * "0 0 0 0 1e200 1e200 0.9\n")
+        done = python("-m", "tubelink", "postprocess", "--detections", str(tmp_path / "dup.txt"),
+                      "--out", str(twins), "--nms-iou", "0.5", "--no-repp", "--no-tubelet-link")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(read_detections(twins).frames[0]) == 1
 
     def test_boxes_whose_corners_overflow(self, tmp_path):
         # x + w is inf: the IoU was NaN, NMS printed numpy's RuntimeWarning and
@@ -634,6 +657,19 @@ class TestCliEval:
         _, _, d2 = write_scenario(tmp_path, seed=2, frame_count=30)
         rc = main(["eval", "--detections", str(d2), "--ground-truth", str(g1)])
         assert rc == 1
+        rc = main(["eval", "--detections", str(d2), "--detections", str(d2),
+                   "--ground-truth", str(g1)])
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            "error: got 2 --detections but 1 --ground-truth paths\n")
+
+    def test_boxes_whose_intersection_overflows(self, tmp_path, capsys):
+        # the IoU of two equal 1e200-sided boxes was NaN, so they never matched
+        det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
+        det_path.write_text("#video v 100 100 2\n" + HUGE_BOXES)
+        gt_path.write_text("#video v 100 100 2\n0 0 0 0 0 1e200 1e200\n1 0 0 0 0 1e200 1e200\n")
+        assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)]) == 0
+        assert parse_map_lines(capsys.readouterr().out) == (1.0, 1.0)
 
     def test_postprocess_output_takes_the_column_path(self, tmp_path, capsys, monkeypatch):
         _, gt_path, det_path = write_scenario(tmp_path, seed=1, frame_count=40, classes=3)

@@ -8,13 +8,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tubelink import (
+    BBox,
     ConfigError,
+    ContractError,
+    FrameShape,
     PipelineConfig,
     ScenarioConfig,
+    Tubelet,
+    TubeletEntry,
     TubelinkError,
     ValidationError,
+    VideoDetections,
+    build_tubelets,
+    default_model,
+    filter_short,
     generate,
+    interpolate_gap,
+    link_tubelets,
+    nms,
     parse_config,
+    rescore,
+    smooth_coordinates,
     standard_scenario,
     write_detections,
 )
@@ -135,15 +149,40 @@ def test_flag_and_file_key_build_equal_configs(tmp_path, stream, capsys, monkeyp
     assert via_flag == via_file != PipelineConfig()
 
 
+ONE = Tubelet(0, 0, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
+SHAPE, MODEL = FrameShape(100, 100), default_model()
+NO_BOXES = VideoDetections("v", SHAPE, 1, {})
+# the stage function that takes each checked PipelineConfig setting: the name
+# its ContractError gives the value, and a call with the value
+STAGES = {
+    "nms_iou": ("iou_thresh", lambda v: nms([], v)),
+    "tau_link": ("link threshold", lambda v: build_tubelets(NO_BOXES, MODEL, v)),
+    "assignment": ("assignment", lambda v: build_tubelets(NO_BOXES, MODEL, 0.5, v)),
+    "alpha": ("alpha", lambda v: rescore(ONE, v)),
+    "smooth_window": ("window", lambda v: smooth_coordinates(ONE, v)),
+    "min_len": ("min_len", lambda v: filter_short([ONE], v)),
+    "g_max": ("g_max", lambda v: link_tubelets([ONE], MODEL, v, shape=SHAPE)),
+    "tau_tub": ("link threshold", lambda v: link_tubelets([ONE], MODEL, 5, v, SHAPE)),
+    "interp_score": ("score_mode", lambda v: interpolate_gap(ONE, ONE, v)),
+}
+
+
 @pytest.mark.parametrize("bad", [
     {"alpha": 3}, {"smooth_window": 4}, {"tau_tub": 1.0}, {"tau_link": 0.0},
     {"nms_iou": 1.0}, {"min_len": 0}, {"g_max": -1}, {"assignment": "optimal"},
     {"interp_score": "median"},
 ])
 def test_pipeline_config_checks_on_construction(bad):
-    (name, _), = bad.items()
-    with pytest.raises(ValidationError, match=name):
+    (name, value), = bad.items()
+    with pytest.raises(ValidationError, match=name) as config:
         PipelineConfig(**bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # nor can a checked config take it
+        setattr(PipelineConfig(), name, value)
+    # the stage checks the value with the field's own Check, in the same words
+    stage_name, call = STAGES[name]
+    with pytest.raises(ContractError) as stage:
+        call(value)
+    assert str(stage.value) == str(config.value).replace(name, stage_name, 1)
 
 
 class TestScenarioLimits:
@@ -194,6 +233,31 @@ class TestScenarioLimits:
         ScenarioConfig(**{name: largest})
         assert simulate(tmp_path, flag, str(largest), "--frame-count", "20",
                         "--burst-prob", "0.5") == 0
+
+    @pytest.mark.parametrize("name, value, expect", [
+        ("num_tracks", "31", "an integer in [0, 30]"),
+        ("box_min", "1", "a finite number >= 2"),
+        ("box_max", "1", "a finite number >= 2"),
+    ])
+    def test_field_ranges_exit_2_as_flags_and_1_in_files(self, tmp_path, capsys, name, value,
+                                                        expect):
+        # num_tracks and the box floor used to be checked after the fields:
+        # a flag value outside them exited 1, and --help did not list them
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as e:
+            simulate(tmp_path, flag, value)
+        assert e.value.code == 2
+        assert f"argument {flag}: {flag[2:]} must be {expect}, got '{value}'" in (
+            capsys.readouterr().err)
+        cfg = tmp_path / "s.txt"
+        cfg.write_text(f"seed = 1\n{name} = {value}\n")
+        assert simulate(tmp_path, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: bad value: {name} must be {expect}, got '{value}'\n")
+        assert not (tmp_path / "g.txt").exists()
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert f"{flag} {name.upper()} {expect}" in " ".join(capsys.readouterr().out.split())
 
     def test_frame_side_beyond_float_range_rejected(self, tmp_path):
         # both sides used to end in an OverflowError from float arithmetic

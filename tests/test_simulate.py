@@ -117,7 +117,7 @@ class TestGenerate:
 
 class TestConfigValidation:
     def test_too_many_tracks(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^num_tracks must be an integer in \[0, 30\]"):
             ScenarioConfig(num_tracks=31)
 
     def test_drop_prob_one_rejected(self):
@@ -147,8 +147,10 @@ class TestConfigValidation:
         assert ScenarioConfig(frame_count=MAX_FRAME_COUNT).frame_count == MAX_FRAME_COUNT
 
     def test_box_larger_than_frame_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^box_max must be smaller than the frame$"):
             ScenarioConfig(width=50, height=50, box_max=64.0)
+        with pytest.raises(ValidationError, match=r"^need box_min <= box_max, got 40\.0\.\.30\.0$"):
+            ScenarioConfig(box_min=40.0, box_max=30.0)
 
     def test_non_finite_floats_rejected(self):
         names = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]

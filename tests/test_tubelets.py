@@ -501,6 +501,15 @@ class TestTubeletInvariants:
         with pytest.raises(ValidationError):
             Tubelet(0, 0, ())
 
+    @pytest.mark.parametrize("frame, score, message", [
+        (-1, 0.5, "^frame_idx must be >= 0, got -1$"),
+        (0, 1.5, r"^score out of \[0,1\]: 1.5$"),
+        (0, math.nan, r"^score out of \[0,1\]: nan$"),
+    ])
+    def test_entry_frame_and_score_rejected(self, frame, score, message):
+        with pytest.raises(ValidationError, match=message):
+            TubeletEntry(frame, BBox(0, 0, 5, 5), score)
+
     def test_negative_class_rejected(self):
         # tubelet_link_score used to catch this only by building a Detection
         with pytest.raises(ValidationError, match="class_id"):
