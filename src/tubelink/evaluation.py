@@ -9,8 +9,11 @@ envelope. Everything is deterministic for a given input.
 match_predictions and average_precision score one (class, frame) cell at one
 threshold; evaluate_columns gives their numbers in one columnar pass over the
 arrays of io.read_columns. It computes each same-cell IoU once, in chunks, and
-runs the greedy claim for all 10 thresholds together. PR curves are built only
-when looked up. evaluate_streams is evaluate_columns of io.columns_of.
+runs the greedy claim for all 10 thresholds together. The predictions that
+compete for a box claim in rounds across cells: round r takes the r-th
+competitor of every (video, frame) cell at once, which is exact because
+competitors of different cells share no box. PR curves are built only when
+looked up. evaluate_streams is evaluate_columns of io.columns_of.
 """
 
 from __future__ import annotations
@@ -217,7 +220,15 @@ def _evaluate_rows(preds: Mapping[int, np.ndarray], gts: Mapping[int, np.ndarray
 def _match_class(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """TP flags (threshold x prediction) of one class's prediction rows p
     (cell, x1, y1, x2, y2, score) against its gt rows q (cell, x1, y1, x2, y2):
-    match_predictions on every cell at every threshold."""
+    match_predictions on every cell at every threshold.
+
+    Only a prediction whose best IoU reaches 0.5 ever claims a gt box. One
+    that shares no overlapping box with another such prediction therefore
+    gets its best box; the others, the rivals, claim in visit order (cell,
+    then match_predictions' order). A cell's pairs stay in the cell, so the
+    rivals of different cells share no box and their claims do not interact:
+    round r resolves the r-th rival of every cell at once, and there are as
+    many rounds as the most rivals in one cell."""
     labels = np.zeros((len(IOU_THRESHOLDS), len(p)), dtype=bool)
     if not len(p) or not len(q):
         return labels
@@ -225,23 +236,47 @@ def _match_class(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     best = np.zeros(len(p))
     np.maximum.at(best, pi, pv)
     labels[:] = best >= _THRESHOLDS[:, None]
-    # Only a prediction whose best IoU reaches 0.5 ever claims a gt box. A
-    # prediction that shares no overlapping box with another such prediction
-    # therefore gets its best box; the others compete, in visit order.
     live = best[pi] >= _THRESHOLDS[0]
     shared = np.bincount(pj[live], minlength=len(q)) > 1
     rivals = np.unique(pi[live & shared[pj]])
     order = rivals[np.lexsort((p[rivals, 2], p[rivals, 1], -p[rivals, 5], p[rivals, 0]))]
+    by_round, bounds = _rounds(p[order, 0])
+    order = order[by_round]
+    # the rivals' pairs, gathered round by round: rival k's are at[span[k]:span[k + 1]]
+    lo = np.searchsorted(pi, order, "left")
+    n = np.searchsorted(pi, order, "right") - lo
+    first_pair = np.cumsum(n) - n
+    at = np.arange(n.sum()) - np.repeat(first_pair - lo, n)
+    js, ious, pos = pj[at], pv[at], np.arange(len(at))
+    span = [*first_pair.tolist(), len(at)]
+    # each rival's first pair and each pair's rival, counted from its round's first
+    round_first = np.repeat(bounds[:-1], np.diff(bounds))
+    start = first_pair - first_pair[round_first]
+    rival = np.repeat(np.arange(len(order)) - round_first, n)
     claimed = np.zeros((len(IOU_THRESHOLDS), len(q)), dtype=bool)
-    lo = np.searchsorted(pi, order, "left").tolist()
-    hi = np.searchsorted(pi, order, "right").tolist()
-    for i, a, b in zip(order.tolist(), lo, hi):
-        js = pj[a:b]
-        iou = np.where(claimed[:, js], 0.0, pv[a:b])
-        hit = iou.max(axis=1) >= _THRESHOLDS
-        claimed[hit, js[iou.argmax(axis=1)[hit]]] = True  # argmax: earliest box on ties
-        labels[:, i] = hit
+    hits = np.empty((len(IOU_THRESHOLDS), len(order)), dtype=bool)
+    rows = np.arange(len(IOU_THRESHOLDS))[:, None]
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):  # rivals a..b-1
+        s, e = span[a], span[b]
+        j, starts = js[s:e], start[a:b]
+        iou = np.where(claimed[:, j], 0.0, ious[s:e])
+        top = np.maximum.reduceat(iou, starts, axis=1)
+        # each rival's earliest box of maximal IoU, as argmax takes it
+        first = np.minimum.reduceat(np.where(iou == top[:, rival[s:e]], pos[:e - s], e),
+                                    starts, axis=1)
+        hit = hits[:, a:b] = top >= _THRESHOLDS[:, None]
+        claimed[rows, j[first]] |= hit
+    labels[:, order] = hits
     return labels
+
+
+def _rounds(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the positions of a visit order sorted by cell into rounds: round
+    r holds the r-th position of every cell that has one, in visit order.
+    Returns the positions round by round and the rounds' bounds among them."""
+    _, first, size = np.unique(cells, return_index=True, return_counts=True)
+    rank = np.arange(len(cells)) - np.repeat(first, size)
+    return np.argsort(rank, kind="stable"), np.r_[0, np.cumsum(np.bincount(rank))]
 
 
 def _overlaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ text; its type is the annotation (``int``, ``float``, ``str``, ``bool``, or
 one of these ``| None``). ``validate`` runs the checks on construction,
 ``add_flags`` derives argparse flags and ``read_settings`` reads ``key =
 value`` files. A function that takes a setting checks it with the field's
-own ``Check`` through ``Check.require``, so a range is written once. A bool
+own ``Check`` through ``Check.require``, so a range is written once. The
+checks of integer settings are made with ``integer``: they refuse bools and
+floats, which the flags and files, parsed with ``int()``, never give. A bool
 setting that defaults to True is switched off by ``--no-<name>`` and the
 file key ``no_<name>``; file booleans are strict.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import Field, field, fields
 from typing import Any, Callable, NamedTuple
@@ -32,8 +35,15 @@ class Check(NamedTuple):
             raise error(f"{name} must be {self.expect}, got {value!r}")
 
 
+def integer(ok: Callable[[int], bool], expect: str) -> Check:
+    """A Check that takes a Python or numpy integer for which ok holds, and
+    refuses bools and floats, even integral ones."""
+    return Check(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and ok(v),
+                 expect)
+
+
 def int_at_least(lo: int) -> Check:
-    return Check(lambda v: v >= lo, f"an integer >= {lo}")
+    return integer(lambda v: v >= lo, f"an integer >= {lo}")
 
 
 def one_of(*choices: str) -> Check:
@@ -44,9 +54,9 @@ NON_NEGATIVE = Check(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 UNIT_OPEN = Check(lambda v: 0.0 < v < 1.0, "in (0,1)")
 UNIT_CLOSED = Check(lambda v: 0.0 <= v <= 1.0, "in [0,1]")
 UNIT_HALF_OPEN = Check(lambda v: 0.0 <= v < 1.0, "in [0,1)")
-ODD_WINDOW = Check(lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
+ODD_WINDOW = integer(lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 # a frame side is used as a float, so it must convert to one
-FRAME_SIDE = Check(lambda v: 1 <= v <= sys.float_info.max, "an integer in [1, 1.8e308]")
+FRAME_SIDE = integer(lambda v: 1 <= v <= sys.float_info.max, "an integer in [1, 1.8e308]")
 
 
 def setting(default: Any, check: Check | None = None, help: str | None = None) -> Any:

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape
 from .io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
 from .settings import (
-    FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least,
+    FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least, integer,
     read_settings, setting, validate,
 )
 
@@ -48,13 +48,13 @@ class ScenarioConfig:
 
     seed: int = setting(0, int_at_least(0))
     video_id: str = setting("sim")
-    frame_count: int = setting(300, Check(
+    frame_count: int = setting(300, integer(
         lambda v: 1 <= v <= MAX_FRAME_COUNT, f"an integer in [1, {MAX_FRAME_COUNT}]"))
     width: int = setting(1280, FRAME_SIDE)
     height: int = setting(720, FRAME_SIDE)
     num_tracks: int = setting(
-        8, Check(lambda v: 0 <= v <= MAX_TRACKS, f"an integer in [0, {MAX_TRACKS}]"))
-    classes: int = setting(1, Check(lambda v: 1 <= v <= _MAX_ID, "an integer in [1, 2**63 - 1]"))
+        8, integer(lambda v: 0 <= v <= MAX_TRACKS, f"an integer in [0, {MAX_TRACKS}]"))
+    classes: int = setting(1, integer(lambda v: 1 <= v <= _MAX_ID, "an integer in [1, 2**63 - 1]"))
     box_min: float = setting(24.0, BOX_SIDE)
     box_max: float = setting(64.0, BOX_SIDE)
     speed_max: float = setting(4.0, NON_NEGATIVE)
@@ -63,7 +63,7 @@ class ScenarioConfig:
     drop_prob: float = setting(0.0, UNIT_HALF_OPEN)
     burst_prob: float = setting(0.0, UNIT_HALF_OPEN)
     # burst_max + 1 is the bound of an int64 draw
-    burst_max: int = setting(0, Check(lambda v: 0 <= v < _MAX_ID, "an integer in [0, 2**63 - 2]"))
+    burst_max: int = setting(0, integer(lambda v: 0 <= v < _MAX_ID, "an integer in [0, 2**63 - 2]"))
     fp_rate: float = setting(
         0.0, Check(lambda v: 0.0 <= v <= MAX_FP_RATE, f"in [0, {MAX_FP_RATE:g}]"))
     tp_score_mean: float = setting(0.8, UNIT_CLOSED)

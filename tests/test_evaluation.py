@@ -29,6 +29,7 @@ from tubelink.cli import main
 from tubelink.evaluation import EvalReport, _pr_points
 
 from conftest import SHAPE, det, random_bbox
+from test_simulate import time_limit
 
 
 # ------------------------------------------------------------------ oracles
@@ -378,6 +379,61 @@ def random_pairs(rng, scores=None):
     ]
 
 
+def crowd(rng, frame, n_pred, n_gt, side=30):
+    """n_gt gt boxes of side 20 within `side` px of each other and n_pred
+    predictions a few px off them, on a one-pixel grid with three scores: the
+    predictions compete for the boxes, and repeated boxes and ties occur."""
+    gts = [TrackBox(frame, 0, k, BBox(*map(float, rng.integers(0, side, size=2)), 20.0, 20.0))
+           for k in range(n_gt)]
+    preds = []
+    for _ in range(n_pred):
+        g = gts[rng.integers(n_gt)].bbox
+        dx, dy = map(float, rng.integers(-3, 4, size=2))
+        preds.append(det(frame, g.x + dx, g.y + dy, 20.0, 20.0, float(rng.choice([0.3, 0.6, 0.9]))))
+    return preds, gts
+
+
+def rivals_per_cell(pairs):
+    """The rival count of each (video, frame) cell that has rivals, for one
+    class: the predictions whose best IoU reaches 0.5 and that overlap a gt
+    box which another such prediction overlaps too."""
+    counts = []
+    for v, g in pairs:
+        for f in range(v.frame_count):
+            if v.frames[f] and g.frames[f]:
+                m = iou_matrix([d.bbox for d in v.frames[f]], [b.bbox for b in g.frames[f]])
+                live = m.max(axis=1) >= 0.5
+                shared = (m[live] > 0).sum(axis=0) > 1
+                counts.append(int(((m > 0) & shared & live[:, None]).any(axis=1).sum()))
+    return sorted(n for n in counts if n)
+
+
+def spy_rounds(monkeypatch):
+    """Record the rivals' cells round by round and the round bounds of every
+    _match_class call."""
+    seen, rounds = [], evaluation._rounds
+
+    def spy(cells):
+        by_round, bounds = rounds(cells)
+        seen.append((cells[by_round], bounds))
+        return by_round, bounds
+    monkeypatch.setattr(evaluation, "_rounds", spy)
+    return seen
+
+
+def assert_rounds(seen, pairs):
+    """Each cell's rivals are spread over distinct rounds, as many as the
+    most rivals in one cell, and the cells' rival counts are the oracle's."""
+    counts = []
+    for cells, bounds in seen:
+        _, size = np.unique(cells, return_counts=True)
+        counts += size.tolist()
+        assert len(bounds) - 1 == size.max(initial=0)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            assert len(np.unique(cells[a:b])) == b - a
+    assert sorted(counts) == rivals_per_cell(pairs)
+
+
 class TestSinglePassMatchesOracle:
     @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
     def test_random_pooled_streams(self, rng, monkeypatch, chunk):
@@ -422,6 +478,73 @@ class TestSinglePassMatchesOracle:
             rep = evaluate_streams(pairs)
             assert_same_report(rep, evaluate_oracle(pairs))
             assert rep.counts[0.5][0] == tp
+
+    def test_rounds_across_cells_and_videos(self, rng, monkeypatch):
+        """One call over three videos whose cells hold 20-40 rivals, a pair
+        of rivals, predictions that do not compete, or nothing; the kinds sit
+        in different frames of each video."""
+        seen = spy_rounds(monkeypatch)
+        for _ in range(8):
+            pairs = []
+            for vid in "abc":
+                kinds = rng.permutation(4)
+                frames_p, frames_g = {}, {}
+                for f, kind in enumerate(kinds.tolist()):
+                    if kind == 0:
+                        preds, gts = crowd(rng, f, int(rng.integers(20, 41)), int(rng.integers(4, 9)))
+                    elif kind == 1:
+                        preds, gts = crowd(rng, f, 2, 1)
+                    elif kind == 2:
+                        gts = [TrackBox(f, 0, k, BBox(100.0 * k, 0, 20, 20)) for k in range(3)]
+                        preds = [det(f, 100.0 * k + 1, 0, 20, 20, 0.5) for k in range(3)]
+                    else:
+                        preds, gts = [], []
+                    frames_p[f], frames_g[f] = preds, gts
+                pairs.append(stream_pair(frames_p, frames_g, 4, vid=vid))
+            seen.clear()
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+            assert_rounds(seen, pairs)
+            counts = rivals_per_cell(pairs)
+            assert counts[:3] == [2, 2, 2] and counts[-1] >= 20 and len(counts) == 6
+
+    def test_iou_ties_and_repeated_boxes(self, rng, monkeypatch):
+        """Predictions at odd x between gt boxes at even x have equal IoU with
+        both neighbours; gt boxes and predictions repeat exactly."""
+        seen = spy_rounds(monkeypatch)
+        ties = 0
+        for _ in range(30):
+            frames_p, frames_g = {}, {}
+            for f in range(3):
+                xs = rng.choice(np.arange(0, 24, 2), size=5)  # with repeats
+                frames_g[f] = [TrackBox(f, 0, k, BBox(float(x), 0, 10, 10)) for k, x in enumerate(xs)]
+                preds = []
+                for _ in range(int(rng.integers(2, 13))):
+                    if preds and rng.random() < 0.3:
+                        preds.append(preds[-1])
+                    else:
+                        preds.append(det(f, 2.0 * float(rng.integers(0, 12)) + 1,
+                                         score=float(rng.choice([0.5, 0.9]))))
+                frames_p[f] = preds
+                m = iou_matrix([d.bbox for d in preds], [b.bbox for b in frames_g[f]])
+                top = m.max(axis=1, keepdims=True)
+                ties += int((((m == top) & (top >= 0.5)).sum(axis=1) > 1).sum())
+            pairs = [stream_pair(frames_p, frames_g, 3)]
+            seen.clear()
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+            assert_rounds(seen, pairs)
+        assert ties >= 100, ties
+
+    def test_one_cell_of_400_rivals(self, rng, monkeypatch):
+        """With every rival in one cell there is one round per rival, and the
+        call still ends within a time bound."""
+        seen = spy_rounds(monkeypatch)
+        preds, gts = crowd(rng, 0, 400, 50, side=200)
+        pairs = [stream_pair({0: preds}, {0: gts}, 1)]
+        with time_limit(2.0):
+            rep = evaluate_streams(pairs)
+        assert_rounds(seen, pairs)
+        assert len(seen[0][1]) - 1 == len(preds)
+        assert_same_report(rep, evaluate_oracle(pairs))
 
     def test_simulated_crowd(self):
         cfg = dataclasses.replace(standard_scenario(4), frame_count=15, num_tracks=30, fp_rate=5.0)

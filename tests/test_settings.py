@@ -3,6 +3,7 @@ come from the fields of ScenarioConfig, PipelineConfig and RunSettings."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from tubelink import (
     rescore,
     smooth_coordinates,
     standard_scenario,
+    read_detections,
     write_detections,
 )
 from tubelink import cli
@@ -170,7 +172,8 @@ STAGES = {
 @pytest.mark.parametrize("bad", [
     {"alpha": 3}, {"smooth_window": 4}, {"tau_tub": 1.0}, {"tau_link": 0.0},
     {"nms_iou": 1.0}, {"min_len": 0}, {"g_max": -1}, {"assignment": "optimal"},
-    {"interp_score": "median"},
+    {"interp_score": "median"}, {"smooth_window": 3.0}, {"min_len": 1.5}, {"g_max": 2.5},
+    {"g_max": True},
 ])
 def test_pipeline_config_checks_on_construction(bad):
     (name, value), = bad.items()
@@ -186,6 +189,25 @@ def test_pipeline_config_checks_on_construction(bad):
 
 
 class TestScenarioLimits:
+    @pytest.mark.parametrize("name", ["seed", "frame_count", "width", "height", "num_tracks",
+                                      "classes", "burst_max", "appearance_dim"])
+    def test_integer_settings_take_only_integers(self, name):
+        # width=1280.0 used to generate a "#video sim 1280.0 ..." file that the readers refuse
+        default = getattr(ScenarioConfig(), name)
+        for bad in (float(default or 1), default + 0.5, True, np.float64(default)):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+                ScenarioConfig(**{name: bad})
+        assert ScenarioConfig(**{name: np.int32(default)}) == ScenarioConfig(**{name: default})
+
+    def test_numpy_integers_generate_a_readable_file(self, tmp_path):
+        cfg = ScenarioConfig(frame_count=np.int64(5), width=np.int64(320), height=np.uint16(240),
+                             num_tracks=np.int8(3))
+        _, dets = generate(cfg)
+        write_detections(dets, tmp_path / "d.txt")
+        assert read_detections(tmp_path / "d.txt") == dets
+        assert generate(cfg) == generate(ScenarioConfig(frame_count=5, width=320, height=240,
+                                                        num_tracks=3))
+
     def test_drop_prob_one_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             simulate(tmp_path, "--drop-prob", "1.0")
