@@ -8,7 +8,9 @@ envelope. Everything is deterministic for a given input.
 
 match_predictions and average_precision score one (class, frame) cell at one
 threshold; evaluate_columns gives their numbers in one columnar pass over the
-arrays of io.read_columns. It computes each same-cell IoU once, in chunks, and
+arrays of io.read_columns. It computes the IoU of each same-cell pair whose
+x-extents overlap once, found by a sort-and-sweep window over the gt boxes
+sorted by x1 in each cell, in chunks; every other pair has IoU exactly 0. It
 runs the greedy claim for all 10 thresholds together. The predictions that
 compete for a box claim in rounds across cells: round r takes the r-th
 competitor of every (video, frame) cell at once, which is exact because
@@ -30,7 +32,7 @@ from .io import BoxColumns, GroundTruth, VideoDetections, columns_of
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
-_PAIR_CHUNK = 1 << 13  # same-cell pairs whose IoU is computed at once, to bound memory
+_PAIR_CHUNK = 1 << 13  # candidate pairs, those of the x windows, taken at once to bound memory
 
 
 @dataclass
@@ -281,21 +283,44 @@ def _rounds(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _overlaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(prediction, gt, IoU) of each same-cell pair with positive IoU, by
-    prediction, then gt; computed for about _PAIR_CHUNK pairs at a time."""
-    first = np.searchsorted(q[:, 0], p[:, 0], "left")
-    n = np.searchsorted(q[:, 0], p[:, 0], "right") - first
-    pair0 = np.cumsum(n) - n  # each prediction's first pair
+    prediction, then gt.
+
+    IoU is computed only for the same-cell pairs whose x-extents overlap.
+    With the gt rows sorted by (cell, x1) and the running max of x2 taken in
+    each cell, a prediction's window runs from the first gt whose running max
+    x2 is above its x1 to the first gt whose x1 reaches its x2; inside it,
+    the gt whose own x2 does not pass its x1 are dropped. Every pair left out
+    has min(x2) - max(x1) <= 0 in float, which iou_corners scores exactly 0.
+    The windows are taken for at most _PAIR_CHUNK pairs at a time, or one
+    prediction's."""
+    order = np.argsort(_cell_keys(q, 1), kind="stable")
+    lo = np.searchsorted(np.maximum.accumulate(_cell_keys(q, 3)[order]), _cell_keys(p, 1), "right")
+    n = np.maximum(np.searchsorted(_cell_keys(q, 1)[order], _cell_keys(p, 3), "left") - lo, 0)
+    end = np.cumsum(n)  # each prediction's pairs end here
+    lo += n - end  # pair k of prediction i is at window position lo[i] + k
     parts = []
-    start = 0
+    start = done = 0
     while start < len(p):
-        stop = int(np.searchsorted(pair0, pair0[start] + _PAIR_CHUNK, "right"))
+        stop = max(int(np.searchsorted(end, done + _PAIR_CHUNK, "right")), start + 1)
         i = np.repeat(np.arange(start, stop), n[start:stop])
-        j = first[i] + np.arange(len(i)) - (pair0[i] - pair0[start])
+        j = order[lo[i] + np.arange(done, done + len(i))]
+        in_x = np.flatnonzero(q[j, 3] > p[i, 1])
+        i, j = i[in_x], j[in_x]
         iou = iou_corners(p[i, 1:5], q[j, 1:5])
-        keep = iou > 0.0
+        keep = np.flatnonzero(iou > 0.0)
+        keep = keep[np.lexsort((j[keep], i[keep]))]  # back into gt row order
         parts.append((i[keep], j[keep], iou[keep]))
-        start = stop
+        start, done = stop, int(end[stop - 1])
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _cell_keys(rows: np.ndarray, x: int) -> np.ndarray:
+    """Complex keys cell + i * rows[:, x]: numpy orders complex numbers by
+    real part, then imaginary part, so sorting and searching them compares
+    (cell, x) exactly, with -0.0 equal to 0.0."""
+    key = rows[:, 0].astype(complex)
+    key.imag = rows[:, x]
+    return key
 
 
 class _PRCurves(Mapping):

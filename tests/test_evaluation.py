@@ -434,6 +434,92 @@ def assert_rounds(seen, pairs):
     assert sorted(counts) == rivals_per_cell(pairs)
 
 
+def spy_iou_corners(monkeypatch):
+    """Record the (prediction, gt) corner rows of every iou_corners call that
+    evaluation makes."""
+    calls, iou_corners = [], evaluation.iou_corners
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy()))
+        return iou_corners(a, b)
+    monkeypatch.setattr(evaluation, "iou_corners", spy)
+    return calls
+
+
+def scored_pairs(calls):
+    """The (prediction corners, gt corners) rows the spied calls were given."""
+    return sorted((*a, *b) for ca, cb in calls for a, b in zip(ca.tolist(), cb.tolist()))
+
+
+def x_overlapping_pairs(pairs):
+    """By brute force, the (prediction corners, gt corners) rows of every
+    same-class, same-cell pair whose x-extents overlap: q.x1 < p.x2 and
+    q.x2 > p.x1."""
+    rows = []
+    for v, g in pairs:
+        for f in range(v.frame_count):
+            for d in v.frames[f]:
+                for b in g.frames[f]:
+                    p = (d.bbox.x, d.bbox.y, d.bbox.x + d.bbox.w, d.bbox.y + d.bbox.h)
+                    q = (b.bbox.x, b.bbox.y, b.bbox.x + b.bbox.w, b.bbox.y + b.bbox.h)
+                    if d.class_id == b.class_id and q[0] < p[2] and q[2] > p[0]:
+                        rows.append((*p, *q))
+    return sorted(rows)
+
+
+def window_edge_pair(shift=0.0, vid="v"):
+    """One video whose frames hold the cases at the edges of the x window,
+    all shifted by `shift` in x: (gt boxes, predictions) as (x, w), each
+    with y = 0 and h = 10, then 1e200-sided boxes in the last frame."""
+    cases = [
+        # edges that touch exactly, q.x2 == p.x1 and q.x1 == p.x2, next to a hit
+        ([(10, 10)], [(20, 10), (0, 10), (15, 10)]),
+        # a wide gt first in x1 order covers a prediction past narrow ones
+        ([(0, 100), (10, 2), (20, 2), (30, 2)], [(40, 60), (11, 10)]),
+        # nested boxes, either way round
+        ([(0, 100), (45, 10)], [(40, 20), (0, 100), (44, 12)]),
+        # ties in x1, and a prediction that starts where the first tie ends
+        ([(5, 5), (5, 10), (5, 20), (5, 10)], [(5, 10), (10, 5), (5, 20)]),
+        # only predictions, then only gt
+        ([], [(0, 10), (3, 10)]),
+        ([(0, 10), (3, 10)], []),
+    ]
+    frames_p, frames_g = {}, {}
+    for f, (gts, preds) in enumerate(cases):
+        frames_g[f] = [TrackBox(f, 0, k, BBox(x + shift, 0.0, float(w), 10.0))
+                       for k, (x, w) in enumerate(gts)]
+        frames_p[f] = [det(f, x + shift, 0.0, float(w), 10.0, 0.9 - 0.1 * k)
+                       for k, (x, w) in enumerate(preds)]
+    # 1e200-sided boxes whose intersection overflows, and one that touches
+    big = 1e200
+    f = len(cases)
+    frames_g[f] = [TrackBox(f, 0, 0, BBox(shift, 0.0, big, big)),
+                   TrackBox(f, 1, 1, BBox(-big, -big, big, big))]
+    frames_p[f] = [det(f, shift + big / 10, big / 10, big, big, 0.9),
+                   det(f, shift + big, 0.0, big, big, 0.8),
+                   det(f, -big, -big / 2, big, big, 0.7, cls=1),
+                   det(f, 0.0, -big, big, big, 0.6, cls=1)]
+    return stream_pair(frames_p, frames_g, f + 1, vid=vid)
+
+
+def grid_pair(rng, vid):
+    """Boxes on a one-pixel grid of two classes, so that touching edges, ties
+    in x1 and repeated boxes are common, at negative x half the time."""
+    shift = float(rng.choice([0.0, -1000.0]))
+    frames_p, frames_g = {}, {}
+    for f in range(3):
+        def box():
+            x, y = rng.integers(0, 16, size=2)
+            w, h = rng.integers(1, 7, size=2)
+            return BBox(float(x) + shift, float(y), float(w), float(h))
+
+        frames_g[f] = [TrackBox(f, int(rng.integers(2)), k, box())
+                       for k in range(int(rng.integers(0, 8)))]
+        frames_p[f] = [Detection(f, int(rng.integers(2)), box(), float(rng.choice([0.4, 0.8])))
+                       for _ in range(int(rng.integers(0, 8)))]
+    return stream_pair(frames_p, frames_g, 3, vid=vid)
+
+
 class TestSinglePassMatchesOracle:
     @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
     def test_random_pooled_streams(self, rng, monkeypatch, chunk):
@@ -441,6 +527,21 @@ class TestSinglePassMatchesOracle:
         for _ in range(40):
             pairs = random_pairs(rng)
             assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+
+    @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
+    def test_x_window_scores_exactly_the_x_overlaps(self, rng, monkeypatch, chunk):
+        """IoU is computed for exactly the same-cell pairs whose x-extents
+        overlap, at the window's edges and on random grids, and the report
+        is the oracle's."""
+        monkeypatch.setattr(evaluation, "_PAIR_CHUNK", chunk)
+        calls = spy_iou_corners(monkeypatch)
+        cases = [[window_edge_pair()], [window_edge_pair(-1000.5)],
+                 [window_edge_pair(vid="a"), window_edge_pair(-7.25, vid="b")]]
+        cases += [[grid_pair(rng, "a"), grid_pair(rng, "b")] for _ in range(30)]
+        for pairs in cases:
+            calls.clear()
+            assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
+            assert scored_pairs(calls) == x_overlapping_pairs(pairs)
 
     def test_equal_scores_across_frames(self, rng):
         for _ in range(40):
@@ -544,6 +645,22 @@ class TestSinglePassMatchesOracle:
             rep = evaluate_streams(pairs)
         assert_rounds(seen, pairs)
         assert len(seen[0][1]) - 1 == len(preds)
+        assert_same_report(rep, evaluate_oracle(pairs))
+
+    def test_one_cell_overlapping_in_x(self, rng, monkeypatch):
+        """400 predictions and 400 gt boxes in one cell whose x-extents all
+        overlap, so the window is the whole cell: no iou_corners call gets
+        more than _PAIR_CHUNK pairs, and the call ends within a time bound."""
+        calls = spy_iou_corners(monkeypatch)
+        gts = [TrackBox(0, 0, k, BBox(float(rng.integers(10)), float(rng.integers(400)), 50, 20))
+               for k in range(400)]
+        preds = [det(0, float(rng.integers(10)), float(rng.integers(400)), 50.0, 20.0,
+                     float(rng.choice([0.3, 0.6, 0.9]))) for _ in range(400)]
+        pairs = [stream_pair({0: preds}, {0: gts}, 1)]
+        with time_limit(2.0):
+            rep = evaluate_streams(pairs)
+        assert sum(len(a) for a, _ in calls) == 400 * 400
+        assert max(len(a) for a, _ in calls) <= evaluation._PAIR_CHUNK
         assert_same_report(rep, evaluate_oracle(pairs))
 
     def test_simulated_crowd(self):

@@ -9,6 +9,11 @@ keeps every rule, and with the bulk parse refusing every file, so that all
 of them are read by the object readers. Exit code, stderr, printed tables
 and report bytes must agree.
 
+test_fuzz_eval_identity scores small ground-truth files with extreme valid
+values against themselves through ``eval --out``: the report must be the
+oracle evaluator's, and every class whose boxes all have a positive float
+corner area must reach AP50 1.
+
 The case these tests found, descriptors of different lengths in one stream,
 has its named regression test in test_pipeline_cli.py
 (test_descriptor_lengths_differ_is_a_data_error). The header bound, the
@@ -18,7 +23,9 @@ UTF-8 check and the size-ratio error have theirs in test_io.py
 
 import contextlib
 import io
+import json
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -36,6 +43,7 @@ from tubelink import (
 )
 from tubelink.io import MAX_FRAME_COUNT
 
+from test_evaluation import evaluate_oracle
 from test_simulate import time_limit
 
 HUGE = "1" + "0" * 400  # an integer too large for a float
@@ -260,3 +268,47 @@ def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
     assert columns == objects
     if texts == BEYOND_INT64:
         assert columns[0] == 1
+
+
+# Extreme valid boxes: sides from 1e-300 to 1e300, coordinates far from 0,
+# where x + w can round back to x, and intersections that overflow.
+IDENTITY_COORD = st.one_of(st.floats(-50, 300), st.floats(-1e300, 1e300),
+                           st.sampled_from([1e17, -1e17, 2.0 ** 60, -0.0, 1e300, -1e300]))
+IDENTITY_SIDE = st.one_of(st.floats(0.5, 80), st.floats(1e-300, 1e300),
+                          st.sampled_from([1e-300, 1.0, 1e300]))
+IDENTITY_BOX = st.tuples(st.integers(0, 3), st.integers(0, 2), IDENTITY_COORD, IDENTITY_COORD,
+                         IDENTITY_SIDE, IDENTITY_SIDE)
+# a few distinct boxes drawn up to 40 times, so boxes repeat and frames hold many
+IDENTITY_BOXES = st.lists(IDENTITY_BOX, min_size=1, max_size=12).flatmap(
+    lambda boxes: st.lists(st.sampled_from(boxes), min_size=1, max_size=40))
+
+
+@FUZZ
+@given(IDENTITY_BOXES, st.booleans())
+# a zero-width box, an area that underflows and two boxes whose IoU overflows
+@example([(0, 0, 1e17, 0.0, 1.0, 1.0), (0, 0, 0.0, 0.0, 1e-300, 1e-300),
+          (0, 1, 0.0, 0.0, 1e300, 1e300), (0, 1, 1e299, 0.0, 1e300, 1e300)], False)
+def test_fuzz_eval_identity(tmp_path_factory, boxes, one_frame):
+    """Ground truth scored against itself, each box a prediction of score 1."""
+    if one_frame:
+        boxes = [(0, *b[1:]) for b in boxes]
+    tmp = tmp_path_factory.getbasetemp()
+    gt, det, out = tmp / "identity.gt", tmp / "identity.det", tmp / "identity.json"
+    header = "#video v 1280 720 4\n"
+    gt.write_text(header + "".join(f"{f} {c} {k} {x!r} {y!r} {w!r} {h!r}\n"
+                                   for k, (f, c, x, y, w, h) in enumerate(boxes)), encoding="utf-8")
+    det.write_text(header + "".join(f"{f} {c} {x!r} {y!r} {w!r} {h!r} 1.0\n"
+                                    for f, c, x, y, w, h in boxes), encoding="utf-8")
+    stderr = io.StringIO()
+    with time_limit(2.0), warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(["eval", "--detections", str(det), "--ground-truth", str(gt),
+                         "--out", str(out)])
+    assert (code, stderr.getvalue()) == (0, "")
+    want = evaluate_oracle([(read_detections(det), read_ground_truth(gt))])
+    report = out.read_text(encoding="utf-8")
+    assert report == json.dumps(want.to_dict(), indent=2, sort_keys=True) + "\n"
+    for c, ap in json.loads(report)["per_class_ap"].items():
+        if all((x + w - x) * (y + h - y) > 0.0 for _, k, x, y, w, h in boxes if k == int(c)):
+            assert ap["0.50"] == 1.0

@@ -6,9 +6,13 @@ The run set is every perfbench workload video at seeds 0 and 7919 with the
 workload's postprocess flags (the scenarios are read from perfbench/run.py's
 WORKLOADS), and standard_scenario seeds 0-9 with the default flags, with
 `--nms-iou 0.5` and with `--assignment exact`. Each run calls `simulate`,
-`postprocess` and `eval --out` through tubelink.cli.main in a temporary
-directory; its files are the ground truth, the detections, the postprocess
-output and the eval report. Any exit code but 0 ends the script with 1.
+`postprocess` and `eval --out --pr-out` through tubelink.cli.main in a
+temporary directory; its files are the ground truth, the detections, the
+postprocess output, the eval report and the PR-curve CSV, whose points show
+every TP flag that the report's APs can hide. Then one `eval --per-video
+--out --pr-out` per group pools all its runs, so that cells of different
+videos meet in one evaluation; its report and CSV are digested too. Any exit
+code but 0 ends the script with 1.
 
 Run from anywhere: python tools/digest_runs.py > digest.txt
 It imports tubelink from the src/ next to this file.
@@ -57,22 +61,32 @@ def call(argv: list[str]) -> None:
         sys.exit(f"digest_runs: exit code {code} from {' '.join(argv)}")
 
 
+def digest(files: list[Path], tmp: str) -> None:
+    for f in files:
+        print(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.relative_to(tmp)}", flush=True)
+
+
 def main() -> int:
+    pooled: dict[str, list[str]] = {}  # group -> the eval arguments of its runs
     with tempfile.TemporaryDirectory() as tmp:
         for group, cfg, flags in runs():
             stem = Path(tmp) / group / cfg.video_id
             stem.parent.mkdir(exist_ok=True)
-            files = [Path(f"{stem}.{ext}") for ext in ("cfg", "gt", "det", "out.det", "eval.json")]
-            scenario, gt, det, out, report = files
+            files = [Path(f"{stem}.{ext}")
+                     for ext in ("cfg", "gt", "det", "out.det", "eval.json", "pr.csv")]
+            scenario, gt, det, out, report, pr = files
             scenario.write_text(describe(cfg), encoding="utf-8")
             call(["simulate", "--config", str(scenario), "--ground-truth", str(gt),
                   "--detections", str(det)])
             call(["postprocess", "--detections", str(det), "--out", str(out), *flags])
             call(["eval", "--detections", str(out), "--ground-truth", str(gt),
-                  "--out", str(report)])
-            for f in files[1:]:
-                digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                print(f"{digest}  {f.relative_to(tmp)}", flush=True)
+                  "--out", str(report), "--pr-out", str(pr)])
+            digest(files[1:], tmp)
+            pooled.setdefault(group, []).extend(["--detections", str(out), "--ground-truth", str(gt)])
+        for group, argv in pooled.items():
+            report, pr = Path(tmp) / group / "pooled.eval.json", Path(tmp) / group / "pooled.pr.csv"
+            call(["eval", *argv, "--per-video", "--out", str(report), "--pr-out", str(pr)])
+            digest([report, pr], tmp)
     return 0
 
 
