@@ -19,7 +19,7 @@ linking.tubelet_link_score through one_pair_features) give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +42,17 @@ DEFAULT_WEIGHTS = (-400.0, -400.0, -2.0, -2.0, 1.5, 1.0, 4.0, 1.0)
 DEFAULT_BIAS = -4.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class LinkFeatures:
     """Features of an ordered detection pair (earlier frame -> later frame).
 
     Slotted and not frozen: one is built per scored pair, and a frozen
     dataclass sets each field through object.__setattr__, about three times
-    the cost of the construction.
+    the cost of the construction. For the same reason the __init__ is
+    written out: it checks its arguments as locals before storing them,
+    where the generated __init__ and a __post_init__ would store them and
+    then read each back. The dataclass still gives equality, repr, fields(),
+    replace() and __match_args__.
     """
 
     dx: float                 # center x displacement / frame width
@@ -60,21 +64,28 @@ class LinkFeatures:
     class_match: float        # 1.0 when class ids agree, else 0.0
     appearance_sim: float     # descriptor cosine, 0.0 when either is absent
 
-    def __post_init__(self):
+    def __init__(self, dx: float, dy: float, log_w_ratio: float, log_h_ratio: float, iou: float,
+                 score_geo_mean: float, class_match: float, appearance_sim: float) -> None:
         # one test on the sum, which is finite only when every field is
         # (or when it overflows: then the loop finds nothing to name)
-        if not math.isfinite(
-            self.dx + self.dy + self.log_w_ratio + self.log_h_ratio + self.iou
-            + self.score_geo_mean + self.class_match + self.appearance_sim
-        ):
-            for f in fields(self):
-                v = getattr(self, f.name)
+        if not math.isfinite(dx + dy + log_w_ratio + log_h_ratio + iou + score_geo_mean
+                             + class_match + appearance_sim):
+            for name, v in zip(self.__match_args__, (dx, dy, log_w_ratio, log_h_ratio, iou,
+                                                     score_geo_mean, class_match, appearance_sim)):
                 if not math.isfinite(v):
-                    raise ValidationError(f"link feature {f.name} is not finite: {v!r}")
-        if not (0.0 <= self.iou <= 1.0):
-            raise ValidationError(f"iou feature out of [0,1]: {self.iou}")
-        if self.class_match not in (0.0, 1.0):
-            raise ValidationError(f"class_match must be 0 or 1: {self.class_match}")
+                    raise ValidationError(f"link feature {name} is not finite: {v!r}")
+        if not (0.0 <= iou <= 1.0):
+            raise ValidationError(f"iou feature out of [0,1]: {iou}")
+        if class_match not in (0.0, 1.0):
+            raise ValidationError(f"class_match must be 0 or 1: {class_match}")
+        self.dx = dx
+        self.dy = dy
+        self.log_w_ratio = log_w_ratio
+        self.log_h_ratio = log_h_ratio
+        self.iou = iou
+        self.score_geo_mean = score_geo_mean
+        self.class_match = class_match
+        self.appearance_sim = appearance_sim
 
 
 @dataclass(frozen=True)
@@ -234,7 +245,10 @@ def load_model(source: str | Path) -> SimilarityModel:
         raise ConfigError(f"{path}: model file holds non-numeric tokens") from None
     if len(weights) != 8:
         raise ConfigError(f"{path}: expected 8 weights, got {len(weights)}")
-    return SimilarityModel(weights, bias)
+    try:
+        return SimilarityModel(weights, bias)
+    except ValidationError as e:  # the weights or bias are not finite
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def save_model(m: SimilarityModel, path: str | Path) -> None:

@@ -8,9 +8,10 @@ It has two callers: _build, its gap-0 case over single detections,
 and linking._link, its g_max case over tubelets. The ends come as arrays:
 _link_candidates enumerates the candidates with one sort and a searchsorted
 window per tail and computes their features in chunks with numpy; only
-LinkFeatures and link_score run once per pair. Refinement then blends
-confidences toward the tubelet mean, smooths coordinates with a centered
-moving average and drops short tubelets, which are the dominant
+LinkFeatures and link_score run once per pair, driven from C by map and
+np.fromiter, and a numpy mask keeps the scores that reach tau. Refinement
+then blends confidences toward the tubelet mean, smooths coordinates with a
+centered moving average and drops short tubelets, which are the dominant
 false-positive shape.
 
 The pipeline works on TubeletColumns, all tubelets at once in arrays.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -154,8 +155,12 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
 
     The pairs are enumerated tail by tail, each tail's heads in frame order
     and ties in row order, and their features are computed in chunks of
-    _PAIR_CHUNK pairs; then each pair gets its LinkFeatures and one
-    link_score call, so the first pair that fails raises its own error.
+    _PAIR_CHUNK pairs. A chunk is scored in one pass with no Python loop:
+    np.fromiter draws from a lazy map that builds pair k's LinkFeatures and
+    then calls link_score on it, once per pair, before pair k + 1; the
+    scores >= tau are then kept with a numpy mask. So the first pair that
+    fails raises its own error, and an error of feature_columns is raised
+    only after the pairs before it are scored.
     """
     UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
@@ -181,10 +186,11 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
         i = np.searchsorted(ends, at, "right")
         j = order[lo[i] + at - (ends[i] - count[i])]
         columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i], shape)
-        for a, b, f in zip(i.tolist(), j.tolist(), zip(*columns)):
-            s = link_score(m, LinkFeatures(*f))
-            if s >= tau:
-                out.append((s, a, b))
+        # lazy: building every LinkFeatures first would raise a later pair's error first
+        s = np.fromiter(map(link_score, repeat(m), map(LinkFeatures, *columns)), float,
+                        len(columns[0]))
+        k = np.flatnonzero(s >= tau)
+        out += zip(s[k].tolist(), i[k].tolist(), j[k].tolist())
         if error:
             raise error
     return out

@@ -554,6 +554,20 @@ class TestCliPostprocess:
                    "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("weights, bias", [("1 1 1 1 1 1 1 nan", "0"),
+                                               ("1 1 1 1 1 1 1 1", "1e309")],
+                             ids=["nan_weight", "overflowing_bias"])
+    def test_non_finite_model_file_is_named(self, tmp_path, capsys, weights, bias):
+        # the error used to leave out the file, which every other model error names
+        _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=30)
+        model_path = tmp_path / "bad.model"
+        model_path.write_text(f"repp-model v1\n{weights}\n{bias}\n")
+        rc = main(["postprocess", "--detections", str(det_path),
+                   "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: similarity model weights/bias must be finite\n")
+
 
 class TestFreshProcess:
     def test_import_loads_no_scipy(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -31,6 +32,7 @@ from tubelink import (
     load_model,
     save_model,
     tubelet_gap,
+    tubelet_link_score,
 )
 from tubelink import tubelets
 from tubelink.similarity import feature_columns, one_pair_features
@@ -109,6 +111,27 @@ class TestLinkFeatures:
         values[k] = value
         with pytest.raises(ValidationError, match=re.escape(message)):
             LinkFeatures(*values)
+
+
+    def test_dataclass_api_under_the_written_init(self):
+        names = ["dx", "dy", "log_w_ratio", "log_h_ratio", "iou", "score_geo_mean",
+                 "class_match", "appearance_sim"]
+        values = (0.1, -0.2, 0.0, 0.5, 0.25, 0.5, 1.0, -0.5)
+        assert [f.name for f in dataclasses.fields(LinkFeatures)] == names
+        assert list(inspect.signature(LinkFeatures).parameters) == names
+        assert LinkFeatures.__match_args__ == tuple(names)
+        f = LinkFeatures(**dict(zip(names, values)))
+        assert f == LinkFeatures(*values)
+        match f:
+            case LinkFeatures(dx, dy):
+                assert (dx, dy) == (0.1, -0.2)
+        assert dataclasses.replace(f, iou=0.75) == LinkFeatures(*values[:4], 0.75, *values[5:])
+        with pytest.raises(ValidationError, match=re.escape("iou feature out of [0,1]: 1.5")):
+            dataclasses.replace(f, iou=1.5)
+        with pytest.raises(TypeError):
+            LinkFeatures(*values[:7])
+        with pytest.raises(TypeError):
+            LinkFeatures(**dict(zip(names[1:], values[1:])))
 
 
 class TestLinkScore:
@@ -710,3 +733,57 @@ class TestFirstFailingPairRaises:
                   1: [det(frame=1, x=1e308, w=1.0, h=1e-300)]}
         with pytest.raises(ValidationError, match="log size ratio is not finite"):
             self.build(frames)
+
+
+class TestChunkScoredInOnePass:
+    """A chunk's pairs are scored by one lazy map, pair after pair: pair k's
+    LinkFeatures, then its link_score, then pair k + 1's. A numpy mask then
+    keeps the scores that reach tau."""
+
+    # log size ratios of ln 3 weigh in as terms of +inf and -inf
+    M = SimilarityModel((0.0, 0.0, 1.7e308, -1.7e308, 0.0, 0.0, 0.0, 0.0), 0.0)
+    K = 4  # the pairs scored before the two that fail; at chunk 3 all fail in one
+    OK = det(frame=1, x=-1e308)
+    LOGIT = det(frame=1, x=-1e308, w=30.0, h=30.0)
+    DX = det(frame=1, x=1e308)  # the centre displacement 2e308 overflows
+
+    @pytest.mark.parametrize("failing, message, calls", [
+        ((LOGIT, DX), "link score logit is undefined", K + 1),
+        ((DX, LOGIT), "link feature dx is not finite: inf", K),
+    ], ids=["logit_then_dx", "dx_then_logit"])
+    def test_first_failing_pair_in_one_chunk(self, pair_chunk, monkeypatch, failing, message,
+                                             calls):
+        scored = 0
+
+        def counted(m, f):
+            nonlocal scored
+            scored += 1
+            return link_score(m, f)
+
+        monkeypatch.setattr(tubelets, "link_score", counted)
+        v = VideoDetections("v", SHAPE, 2, {0: [det(frame=0, x=-1e308)],
+                                            1: [self.OK] * self.K + list(failing)})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_tubelets(v, self.M, 0.5)
+        assert scored == calls
+
+    def test_score_equal_to_tau_is_kept_at_both_levels(self, pair_chunk):
+        m = default_model()
+        a, b = det(frame=0, x=100.0), det(frame=1, x=105.0, w=12.0)
+        far = [det(frame=1, x=600.0), det(frame=1, x=1000.0)]
+        s = link_score(m, link_features(a, b, SHAPE))
+        assert all(link_score(m, link_features(a, d, SHAPE)) < s for d in far)
+        v = VideoDetections("v", SHAPE, 2, {0: [a], 1: [far[0], b, far[1]]})
+        linked = [t for t in build_tubelets(v, m, s) if len(t) == 2]
+        assert [[e.bbox for e in t.entries] for t in linked] == [[a.bbox, b.bbox]]
+        assert max(map(len, build_tubelets(v, m, math.nextafter(s, 1.0)))) == 1
+
+        tail = Tubelet(0, 0, (TubeletEntry(0, a.bbox, 0.9),))
+        heads = [Tubelet(k, 0, (TubeletEntry(2, d.bbox, 0.9),))
+                 for k, d in enumerate((far[0], b, far[1]), 1)]
+        s = tubelet_link_score(tail, heads[1], m, SHAPE)
+        assert all(tubelet_link_score(tail, h, m, SHAPE) < s for h in heads[::2])
+        merged = [t for t in link_tubelets([tail, *heads], m, 3, s, SHAPE) if len(t) > 1]
+        assert [(t.entries[0].bbox, t.entries[-1].bbox) for t in merged] == [(a.bbox, b.bbox)]
+        assert max(map(len, link_tubelets([tail, *heads], m, 3, math.nextafter(s, 1.0),
+                                          SHAPE))) == 1
