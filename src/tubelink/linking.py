@@ -9,7 +9,10 @@ confidences.
 
 _link and _interpolate do this for TubeletColumns. link_tubelets and
 interpolate_gap run them between TubeletColumns.of and .tubelets, so what
-they give is equal in value and flag to the entries it stands for.
+they give is equal in value and flag to the entries it stands for. _link
+keys its links by tubelet row, as _build keys them by detection row;
+link_tubelets orders its input by id, so that row order is id order and
+ties go by id.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .geometry import FrameShape, check_boxes
 from .settings import int_at_least, one_of
 from .similarity import SimilarityModel, link_score, one_pair_features
 from .tubelets import (
-    Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _follow_chains, _link_candidates, _means,
+    Tubelet, TubeletColumns, TubeletEntry, _accept_greedy, _chains, _link_candidates, _means,
 )
 
 G_MAX = int_at_least(0)
@@ -105,31 +108,25 @@ def interpolate_gap(
 
 def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
           shape: FrameShape | None, score_mode: str) -> TubeletColumns:
-    """link_tubelets over TubeletColumns."""
+    """link_tubelets over TubeletColumns whose ids ascend with their rows,
+    so that the row order of _accept_greedy and _chains breaks ties by id."""
     G_MAX.require("g_max", g_max, ContractError)
     if shape is None:
         raise ContractError("link_tubelets needs the frame shape")
-    keys = t.tubelet_id
-    if len(set(keys)) != len(keys):
+    ids = t.tubelet_id
+    if any(a >= b for a, b in zip(ids, ids[1:])):  # link_tubelets sorts by id
         raise ContractError("tubelet ids must be unique before linking")
 
     start = t.start
     end = start + t.length - 1
-    no_app = np.zeros((len(keys), 0)), np.zeros(len(keys), np.int64)
+    no_app = np.zeros((len(ids), 0)), np.zeros(len(ids), np.int64)
     tails, heads = ((t.frame[e], t.class_id, t.box[e], t.score[e], *no_app) for e in (end, start))
-    successor = _accept_greedy([(s, keys[a], keys[b]) for s, a, b in _link_candidates(
-        tails, heads, m, g_max, tau_tub, shape)])
-    first = t.frame[start].tolist()
-
-    at = {k: i for i, k in enumerate(keys)}
-    chains = [[at[k] for k in chain] for chain in _follow_chains(keys, successor)]
-    x, y = t.box[start, 0].tolist(), t.box[start, 1].tolist()
-    chains.sort(key=lambda c: (first[c[0]], x[c[0]], y[c[0]], keys[c[0]]))
-    rank = np.empty(len(keys), np.int64)
-    for r, chain in enumerate(chains):
-        rank[chain] = r
-    cur = np.array([i for chain in chains for i in chain[:-1]], np.int64)
-    nxt = np.array([i for chain in chains for i in chain[1:]], np.int64)
+    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
+    rows, length = _chains(successor, t.frame[start], t.box[start])
+    rank = np.empty(len(ids), np.int64)
+    rank[rows] = np.repeat(np.arange(len(length)), length)
+    first = np.cumsum(length) - length
+    cur, nxt = np.delete(rows, first + length - 1), np.delete(rows, first)
     fill = t.frame[start[nxt]] - t.frame[end[cur]] > 1
     gaps = _interpolate(t, cur[fill], nxt[fill], score_mode)
 
@@ -138,8 +135,8 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     order = np.lexsort((np.concatenate([t.frame, gaps.frame]), owner))
     entries = [np.concatenate([getattr(t, k), getattr(gaps, k)])[order]
                for k in ("frame", "box", "score", "interpolated")]
-    return TubeletColumns(list(range(len(chains))), t.class_id[[c[0] for c in chains]],
-                          np.bincount(owner, minlength=len(chains)), *entries)
+    return TubeletColumns(list(range(len(length))), t.class_id[rows[first]],
+                          np.bincount(owner, minlength=len(length)), *entries)
 
 
 def link_tubelets(
@@ -154,12 +151,13 @@ def link_tubelets(
 
     Candidate pairs share a class, are separated by 0..g_max empty frames and
     score at least tau_tub, which is in (0,1). The linker that build_tubelets
-    runs with g_max = 0 scores them and accepts them greedily by descending
-    score (ties by ascending id pair); each tubelet gains at most one
+    runs with g_max = 0 scores them in id order and accepts them greedily by
+    descending score (ties by ascending id pair); each tubelet gains at most one
     successor and one predecessor, and accepted chains collapse transitively
     into single tubelets with their gaps filled by interpolate_gap. Surviving
     entries of the inputs are carried over with their values and flags; ids
     are reassigned in canonical (start_frame, x, y) order, which leaves an
     already-canonical input unchanged when nothing merges.
     """
+    ts = sorted(ts, key=lambda t: t.tubelet_id)
     return _link(TubeletColumns.of(ts), m, g_max, tau_tub, shape, score_mode).tubelets()

@@ -23,9 +23,11 @@ from .errors import ContractError
 from .geometry import nms_rows
 from .io import BoxColumns, VideoDetections, columns_of, stream_of
 from .linking import G_MAX, SCORE_MODE, _link
-from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, setting, validate
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, setting, validate
 from .similarity import SimilarityModel, default_model
 from .tubelets import ASSIGNMENT, MIN_LEN, Tubelet, TubeletColumns, _build, _rescore, _smooth
+
+MODEL = Check(lambda v: isinstance(v, SimilarityModel), "a SimilarityModel")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,7 @@ class PipelineConfig:
     interp_score: str = setting("mean", SCORE_MODE)
 
     def __post_init__(self):
+        MODEL.require("model", self.model)
         validate(self)
 
 

@@ -6,7 +6,10 @@ one of these ``| None``). ``validate`` runs the checks on construction,
 value`` files. A function that takes a setting checks it with the field's
 own ``Check`` through ``Check.require``, so a range is written once. The
 checks of integer settings are made with ``integer``: they refuse bools and
-floats, which the flags and files, parsed with ``int()``, never give. A bool
+floats, which the flags and files, parsed with ``int()``, never give. Those
+of float settings are made with ``real``: they refuse bools and every value
+that is not a number, such as ``"0.5"`` or None. ``validate`` also refuses a
+non-bool for a bool setting and a non-str for a str setting. A bool
 setting that defaults to True is switched off by ``--no-<name>`` and the
 file key ``no_<name>``; file booleans are strict.
 """
@@ -42,6 +45,13 @@ def integer(ok: Callable[[int], bool], expect: str) -> Check:
                  expect)
 
 
+def real(ok: Callable[[float], bool], expect: str) -> Check:
+    """A Check that takes a Python or numpy integer or float for which ok
+    holds, and refuses bools and every value that is not a real number."""
+    return Check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and ok(v),
+                 expect)
+
+
 def int_at_least(lo: int) -> Check:
     return integer(lambda v: v >= lo, f"an integer >= {lo}")
 
@@ -50,10 +60,10 @@ def one_of(*choices: str) -> Check:
     return Check(lambda v: v in choices, "one of " + ", ".join(choices))
 
 
-NON_NEGATIVE = Check(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-UNIT_OPEN = Check(lambda v: 0.0 < v < 1.0, "in (0,1)")
-UNIT_CLOSED = Check(lambda v: 0.0 <= v <= 1.0, "in [0,1]")
-UNIT_HALF_OPEN = Check(lambda v: 0.0 <= v < 1.0, "in [0,1)")
+NON_NEGATIVE = real(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+UNIT_OPEN = real(lambda v: 0.0 < v < 1.0, "in (0,1)")
+UNIT_CLOSED = real(lambda v: 0.0 <= v <= 1.0, "in [0,1]")
+UNIT_HALF_OPEN = real(lambda v: 0.0 <= v < 1.0, "in [0,1)")
 ODD_WINDOW = integer(lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 # a frame side is used as a float, so it must convert to one
 FRAME_SIDE = integer(lambda v: 1 <= v <= sys.float_info.max, "an integer in [1, 1.8e308]")
@@ -67,13 +77,21 @@ def settings_of(cls) -> list[Field]:
     return [f for f in fields(cls) if "check" in f.metadata]
 
 
+# the type checks of bool and str settings, run after the field's own check,
+# so that a stage's ContractError and the config's ValidationError agree
+_IS = {"bool": Check(lambda v: isinstance(v, bool), "True or False"),
+       "str": Check(lambda v: isinstance(v, str), "a string")}
+
+
 def validate(obj) -> None:
     """Raise ValidationError for the first setting of `obj` that fails its
-    check. None passes where None is the default."""
+    type or its check. None passes where None is the default."""
     for f in settings_of(obj):
-        check, value = f.metadata["check"], getattr(obj, f.name)
-        if check and not (value is None and f.default is None):
-            check.require(f.name, value)
+        value = getattr(obj, f.name)
+        if not (value is None and f.default is None):
+            for check in (f.metadata["check"], _IS.get(f.type.removesuffix(" | None"))):
+                if check:
+                    check.require(f.name, value)
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}

@@ -24,14 +24,14 @@ from .errors import ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape
 from .io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
 from .settings import (
-    FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, Check, int_at_least, integer,
-    read_settings, setting, validate,
+    FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, int_at_least, integer, read_settings,
+    real, setting, validate,
 )
 
 MAX_TRACKS = 30
 # frame_count is bounded by io.MAX_FRAME_COUNT, the bound of a stream header
 MIN_BOX_SIDE = 2.0  # jittered sizes are clamped here so boxes stay valid
-BOX_SIDE = Check(lambda v: MIN_BOX_SIDE <= v < math.inf, f"a finite number >= {MIN_BOX_SIDE:g}")
+BOX_SIDE = real(lambda v: MIN_BOX_SIDE <= v < math.inf, f"a finite number >= {MIN_BOX_SIDE:g}")
 # False positives per frame, on average. Far beyond any use (the benchmark's
 # crowded scenario has 5), and it keeps numpy's Poisson draw in range.
 MAX_FP_RATE = 100.0
@@ -65,7 +65,7 @@ class ScenarioConfig:
     # burst_max + 1 is the bound of an int64 draw
     burst_max: int = setting(0, integer(lambda v: 0 <= v < _MAX_ID, "an integer in [0, 2**63 - 2]"))
     fp_rate: float = setting(
-        0.0, Check(lambda v: 0.0 <= v <= MAX_FP_RATE, f"in [0, {MAX_FP_RATE:g}]"))
+        0.0, real(lambda v: 0.0 <= v <= MAX_FP_RATE, f"in [0, {MAX_FP_RATE:g}]"))
     tp_score_mean: float = setting(0.8, UNIT_CLOSED)
     tp_score_sigma: float = setting(0.1, NON_NEGATIVE)
     fp_score_mean: float = setting(0.6, UNIT_CLOSED)
@@ -128,6 +128,22 @@ def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:
     return pos, flip
 
 
+def _class_and_box(rng: Generator,
+                   config: ScenarioConfig) -> tuple[int, float, float, float, float]:
+    """A class and a box (w, h, cx, cy) inside the frame, drawn in that order
+    for a track and for a false positive alike."""
+    class_id = int(rng.integers(0, config.classes))
+    w = float(rng.uniform(config.box_min, config.box_max))
+    h = float(rng.uniform(config.box_min, config.box_max))
+    cx = float(rng.uniform(w / 2, float(config.width) - w / 2))
+    return class_id, w, h, cx, float(rng.uniform(h / 2, float(config.height) - h / 2))
+
+
+def _unit(v):
+    """v over its norm, a norm below 1e-12 counting as 1e-12."""
+    return v / max(1e-12, math.sqrt(float(v @ v)))
+
+
 def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
     """Simulate a scenario; bitwise deterministic for a given config."""
     rng = Generator(PCG64(config.seed))
@@ -136,17 +152,10 @@ def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
     # track initialization, per track ascending
     tracks = []
     for tid in range(config.num_tracks):
-        class_id = int(rng.integers(0, config.classes))
-        w = float(rng.uniform(config.box_min, config.box_max))
-        h = float(rng.uniform(config.box_min, config.box_max))
-        cx = float(rng.uniform(w / 2, W - w / 2))
-        cy = float(rng.uniform(h / 2, H - h / 2))
+        class_id, w, h, cx, cy = _class_and_box(rng, config)
         vx = float(rng.uniform(-config.speed_max, config.speed_max))
         vy = float(rng.uniform(-config.speed_max, config.speed_max))
-        base = None
-        if config.appearance_dim > 0:
-            raw = rng.normal(size=config.appearance_dim)
-            base = raw / max(1e-12, float(math.sqrt(float(raw @ raw))))
+        base = _unit(rng.normal(size=config.appearance_dim)) if config.appearance_dim > 0 else None
         tracks.append({
             "class_id": class_id, "w": w, "h": h, "cx": cx, "cy": cy,
             "vx": vx, "vy": vy, "base": base, "burst_left": 0,
@@ -171,19 +180,15 @@ def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
             box = BBox(tr["cx"] - tr["w"] / 2, tr["cy"] - tr["h"] / 2, tr["w"], tr["h"])
             gt_frames[f].append(TrackBox(f, tr["class_id"], tid, box))
 
-            # dropout decisions
-            dropped = False
+            # dropout decisions: a burst under way, a new burst, a single drop
             if tr["burst_left"] > 0:
                 tr["burst_left"] -= 1
-                dropped = True
-            elif config.burst_prob > 0 and float(rng.random()) < config.burst_prob:
-                length = int(rng.integers(1, config.burst_max + 1)) if config.burst_max > 0 else 0
-                if length > 0:
-                    tr["burst_left"] = length - 1
-                    dropped = True
-            if not dropped and config.drop_prob > 0 and float(rng.random()) < config.drop_prob:
-                dropped = True
-            if dropped:
+                continue
+            if (config.burst_prob > 0 and float(rng.random()) < config.burst_prob
+                    and config.burst_max > 0):
+                tr["burst_left"] = int(rng.integers(1, config.burst_max + 1)) - 1
+                continue
+            if config.drop_prob > 0 and float(rng.random()) < config.drop_prob:
                 continue
 
             cx, cy, w, h = tr["cx"], tr["cy"], tr["w"], tr["h"]
@@ -195,9 +200,8 @@ def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
             score = _clamped_score(rng, config.tp_score_mean, config.tp_score_sigma)
             appearance = None
             if tr["base"] is not None:
-                noisy = tr["base"] + rng.normal(0.0, config.appearance_noise, size=config.appearance_dim)
-                norm = float(math.sqrt(float(noisy @ noisy)))
-                appearance = tuple(float(a) for a in noisy / max(1e-12, norm))
+                appearance = tuple(_unit(tr["base"] + rng.normal(
+                    0.0, config.appearance_noise, size=config.appearance_dim)).tolist())
             det_frames[f].append(
                 Detection(f, tr["class_id"], BBox(cx - w / 2, cy - h / 2, w, h), score, appearance)
             )
@@ -205,11 +209,7 @@ def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
         # false positives after the tracks
         if config.fp_rate > 0:
             for _ in range(int(rng.poisson(config.fp_rate))):
-                class_id = int(rng.integers(0, config.classes))
-                w = float(rng.uniform(config.box_min, config.box_max))
-                h = float(rng.uniform(config.box_min, config.box_max))
-                cx = float(rng.uniform(w / 2, W - w / 2))
-                cy = float(rng.uniform(h / 2, H - h / 2))
+                class_id, w, h, cx, cy = _class_and_box(rng, config)
                 score = _clamped_score(rng, config.fp_score_mean, config.fp_score_sigma)
                 det_frames[f].append(
                     Detection(f, class_id, BBox(cx - w / 2, cy - h / 2, w, h), score)

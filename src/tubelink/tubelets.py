@@ -3,9 +3,10 @@
 A tubelet is a frame-contiguous chain of boxes with one identity and class.
 This module holds the one linker of both levels: _link_candidates scores
 same-class tail -> head pairs, _accept_greedy accepts them one-to-one by
-descending score and _follow_chains collapses the accepted links into chains.
-It has two callers: _build, its gap-0 case over single detections,
-and linking._link, its g_max case over tubelets. The ends come as arrays:
+descending score and _chains collapses the accepted links into chains. It
+has two callers, and both key their links by row: _build, its gap-0 case
+over detection rows, and linking._link, its g_max case over tubelet rows,
+which link_tubelets orders by id. The ends come as arrays:
 _link_candidates enumerates the candidates with one sort and a searchsorted
 window per tail and computes their features in chunks with numpy; only
 LinkFeatures and link_score run once per pair, driven from C by map and
@@ -198,7 +199,7 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
 
 def _accept_greedy(candidates: list[tuple[float, int, int]]) -> dict[int, int]:
     """The greedy acceptor of both levels: by descending score, ties by
-    ascending (tail, head) key pair, a candidate is accepted while its tail has
+    ascending (tail, head) row pair, a candidate is accepted while its tail has
     no successor and its head no predecessor. Returns successor[tail] = head."""
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     successor: dict[int, int] = {}
@@ -210,15 +211,21 @@ def _accept_greedy(candidates: list[tuple[float, int, int]]) -> dict[int, int]:
     return successor
 
 
-def _follow_chains(keys, successor: dict[int, int]) -> list[list[int]]:
-    """The keys split into chains along the accepted links, one chain per key
-    that no link enters, in the order of those keys."""
-    linked = set(successor.values())
-    chains = [[k] for k in keys if k not in linked]
-    for chain in chains:
-        while chain[-1] in successor:
-            chain.append(successor[chain[-1]])
-    return chains
+def _chains(successor: dict[int, int], frame: np.ndarray,
+            box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows split into chains along the accepted links, successor[row] =
+    next row: one chain per row that no link enters, the chains stably
+    sorted by the frame, x and y of their first row. Returns the rows, chain
+    after chain, and each chain's length."""
+    starts = np.flatnonzero(np.bincount(np.fromiter(
+        successor.values(), np.int64, len(successor)), minlength=len(frame)) == 0)
+    starts = starts[np.lexsort((box[starts, 1], box[starts, 0], frame[starts]))]
+    chains = [[row] for row in starts.tolist()]
+    for rows in chains:
+        while rows[-1] in successor:
+            rows.append(successor[rows[-1]])
+    return (np.fromiter(chain.from_iterable(chains), np.int64, len(frame)),
+            np.fromiter(map(len, chains), np.int64, len(chains)))
 
 
 def _exact_assignment(
@@ -240,32 +247,25 @@ def _exact_assignment(
 
 
 def _build(c: BoxColumns, m: SimilarityModel, tau_link: float, assignment: str) -> TubeletColumns:
-    """build_tubelets over rows grouped by frame."""
+    """build_tubelets over rows sorted by frame."""
     ASSIGNMENT.require("assignment", assignment, ContractError)
-    frames = c.frame_idx.tolist()
     ends = (c.frame_idx, c.class_id, c.box, c.score, c.descriptor, c.descriptor_len)
     scored = _link_candidates(ends, ends, m, 0, tau_link, c.frame_shape)
     if assignment == "greedy":
         successor = _accept_greedy(scored)
     else:  # each frame pair's candidates, in the pair's own indices
-        stored, first, size = (a.tolist() for a in np.unique(
-            c.frame_idx, return_index=True, return_counts=True))
-        first, size = dict(zip(stored, first)), dict(zip(stored, size))
-        per_pair: defaultdict[int, list] = defaultdict(list)
+        # the rows are sorted by frame: each row's frame starts at first[row]
+        first, stop = (np.searchsorted(c.frame_idx, c.frame_idx, side).tolist()
+                       for side in ("left", "right"))
+        per_pair: defaultdict[tuple[int, int], list] = defaultdict(list)
         for s, a, b in scored:
-            t = frames[a]
-            per_pair[t].append((s, a - first[t], b - first[t + 1]))
+            per_pair[first[a], first[b]].append((s, a - first[a], b - first[b]))
         successor = {
-            first[t] + i: first[t + 1] + j for t, pair in per_pair.items()
-            for i, j in _exact_assignment(pair, size[t], size[t + 1])
+            a + i: b + j for (a, b), pair in per_pair.items()
+            for i, j in _exact_assignment(pair, stop[a] - a, stop[b] - b)
         }
-    chains = _follow_chains(range(len(frames)), successor)
-    x, y = c.box[:, 0].tolist(), c.box[:, 1].tolist()
-    # a stable sort: ties keep stream order
-    chains.sort(key=lambda ch: (frames[ch[0]], x[ch[0]], y[ch[0]]))
-    rows = np.fromiter(chain.from_iterable(chains), np.int64, len(frames))
-    length = np.fromiter(map(len, chains), np.int64, len(chains))
-    return TubeletColumns(list(range(len(chains))), c.class_id[rows[np.cumsum(length) - length]],
+    rows, length = _chains(successor, c.frame_idx, c.box)
+    return TubeletColumns(list(range(len(length))), c.class_id[rows[np.cumsum(length) - length]],
                           length, c.frame_idx[rows], c.box[rows], c.score[rows],
                           np.zeros(len(rows), bool))
 

@@ -14,6 +14,12 @@ values against themselves through ``eval --out``: the report must be the
 oracle evaluator's, and every class whose boxes all have a positive float
 corner area must reach AP50 1.
 
+test_fuzz_postprocess feeds small detection files with extreme valid values
+to ``postprocess`` (with the default flags, ``--nms-iou 0.5``, ``--assignment
+exact`` and, now and then, ``--jobs 2``) and to ``inspect``: each exits 0 or
+1 with one ``error:`` line, in bounded time, what it writes reads back, and
+``--jobs 1`` and ``--jobs 2`` write the same bytes.
+
 The case these tests found, descriptors of different lengths in one stream,
 has its named regression test in test_pipeline_cli.py
 (test_descriptor_lengths_differ_is_a_data_error). The header bound, the
@@ -312,3 +318,74 @@ def test_fuzz_eval_identity(tmp_path_factory, boxes, one_frame):
     for c, ap in json.loads(report)["per_class_ap"].items():
         if all((x + w - x) * (y + h - y) > 0.0 for _, k, x, y, w, h in boxes if k == int(c)):
             assert ap["0.50"] == 1.0
+
+
+# Extreme valid postprocess inputs: the sides above, scores of 0 and 1,
+# descriptors at the reader's bound |1 - |v|| <= 1e-6 (1 + 1e-6 passes it and
+# 1 - 1e-6 rounds just beyond it) and now and then farther out, one frame
+# holding many boxes, and frames up to the header's bound.
+UNIT_DESCRIPTOR = mostly(
+    st.sampled_from([(1.0, 0.0), (0.6, 0.8), (0.0, -1.0), (1 + 1e-6, 0.0), (0.0, 1 - 1e-6),
+                     (-1 - 1e-6, 0.0)]),
+    st.sampled_from([(1 + 2e-6, 0.0), (0.0, 1 - 2e-6)]), odds=40)
+POST_BOX = st.tuples(st.integers(0, 3), st.integers(0, 2), IDENTITY_COORD, IDENTITY_COORD,
+                     IDENTITY_SIDE, IDENTITY_SIDE,
+                     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), UNIT_DESCRIPTOR)
+POST_BOXES = st.lists(POST_BOX, min_size=1, max_size=12).flatmap(
+    lambda boxes: st.lists(st.sampled_from(boxes), min_size=1, max_size=40))
+POSTPROCESS_FLAGS = ([], ["--nms-iou", "0.5"], ["--assignment", "exact"])
+# boxes near -+1.7e308 in consecutive frames: their centre displacement overflows
+DX_OVERFLOW = [(0, 0, -1.7e308, 0.0, 1.0, 1.0, 0.9, (1.0, 0.0)),
+               (1, 0, 1.7e308, 0.0, 1.0, 1.0, 0.9, (1.0, 0.0))]
+
+
+def run_cli(*argv):
+    """cli.main's exit code and stderr, with every warning raised as an error."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main([str(a) for a in argv])
+    assert code in (0, 1)
+    lines = stderr.getvalue().splitlines(keepends=True)
+    assert (code, lines) == (0, []) or (code == 1 and len(lines) == 1
+                                        and lines[0].startswith("error: "))
+    return code, stderr.getvalue()
+
+
+@FUZZ
+@given(POST_BOXES, st.booleans(), st.sampled_from([3, MAX_FRAME_COUNT - 1]), st.booleans(),
+       st.integers(0, 24))
+@example(DX_OVERFLOW, False, 3, False, 1)
+def test_fuzz_postprocess(tmp_path_factory, boxes, one_frame, last, descriptors, jobs_draw):
+    """postprocess and inspect exit 0 or 1 with one error line, and what they
+    write reads back; --jobs 2 writes the bytes of --jobs 1."""
+    tmp = tmp_path_factory.getbasetemp()
+    det, det2, out, out2 = (tmp / f"post.{name}" for name in ("det", "det2", "out", "out2"))
+    lines = [f"#video v 1280 720 {last + 1}"]
+    for f, c, x, y, w, h, score, (a, b) in boxes:
+        tail = f" {a!r} {b!r}" if descriptors else ""
+        lines.append(f"{last if one_frame else last - 3 + f} {c} {x!r} {y!r} {w!r} {h!r} "
+                     f"{score!r}{tail}")
+    det.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    det2.write_bytes(det.read_bytes())
+    with time_limit(5.0):
+        run_cli("inspect", "--detections", det)
+        for flags in POSTPROCESS_FLAGS:
+            out.unlink(missing_ok=True)
+            code, stderr = run_cli("postprocess", "--detections", det, "--out", out, *flags)
+            if boxes == DX_OVERFLOW:
+                assert (code, stderr) == (1, "error: link feature dx is not finite: inf\n")
+            if code == 0:
+                read_detections(out)
+                assert run_cli("inspect", "--detections", out) == (0, "")
+        if jobs_draw == 0:  # a process pool per example: a few examples only
+            written = []
+            for jobs in (1, 2):
+                for p in (out, out2):
+                    p.unlink(missing_ok=True)
+                result = run_cli("postprocess", "--detections", det, "--detections", det2,
+                                 "--out", out, "--out", out2, "--jobs", jobs)
+                written.append((result, [p.read_bytes() if p.exists() else None
+                                         for p in (out, out2)]))
+            assert written[0] == written[1]

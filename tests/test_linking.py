@@ -403,8 +403,19 @@ class TestLeanPathMatchesOracle:
             ts = random_tubelets(rng, int(rng.integers(0, 25)))
             m, g_max = random_model(rng), int(rng.integers(0, 21))
             tau, mode = float(rng.uniform(0.05, 1.0)), str(rng.choice(["mean", "endpoint"]))
-            got = link_tubelets(ts, m, g_max, tau, SHAPE, mode)
-            assert got == oracle_link_tubelets(ts, m, g_max, tau, SHAPE, mode)
+            # the same tubelets with random unique ids, in an order that is
+            # neither the ids' nor the start frames': ties still go by id
+            ids = rng.choice(10**6, len(ts), replace=False).tolist()
+            shuffled = [Tubelet(ids[k], ts[k].class_id, ts[k].entries)
+                        for k in rng.permutation(len(ts)).tolist()]
+            for inputs in (ts, shuffled):
+                got = link_tubelets(inputs, m, g_max, tau, SHAPE, mode)
+                assert got == oracle_link_tubelets(inputs, m, g_max, tau, SHAPE, mode)
+            if len(ts) > 1:
+                last = shuffled[-1]
+                shuffled[-1] = Tubelet(shuffled[0].tubelet_id, last.class_id, last.entries)
+                with pytest.raises(ContractError, match="ids must be unique"):
+                    link_tubelets(shuffled, m, g_max, tau, SHAPE, mode)
             scores = [tubelet_link_score(a, b, m, SHAPE) for a in ts for b in ts
                       if a.class_id == b.class_id and 0 <= tubelet_gap(a, b) <= g_max]
             ties += len(scores) - len(set(scores))

@@ -173,7 +173,8 @@ STAGES = {
     {"alpha": 3}, {"smooth_window": 4}, {"tau_tub": 1.0}, {"tau_link": 0.0},
     {"nms_iou": 1.0}, {"min_len": 0}, {"g_max": -1}, {"assignment": "optimal"},
     {"interp_score": "median"}, {"smooth_window": 3.0}, {"min_len": 1.5}, {"g_max": 2.5},
-    {"g_max": True},
+    {"g_max": True}, {"alpha": True}, {"alpha": "0.5"}, {"nms_iou": "0.5"}, {"tau_link": None},
+    {"assignment": None},
 ])
 def test_pipeline_config_checks_on_construction(bad):
     (name, value), = bad.items()
@@ -188,7 +189,34 @@ def test_pipeline_config_checks_on_construction(bad):
     assert str(stage.value) == str(config.value).replace(name, stage_name, 1)
 
 
+@pytest.mark.parametrize("name, value, expect", [
+    ("model", "nope", "a SimilarityModel"), ("repp", "no", "True or False"),
+    ("tubelet_link", 0, "True or False"), ("repp", None, "True or False"),
+])
+def test_pipeline_config_checks_the_type_of_settings_no_stage_takes(name, value, expect):
+    # model="nope" used to fail only in postprocess_video, with an AttributeError
+    with pytest.raises(ValidationError) as e:
+        PipelineConfig(**{name: value})
+    assert str(e.value) == f"{name} must be {expect}, got {value!r}"
+
+
 class TestScenarioLimits:
+    @pytest.mark.parametrize("name, value, expect", [
+        ("speed_max", "1", "a finite number >= 0"), ("jitter_sigma", None, "a finite number >= 0"),
+        ("drop_prob", "0.1", "in [0,1)"), ("box_min", "24", "a finite number >= 2"),
+        ("fp_rate", [1.0], "in [0, 100]"), ("tp_score_mean", 1j, "in [0,1]"),
+        ("video_id", 5, "a string"), ("video_id", None, "a string"),
+    ])
+    def test_settings_take_only_their_type(self, name, value, expect):
+        # video_id=5 used to fail only in generate; speed_max="1" with a bare TypeError
+        with pytest.raises(ValidationError) as e:
+            ScenarioConfig(**{name: value})
+        assert str(e.value) == f"{name} must be {expect}, got {value!r}"
+
+    def test_float_settings_take_integers_and_numpy_floats(self):
+        assert ScenarioConfig(speed_max=3, drop_prob=np.float32(0.5)) == \
+            ScenarioConfig(speed_max=3.0, drop_prob=0.5)
+
     @pytest.mark.parametrize("name", ["seed", "frame_count", "width", "height", "num_tracks",
                                       "classes", "burst_max", "appearance_dim"])
     def test_integer_settings_take_only_integers(self, name):

@@ -5,14 +5,15 @@ line per file, so that two checkouts give the same bytes exactly when a
 The run set is every perfbench workload video at seeds 0 and 7919 with the
 workload's postprocess flags (the scenarios are read from perfbench/run.py's
 WORKLOADS), and standard_scenario seeds 0-9 with the default flags, with
-`--nms-iou 0.5` and with `--assignment exact`. Each run calls `simulate`,
-`postprocess` and `eval --out --pr-out` through tubelink.cli.main in a
-temporary directory; its files are the ground truth, the detections, the
-postprocess output, the eval report and the PR-curve CSV, whose points show
-every TP flag that the report's APs can hide. Then one `eval --per-video
---out --pr-out` per group pools all its runs, so that cells of different
-videos meet in one evaluation; its report and CSV are digested too. Any exit
-code but 0 ends the script with 1.
+`--nms-iou 0.5`, with `--assignment exact`, with `--no-repp` (which links
+every tubelet, one-frame ones included) and with `--interp-score endpoint`.
+Each run calls `simulate`, `postprocess` and `eval --out --pr-out` through
+tubelink.cli.main in a temporary directory; its files are the ground truth,
+the detections, the postprocess output, the eval report and the PR-curve
+CSV, whose points show every TP flag that the report's APs can hide. Then
+one `eval --per-video --out --pr-out` per group pools all its runs, so that
+cells of different videos meet in one evaluation; its report and CSV are
+digested too. Any exit code but 0 ends the script with 1.
 
 Run from anywhere: python tools/digest_runs.py > digest.txt
 It imports tubelink from the src/ next to this file.
@@ -32,7 +33,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from tubelink import cli, describe, standard_scenario  # noqa: E402
 
 SEEDS = (0, 7919)
-STANDARD = {"default": [], "nms-0.5": ["--nms-iou", "0.5"], "exact": ["--assignment", "exact"]}
+STANDARD = {"default": [], "nms-0.5": ["--nms-iou", "0.5"], "exact": ["--assignment", "exact"],
+            "no-repp": ["--no-repp"], "endpoint": ["--interp-score", "endpoint"]}
 
 
 def workloads() -> dict:
