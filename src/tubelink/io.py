@@ -20,24 +20,24 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
-read_columns gives eval, postprocess and inspect a file's boxes as arrays in
-stored order, by frame: the descriptors as rows of one matrix, the ids of a
-``#tubelets`` file as a column of Python ints of any size. A file that keeps
-every rule is parsed in bulk by numpy's C text reader; any other file is
-read by read_detections_with_ids or read_ground_truth, so their errors are
-the only ones. Class and track ids are at most 2**63 - 1, so every stream
-fits the arrays. columns_of and stream_of map a stream and its ids to columns
-and back. write_detections writes either, each line formatted in one place.
+read_columns, the one parser of stream files, gives a file's boxes as arrays
+in stored order, by frame: descriptors as rows of one matrix, the ids of a
+``#tubelets`` file as Python ints of any size, track ids as int64. Class and
+track ids are at most 2**63 - 1, so every stream fits the arrays. The object
+readers build their objects from these columns. columns_of and stream_of map
+a stream and its ids to columns and back. write_detections writes either,
+each line formatted in one place.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -137,21 +137,12 @@ class GroundTruth(_Stream):
 
     def __post_init__(self):
         super().__post_init__()
-        repeat = _repeated_track(self.frames)
-        if repeat is not None:
-            raise ValidationError(repeat[2])
-
-
-def _repeated_track(frames: Frames) -> tuple[int, int, str] | None:
-    """The first box whose track_id repeats one before it in its frame, frames
-    in frame order, as (frame, position in the frame, message); or None."""
-    for idx, boxes in frames.items():
-        seen: set[int] = set()
-        for k, b in enumerate(boxes):
-            if b.track_id in seen:
-                return idx, k, f"duplicate track_id {b.track_id} in frame {idx}"
-            seen.add(b.track_id)
-    return None
+        for idx, boxes in self.frames.items():
+            seen: set[int] = set()
+            for b in boxes:
+                if b.track_id in seen:
+                    raise ValidationError(f"duplicate track_id {b.track_id} in frame {idx}")
+                seen.add(b.track_id)
 
 
 def read_text(path: str | Path) -> str:
@@ -162,7 +153,8 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", str(path)) from None
 
 
-def _parse(kind: type, token: str, what: str, path: str, line_no: int) -> int | float:
+def _parse(kind: type, token: str, what: str, path: str | None,
+           line_no: int | None) -> int | float:
     try:
         return kind(token)
     except ValueError:
@@ -196,43 +188,40 @@ _GROUND_TRUTH_COLUMNS = ("frame_idx", "class_id", "track_id", "x", "y", "w", "h"
 _INTEGER_COLUMNS = {"frame_idx", "class_id", "track_id", "tubelet_id"}
 
 
-def _read_records(
-    lines: list[str], first: int, path: str, frame_count: int,
-    columns: tuple[str, ...], make: Callable, tail: str | None = None,
-) -> defaultdict[int, list]:
-    """The records of lines[first:] by frame index, one per non-blank line.
-
-    A line holds the named columns, then, when `tail` names them, any number
-    of trailing reals. make(fields) parses them with int() and float() and
-    builds the record, which has a frame_idx. Every error names the path and
-    line; a field that does not parse is also named.
-    """
-    records: defaultdict[int, list] = defaultdict(list)
+def _values(parts: list[str], ground_truth: bool, has_ids: bool, path: str | None = None,
+            line_no: int | None = None) -> list[int | float]:
+    """A line's fields read with int() and float(); a wrong field count or a
+    token that they refuse raises ParseError."""
+    columns = (_GROUND_TRUTH_COLUMNS if ground_truth
+               else _DETECTION_COLUMNS + ("tubelet_id",) * has_ids)
     n = len(columns)
-    for line_no, raw in enumerate(lines[first:], start=first + 1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) < n or (len(parts) > n and tail is None):
-            raise ParseError(
-                f"line needs {'at least ' if tail else ''}{n} fields "
-                f"({' '.join(columns)}), got {len(parts)}",
-                path, line_no,
-            )
-        try:
-            record = make(parts)
-        except ValidationError as e:
-            raise ValidationError(f"{path}:{line_no}: {e}") from None
-        except ValueError:  # parse again, field by field, to name the first bad one
-            for c, t in zip([*columns, *[tail] * (len(parts) - n)], parts):
-                _parse(int if c in _INTEGER_COLUMNS else float, t, c, path, line_no)
-            raise
-        if record.frame_idx >= frame_count:  # the record's own check rejects a negative one
-            raise ValidationError(
-                f"{path}:{line_no}: frame_idx {record.frame_idx} outside [0, {frame_count})"
-            )
-        records[record.frame_idx].append(record)
-    return records
+    if len(parts) < n or (len(parts) > n and ground_truth):
+        raise ParseError(
+            f"line needs {'' if ground_truth else 'at least '}{n} fields "
+            f"({' '.join(columns)}), got {len(parts)}",
+            path, line_no,
+        )
+    names = [*columns, *["appearance component"] * (len(parts) - n)]
+    return [_parse(int if c in _INTEGER_COLUMNS else float, t, c, path, line_no)
+            for c, t in zip(names, parts)]
+
+
+def _reject_line(raw: str, ground_truth: bool, has_ids: bool, frame_count: int, path: str,
+                 line_no: int) -> NoReturn:
+    """Raise the error of a line that breaks a rule, worded by its values'
+    objects (BBox, then Detection or TrackBox) as geometry.check_boxes does."""
+    values = _values(raw.split(), ground_truth, has_ids, path, line_no)
+    try:
+        if ground_truth:
+            frame_idx, class_id, track_id, *box = values
+            TrackBox(frame_idx, class_id, track_id, BBox(*box))
+        else:
+            frame_idx, class_id, *box, score = values[:7]
+            Detection(frame_idx, class_id, BBox(*box), score, tuple(values[7 + has_ids:]) or None)
+        # the one rule that no object checks
+        raise ValidationError(f"frame_idx {frame_idx} outside [0, {frame_count})")
+    except ValidationError as e:
+        raise ValidationError(f"{path}:{line_no}: {e}") from None
 
 
 def _write_stream(s: _Stream, lines: list[str], path: str | Path) -> None:
@@ -255,29 +244,7 @@ def read_detections_with_ids(
     parallel to that frame's detections, stored like the stream's frames, or
     None when the file carries no ``#tubelets`` marker.
     """
-    path = str(path)
-    lines = read_text(path).splitlines()
-    video_id, shape, frame_count = _read_header(lines, path)
-    has_ids = len(lines) > 1 and lines[1].strip() == TUBELET_TAG
-    ids: defaultdict[int, list[int]] = defaultdict(list)
-
-    columns = _DETECTION_COLUMNS + (("tubelet_id",) if has_ids else ())
-    n = len(columns)
-
-    def detection(p: list[str]) -> Detection:
-        frame_idx, class_id = int(p[0]), int(p[1])
-        x, y, w, h, score = map(float, p[2:7])
-        tubelet_id = int(p[7]) if has_ids else None
-        appearance = tuple(map(float, p[n:])) if len(p) > n else None
-        det = Detection(frame_idx, class_id, BBox(x, y, w, h), score, appearance)
-        if has_ids:
-            ids[frame_idx].append(tubelet_id)
-        return det
-
-    frames = _read_records(lines, 2 if has_ids else 1, path, frame_count, columns, detection,
-                           tail="appearance component")
-    stream = VideoDetections(video_id, shape, frame_count, frames)
-    return stream, (Frames(ids) if has_ids else None)
+    return stream_of(read_columns(path))
 
 
 def write_detections(
@@ -327,19 +294,12 @@ def write_detections(
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
     """Read and fully validate a ground-truth annotation file."""
-    path = str(path)
-    lines = read_text(path).splitlines()
-    video_id, shape, frame_count = _read_header(lines, path)
-    records = _read_records(lines, 1, path, frame_count, _GROUND_TRUTH_COLUMNS,
-                            lambda p: TrackBox(int(p[0]), int(p[1]), int(p[2]),
-                                               BBox(*map(float, p[3:7]))))
-    try:
-        return GroundTruth(video_id, shape, frame_count, records)
-    except ValidationError:  # the one check the records have not passed: name the repeat's line
-        idx, k, message = _repeated_track(Frames(records))
-        line_no = [n for n, raw in enumerate(lines[1:], start=2)
-                   if (p := raw.split()) and int(p[0]) == idx][k]
-        raise ValidationError(f"{path}:{line_no}: {message}") from None
+    c = read_columns(path, ground_truth=True)
+    frames = defaultdict(list)
+    for f, k, t, b in zip(c.frame_idx.tolist(), c.class_id.tolist(), c.track_id.tolist(),
+                          c.box.tolist()):
+        frames[f].append(TrackBox(f, k, t, BBox(*b)))
+    return GroundTruth(c.video_id, c.frame_shape, c.frame_count, frames)
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
@@ -366,6 +326,7 @@ class BoxColumns:
     descriptor: np.ndarray  # a box's descriptor is the first descriptor_len values of its row
     descriptor_len: np.ndarray  # int64, 0 for a box without one
     tubelet_id: np.ndarray | None = None  # object, Python ints; None without a #tubelets marker
+    track_id: np.ndarray | None = None  # int64 for ground truth, else None
 
     def descriptors(self) -> list[np.ndarray | None]:
         """Each box's descriptor as a view of its row, or None."""
@@ -376,7 +337,8 @@ class BoxColumns:
         return BoxColumns(self.video_id, self.frame_shape, self.frame_count,
                           *(None if a is None else a[rows] for a in (
                               self.frame_idx, self.class_id, self.box, self.score,
-                              self.descriptor, self.descriptor_len, self.tubelet_id)))
+                              self.descriptor, self.descriptor_len, self.tubelet_id,
+                              self.track_id)))
 
 
 def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> BoxColumns:
@@ -394,6 +356,7 @@ def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> 
         np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
         np.array(list(map(len, apps)), np.int64),
         None if ids is None else np.array([i for f in s.frames for i in ids[f]], object),
+        np.array([b.track_id for b in boxes], np.int64) if isinstance(s, GroundTruth) else None,
     )
 
 
@@ -413,18 +376,55 @@ def stream_of(c: BoxColumns) -> tuple[VideoDetections, Frames | None]:
 def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     """A detection or ground-truth file's boxes as columns in stored order.
 
-    A file that _bulk_columns takes has its rows sorted by frame, stably. Any
-    other file is read by read_detections_with_ids or read_ground_truth,
-    which raise its error; should one take it, columns_of gives its columns.
+    One set of bulk checks holds every value rule. A bad file raises at its
+    earliest failing line, a failed check or _line_by_line's stop; a track id
+    that repeats in its frame raises only when no line fails.
     """
-    columns = _bulk_columns(path, ground_truth)
-    if columns is None:
-        return (columns_of(read_ground_truth(path)) if ground_truth
-                else columns_of(*read_detections_with_ids(path)))
-    return columns.take(np.argsort(columns.frame_idx, kind="stable"))
+    path = str(path)
+    text = read_text(path)
+    lines = text.splitlines()
+    video_id, shape, frame_count = _read_header(lines, path)
+    has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
+    body = lines[1 + has_ids:]
+    # numpy's integer parser passes a character that is not ASCII to C's
+    # isdigit(): it took "\U000b79c3" as 752019, and now and then crashed
+    ascii_tokens = text.isascii() or all(map(str.isascii, " ".join(body).split()))
+    (head, descriptor, descriptor_len), stop = (_body_rows if ascii_tokens else _line_by_line)(
+        body, ground_truth, has_ids)
+    frame, cls, box = head["frame"], head["class"], head["box"]
+    x, y, w, h = box.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = ((frame >= 0) & (frame < frame_count) & (cls >= 0) & np.isfinite(x + w)
+              & np.isfinite(y + h) & (w > 0) & (h > 0))
+        # Detection's norm, component by component; a NaN or inf fails
+        norm = np.sqrt(added(descriptor.T * descriptor.T))
+        ok &= (descriptor_len == 0) | (abs(norm - 1.0) <= 1e-6)
+        if ground_truth:
+            ok &= head["track"] >= 0
+        else:
+            ok &= (head["score"] >= 0) & (head["score"] <= 1)  # NaN and +-inf fail too
+
+    def line_of(row: int) -> int:  # rows are the non-blank lines; counted only to raise
+        return [k for k, raw in enumerate(body) if raw.split()][row]
+    if not ok.all() or stop is not None:
+        k = stop if ok.all() else line_of(int(ok.argmin()))
+        _reject_line(body[k], ground_truth, has_ids, frame_count, path, 2 + has_ids + k)
+    if ground_truth:
+        track = head["track"]
+        order = np.lexsort((track, frame))  # stable, so a repeat follows its first box
+        f, t = frame[order], track[order]
+        repeats = np.sort(order[1:][(f[1:] == f[:-1]) & (t[1:] == t[:-1])])
+        if len(repeats):  # the first frame that repeats a track, and its first repeat
+            row = int(repeats[frame[repeats].argmin()])
+            raise ValidationError(f"{path}:{2 + line_of(row)}: duplicate track_id {track[row]} "
+                                  f"in frame {frame[row]}")
+    columns = BoxColumns(video_id, shape, frame_count, frame, cls, box,
+                         None if ground_truth else head["score"], descriptor, descriptor_len,
+                         head["id"] if has_ids else None, head["track"] if ground_truth else None)
+    return columns.take(np.argsort(frame, kind="stable"))
 
 
-# A line's fields before its descriptor, as _bulk_columns parses them
+# A line's fields before its descriptor, as numpy parses them
 _FIELDS = {
     False: [("frame", np.int64), ("class", np.int64), ("box", np.float64, (4,)),
             ("score", np.float64)],
@@ -446,65 +446,63 @@ def _load(lines: list[str], fields: list, k: int) -> np.ndarray:
         return np.loadtxt(lines, dtype, comments=None, ndmin=1)
 
 
-def _bulk_columns(path: str | Path, ground_truth: bool) -> BoxColumns | None:
-    """read_columns of a file that keeps every rule, with no per-box objects;
-    None for any other file.
-
-    The header is read, and fails, as the object readers read it. numpy's C
-    text reader parses the body: it splits where str.split splits and parses
-    reals as float() does. One call reads every line at the first line's
-    width; lines of several widths (descriptors on some lines only) take one
-    call per width. A token numpy refuses, such as 1_0, which int() takes,
-    gives None. A tubelet id may be any integer: int() parses it into the
-    column. Each value rule of the object readers is checked in bulk, so a
-    file taken here is one they take, with the same values, in file order.
-    """
-    path = str(path)
-    lines = read_text(path).splitlines()
-    video_id, shape, frame_count = _read_header(lines, path)
-    has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
+def _rows(lines: list[str], ground_truth: bool, has_ids: bool) -> tuple[np.ndarray, ...]:
+    """The non-blank lines in file order: the fields before the descriptor,
+    the descriptors as rows of one matrix, and their lengths. numpy's C text
+    reader splits where str.split splits and parses reals as float() does,
+    one call per line width; tubelet ids are parsed with int(). A line of a
+    wrong width, or a token that numpy or int() refuses (such as 1_0),
+    raises ValueError, OverflowError or a Warning."""
     n = 7 + has_ids  # the columns before any descriptor
-    body, fields = lines[1 + has_ids:], [*_FIELDS[ground_truth], *[("id", object)] * has_ids]
-    width = n if ground_truth else max(n, next((len(p) for p in map(str.split, body) if p), n))
+    fields = [*_FIELDS[ground_truth], *[("id", object)] * has_ids]
+    width = n if ground_truth else max(n, next((len(p) for p in map(str.split, lines) if p), n))
     try:
-        try:
-            parts = [(slice(None), _load(body, fields, width - n))]  # (where in the file, rows)
-        except ValueError:  # lines of several widths, or a token numpy refuses
-            counts = [len(line.split()) for line in body]
-            widths = np.array([k for k in counts if k])
-            if ground_truth or not n <= widths.min() < widths.max():  # one width: a refusal
-                return None
-            parts = [(widths == k, _load([s for s, c in zip(body, counts) if c == k],
-                                         fields, k - n)) for k in set(counts) - {0}]
-        if has_ids:  # any integer, as read_detections_with_ids takes it
-            for _, a in parts:
-                a["id"] = list(map(int, a["id"]))
-    except (ValueError, OverflowError, Warning):
-        return None
+        parts = [(slice(None), _load(lines, fields, width - n))]  # (where in the rows, rows)
+    except ValueError:  # lines of several widths, or a token numpy refuses
+        counts = [len(line.split()) for line in lines]
+        widths = np.array([k for k in counts if k])
+        if ground_truth or not n <= widths.min() < widths.max():  # one width: a refusal
+            raise
+        parts = [(widths == k, _load([s for s, c in zip(lines, counts) if c == k], fields, k - n))
+                 for k in set(counts) - {0}]
+    if has_ids:
+        for _, a in parts:
+            a["id"] = list(map(int, a["id"]))
     count = sum(len(a) for _, a in parts)
     head, descriptor_len = np.zeros(count, fields), np.zeros(count, np.int64)
     descriptor = np.zeros((count, max(a["descriptor"].shape[1] for _, a in parts)))
-    ok = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for at, a in parts:
-            d = a["descriptor"]
-            head[at] = a[[*head.dtype.names]]
-            descriptor[at, :d.shape[1]], descriptor_len[at] = d, d.shape[1]
-            if d.shape[1]:  # Detection's norm, component by component; a NaN or inf fails
-                ok.append(abs(np.sqrt(added(d.T * d.T)) - 1.0) <= 1e-6)
-        frame, cls, box = head["frame"], head["class"], head["box"]
-        x, y, w, h = box.T
-        ok += [frame >= 0, frame < frame_count, cls >= 0,
-               np.isfinite(x + w), np.isfinite(y + h), w > 0, h > 0]
-        if ground_truth:
-            track = head["track"]
-            order = np.lexsort((track, frame))
-            f, t = frame[order], track[order]
-            ok += [track >= 0, ~((f[1:] == f[:-1]) & (t[1:] == t[:-1]))]
-        else:
-            ok.append((head["score"] >= 0) & (head["score"] <= 1))  # NaN and +-inf fail too
-    if not all(c.all() for c in ok):
-        return None
-    return BoxColumns(video_id, shape, frame_count, frame, cls, box,
-                      None if ground_truth else head["score"], descriptor, descriptor_len,
-                      head["id"] if has_ids else None)
+    for at, a in parts:
+        d = a["descriptor"]
+        head[at] = a[[*head.dtype.names]]
+        descriptor[at, :d.shape[1]], descriptor_len[at] = d, d.shape[1]
+    return head, descriptor, descriptor_len
+
+
+def _body_rows(body: list[str], ground_truth: bool,
+               has_ids: bool) -> tuple[tuple[np.ndarray, ...], int | None]:
+    """_rows of a body of ASCII tokens as numpy takes it, and no stop; or
+    _line_by_line's rows and stop for a body that numpy refuses."""
+    try:
+        return _rows(body, ground_truth, has_ids), None
+    except (ValueError, OverflowError, Warning):
+        return _line_by_line(body, ground_truth, has_ids)
+
+
+def _line_by_line(body: list[str], ground_truth: bool,
+                  has_ids: bool) -> tuple[tuple[np.ndarray, ...], int | None]:
+    """The body read with int() and float() up to its stop, the first line
+    that they refuse, that has the wrong field count, or that has a frame,
+    class or track id beyond int64. The lines before the stop, rewritten as
+    they read them, go to _rows. Returns the rows and the stop, or None."""
+    lines = []
+    for k, raw in enumerate(body):
+        try:
+            values = _values(parts, ground_truth, has_ids) if (parts := raw.split()) else []
+        except ParseError:
+            break
+        if not all(-_MAX_ID - 1 <= v <= _MAX_ID for v in values[:2 + ground_truth]):
+            break
+        lines.append(" ".join(map(repr, values)))
+    else:
+        k = None
+    return _rows(lines, ground_truth, has_ids), k

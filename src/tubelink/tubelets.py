@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .geometry import _MAX_ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
-from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, integer, one_of
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
 
 
@@ -65,6 +65,8 @@ class Tubelet:
     entries: tuple[TubeletEntry, ...]
 
     def __post_init__(self):
+        # any size: link_tubelets orders by id, and #tubelets files carry ids of any size
+        integer(lambda i: True, "an integer").require("tubelet_id", self.tubelet_id)
         if self.class_id < 0:
             raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
         if self.class_id > _MAX_ID:

@@ -6,6 +6,7 @@ without ceremony.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from tubelink import (
     TrackBox,
     VideoDetections,
 )
+from tubelink import io
+from tubelink.io import read_columns
 
 SHAPE = FrameShape(1280, 720)
 
@@ -69,6 +72,22 @@ def random_ground_truth(rng, frame_count=6, max_per_frame=4, classes=2,
             boxes.append(TrackBox(f, int(rng.integers(0, classes)), tid, random_bbox(rng)))
         frames[f] = boxes
     return GroundTruth(video_id, SHAPE, frame_count, frames)
+
+
+def line_by_line():
+    """A patch under which read_columns reads every body line by line, as it
+    reads a body that numpy refuses."""
+    return mock.patch.object(io, "_body_rows", io._line_by_line)
+
+
+def read_in_bulk(path, ground_truth=False):
+    """read_columns(path, ground_truth), failing should numpy refuse the body
+    as the file gives it."""
+    def refused(*args):
+        raise AssertionError(f"numpy refused the body of {path}")
+
+    with mock.patch.object(io, "_line_by_line", refused):
+        return read_columns(path, ground_truth)
 
 
 @pytest.fixture

@@ -4,10 +4,10 @@ raise a TubelinkError (the CLI's exit 1), in bounded time. A stream that
 reads is also postprocessed, since that is what the CLI does with it.
 
 test_fuzz_eval_paths_agree feeds random detection/ground-truth file pairs to
-``eval`` twice: as read_columns reads them, parsing in bulk each file that
-keeps every rule, and with the bulk parse refusing every file, so that all
-of them are read by the object readers. Exit code, stderr, printed tables
-and report bytes must agree.
+``eval`` twice: as read_columns reads them, numpy parsing each body that it
+takes as it stands, and with every body read line by line, as read_columns
+reads a body that numpy refuses. Exit code, stderr, printed tables and
+report bytes must agree.
 
 test_fuzz_eval_identity scores small ground-truth files with extreme valid
 values against themselves through ``eval --out``: the report must be the
@@ -32,13 +32,12 @@ import io
 import json
 import sys
 import warnings
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tubelink import cli, io as tubelink_io
+from tubelink import cli
 from tubelink import (
     PipelineConfig,
     TubelinkError,
@@ -49,6 +48,7 @@ from tubelink import (
 )
 from tubelink.io import MAX_FRAME_COUNT
 
+from conftest import line_by_line
 from test_evaluation import evaluate_oracle
 from test_simulate import time_limit
 
@@ -171,10 +171,10 @@ def test_fuzz_load_model(path, text):
     feed(path, text, load_model)
 
 
-# Mostly valid eval inputs, so that both paths often get to the evaluator;
-# the odd token is one the two parsers must treat alike. Tokens that int() or
-# float() take and numpy's text reader refuses (1_0, 1.0, ٣) send a file to
-# the object reader.
+# Mostly valid eval inputs, so that both routes often get to the evaluator;
+# the odd token is one the two routes must treat alike. Tokens that int() or
+# float() take and numpy's text reader refuses (1_0, ٣) send a body line by
+# line.
 ODD_INT = st.one_of(
     st.sampled_from(["-1", "-0", "1_0", "+2", "1.5", "1.0", "٣", str(2 ** 63),
                      "-" + str(2 ** 63 + 1), "99999999999999999999999", HUGE, "x"]),
@@ -234,6 +234,8 @@ GOOD_DETECTIONS = "#video v 100 100 4\n0 0 1 1 5 5 0.5\n2 1 3 3 5 5 0.9\n"
 GOOD_GROUND_TRUTH = "#video v 100 100 4\n0 0 0 1 1 5 5\n2 1 0 3 3 6 5\n"
 # a class id beyond int64, which both routes reject
 BEYOND_INT64 = [(GOOD_DETECTIONS + f"1 {2 ** 64} 1 1 5 5 0.5\n", GOOD_GROUND_TRUTH)]
+# two bad lines in one file: the first in file order wins
+TWO_BAD_LINES = [("#video v 100 100 4\n0 0 1 1 5 5 1.5\n0 0 x 1 5 5 0.5\n", GOOD_GROUND_TRUTH)]
 
 
 def run_eval(paths, per_video, out, pr):
@@ -251,8 +253,7 @@ def run_eval(paths, per_video, out, pr):
 
 @FUZZ
 @given(EVAL_PAIRS, st.booleans())
-# two bad lines in one file: the first in file order wins
-@example([("#video v 100 100 4\n0 0 1 1 5 5 1.5\n0 0 x 1 5 5 0.5\n", GOOD_GROUND_TRUTH)], False)
+@example(TWO_BAD_LINES, False)
 # a metadata mismatch in pair 1 and a parse error in pair 2: the read error wins
 @example([(GOOD_DETECTIONS, GOOD_GROUND_TRUTH.replace("v", "w", 1)),
           (GOOD_DETECTIONS + "1 0 1 1 5 x 0.5\n", GOOD_GROUND_TRUTH)], True)
@@ -269,11 +270,13 @@ def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
     out, pr = tmp / "report.json", tmp / "pr.csv"
     with time_limit(2.0):
         columns = run_eval(paths, per_video, out, pr)
-        with mock.patch.object(tubelink_io, "_bulk_columns", lambda path, ground_truth: None):
+        with line_by_line():
             objects = run_eval(paths, per_video, out, pr)
     assert columns == objects
     if texts == BEYOND_INT64:
         assert columns[0] == 1
+    if texts == TWO_BAD_LINES:
+        assert columns[:3] == (1, "", f"error: {paths[0][0]}:2: score out of [0,1]: 1.5\n")
 
 
 # Extreme valid boxes: sides from 1e-300 to 1e300, coordinates far from 0,

@@ -12,7 +12,6 @@ from tubelink import (
     GroundTruth,
     ParseError,
     TrackBox,
-    TubelinkError,
     ValidationError,
     VideoDetections,
     load_model,
@@ -23,10 +22,11 @@ from tubelink import (
     write_ground_truth,
 )
 
-from tubelink import geometry, io
+from tubelink import geometry
 from tubelink.io import MAX_FRAME_COUNT, columns_of, read_columns
 
-from conftest import SHAPE, det, random_ground_truth, random_stream, unit_vector
+from conftest import (SHAPE, det, line_by_line, random_ground_truth, random_stream,
+                      read_in_bulk, unit_vector)
 from test_simulate import time_limit
 
 
@@ -318,23 +318,86 @@ def assert_same_columns(a, b):
     assert (a.video_id, a.frame_shape, a.frame_count) == (b.video_id, b.frame_shape, b.frame_count)
     for x, y in [(a.frame_idx, b.frame_idx), (a.class_id, b.class_id), (a.box, b.box),
                  (a.score, b.score), (a.descriptor, b.descriptor),
-                 (a.descriptor_len, b.descriptor_len)]:
+                 (a.descriptor_len, b.descriptor_len), (a.track_id, b.track_id)]:
         assert (x is None) == (y is None)
         if x is not None:
             assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
 
 
-def assert_raises_as(p, reader, ground_truth=False):
-    """read_columns raises what reader raises for p: the same type and message."""
-    with pytest.raises(TubelinkError) as want:
-        reader(p)
-    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-        read_columns(p, ground_truth)
+def assert_raises_as(p, error, reader, ground_truth=False):
+    """reader and read_columns, numpy first and line by line, raise for p the
+    error (type, message), where {p} in the message stands for the path."""
+    kind, message = error
+    message = message.replace("{p}", str(p))
+
+    def by_line(path):
+        with line_by_line():
+            return read_columns(path, ground_truth)
+
+    for read in (reader, lambda path: read_columns(path, ground_truth), by_line):
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+            read(p)
+        assert type(raised.value) is kind
+
+
+DETECTION_FIELDS = "(frame_idx class_id x y w h score)"
+GROUND_TRUTH_FIELDS = "(frame_idx class_id track_id x y w h)"
+# The error that each bad body in TestReadColumns raises, as (type, message),
+# with {p} standing for the path
+BODY_ERRORS = {
+    # detections
+    "0 0 1 1 5 5 1.3": (ValidationError, "{p}:2: score out of [0,1]: 1.3"),
+    "0 0 1 1 5 5 nan": (ValidationError, "{p}:2: score out of [0,1]: nan"),
+    "0 0 1 1 5 5 -inf": (ValidationError, "{p}:2: score out of [0,1]: -inf"),
+    "4 0 1 1 5 5 0.5": (ValidationError, "{p}:2: frame_idx 4 outside [0, 4)"),
+    "-1 0 1 1 5 5 0.5": (ValidationError, "{p}:2: frame_idx must be >= 0, got -1"),
+    "0 -1 1 1 5 5 0.5": (ValidationError, "{p}:2: class_id must be >= 0, got -1"),
+    "0 0 1 1 0 5 0.5": (ValidationError, "{p}:2: bbox has non-positive size: w=0.0, h=5.0"),
+    "0 0 1 1 5 -0.0 0.5": (ValidationError, "{p}:2: bbox has non-positive size: w=5.0, h=-0.0"),
+    "0 0 1e308 1 1e308 5 0.5":
+        (ValidationError, "{p}:2: bbox corner is not finite: x + w = inf, y + h = 6.0"),
+    "0 0 1 inf 5 5 0.5": (ValidationError, "{p}:2: bbox field y is not finite: inf"),
+    "0 0 x 1 5 5 0.5": (ParseError, "{p}:2: x is not a number: 'x'"),
+    "1.5 0 1 1 5 5 0.5": (ParseError, "{p}:2: frame_idx is not an integer: '1.5'"),
+    "1.0 0 1 1 5 5 0.5": (ParseError, "{p}:2: frame_idx is not an integer: '1.0'"),
+    "0 0 1 1 5 5": (ParseError, f"{{p}}:2: line needs at least 7 fields {DETECTION_FIELDS}, got 6"),
+    "0 0 1 1 5 5 0.5 nan": (ValidationError, "{p}:2: appearance vector has a non-finite component"),
+    "0 0 1 1 5 5 0.5 inf 0":
+        (ValidationError, "{p}:2: appearance vector has a non-finite component"),
+    "0 0 1 1 5 5 0.5 0.6 0.7":
+        (ValidationError, "{p}:2: appearance vector is not unit-norm (|v| = 0.921954446)"),
+    "0 0 1 1 5 5 0.5 1e200 1":
+        (ValidationError, "{p}:2: appearance vector is not unit-norm (|v| = inf)"),
+    "0 0 1 1 5 5 0.5\n0 0 1 1 5":
+        (ParseError, f"{{p}}:3: line needs at least 7 fields {DETECTION_FIELDS}, got 5"),
+    "0 0 1 1 5 5 0.5\n#tubelets":
+        (ParseError, f"{{p}}:3: line needs at least 7 fields {DETECTION_FIELDS}, got 1"),
+    "0 0 1 1 5 5 0.5\n1 0 1 1 5 5":
+        (ParseError, f"{{p}}:3: line needs at least 7 fields {DETECTION_FIELDS}, got 6"),
+    "#tubelets\n0 0 1 1 5 5 0.5 1.5": (ParseError, "{p}:3: tubelet_id is not an integer: '1.5'"),
+    "#tubelets\n0 0 1 1 5 5 0.5": (ParseError, "{p}:3: line needs at least 8 fields "
+                                               "(frame_idx class_id x y w h score tubelet_id), got 7"),
+    # ground truth
+    "0 0 1 1 1 5 5\n0 0 1 8 8 5 5": (ValidationError, "{p}:3: duplicate track_id 1 in frame 0"),
+    # a repeated track raises only when no line fails
+    "0 0 1 1 1 5 5\n0 0 1 8 8 5 5\n0 0 -1 1 1 5 5":
+        (ValidationError, "{p}:4: frame_idx/class_id/track_id must be >= 0: (0, 0, -1)"),
+    "0 0 -1 1 1 5 5":
+        (ValidationError, "{p}:2: frame_idx/class_id/track_id must be >= 0: (0, 0, -1)"),
+    "0 0 1 1 1 5 5 0.5": (ParseError, f"{{p}}:2: line needs 7 fields {GROUND_TRUTH_FIELDS}, got 8"),
+    "0 0 0 1 1 5 5 1": (ParseError, f"{{p}}:2: line needs 7 fields {GROUND_TRUTH_FIELDS}, got 8"),
+    "0 0 0 1 1 5 5\n1 0 0 1 1 5 5 1":
+        (ParseError, f"{{p}}:3: line needs 7 fields {GROUND_TRUTH_FIELDS}, got 8"),
+    "0 0 1 1 1 5": (ParseError, f"{{p}}:2: line needs 7 fields {GROUND_TRUTH_FIELDS}, got 6"),
+    "0 0 1 1 1 5 x": (ParseError, "{p}:2: h is not a number: 'x'"),
+    "1.0 0 0 1 1 5 5": (ParseError, "{p}:2: frame_idx is not an integer: '1.0'"),
+}
 
 
 class TestReadColumns:
-    """read_columns parses in bulk only files that the object readers take,
-    with the same values in stored order, and gives every other file to them."""
+    """read_columns gives the object readers' values in stored order, and a
+    bad file's error, whether numpy parses the body as it stands or it is
+    read line by line."""
 
     def test_same_values_as_the_object_readers(self, rng, tmp_path):
         p = tmp_path / "in.txt"
@@ -384,15 +447,13 @@ class TestReadColumns:
         reader = read_ground_truth if ground_truth else read_detections
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bulk = io._bulk_columns(p, ground_truth)
-            try:
-                stream = reader(p)
-            except TubelinkError:
-                assert bulk is None
-                assert_raises_as(p, reader, ground_truth)
+            if body in BODY_ERRORS:
+                assert_raises_as(p, BODY_ERRORS[body], reader, ground_truth)
             else:
-                assert bulk is not None
-                assert_same_columns(bulk, columns_of(stream))
+                bulk = read_in_bulk(p, ground_truth)
+                assert_same_columns(bulk, columns_of(reader(p)))
+                with line_by_line():
+                    assert_same_columns(read_columns(p, ground_truth), bulk)
 
     @pytest.mark.parametrize("body", [
         "0 0 1 1 5 5 1.3", "0 0 1 1 5 5 nan", "0 0 1 1 5 5 -inf", "4 0 1 1 5 5 0.5",
@@ -404,17 +465,26 @@ class TestReadColumns:
     ])
     def test_rejects_what_read_detections_rejects(self, tmp_path, body):
         p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
-        assert io._bulk_columns(p, False) is None
-        assert_raises_as(p, read_detections)
+        assert_raises_as(p, BODY_ERRORS[body], read_detections)
 
     @pytest.mark.parametrize("body", [
-        "0 0 1 1 1 5 5\n0 0 1 8 8 5 5", "0 0 -1 1 1 5 5", "0 0 1 1 1 5 5 0.5", "0 0 1 1 1 5",
-        "0 0 1 1 1 5 x",
+        "0 0 1 1 1 5 5\n0 0 1 8 8 5 5", "0 0 1 1 1 5 5\n0 0 1 8 8 5 5\n0 0 -1 1 1 5 5",
+        "0 0 -1 1 1 5 5", "0 0 1 1 1 5 5 0.5", "0 0 1 1 1 5", "0 0 1 1 1 5 x",
     ])
     def test_rejects_what_read_ground_truth_rejects(self, tmp_path, body):
         p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
-        assert io._bulk_columns(p, True) is None
-        assert_raises_as(p, read_ground_truth, ground_truth=True)
+        assert_raises_as(p, BODY_ERRORS[body], read_ground_truth, ground_truth=True)
+
+    def test_a_token_that_is_not_ascii_is_read_line_by_line(self, tmp_path):
+        # numpy's integer parser took "\U000b79c3", which int() refuses, as
+        # 752019, and now and then crashed on it
+        p = tmp_path / "in.txt"
+        p.write_text("#video v 1280 720 4\n0 \U000b79c3 1 1 5 5 0.5\n", encoding="utf-8")
+        assert_raises_as(p, (ParseError, "{p}:2: class_id is not an integer: '\\U000b79c3'"),
+                         read_detections)
+        # an Arabic-Indic 3, which int() takes
+        p.write_text("#video v 1280 720 4\n\u0663 0 1 1 5 5 0.5\n", encoding="utf-8")
+        assert read_columns(p).frame_idx.tolist() == [3]
 
     def test_descriptor_norms_at_the_bound_agree(self, rng, tmp_path):
         # norms within rounding of 1 +- 1e-6, where a sum in another order
@@ -425,15 +495,15 @@ class TestReadColumns:
             scale = 1.0 + (1e-6 if k % 2 else -1e-6) * (1.0 + float(rng.integers(-40, 41)) * 1e-11)
             v = np.array(unit_vector(rng, 16)) * scale
             p.write_text("#video v 1280 720 1\n0 0 1 1 5 5 0.5 " + " ".join(map(repr, v.tolist())))
-            taken = io._bulk_columns(p, False) is not None
-            try:
-                read_detections(p)
-            except ValidationError:
-                assert not taken
-                assert_raises_as(p, read_detections)
+            norm2 = 0.0  # the squares added left to right
+            for a in v.tolist():
+                norm2 += a * a
+            norm = math.sqrt(norm2)
+            if abs(norm - 1.0) > 1e-6:
+                assert_raises_as(p, (ValidationError, "{p}:2: appearance vector is not unit-norm "
+                                                      f"(|v| = {norm:.9f})"), read_detections)
             else:
-                assert taken
-                read_columns(p)
+                assert_same_columns(read_in_bulk(p), columns_of(read_detections(p)))
                 accepted += 1
         assert 0 < accepted < 300
 
@@ -441,7 +511,7 @@ class TestReadColumns:
     def test_detection_adds_the_squares_left_to_right(self, tmp_path, monkeypatch, taken, v):
         # a compensated sum of the squares, as sum() is from Python 3.12 on,
         # decides these vectors the other way; with it patched in for sum(),
-        # Detection must still decide as the bulk reader does
+        # Detection must still decide as read_columns does
         left_to_right = 0.0
         for a in v:
             left_to_right += a * a
@@ -449,10 +519,12 @@ class TestReadColumns:
         assert unit(left_to_right) == taken != unit(math.fsum(a * a for a in v))
         monkeypatch.setattr(geometry, "sum", math.fsum, raising=False)
         p = write(tmp_path, "#video v 1280 720 1\n0 0 1 1 5 5 0.5 " + " ".join(map(repr, v)))
-        assert (io._bulk_columns(p, False) is not None) == taken
         if taken:
+            read_in_bulk(p)
             det(app=tuple(v))
         else:
+            with pytest.raises(ValidationError, match="not unit-norm"):
+                read_columns(p)
             with pytest.raises(ValidationError, match="not unit-norm"):
                 det(app=tuple(v))
 
@@ -460,24 +532,32 @@ class TestReadColumns:
                                       f"0 {2 ** 63} 1 1 5 5 0.5"])
     def test_integers_beyond_int64_are_left_to_the_object_reader(self, tmp_path, line):
         p = write(tmp_path, f"#video v 1280 720 4\n{line}\n")
-        assert io._bulk_columns(p, False) is None
-        assert_raises_as(p, read_detections)
+        assert_raises_as(p, (ValidationError, "{p}:2: class_id must be at most 2**63 - 1, got "
+                                              + line.split()[1]), read_detections)
 
     @pytest.mark.parametrize("text", ["", "#video v 1280 720\n", "#video v 0 720 4\n",
                                       "#video v 1280 720 x\n0 0 x 1 5 5 0.5\n"])
     def test_header_errors_are_the_object_readers(self, tmp_path, text):
+        error = {
+            "": (ParseError, "{p}:1: first line must start with '#video'"),
+            "#video v 1280 720\n": (ParseError, "{p}:1: header needs "
+                                                "'#video <video_id> <width> <height> <frame_count>'"),
+            "#video v 0 720 4\n": (ValidationError, "{p}:1: frame shape must be positive: 0x720"),
+            "#video v 1280 720 x\n0 0 x 1 5 5 0.5\n":
+                (ParseError, "{p}:1: frame_count is not an integer: 'x'"),
+        }[text]
         p = write(tmp_path, text)
         for ground_truth, reader in ((False, read_detections), (True, read_ground_truth)):
-            assert_raises_as(p, reader, ground_truth)
+            assert_raises_as(p, error, reader, ground_truth)
 
-    def test_a_file_the_object_reader_takes_gives_its_columns(self, tmp_path, monkeypatch):
-        # should the bulk checks refuse a file that the object reader takes,
-        # its stream gives the columns, in the stored order that bulk gives
+    def test_a_file_the_object_reader_takes_gives_its_columns(self, tmp_path):
+        # read line by line, a file gives the object reader's columns, in the
+        # stored order that numpy's parse of it gives
         p = write(tmp_path, "#video v 1280 720 4\n2 0 10 10 5 5 0.5\n0 1 1 1 5 5 0.6 0.6 0.8\n"
                             "2 1 20 20 5 5 0.7\n")
-        bulk = read_columns(p)
-        monkeypatch.setattr(io, "_bulk_columns", lambda path, ground_truth: None)
-        c = read_columns(p)
+        bulk = read_in_bulk(p)
+        with line_by_line():
+            c = read_columns(p)
         assert_same_columns(c, columns_of(read_detections(p)))
         assert_same_columns(c, bulk)
         assert c.frame_idx.tolist() == [0, 2, 2] and c.score.tolist() == [0.6, 0.5, 0.7]
@@ -508,10 +588,10 @@ class TestDescriptorColumns:
 
     @pytest.mark.parametrize("tubelet_id", [2 ** 63, 2 ** 70, -1])
     def test_any_tubelet_id_is_read_in_bulk(self, tmp_path, tubelet_id):
-        # the ids are checked to be integers, as read_detections reads them, and not stored
+        # numpy parses the line, and int() the id, of any size
         p = write(tmp_path, "#video v 1280 720 4\n#tubelets\n"
                             f"0 0 1 1 5 5 0.5 {tubelet_id}\n")
-        assert io._bulk_columns(p, False) is not None
+        assert read_in_bulk(p).tubelet_id.tolist() == [tubelet_id]
         assert read_detections_with_ids(p)[1] == {0: [tubelet_id]}
 
 
@@ -541,6 +621,11 @@ class TestIdBound:
         p = write(tmp_path, f"#video v 1280 720 4\n{first}\n\n{line.format(MAX_ID + 1)}\n")
         with pytest.raises(ValidationError, match=rf"^{re.escape(str(p))}:4: .* at most 2\*\*63 - 1"):
             reader(p)
-        assert_raises_as(p, reader, ground_truth)
+        beyond = MAX_ID + 1
+        message = {"0 {} 1 1 5 5 0.5": f"class_id must be at most 2**63 - 1, got {beyond}",
+                   "0 {} 0 1 1 5 5": f"class_id/track_id must be at most 2**63 - 1: ({beyond}, 0)",
+                   "0 0 {} 1 1 5 5": f"class_id/track_id must be at most 2**63 - 1: (0, {beyond})",
+                   }[line]
+        assert_raises_as(p, (ValidationError, "{p}:4: " + message), reader, ground_truth)
         p.write_text(f"#video v 1280 720 4\n{first}\n\n{line.format(MAX_ID)}\n")
         assert_same_columns(read_columns(p, ground_truth), columns_of(reader(p)))

@@ -23,7 +23,7 @@ from tubelink import cli, io
 from tubelink.cli import main
 from tubelink.io import MAX_FRAME_COUNT
 
-from conftest import random_stream
+from conftest import line_by_line, random_stream, read_in_bulk
 from test_simulate import time_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -699,14 +699,14 @@ class TestCliEval:
                      "--per-video", "--out", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("case", ["descriptors", "ragged"])
-    def test_both_eval_paths_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, case):
+    def test_both_eval_paths_write_the_same_bytes(self, tmp_path, capsys, case):
         # raw simulator output carries descriptors on the true positives only,
         # so its lines differ in length; both files are parsed in bulk
         _, gt_path, det_path = write_scenario(tmp_path, seed=2, frame_count=40, classes=4,
                                               appearance_dim=4,
                                               fp_rate=0.0 if case == "descriptors" else 1.0)
-        assert io._bulk_columns(det_path, False) is not None
-        assert io._bulk_columns(gt_path, True) is not None
+        read_in_bulk(det_path)
+        read_in_bulk(gt_path, ground_truth=True)
 
         def run():
             report, pr = tmp_path / "r.json", tmp_path / "pr.csv"
@@ -716,8 +716,8 @@ class TestCliEval:
             return capsys.readouterr().out, report.read_bytes(), pr.read_bytes()
 
         columns = run()
-        monkeypatch.setattr(io, "_bulk_columns", lambda path, ground_truth: None)
-        assert run() == columns
+        with line_by_line():
+            assert run() == columns
 
     def test_repeated_track_names_file_and_line(self, tmp_path, capsys):
         det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"

@@ -7,7 +7,6 @@ the object stages that run between the converters keep every entry's flag.
 
 import dataclasses
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given
@@ -36,7 +35,7 @@ from tubelink import io
 from tubelink.io import columns_of, read_columns, stream_of
 from tubelink.tubelets import TubeletColumns
 
-from conftest import SHAPE
+from conftest import SHAPE, line_by_line, read_in_bulk
 from test_io import assert_same_columns
 from test_tubelets import BOX, ORACLE, SCORE, tubelets
 
@@ -55,12 +54,6 @@ def streams(draw):
     frames = {f: [Detection(f, draw(CLASS), draw(BOX), draw(SCORE), draw(APPEARANCE))
                   for _ in range(draw(st.integers(0, 3)))] for f in range(frame_count)}
     return VideoDetections("v", SHAPE, frame_count, frames)
-
-
-def bulk_refused(f, *args):
-    """f(*args) with the bulk reader refusing every file."""
-    with mock.patch.object(io, "_bulk_columns", lambda path, ground_truth: None):
-        return f(*args)
 
 
 def any_ids(ts, ids):
@@ -116,11 +109,13 @@ class TestStreamColumns:
             p.write_text("\n".join([head, *marker, *lines]) + "\n")
             stored = columns_of((read_ground_truth if ground_truth else read_detections)(p))
             assert (np.diff(stored.frame_idx) >= 0).all()
-            assert io._bulk_columns(p, ground_truth) is not None
+            bulk = read_in_bulk(p, ground_truth)
             # the ids as read_detections_with_ids reads them, in stored order
             back = None if ground_truth else read_detections_with_ids(p)[1]
             want = None if back is None else [i for f in back for i in back[f]]
-            for c in (read_columns(p, ground_truth), bulk_refused(read_columns, p, ground_truth)):
+            with line_by_line():
+                by_line = read_columns(p, ground_truth)
+            for c in (bulk, by_line):
                 assert_same_columns(c, stored)
                 assert (c.tubelet_id is None) == (want is None)
                 if want is not None:

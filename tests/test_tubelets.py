@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -514,6 +515,18 @@ class TestTubeletInvariants:
         # tubelet_link_score used to catch this only by building a Detection
         with pytest.raises(ValidationError, match="class_id"):
             Tubelet(0, -1, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
+
+    @pytest.mark.parametrize("tubelet_id", ["x", True, 1.5, 2.0, None])
+    def test_tubelet_id_must_be_an_integer(self, tubelet_id):
+        # mixed id types made link_tubelets and tubelets_to_detections raise a bare TypeError
+        with pytest.raises(ValidationError, match=f"^tubelet_id must be an integer, got "
+                                                  f"{re.escape(repr(tubelet_id))}$"):
+            Tubelet(tubelet_id, 0, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
+
+    @pytest.mark.parametrize("tubelet_id", [-2 ** 70, -1, 2 ** 63, 2 ** 70, np.int64(7)])
+    def test_tubelet_id_of_any_size_is_taken(self, tubelet_id):
+        entries = (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),)
+        assert Tubelet(tubelet_id, 0, entries).tubelet_id == tubelet_id
 
     def test_class_and_frame_beyond_int64_rejected(self):
         # both are int64 columns in TubeletColumns: a larger value used to
