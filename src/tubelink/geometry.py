@@ -8,13 +8,12 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .settings import UNIT_OPEN
+from .settings import FRAME_SIDE, UNIT_OPEN, shown
 
 _MAX_ID = 2 ** 63 - 1  # the largest class id, track id or tubelet frame: each fits int64 columns
 
@@ -71,19 +70,17 @@ def check_boxes(box: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FrameShape:
-    """Pixel dimensions of the video frames a stream was produced from."""
+    """Pixel dimensions of the video frames a stream was produced from: each
+    side a Python or numpy integer that settings.FRAME_SIDE takes, so that a
+    stream header writes and reads back. Anything else raises ValidationError
+    on construction, as ScenarioConfig's width and height do."""
 
     width: int
     height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"frame shape must be positive: {self.width}x{self.height}"
-            )
-        # a side is a float divisor of the link features, so it must convert to one
-        if max(self.width, self.height) > sys.float_info.max:
-            raise ValidationError("frame side above 1.8e308 does not convert to a float")
+        FRAME_SIDE.require("width", self.width)
+        FRAME_SIDE.require("height", self.height)
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,11 @@ class Detection:
 
     def __post_init__(self):
         if self.frame_idx < 0:
-            raise ValidationError(f"frame_idx must be >= 0, got {self.frame_idx}")
+            raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
         if self.class_id < 0:
-            raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
+            raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
         if self.class_id > _MAX_ID:
-            raise ValidationError(f"class_id must be at most 2**63 - 1, got {self.class_id}")
+            raise ValidationError(f"class_id must be at most 2**63 - 1, got {shown(self.class_id)}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score out of [0,1]: {self.score!r}")
         if self.appearance is not None:

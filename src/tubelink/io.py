@@ -20,6 +20,11 @@ frame_count bounds the frame indices, and time and memory follow the lines.
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
 
+Each header rule is one settings.Check: VIDEO_ID, FRAME_COUNT (an integer
+in [0, MAX_FRAME_COUNT]) and, for width and height, FrameShape's
+settings.FRAME_SIDE. The readers check the header with them, and a stream
+when it is constructed, so every stream writes a header that reads back.
+
 read_columns, the one parser of stream files, gives a file's boxes as arrays
 in stored order, by frame: descriptors as rows of one matrix, the ids of a
 ``#tubelets`` file as Python ints of any size, track ids as int64. Class and
@@ -43,6 +48,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape, added
+from .settings import Check, integer, shown
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
@@ -50,15 +56,18 @@ TUBELET_TAG = "#tubelets"
 # stored, so the bound does not guard memory; it keeps frame indices in a
 # sane range, and the simulator's per-frame loop shares it.
 MAX_FRAME_COUNT = 1_000_000
+FRAME_COUNT = integer(lambda v: 0 <= v <= MAX_FRAME_COUNT, f"an integer in [0, {MAX_FRAME_COUNT}]")
+# a header field: str.split must give it back whole, and UTF-8 must encode
+# it, which refuses only the surrogates
+VIDEO_ID = Check(lambda v: isinstance(v, str) and v != "" and not any(
+                     c.isspace() or "\ud800" <= c <= "\udfff" for c in v),
+                 "a non-empty UTF-8 string without whitespace")
+_FRAME_SHAPE = Check(lambda v: isinstance(v, FrameShape), "a FrameShape")
 
 
 def _check_video(video_id: str, frame_count: int) -> None:
-    if not video_id or any(c.isspace() for c in video_id):
-        raise ValidationError(f"video_id must be non-empty without whitespace: {video_id!r}")
-    if not (0 <= frame_count <= MAX_FRAME_COUNT):
-        raise ValidationError(
-            f"frame_count must be in [0, {MAX_FRAME_COUNT}], got {frame_count}"
-        )
+    VIDEO_ID.require("video_id", video_id)
+    FRAME_COUNT.require("frame_count", frame_count)
 
 
 class Frames(dict):
@@ -84,15 +93,16 @@ class _Stream:
 
     def __post_init__(self):
         _check_video(self.video_id, self.frame_count)
+        _FRAME_SHAPE.require("frame_shape", self.frame_shape)
         for idx, boxes in self.frames.items():
             if not (0 <= idx < self.frame_count):
                 raise ValidationError(
-                    f"frame index {idx} outside [0, {self.frame_count})"
+                    f"frame index {shown(idx)} outside [0, {self.frame_count})"
                 )
             for b in boxes:
                 if b.frame_idx != idx:
                     raise ValidationError(
-                        f"box frame_idx {b.frame_idx} stored under frame {idx}"
+                        f"box frame_idx {shown(b.frame_idx)} stored under frame {idx}"
                     )
         self.frames = Frames(self.frames)
 
@@ -123,12 +133,11 @@ class TrackBox:
         if self.frame_idx < 0 or self.class_id < 0 or self.track_id < 0:
             raise ValidationError(
                 f"frame_idx/class_id/track_id must be >= 0: "
-                f"({self.frame_idx}, {self.class_id}, {self.track_id})"
+                f"({shown(self.frame_idx)}, {shown(self.class_id)}, {shown(self.track_id)})"
             )
         if max(self.class_id, self.track_id) > _MAX_ID:
-            raise ValidationError(
-                f"class_id/track_id must be at most 2**63 - 1: ({self.class_id}, {self.track_id})"
-            )
+            raise ValidationError(f"class_id/track_id must be at most 2**63 - 1: "
+                                  f"({shown(self.class_id)}, {shown(self.track_id)})")
 
 
 @dataclass
@@ -252,7 +261,9 @@ def write_detections(
     path: str | Path,
     tubelet_ids: dict[int, list[int]] | None = None,
 ) -> None:
-    """Write a detection stream; read_detections(write_detections(v)) == v.
+    """Write a detection stream; read_detections(write_detections(v)) == v
+    for every stream, as a stream refuses header fields that would not read
+    back when it is constructed.
 
     tubelet_ids, when given with a stream, must hold one id per detection,
     keyed and ordered exactly like v.frames (a frame without detections may
@@ -268,14 +279,7 @@ def write_detections(
                        if v.descriptor_len.any() else [])
         ids = None if v.tubelet_id is None else v.tubelet_id.tolist()
     else:
-        ids = None
-        if tubelet_ids is not None:
-            for idx in sorted(v.frames.keys() | tubelet_ids.keys()):
-                if len(tubelet_ids.get(idx, ())) != len(v.frames[idx]):
-                    raise ValidationError(
-                        f"tubelet_ids for frame {idx} do not match detection count"
-                    )
-            ids = [i for idx in v.frames for i in tubelet_ids[idx]]
+        ids = None if tubelet_ids is None else _flat_ids(v, tubelet_ids)
         dets = v.all_detections()
         rows = [(d.frame_idx, d.class_id, float((b := d.bbox).x), float(b.y), float(b.w),
                  float(b.h), float(d.score)) for d in dets]
@@ -341,9 +345,19 @@ class BoxColumns:
                               self.track_id)))
 
 
+def _flat_ids(s: _Stream, ids: Mapping) -> list:
+    """ids, one list per frame parallel to s.frames (a frame without boxes
+    may hold an empty list), in stored order; any other count raises."""
+    for idx in sorted(s.frames.keys() | ids.keys()):
+        if len(ids.get(idx, ())) != len(s.frames[idx]):
+            raise ValidationError(f"tubelet_ids for frame {idx} do not match detection count")
+    return [i for idx in s.frames for i in ids[idx]]
+
+
 def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> BoxColumns:
-    """A stream's boxes, and ids as read_detections_with_ids gives them, as
-    columns in stored order: by frame, then as listed."""
+    """A stream's boxes, and ids as read_detections_with_ids gives them (as
+    write_detections takes them), as columns in stored order: by frame,
+    then as listed."""
     boxes = [b for bs in s.frames.values() for b in bs]
     apps = [getattr(b, "appearance", None) or () for b in boxes]
     width = max(map(len, apps), default=0)
@@ -355,7 +369,7 @@ def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> 
         np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
         np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
         np.array(list(map(len, apps)), np.int64),
-        None if ids is None else np.array([i for f in s.frames for i in ids[f]], object),
+        None if ids is None else np.array(_flat_ids(s, ids), object),
         np.array([b.track_id for b in boxes], np.int64) if isinstance(s, GroundTruth) else None,
     )
 

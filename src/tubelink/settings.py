@@ -35,7 +35,19 @@ class Check(NamedTuple):
     def require(self, name: str, value: Any, error: type[Exception] = ValidationError) -> None:
         """Raise error, naming `name` and what it must be, unless value passes."""
         if not self.ok(value):
-            raise error(f"{name} must be {self.expect}, got {value!r}")
+            raise error(f"{name} must be {self.expect}, got {shown(value)}")
+
+
+def shown(value: Any) -> str:
+    """repr(value) for an error message. Python prints no integer of more
+    than 4,300 digits, so such an integer shows as its sign and bit length,
+    and a container that holds one as its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def integer(ok: Callable[[int], bool], expect: str) -> Check:

@@ -243,11 +243,9 @@ def load_model(source: str | Path) -> SimilarityModel:
         bias = float(bias_tokens[0])
     except ValueError:
         raise ConfigError(f"{path}: model file holds non-numeric tokens") from None
-    if len(weights) != 8:
-        raise ConfigError(f"{path}: expected 8 weights, got {len(weights)}")
     try:
         return SimilarityModel(weights, bias)
-    except ValidationError as e:  # the weights or bias are not finite
+    except ValidationError as e:  # not 8 weights, or the weights or bias are not finite
         raise ConfigError(f"{path}: {e}") from None
 
 

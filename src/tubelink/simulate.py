@@ -22,7 +22,7 @@ from numpy.random import Generator, PCG64
 
 from .errors import ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape
-from .io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
+from .io import MAX_FRAME_COUNT, VIDEO_ID, GroundTruth, TrackBox, VideoDetections
 from .settings import (
     FRAME_SIDE, NON_NEGATIVE, UNIT_CLOSED, UNIT_HALF_OPEN, int_at_least, integer, read_settings,
     real, setting, validate,
@@ -47,7 +47,7 @@ class ScenarioConfig:
     """
 
     seed: int = setting(0, int_at_least(0))
-    video_id: str = setting("sim")
+    video_id: str = setting("sim", VIDEO_ID)
     frame_count: int = setting(300, integer(
         lambda v: 1 <= v <= MAX_FRAME_COUNT, f"an integer in [1, {MAX_FRAME_COUNT}]"))
     width: int = setting(1280, FRAME_SIDE)

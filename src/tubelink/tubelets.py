@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .geometry import _MAX_ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
-from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, integer, one_of
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, integer, one_of, shown
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
 
 
@@ -49,9 +49,9 @@ class TubeletEntry:
 
     def __post_init__(self):
         if self.frame_idx < 0:
-            raise ValidationError(f"frame_idx must be >= 0, got {self.frame_idx}")
+            raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
         if self.frame_idx > _MAX_ID:
-            raise ValidationError(f"frame_idx must be at most 2**63 - 1, got {self.frame_idx}")
+            raise ValidationError(f"frame_idx must be at most 2**63 - 1, got {shown(self.frame_idx)}")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValidationError(f"score out of [0,1]: {self.score!r}")
 
@@ -68,16 +68,16 @@ class Tubelet:
         # any size: link_tubelets orders by id, and #tubelets files carry ids of any size
         integer(lambda i: True, "an integer").require("tubelet_id", self.tubelet_id)
         if self.class_id < 0:
-            raise ValidationError(f"class_id must be >= 0, got {self.class_id}")
+            raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
         if self.class_id > _MAX_ID:
-            raise ValidationError(f"class_id must be at most 2**63 - 1, got {self.class_id}")
+            raise ValidationError(f"class_id must be at most 2**63 - 1, got {shown(self.class_id)}")
         if not self.entries:
             raise ValidationError("tubelet must hold at least one entry")
         start = self.entries[0].frame_idx
         for k, e in enumerate(self.entries):
             if e.frame_idx != start + k:
                 raise ValidationError(
-                    f"tubelet {self.tubelet_id} has a hole: entry {k} is at frame "
+                    f"tubelet {shown(self.tubelet_id)} has a hole: entry {k} is at frame "
                     f"{e.frame_idx}, expected {start + k}"
                 )
 

@@ -20,6 +20,12 @@ exact`` and, now and then, ``--jobs 2``) and to ``inspect``: each exits 0 or
 1 with one ``error:`` line, in bounded time, what it writes reads back, and
 ``--jobs 1`` and ``--jobs 2`` write the same bytes.
 
+test_fuzz_simulate runs ``simulate`` with random ``--video-id``,
+``--width``, ``--height`` and small ``--frame-count`` tokens: each run
+exits 0 with files whose header read_columns reads back as the flags gave
+it, exits 2 naming a flag, or exits 1 with one of the cross-field rules
+that the README lists, and a run that fails writes no file.
+
 The case these tests found, descriptors of different lengths in one stream,
 has its named regression test in test_pipeline_cli.py
 (test_descriptor_lengths_differ_is_a_data_error). The header bound, the
@@ -30,6 +36,7 @@ UTF-8 check and the size-ratio error have theirs in test_io.py
 import contextlib
 import io
 import json
+import re
 import sys
 import warnings
 
@@ -46,7 +53,7 @@ from tubelink import (
     read_detections,
     read_ground_truth,
 )
-from tubelink.io import MAX_FRAME_COUNT
+from tubelink.io import MAX_FRAME_COUNT, read_columns
 
 from conftest import line_by_line
 from test_evaluation import evaluate_oracle
@@ -392,3 +399,54 @@ def test_fuzz_postprocess(tmp_path_factory, boxes, one_frame, last, descriptors,
                 written.append((result, [p.read_bytes() if p.exists() else None
                                          for p in (out, out2)]))
             assert written[0] == written[1]
+
+
+# simulate's cross-field rules, which README lists as its only exit 1 on flags in range
+CROSS_FIELD = ("error: box_max must be smaller than the frame\n",
+               "error: speed_max must be at most min(width, height) - box_max = ",
+               "error: sigma_motion must be at most min(width, height) - box_max = ")
+# sides that take the default boxes (box_max 64, speed_max 4), then any token
+# and sides that break a cross-field rule
+SIDE = mostly(st.integers(69, 2000).map(str), st.one_of(TOKEN, st.sampled_from(
+    [str(2 ** 1000), "1280.0", "True", "64", "65", "68"])), odds=4)
+# ids without whitespace, then any text and ids that break the header's rule
+VIDEO_ID = mostly(st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1,
+                          max_size=8),
+                  st.one_of(st.text(max_size=8), st.sampled_from(
+                      ["", "a b", "a\tb", "a\u2028b", "\udcff", "#tubelets", "-x"])),
+                  odds=4)
+
+
+@FUZZ
+@given(VIDEO_ID, SIDE, SIDE, mostly(st.integers(1, 4).map(str), st.one_of(TOKEN, st.just("0"))))
+@example("a b", "1280", "720", "2")
+@example("v", "1280", "64", "2")
+@example("v", "65", "720", "2")
+def test_fuzz_simulate(tmp_path_factory, video_id, width, height, frame_count):
+    """simulate exits 0 and writes files that read_columns reads back with the
+    flags' header, or exits 2 naming a flag, or exits 1 with a cross-field rule."""
+    tmp = tmp_path_factory.getbasetemp()
+    gt, det = tmp / "sim.gt", tmp / "sim.det"
+    for p in (gt, det):
+        p.unlink(missing_ok=True)
+    argv = ["simulate", "--video-id", video_id, "--width", width, "--height", height,
+            "--frame-count", frame_count, "--ground-truth", gt, "--detections", det]
+    stderr = io.StringIO()
+    with time_limit(5.0), warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as e:
+            code = e.code
+    err = stderr.getvalue()
+    if code == 0:
+        for c in (read_columns(gt, True), read_columns(det)):
+            assert (c.video_id, c.frame_shape.width, c.frame_shape.height, c.frame_count) == (
+                video_id, int(width), int(height), int(frame_count))
+    elif code == 2:
+        assert re.search(r"error: argument --(video-id|width|height|frame-count): ", err)
+        assert not gt.exists() and not det.exists()
+    else:
+        assert code == 1 and err.startswith(CROSS_FIELD) and err.count("\n") == 1
+        assert not gt.exists() and not det.exists()

@@ -9,6 +9,7 @@ from tubelink import (
     BBox,
     ContractError,
     Detection,
+    FrameShape,
     GroundTruth,
     ParseError,
     TrackBox,
@@ -126,7 +127,8 @@ class TestHeaderBounds:
     def test_frame_count_outside_bound(self, tmp_path, reader, count):
         p = write(tmp_path, f"#video v 1280 720 {count}\n")
         with time_limit(2.0):
-            with pytest.raises(ValidationError, match=f"{p}:1: frame_count must be in"):
+            message = f"{p}:1: frame_count must be an integer in [0, {MAX_FRAME_COUNT}], got {count}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
                 reader(p)
 
     @pytest.mark.parametrize("cls", [VideoDetections, GroundTruth])
@@ -142,8 +144,41 @@ class TestHeaderBounds:
     @pytest.mark.parametrize("reader", [read_detections, read_ground_truth])
     def test_width_beyond_float_range(self, tmp_path, reader):
         p = write(tmp_path, f"#video v {10 ** 400} 720 1\n")
-        with pytest.raises(ValidationError, match=f"{p}:1: frame side above"):
+        message = f"{p}:1: width must be an integer in [1, 1.8e308], got 1{'0' * 400}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             reader(p)
+
+    @pytest.mark.parametrize("video_id, width, height, count", [
+        ("v", 1280, 720, 3), ("sim-0_ü#", np.int64(1280), np.uint16(720), np.int32(0)),
+        ("#tubelets", 2 ** 1000, 1, MAX_FRAME_COUNT), ("x" * 300, np.uint64(2 ** 64 - 1),
+                                                       np.int8(1), np.int64(5)),
+    ])
+    @pytest.mark.parametrize("cls", [VideoDetections, GroundTruth])
+    def test_every_header_that_constructs_reads_back(self, tmp_path, cls, video_id, width,
+                                                      height, count):
+        s = cls(video_id, FrameShape(width, height), count, {})
+        p = tmp_path / "s.txt"
+        (write_detections if cls is VideoDetections else write_ground_truth)(s, p)
+        back = (read_detections if cls is VideoDetections else read_ground_truth)(p)
+        assert back == s and p.read_text() == f"#video {video_id} {width} {height} {count}\n"
+
+    @pytest.mark.parametrize("name, value", [
+        *[(name, value) for name in ("width", "height", "frame_count")
+          for value in (1280.5, 3.0, True, np.float64(3))],
+        ("video_id", 5), ("video_id", None), ("video_id", b"v"), ("video_id", ""),
+        ("video_id", "a b"), ("video_id", "a\tb"), ("video_id", "a\u2028b"),
+        ("video_id", "\udcff"), ("frame_shape", (1280, 720)),
+    ])
+    @pytest.mark.parametrize("cls", [VideoDetections, GroundTruth])
+    def test_a_header_that_would_not_read_back_fails_on_construction(self, cls, name, value):
+        # FrameShape(1280.0, 720) and VideoDetections("v", shape, 3.0) used to
+        # construct and write a header that the readers refuse
+        header = dict(video_id="v", width=1280, height=720, frame_count=3, frame_shape=None)
+        header[name] = value
+        with pytest.raises(ValidationError, match=f"^{name} must be .*, got ") as e:
+            shape = header["frame_shape"] or FrameShape(header["width"], header["height"])
+            cls(header["video_id"], shape, header["frame_count"])
+        assert type(e.value) is ValidationError
 
 
 class TestNotUtf8:
@@ -224,6 +259,20 @@ class TestRoundTrip:
         v = VideoDetections("v", SHAPE, 6, {0: [det()]})
         with pytest.raises(ValidationError, match="tubelet_ids for frame 5 do not match"):
             write_detections(v, tmp_path / "out.txt", {0: [1], 5: [3]})
+
+    @pytest.mark.parametrize("ids, frame", [
+        ({0: [7], 1: [8, 9]}, 0), ({0: [7, 8]}, 1), ({0: [7, 8], 1: [9], 2: [4]}, 2),
+    ])
+    def test_columns_of_checks_the_ids_as_the_writer_does(self, tmp_path, ids, frame):
+        # columns_of gave {0: [7], 1: [8, 9]} the id column 7, 8, 9, and
+        # {0: [7, 8]} a bare KeyError
+        v = VideoDetections("v", SHAPE, 3, {0: [det(0), det(0, x=50.0)], 1: [det(1)]})
+        p = tmp_path / "out.txt"
+        for write in (lambda: columns_of(v, ids), lambda: write_detections(v, p, ids)):
+            with pytest.raises(ValidationError, match=(
+                    f"^tubelet_ids for frame {frame} do not match detection count$")):
+                write()
+        assert not p.exists()
 
     @pytest.mark.parametrize("count", [0, 2, 5, 7])
     def test_columns_need_one_tubelet_id_per_row(self, tmp_path, count):
@@ -542,7 +591,8 @@ class TestReadColumns:
             "": (ParseError, "{p}:1: first line must start with '#video'"),
             "#video v 1280 720\n": (ParseError, "{p}:1: header needs "
                                                 "'#video <video_id> <width> <height> <frame_count>'"),
-            "#video v 0 720 4\n": (ValidationError, "{p}:1: frame shape must be positive: 0x720"),
+            "#video v 0 720 4\n": (ValidationError,
+                                   "{p}:1: width must be an integer in [1, 1.8e308], got 0"),
             "#video v 1280 720 x\n0 0 x 1 5 5 0.5\n":
                 (ParseError, "{p}:1: frame_count is not an integer: 'x'"),
         }[text]

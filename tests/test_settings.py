@@ -12,6 +12,7 @@ from tubelink import (
     BBox,
     ConfigError,
     ContractError,
+    Detection,
     FrameShape,
     PipelineConfig,
     ScenarioConfig,
@@ -205,10 +206,12 @@ class TestScenarioLimits:
         ("speed_max", "1", "a finite number >= 0"), ("jitter_sigma", None, "a finite number >= 0"),
         ("drop_prob", "0.1", "in [0,1)"), ("box_min", "24", "a finite number >= 2"),
         ("fp_rate", [1.0], "in [0, 100]"), ("tp_score_mean", 1j, "in [0,1]"),
-        ("video_id", 5, "a string"), ("video_id", None, "a string"),
+        *[("video_id", value, "a non-empty UTF-8 string without whitespace")
+          for value in (5, None, "a b", "", "\udcff")],
     ])
     def test_settings_take_only_their_type(self, name, value, expect):
-        # video_id=5 used to fail only in generate; speed_max="1" with a bare TypeError
+        # video_id=5 and "a b" used to fail only in generate; speed_max="1" with a
+        # bare TypeError
         with pytest.raises(ValidationError) as e:
             ScenarioConfig(**{name: value})
         assert str(e.value) == f"{name} must be {expect}, got {value!r}"
@@ -288,11 +291,13 @@ class TestScenarioLimits:
         ("num_tracks", "31", "an integer in [0, 30]"),
         ("box_min", "1", "a finite number >= 2"),
         ("box_max", "1", "a finite number >= 2"),
+        ("video_id", "a b", "a non-empty UTF-8 string without whitespace"),
     ])
     def test_field_ranges_exit_2_as_flags_and_1_in_files(self, tmp_path, capsys, name, value,
                                                         expect):
-        # num_tracks and the box floor used to be checked after the fields:
-        # a flag value outside them exited 1, and --help did not list them
+        # num_tracks, the box floor and the video id used to be checked after
+        # the fields: a flag value outside them exited 1, and --help did not
+        # list them
         flag = "--" + name.replace("_", "-")
         with pytest.raises(SystemExit) as e:
             simulate(tmp_path, flag, value)
@@ -304,7 +309,7 @@ class TestScenarioLimits:
         assert simulate(tmp_path, "--config", str(cfg)) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}: line 2: bad value: {name} must be {expect}, got '{value}'\n")
-        assert not (tmp_path / "g.txt").exists()
+        assert not (tmp_path / "g.txt").exists() and not (tmp_path / "d.txt").exists()
         with pytest.raises(SystemExit):
             main(["simulate", "--help"])
         assert f"{flag} {name.upper()} {expect}" in " ".join(capsys.readouterr().out.split())
@@ -316,6 +321,36 @@ class TestScenarioLimits:
         with pytest.raises(SystemExit) as e:
             simulate(tmp_path, "--width", HUGE)
         assert e.value.code == 2
+
+
+HUGE_INT = 10 ** 5000  # more digits than Python turns into text
+BOX = BBox(0, 0, 5, 5)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ScenarioConfig(width=HUGE_INT), ValidationError,
+     "width must be an integer in [1, 1.8e308], got an integer of 16610 bits"),
+    (lambda: FrameShape(HUGE_INT, 1), ValidationError,
+     "width must be an integer in [1, 1.8e308], got an integer of 16610 bits"),
+    (lambda: PipelineConfig(g_max=-HUGE_INT), ValidationError,
+     "g_max must be an integer >= 0, got a negative integer of 16610 bits"),
+    (lambda: PipelineConfig(g_max=[HUGE_INT]), ValidationError,
+     "g_max must be an integer >= 0, got a list too long to print"),
+    (lambda: link_tubelets([], default_model(), -HUGE_INT, 0.5, FrameShape(10, 10)),
+     ContractError, "g_max must be an integer >= 0, got a negative integer of 16610 bits"),
+    (lambda: Detection(0, HUGE_INT, BOX, 0.5), ValidationError,
+     "class_id must be at most 2**63 - 1, got an integer of 16610 bits"),
+    (lambda: VideoDetections("v", FrameShape(10, 10), HUGE_INT), ValidationError,
+     "frame_count must be an integer in [0, 1000000], got an integer of 16610 bits"),
+    (lambda: Tubelet(HUGE_INT, 0, (TubeletEntry(0, BOX, 0.5), TubeletEntry(2, BOX, 0.5))),
+     ValidationError, "tubelet an integer of 16610 bits has a hole: entry 1 is at frame 2, "
+                      "expected 1"),
+])
+def test_an_integer_too_long_to_print_is_shown_by_its_bit_length(make, error, message):
+    # each raised a bare ValueError from int-to-text conversion
+    with pytest.raises(error) as e:
+        make()
+    assert type(e.value) is error and str(e.value) == message
 
 
 # ---------------------------------------------------------------- fuzzing
