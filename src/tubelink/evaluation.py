@@ -7,22 +7,27 @@ reaches the threshold. AP uses 101-point interpolation over the precision
 envelope. Everything is deterministic for a given input.
 
 match_predictions and average_precision score one (class, frame) cell at one
-threshold; evaluate_columns gives their numbers in one columnar pass over the
-arrays of io.read_columns. It computes the IoU of each same-cell pair whose
-x-extents overlap once, found by a sort-and-sweep window over the gt boxes
-sorted by x1 in each cell, in chunks; every other pair has IoU exactly 0. It
-runs the greedy claim for all 10 thresholds together. The predictions that
-compete for a box claim in rounds across cells: round r takes the r-th
-competitor of every (video, frame) cell at once, which is exact because
-competitors of different cells share no box. PR curves are built only when
-looked up. evaluate_streams is evaluate_columns of io.columns_of.
+threshold; evaluate_columns gives their numbers for every class at once, in
+one columnar pass over the arrays of io.read_columns. One stable sort of the
+boxes of both sides by (class, video, frame) numbers the cells and keeps
+file order within each. The matching then runs once over all cells: it
+computes the IoU of each same-cell pair whose x-extents overlap, found by a
+sort-and-sweep window over the gt boxes sorted by x1 in each cell, in
+chunks; every other pair has IoU exactly 0. It runs the greedy claim for all
+10 thresholds together. The predictions that compete for a box claim in
+rounds across cells: round r takes the r-th competitor of every cell at
+once, which is exact because competitors of different cells share no box.
+One more stable sort ranks the predictions by class, then descending score,
+and one AP pass scores every (threshold, class) segment of the ranked TP
+flags, which average_precision shares. PR curves are built only when looked
+up. evaluate_streams is evaluate_columns of io.columns_of.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +37,8 @@ from .io import BoxColumns, GroundTruth, VideoDetections, columns_of
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
+_ROW = {t: k for k, t in enumerate(IOU_THRESHOLDS)}
+_RECALLS = np.linspace(0.0, 1.0, 101)  # where AP samples the precision envelope
 _PAIR_CHUNK = 1 << 13  # candidate pairs, those of the x windows, taken at once to bound memory
 
 
@@ -112,22 +119,48 @@ def average_precision(scored: list[tuple[float, bool]], num_gt: int) -> float:
     if num_gt < 0:
         raise ContractError(f"num_gt must be >= 0, got {num_gt}")
     ordered = sorted(scored, key=lambda p: -p[0])
-    return _ranked_ap(np.array([lab for _, lab in ordered], dtype=bool), num_gt)
+    is_tp = np.array([lab for _, lab in ordered], dtype=bool)
+    return float(_segment_aps(is_tp, np.array([len(is_tp)]), np.array([num_gt]))[0][0])
 
 
-def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
-    """average_precision of TP flags already in descending score order."""
-    if num_gt == 0 or not len(is_tp):
-        return 0.0
-    tp = np.cumsum(is_tp, dtype=float)
-    n = np.arange(1, len(tp) + 1)
-    recall = tp / num_gt
-    precision = tp / n
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    sample_recalls = np.linspace(0.0, 1.0, 101)
-    idx = np.searchsorted(recall, sample_recalls, side="left")
-    sampled = np.where(idx < len(tp), envelope[np.minimum(idx, len(tp) - 1)], 0.0)
-    return float(np.mean(sampled))
+def _segment_aps(is_tp: np.ndarray, sizes: np.ndarray, num_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The average_precision and the TP count of each segment of is_tp: TP
+    flags in descending score order, split in order into segments of the
+    given sizes, the k-th with num_gt[k] gt boxes.
+
+    At a segment's k-th TP, of rank n, precision is k / n and recall is k /
+    num_gt. Precision falls from a TP to the FPs after it, so the envelope,
+    precision's max from a rank to the segment's end, is at a TP the max
+    over the TPs from it on. A sampled recall r is first reached at the m-th
+    TP, m the least count with m / num_gt >= r; for m = 0 at rank 0, where
+    the envelope is the first TP's. The envelope at every sample is then the
+    running max, from the right, of the precisions' maxima over the blocks
+    of TPs between consecutive samples. A segment's samples are averaged as
+    np.mean averages a 1-D array; a sample that no TP reaches, and every
+    sample of a segment without gt, is 0."""
+    end = np.cumsum(sizes)
+    start = end - sizes
+    hits = np.flatnonzero(is_tp)  # the TPs' ranks
+    first, last = np.searchsorted(hits, start), np.searchsorted(hits, end)  # each segment's TPs
+    hits_in = last - first
+    # each TP's count over its rank in the segment, computed in place to bound
+    # the memory, and a last 0 that reduceat's final index reads
+    precision = np.arange(1.0, len(hits) + 2)
+    precision[-1] = 0.0
+    precision[:-1] -= np.repeat(first, hits_in)
+    precision[:-1] /= hits + 1 - np.repeat(start, hits_in)
+    g = np.maximum(num_gt, 1)[:, None]
+    # ceil(r * num_gt), one more or less where the product rounds across an integer
+    m = np.ceil(_RECALLS * g)
+    m -= (m - 1) / g >= _RECALLS
+    m += m / g < _RECALLS
+    at = np.minimum(first[:, None] + np.maximum(m, 1).astype(np.int64) - 1, last[:, None])
+    found = (at < last[:, None]) & (num_gt > 0)[:, None]
+    # each sample's block runs to the next sample's TP, the last one's to the segment's end
+    block = np.maximum.reduceat(precision, np.column_stack((at, last)).ravel())
+    block = np.where(found, block.reshape(-1, len(_RECALLS) + 1)[:, :-1], 0.0)
+    sampled = np.maximum.accumulate(block[:, ::-1], axis=1)[:, ::-1].copy()
+    return sampled.mean(axis=1), hits_in
 
 
 def evaluate(preds: VideoDetections, gt: GroundTruth) -> EvalReport:
@@ -149,11 +182,42 @@ def evaluate_streams(pairs: list[tuple[VideoDetections, GroundTruth]]) -> EvalRe
 def evaluate_columns(pairs: list[tuple[BoxColumns, BoxColumns]]) -> EvalReport:
     """The report of evaluate_streams for pairs of columns, as io.read_columns
     or io.columns_of gives them. Only the order of boxes within a frame enters
-    it, so a file's columns and its stream's give the same report.
+    it, so a file's columns and its stream's give the same report. A frame
+    outside [0, frame_count) raises ContractError.
     """
-    preds: dict[int, list] = defaultdict(list)  # class -> row tables, one per pair
-    gts: dict[int, list] = defaultdict(list)
-    cell = 0  # numbers the (video, frame) pairs that hold a box, in pair order
+    classes, p, pk, q, qk = _tables(pairs)
+    # by class, then descending score; a stable sort keeps equal scores in
+    # stream order, as sorted() does
+    rank = np.lexsort((-p[:, 5], pk))
+    labels = _match(p, q)[:, rank]
+    num_pred = np.bincount(pk, minlength=len(classes))
+    num_gt = np.bincount(qk, minlength=len(classes))
+    # one segment per (threshold, class), in that order
+    aps, tps = (a.reshape(len(IOU_THRESHOLDS), -1) for a in _segment_aps(
+        labels.ravel(), np.tile(num_pred, len(IOU_THRESHOLDS)), np.tile(num_gt, len(IOU_THRESHOLDS))))
+    tp = tps.sum(axis=1)
+    return EvalReport(
+        classes=classes,
+        per_class_ap=dict(zip(product(classes, IOU_THRESHOLDS), aps.T.ravel().tolist())),
+        map50=float(np.mean(aps[0])) if classes else 0.0,
+        map50_95=float(np.mean(aps.T.ravel())) if classes else 0.0,
+        pr_curves=_PRCurves(classes, p[rank, 5], labels, num_pred, num_gt),
+        counts=dict(zip(IOU_THRESHOLDS, zip(tp.tolist(), (len(p) - tp).tolist(),
+                                            (len(q) - tp).tolist()))),
+    )
+
+
+def _tables(pairs: list[tuple[BoxColumns, BoxColumns]]) -> tuple[list[int], np.ndarray, np.ndarray,
+                                                                  np.ndarray, np.ndarray]:
+    """The classes, sorted, and the prediction rows p (cell, x1, y1, x2, y2,
+    score) and gt rows q (cell, x1, y1, x2, y2) of the pairs with each row's
+    class, numbered in that order. The cells number the (class, video,
+    frame) triples that hold a box; the rows are in cell order and, within
+    a cell, in file order."""
+    none = np.empty(0, np.int64)
+    preds = [(none, none, np.empty((0, 4)), np.empty(0))]  # (class, frame, box, score)
+    gts = [preds[0][:3]]
+    first_frame = 0  # frames are numbered across the pairs, in pair order
     for v, g in pairs:
         if v.video_id != g.video_id:
             raise ContractError(f"video_id mismatch: {v.video_id!r} vs {g.video_id!r}")
@@ -163,65 +227,48 @@ def evaluate_columns(pairs: list[tuple[BoxColumns, BoxColumns]]) -> EvalReport:
         if v.frame_shape != g.frame_shape:
             raise ContractError(f"frame shape mismatch for {v.video_id!r}: "
                                 f"{v.frame_shape} vs {g.frame_shape}")
-        frames = np.union1d(v.frame_idx, g.frame_idx)  # the frames that hold a box, sorted
         for rows, s in ((preds, v), (gts, g)):
-            cells = cell + np.searchsorted(frames, s.frame_idx)
-            table = np.column_stack([cells, s.box, *([] if s.score is None else [s.score])])
-            order = np.lexsort((cells, s.class_id))  # stable: file order within a cell
-            classes, first = np.unique(s.class_id[order], return_index=True)
-            for c, part in zip(classes.tolist(), np.split(order, first[1:])):
-                rows[c].append(table[part])
-        cell += len(frames)
-    return _evaluate_rows(*({c: t[0] if len(t) == 1 else np.concatenate(t) for c, t in rows.items()}
-                            for rows in (preds, gts)))
+            # a frame outside the video would land in the next video's cells
+            if len(s.frame_idx) and not (s.frame_idx.min() >= 0
+                                         and s.frame_idx.max() < s.frame_count):
+                raise ContractError(f"frame_idx out of [0, {s.frame_count}) in {v.video_id!r}: "
+                                    f"{s.frame_idx.min()}..{s.frame_idx.max()}")
+            rows.append((s.class_id, first_frame + s.frame_idx, s.box,
+                         *([] if s.score is None else [s.score])))
+        first_frame += v.frame_count
+    # the columns of one pair are used as they are, without a copy
+    (pc, pf, pbox, score), (gc, gf, gbox) = (
+        [col[-1] if len(col) <= 2 else np.concatenate(col) for col in zip(*rows)]
+        for rows in (preds, gts))
+    # one stable sort of both sides by (class, frame)
+    cls, frame = np.concatenate((pc, gc)), np.concatenate((pf, gf))
+    order = np.lexsort((frame, cls))
+    cls, frame = cls[order], frame[order]
+    klass, cell = _runs(cls), _runs(cls, frame)
+    is_p = order < len(pc)
+    rows_p, rows_g = order[is_p], order[~is_p] - len(pc)
+    # (x, y, w, h) -> the corners (x1, y1, x2, y2) that iou_matrix uses
+    x, y, w, h = pbox[rows_p].T
+    p = np.column_stack((cell[is_p], x, y, x + w, y + h, score[rows_p]))
+    x, y, w, h = gbox[rows_g].T
+    q = np.column_stack((cell[~is_p], x, y, x + w, y + h))
+    classes = cls[np.flatnonzero(np.diff(klass, prepend=-1))].tolist()
+    return classes, p, klass[is_p], q, klass[~is_p]
 
 
-def _evaluate_rows(preds: Mapping[int, np.ndarray], gts: Mapping[int, np.ndarray]) -> EvalReport:
-    """The report of per-class float arrays of prediction rows (cell, x, y, w,
-    h, score) and gt rows (cell, x, y, w, h), each in cell order and in file
-    order within a cell. The arrays are changed in place."""
-    classes = sorted(preds.keys() | gts.keys())
-    per_class_ap: dict[tuple[int, float], float] = {}
-    flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]] = {}
-    count_acc = {t: [0, 0, 0] for t in IOU_THRESHOLDS}
-
-    for c in classes:
-        p = preds.get(c, np.empty((0, 6)))
-        q = gts.get(c, np.empty((0, 5)))
-        p[:, 3:5] += p[:, 1:3]  # (w, h) -> (x2, y2), the corners iou_matrix uses
-        q[:, 3:5] += q[:, 1:3]
-        labels = _match_class(p, q)
-        # a stable sort keeps equal scores in stream order, as sorted() does
-        ranked = labels[:, np.argsort(-p[:, 5], kind="stable")]
-        for t, is_tp, tp in zip(IOU_THRESHOLDS, ranked, labels.sum(axis=1).tolist()):
-            per_class_ap[(c, t)] = _ranked_ap(is_tp, len(q))
-            count_acc[t][0] += tp
-            count_acc[t][1] += len(p) - tp
-            count_acc[t][2] += len(q) - tp
-        flags[c] = (p[:, 5].copy(), dict(zip(IOU_THRESHOLDS, labels)), len(q))
-
-    if classes:
-        map50 = float(np.mean([per_class_ap[(c, 0.5)] for c in classes]))
-        map50_95 = float(
-            np.mean([per_class_ap[(c, t)] for c in classes for t in IOU_THRESHOLDS])
-        )
-    else:
-        map50 = 0.0
-        map50_95 = 0.0
-
-    return EvalReport(
-        classes=classes,
-        per_class_ap=per_class_ap,
-        map50=map50,
-        map50_95=map50_95,
-        pr_curves=_PRCurves(flags),
-        counts={t: tuple(acc) for t, acc in count_acc.items()},
-    )
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """The run number of each position of sorted keys: 0 at the first, one
+    more at each position where any key changes."""
+    change = np.zeros(len(keys[0]), bool)
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.cumsum(change)
 
 
-def _match_class(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """TP flags (threshold x prediction) of one class's prediction rows p
-    (cell, x1, y1, x2, y2, score) against its gt rows q (cell, x1, y1, x2, y2):
+def _match(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """TP flags (threshold x prediction) of prediction rows p (cell, x1, y1,
+    x2, y2, score) against gt rows q (cell, x1, y1, x2, y2), a cell being a
+    (class, video, frame) triple and the gt rows of a cell in file order:
     match_predictions on every cell at every threshold.
 
     Only a prediction whose best IoU reaches 0.5 ever claims a gt box. One
@@ -324,21 +371,26 @@ def _cell_keys(rows: np.ndarray, x: int) -> np.ndarray:
 
 
 class _PRCurves(Mapping):
-    """(class, threshold) -> _pr_points of the class's labels, built on lookup."""
+    """(class, threshold) -> _pr_points of the class's labels, built on lookup
+    from its slice of the ranked scores and TP flags."""
 
-    def __init__(self, flags: dict[int, tuple[np.ndarray, dict[float, np.ndarray], int]]):
-        self._flags = flags  # class -> (scores, threshold -> TP flags, num_gt)
+    def __init__(self, classes: list[int], scores: np.ndarray, labels: np.ndarray,
+                 num_pred: np.ndarray, num_gt: np.ndarray):
+        ends = np.cumsum(num_pred).tolist()
+        self._slices = {c: (slice(e - k, e), k_gt) for c, e, k, k_gt
+                        in zip(classes, ends, num_pred.tolist(), num_gt.tolist())}
+        self._scores, self._labels = scores, labels  # ranked by class, then score
 
     def __getitem__(self, key: tuple[int, float]) -> list[tuple[float, float]]:
-        scores, by_threshold, num_gt = self._flags[key[0]]
-        is_tp = by_threshold[key[1]].tolist()
-        return _pr_points(list(zip(scores.tolist(), is_tp)), num_gt)
+        ranks, num_gt = self._slices[key[0]]
+        is_tp = self._labels[_ROW[key[1]], ranks].tolist()
+        return _pr_points(list(zip(self._scores[ranks].tolist(), is_tp)), num_gt)
 
     def __iter__(self):
-        return ((c, t) for c in self._flags for t in IOU_THRESHOLDS)
+        return ((c, t) for c in self._slices for t in IOU_THRESHOLDS)
 
     def __len__(self) -> int:
-        return len(self._flags) * len(IOU_THRESHOLDS)
+        return len(self._slices) * len(IOU_THRESHOLDS)
 
 
 def _pr_points(scored: list[tuple[float, bool]], num_gt: int) -> list[tuple[float, float]]:

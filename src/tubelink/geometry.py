@@ -8,14 +8,27 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .settings import FRAME_SIDE, UNIT_OPEN, shown
+from .settings import ANY_INTEGER, FRAME_SIDE, UNIT_OPEN, shown
 
 _MAX_ID = 2 ** 63 - 1  # the largest class id, track id or tubelet frame: each fits int64 columns
+_BOOLS = {bool, np.bool_}
+
+
+def require_score(score) -> None:
+    """Raise ValidationError unless score is a number in [0, 1]: NaN and
+    bools are not. The value types call this only when their own test,
+    0 <= score <= 1 and not a bool, fails. Python compares an integer
+    beyond the float range with a float exactly, so it needs no isfinite."""
+    if type(score) in _BOOLS:
+        raise ValidationError(f"score must be a number, not a bool: {score!r}")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"score out of [0,1]: {shown(score)}")
 
 
 def added(values):
@@ -38,11 +51,17 @@ class BBox:
     def __post_init__(self):
         # The corners x + w and y + h are finite only when all four fields
         # are, and every IoU takes differences of them: an inf corner gives NaN.
-        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+        # Taken in float (x * 1.0), an integer field beyond the float range
+        # raises OverflowError, even where x + w would be a small integer.
+        try:
+            corners = math.isfinite(self.x * 1.0 + self.w) and math.isfinite(self.y * 1.0 + self.h)
+        except OverflowError:
+            corners = False
+        if not corners:
             for name in ("x", "y", "w", "h"):
                 v = getattr(self, name)
-                if not math.isfinite(v):
-                    raise ValidationError(f"bbox field {name} is not finite: {v!r}")
+                if not abs(v) <= sys.float_info.max:  # false for NaN, inf and such integers
+                    raise ValidationError(f"bbox field {name} is not finite: {shown(v)}")
             raise ValidationError(
                 f"bbox corner is not finite: x + w = {self.x + self.w!r}, "
                 f"y + h = {self.y + self.h!r}"
@@ -98,14 +117,18 @@ class Detection:
     appearance: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # one type test for an int; the Check, which takes numpy integers, otherwise
+        if not (type(self.frame_idx) is int and type(self.class_id) is int):
+            ANY_INTEGER.require("frame_idx", self.frame_idx)
+            ANY_INTEGER.require("class_id", self.class_id)
         if self.frame_idx < 0:
             raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
         if self.class_id < 0:
             raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
         if self.class_id > _MAX_ID:
             raise ValidationError(f"class_id must be at most 2**63 - 1, got {shown(self.class_id)}")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score out of [0,1]: {self.score!r}")
+        if not 0.0 <= self.score <= 1.0 or type(self.score) in _BOOLS:
+            require_score(self.score)
         if self.appearance is not None:
             # a NaN would pass the norm test below, as every comparison with it fails
             if not all(map(math.isfinite, self.appearance)):

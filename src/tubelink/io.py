@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractError, ParseError, ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape, added
-from .settings import Check, integer, shown
+from .settings import ANY_INTEGER, Check, integer, shown
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
@@ -130,6 +130,10 @@ class TrackBox:
     bbox: BBox
 
     def __post_init__(self):
+        if not (type(self.frame_idx) is int and type(self.class_id) is int
+                and type(self.track_id) is int):
+            for name in ("frame_idx", "class_id", "track_id"):
+                ANY_INTEGER.require(name, getattr(self, name))
         if self.frame_idx < 0 or self.class_id < 0 or self.track_id < 0:
             raise ValidationError(
                 f"frame_idx/class_id/track_id must be >= 0: "

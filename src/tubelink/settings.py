@@ -76,6 +76,8 @@ NON_NEGATIVE = real(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 UNIT_OPEN = real(lambda v: 0.0 < v < 1.0, "in (0,1)")
 UNIT_CLOSED = real(lambda v: 0.0 <= v <= 1.0, "in [0,1]")
 UNIT_HALF_OPEN = real(lambda v: 0.0 <= v < 1.0, "in [0,1)")
+# an id or a frame: a bool or a float, even an integral one, would not read back as one
+ANY_INTEGER = integer(lambda v: True, "an integer")
 ODD_WINDOW = integer(lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 # a frame side is used as a float, so it must convert to one
 FRAME_SIDE = integer(lambda v: 1 <= v <= sys.float_info.max, "an integer in [1, 1.8e308]")

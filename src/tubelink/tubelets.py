@@ -24,7 +24,6 @@ but are new objects. filter_short applies its one comparison to a list.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -32,9 +31,9 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import _MAX_ID, BBox, FrameShape, added, check_boxes
+from .geometry import _BOOLS, _MAX_ID, BBox, FrameShape, added, check_boxes, require_score
 from .io import BoxColumns, VideoDetections, columns_of
-from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, integer, one_of, shown
+from .settings import ANY_INTEGER, ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, shown
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
 
 
@@ -48,12 +47,14 @@ class TubeletEntry:
     interpolated: bool = False
 
     def __post_init__(self):
+        if type(self.frame_idx) is not int:
+            ANY_INTEGER.require("frame_idx", self.frame_idx)
         if self.frame_idx < 0:
             raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
         if self.frame_idx > _MAX_ID:
             raise ValidationError(f"frame_idx must be at most 2**63 - 1, got {shown(self.frame_idx)}")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score out of [0,1]: {self.score!r}")
+        if not 0.0 <= self.score <= 1.0 or type(self.score) in _BOOLS:
+            require_score(self.score)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,9 @@ class Tubelet:
 
     def __post_init__(self):
         # any size: link_tubelets orders by id, and #tubelets files carry ids of any size
-        integer(lambda i: True, "an integer").require("tubelet_id", self.tubelet_id)
+        if not (type(self.tubelet_id) is int and type(self.class_id) is int):
+            ANY_INTEGER.require("tubelet_id", self.tubelet_id)
+            ANY_INTEGER.require("class_id", self.class_id)
         if self.class_id < 0:
             raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
         if self.class_id > _MAX_ID:

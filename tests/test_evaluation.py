@@ -26,7 +26,8 @@ from tubelink import (
 )
 from tubelink import evaluation
 from tubelink.cli import main
-from tubelink.evaluation import EvalReport, _pr_points
+from tubelink.evaluation import EvalReport, _pr_points, evaluate_columns
+from tubelink.io import columns_of
 
 from conftest import SHAPE, det, random_bbox
 from test_simulate import time_limit
@@ -410,7 +411,7 @@ def rivals_per_cell(pairs):
 
 def spy_rounds(monkeypatch):
     """Record the rivals' cells round by round and the round bounds of every
-    _match_class call."""
+    _match call."""
     seen, rounds = [], evaluation._rounds
 
     def spy(cells):
@@ -670,13 +671,17 @@ class TestSinglePassMatchesOracle:
         assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
 
     def test_class_on_one_side_only(self, rng):
-        v, g = clustered_pair(rng, "v", 5, 1)
-        frames_p = {f: v.frames[f] + [det(frame=f, cls=3, score=0.4)] for f in range(5)}
-        frames_g = {f: g.frames[f] + [TrackBox(f, 5, 99, BBox(1, 1, 9, 9))] for f in range(5)}
-        pairs = [stream_pair(frames_p, frames_g, 5)]
-        rep = evaluate_streams(pairs)
-        assert {3, 5} <= set(rep.classes)
-        assert_same_report(rep, evaluate_oracle(pairs))
+        """Class 3 has predictions only and class 5 gt only, among classes
+        0-2 that have both and share their cells."""
+        for _ in range(20):
+            v, g = clustered_pair(rng, "v", 5, 3)
+            frames_p = {f: v.frames[f] + [det(frame=f, cls=3, score=0.4)] for f in range(5)}
+            frames_g = {f: g.frames[f] + [TrackBox(f, 5, 99, BBox(1, 1, 9, 9))] for f in range(5)}
+            pairs = [stream_pair(frames_p, frames_g, 5)]
+            rep = evaluate_streams(pairs)
+            assert {3, 5} <= set(rep.classes)
+            assert all(rep.per_class_ap[(c, t)] == 0.0 for c in (3, 5) for t in IOU_THRESHOLDS)
+            assert_same_report(rep, evaluate_oracle(pairs))
 
     def test_empty_streams(self):
         cases = [
@@ -728,3 +733,101 @@ class TestSinglePassMatchesOracle:
             for c in want.classes for t in IOU_THRESHOLDS for r, p in want.pr_curves[(c, t)]
         ]
         assert pr.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------------ every class in one pass
+
+def ranked_ap_reference(is_tp, num_gt):
+    """The per-class AP computation that the one AP pass replaced: cumsum,
+    recall and precision, the envelope as a running max from the right,
+    searchsorted at the 101 recalls and np.mean of the samples."""
+    if num_gt == 0 or not len(is_tp):
+        return 0.0
+    tp = np.cumsum(is_tp, dtype=float)
+    n = np.arange(1, len(tp) + 1)
+    recall = tp / num_gt
+    precision = tp / n
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
+    sampled = np.where(idx < len(tp), envelope[np.minimum(idx, len(tp) - 1)], 0.0)
+    return float(np.mean(sampled))
+
+
+def many_classes_pair(rng, vid, frame_count, classes, scores=None):
+    """clustered_pair with the class ids drawn from `classes`, so that many
+    classes share each (video, frame) cell."""
+    v, g = clustered_pair(rng, vid, frame_count, len(classes), scores)
+    frames_p = {f: [dataclasses.replace(d, class_id=classes[d.class_id]) for d in ds]
+                for f, ds in v.frames.items()}
+    frames_g = {f: [dataclasses.replace(b, class_id=classes[b.class_id]) for b in bs]
+                for f, bs in g.frames.items()}
+    return stream_pair(frames_p, frames_g, frame_count, vid=vid)
+
+
+class TestEveryClassInOnePass:
+    def test_segment_aps_equal_the_per_class_computation(self, rng):
+        """Random segments, empty ones and ones without gt included: each
+        AP has the bits of the per-class computation, and each TP count is
+        the segment's."""
+        for _ in range(200):
+            sizes = rng.integers(0, 40, size=int(rng.integers(1, 30)))
+            sizes[rng.random(len(sizes)) < 0.2] = 0
+            is_tp = rng.random(int(sizes.sum())) < rng.uniform(0, 1)
+            num_gt = rng.integers(0, 60, size=len(sizes))
+            num_gt[rng.random(len(sizes)) < 0.2] = 0
+            aps, tps = evaluation._segment_aps(is_tp, sizes, num_gt)
+            segments = np.split(is_tp, np.cumsum(sizes)[:-1])
+            assert aps.tolist() == [ranked_ap_reference(s, k) for s, k in zip(segments, num_gt.tolist())]
+            assert tps.tolist() == [int(s.sum()) for s in segments]
+
+    def test_average_precision_is_the_segment_ap(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(0, 30))
+            flags = rng.random(n) < rng.uniform(0, 1)
+            num_gt = int(rng.integers(0, 40))
+            scored = list(zip(np.linspace(1.0, 0.0, n).tolist(), flags.tolist()))
+            want = evaluation._segment_aps(flags, np.array([n]), np.array([num_gt]))[0][0]
+            assert average_precision(scored, num_gt) == want == ranked_ap_reference(flags, num_gt)
+        assert average_precision([], 0) == average_precision([], 3) == 0.0
+        assert average_precision([(0.5, True)], 0) == 0.0
+
+    def test_the_smallest_and_largest_class_ids_together(self, rng):
+        big = 2**63 - 1
+        for _ in range(20):
+            pairs = [many_classes_pair(rng, vid, 4, [0, big]) for vid in ("a", "b")]
+            rep = evaluate_streams(pairs)
+            assert set(rep.classes) <= {0, big}
+            assert_same_report(rep, evaluate_oracle(pairs))
+        assert rep.classes == [0, big]
+        assert rep.to_dict()["per_class_ap"].keys() == {"0", str(big)}
+
+    def test_many_classes_share_the_cells_of_pooled_videos(self, rng):
+        """Eight classes in the cells of 2-4 videos; in half the calls three
+        scores only, so a class's ranking holds runs of equal scores that
+        stay in stream order across frames and videos."""
+        classes = [3, 5, 8, 13, 21, 34, 55, 89]
+        for k in range(30):
+            scores = (0.3, 0.6, 0.9) if k % 2 else None
+            pairs = [many_classes_pair(rng, f"v{j}", int(rng.integers(2, 6)), classes, scores)
+                     for j in range(int(rng.integers(2, 5)))]
+            rep = evaluate_streams(pairs)
+            assert_same_report(rep, evaluate_oracle(pairs))
+        assert len(rep.classes) >= 6
+
+    def test_a_frame_outside_its_video_is_refused(self, rng):
+        """Frames are numbered across the pooled videos, so a frame at or past
+        frame_count would fall into the next video's cells: it is refused."""
+        cols = []
+        while not (cols and all(len(c.frame_idx) for c in cols[0])):
+            pairs = [many_classes_pair(rng, vid, 3, [1, 2]) for vid in ("a", "b")]
+            cols = [(columns_of(v), columns_of(g)) for v, g in pairs]
+        assert_same_report(evaluate_columns(cols), evaluate_oracle(pairs))
+        for side in (0, 1):
+            for frame in (-1, 3):
+                bad = [list(pair) for pair in cols]
+                s = bad[0][side]
+                frames = s.frame_idx.copy()
+                frames[-1] = frame
+                bad[0][side] = dataclasses.replace(s, frame_idx=frames)
+                with pytest.raises(ContractError, match=r"frame_idx out of \[0, 3\) in 'a'"):
+                    evaluate_columns([tuple(pair) for pair in bad])

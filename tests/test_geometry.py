@@ -30,6 +30,17 @@ class TestBBoxValidation:
             BBox(*box)
 
 
+    @pytest.mark.parametrize("box, field", [
+        ((10 ** 400, 0, 1, 1), "x"), ((0, 0, 1, -10 ** 400), "h"),
+        # the corner x + w is a small integer, but x is beyond the float range
+        ((-10 ** 400, 0, 10 ** 400 + 5, 1), "x"), ((0, 10 ** 400, 1, 3 - 10 ** 400), "y"),
+    ])
+    def test_integer_beyond_float_range_names_its_field(self, box, field):
+        # math.isfinite used to raise a bare OverflowError for these
+        with pytest.raises(ValidationError, match=f"^bbox field {field} is not finite: -?1000"):
+            BBox(*box)
+
+
 class TestDetectionValidation:
     def test_score_above_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -42,6 +53,30 @@ class TestDetectionValidation:
     def test_non_unit_appearance_rejected(self):
         with pytest.raises(ValidationError):
             det(app=(1.0, 1.0))
+
+    def test_score_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match=r"^score out of \[0,1\]: 1000"):
+            Detection(0, 0, BBox(0, 0, 1, 1), 10 ** 400)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame_idx", 1.0), ("frame_idx", True), ("frame_idx", np.float64(2.0)), ("frame_idx", "0"),
+        ("class_id", 0.0), ("class_id", False), ("class_id", np.bool_(True)), ("class_id", None),
+    ])
+    def test_ids_and_frames_must_be_integers(self, field, value):
+        # a float frame used to construct, and its written line 1.0 0 ... did not read back
+        fields = {"frame_idx": 0, "class_id": 0, field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            Detection(fields["frame_idx"], fields["class_id"], BBox(0, 0, 1, 1), 0.5)
+
+    @pytest.mark.parametrize("score", [True, False, np.bool_(True)])
+    def test_bool_score_rejected(self, score):
+        with pytest.raises(ValidationError, match="^score must be a number, not a bool"):
+            Detection(0, 0, BBox(0, 0, 1, 1), score)
+
+    def test_numpy_ids_frames_and_scores_taken(self):
+        d = Detection(np.int64(3), np.uint8(2), BBox(0, 0, 1, 1), np.float32(0.5))
+        assert (d.frame_idx, d.class_id, d.score) == (3, 2, 0.5)
+        assert Detection(0, 0, BBox(0, 0, 1, 1), 1).score == 1
 
     def test_unit_appearance_accepted(self):
         d = det(app=(0.6, 0.8))

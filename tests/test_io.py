@@ -333,6 +333,24 @@ class TestContainerValidation:
         with pytest.raises(ValidationError):
             VideoDetections("a b", SHAPE, 1, {})
 
+    @pytest.mark.parametrize("field", ["frame_idx", "class_id", "track_id"])
+    @pytest.mark.parametrize("value", [1.0, True, np.float64(1), np.bool_(False)])
+    def test_track_box_ids_and_frame_must_be_integers(self, field, value):
+        fields = {"frame_idx": 0, "class_id": 0, "track_id": 0, field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            TrackBox(**fields, bbox=BBox(0, 0, 5, 5))
+
+    def test_numpy_integer_ids_write_and_read_back(self, tmp_path):
+        box = BBox(1.0, 2.0, 3.0, 4.0)
+        v = VideoDetections("v", SHAPE, 5, {3: [Detection(np.int64(3), np.int32(2), box, 0.5)]})
+        g = GroundTruth("v", SHAPE, 5, {4: [TrackBox(np.int64(4), np.uint16(7), np.int8(1), box)]})
+        write_detections(v, tmp_path / "d.txt")
+        write_ground_truth(g, tmp_path / "g.txt")
+        assert (tmp_path / "d.txt").read_text().splitlines()[1] == "3 2 1.0 2.0 3.0 4.0 0.5"
+        assert (tmp_path / "g.txt").read_text().splitlines()[1] == "4 7 1 1.0 2.0 3.0 4.0"
+        assert read_detections(tmp_path / "d.txt") == v
+        assert read_ground_truth(tmp_path / "g.txt") == g
+
     def test_gt_duplicate_track_in_frame(self):
         boxes = [
             TrackBox(0, 0, 3, BBox(0, 0, 5, 5)),

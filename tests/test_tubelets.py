@@ -511,6 +511,27 @@ class TestTubeletInvariants:
         with pytest.raises(ValidationError, match=message):
             TubeletEntry(frame, BBox(0, 0, 5, 5), score)
 
+    @pytest.mark.parametrize("frame, score, message", [
+        (1.0, 0.5, "^frame_idx must be an integer, got 1.0$"),
+        (True, 0.5, "^frame_idx must be an integer, got True$"),
+        (np.float64(0), 0.5, r"^frame_idx must be an integer, got np.float64\(0.0\)$"),
+        (0, True, "^score must be a number, not a bool: True$"),
+        (0, 10 ** 400, r"^score out of \[0,1\]: 1000"),
+    ])
+    def test_entry_frame_type_and_score_type_rejected(self, frame, score, message):
+        # 10**400 used to raise a bare OverflowError from math.isfinite
+        with pytest.raises(ValidationError, match=message):
+            TubeletEntry(frame, BBox(0, 0, 5, 5), score)
+
+    @pytest.mark.parametrize("class_id", [0.0, True, np.float32(1)])
+    def test_class_must_be_an_integer(self, class_id):
+        with pytest.raises(ValidationError, match="^class_id must be an integer, got "):
+            Tubelet(0, class_id, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
+
+    def test_numpy_frames_and_classes_taken(self):
+        t = Tubelet(0, np.int32(4), (TubeletEntry(np.int64(7), BBox(0, 0, 5, 5), np.float64(0.5)),))
+        assert (t.class_id, t.start_frame) == (4, 7)
+
     def test_negative_class_rejected(self):
         # tubelet_link_score used to catch this only by building a Detection
         with pytest.raises(ValidationError, match="class_id"):
