@@ -3,32 +3,35 @@
 Boxes are axis-aligned (x, y, w, h) with a top-left pixel origin. All types
 here are immutable values and all operations are pure functions, so they are
 safe to share across workers.
+
+The value types (BBox and Detection here, io.TrackBox, tubelets.TubeletEntry
+and tubelets.Tubelet) check their fields on construction, one Check per
+rule: every id and frame with ID, a Python or numpy integer in
+[0, 2**63 - 1] that is not a bool (Tubelet.tubelet_id may be any integer);
+every score with settings.UNIT_CLOSED, a number in [0, 1] that is not a
+bool; every box field with settings.FINITE, a finite number. A field that
+breaks its rule raises ValidationError worded as a setting's is,
+``<field> must be <expect>, got <value>``. Each constructor runs one inline
+test per rule (a Python int in range, a Python float in [0, 1], BBox's
+finite corners) and sends only a value that fails it to the Check, which
+takes numpy values too and words the error.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .settings import ANY_INTEGER, FRAME_SIDE, UNIT_OPEN, shown
+from .settings import FINITE, FRAME_SIDE, UNIT_CLOSED, UNIT_OPEN, Check, integer
 
-_MAX_ID = 2 ** 63 - 1  # the largest class id, track id or tubelet frame: each fits int64 columns
-_BOOLS = {bool, np.bool_}
-
-
-def require_score(score) -> None:
-    """Raise ValidationError unless score is a number in [0, 1]: NaN and
-    bools are not. The value types call this only when their own test,
-    0 <= score <= 1 and not a bool, fails. Python compares an integer
-    beyond the float range with a float exactly, so it needs no isfinite."""
-    if type(score) in _BOOLS:
-        raise ValidationError(f"score must be a number, not a bool: {score!r}")
-    if not 0.0 <= score <= 1.0:
-        raise ValidationError(f"score out of [0,1]: {shown(score)}")
+_MAX_ID = 2 ** 63 - 1  # the largest class id, track id or frame: each fits int64 columns
+ID = integer(lambda v: 0 <= v <= _MAX_ID, "an integer in [0, 2**63 - 1]")
+# a descriptor is hashed with its Detection and read by columns_of as a sequence
+APPEARANCE = Check(lambda v: v is None or isinstance(v, tuple) and all(map(FINITE.ok, v)),
+                   "None or a tuple of finite numbers")
 
 
 def added(values):
@@ -52,16 +55,15 @@ class BBox:
         # The corners x + w and y + h are finite only when all four fields
         # are, and every IoU takes differences of them: an inf corner gives NaN.
         # Taken in float (x * 1.0), an integer field beyond the float range
-        # raises OverflowError, even where x + w would be a small integer.
+        # raises OverflowError, even where x + w would be a small integer; a
+        # field that is not a number raises TypeError.
         try:
             corners = math.isfinite(self.x * 1.0 + self.w) and math.isfinite(self.y * 1.0 + self.h)
-        except OverflowError:
+        except (OverflowError, TypeError):
             corners = False
         if not corners:
             for name in ("x", "y", "w", "h"):
-                v = getattr(self, name)
-                if not abs(v) <= sys.float_info.max:  # false for NaN, inf and such integers
-                    raise ValidationError(f"bbox field {name} is not finite: {shown(v)}")
+                FINITE.require(f"bbox.{name}", getattr(self, name))
             raise ValidationError(
                 f"bbox corner is not finite: x + w = {self.x + self.w!r}, "
                 f"y + h = {self.y + self.h!r}"
@@ -106,8 +108,9 @@ class FrameShape:
 class Detection:
     """One detector output: a scored, classed box in one frame.
 
-    The appearance descriptor is optional; when present it must be
-    unit-norm (used only for cosine similarity between detections).
+    The appearance descriptor is optional; when present it must be a
+    unit-norm tuple of finite numbers (used only for cosine similarity
+    between detections).
     """
 
     frame_idx: int
@@ -117,23 +120,23 @@ class Detection:
     appearance: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        # one type test for an int; the Check, which takes numpy integers, otherwise
-        if not (type(self.frame_idx) is int and type(self.class_id) is int):
-            ANY_INTEGER.require("frame_idx", self.frame_idx)
-            ANY_INTEGER.require("class_id", self.class_id)
-        if self.frame_idx < 0:
-            raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
-        if self.class_id > _MAX_ID:
-            raise ValidationError(f"class_id must be at most 2**63 - 1, got {shown(self.class_id)}")
-        if not 0.0 <= self.score <= 1.0 or type(self.score) in _BOOLS:
-            require_score(self.score)
-        if self.appearance is not None:
+        # one inline test per rule; only a value that fails it goes to the
+        # rule's Check, which also takes numpy values and names the field
+        f, k, s, a = self.frame_idx, self.class_id, self.score, self.appearance
+        if not (type(f) is int and type(k) is int and 0 <= f <= _MAX_ID and 0 <= k <= _MAX_ID):
+            ID.require("frame_idx", f)
+            ID.require("class_id", k)
+        if not (type(s) is float and 0.0 <= s <= 1.0):
+            UNIT_CLOSED.require("score", s)
+        if a is not None:
             # a NaN would pass the norm test below, as every comparison with it fails
-            if not all(map(math.isfinite, self.appearance)):
-                raise ValidationError("appearance vector has a non-finite component")
-            norm = math.sqrt(added(a * a for a in self.appearance))
+            try:
+                finite = type(a) is tuple and all(map(math.isfinite, a))
+            except (OverflowError, TypeError):
+                finite = False
+            if not finite:
+                APPEARANCE.require("appearance", a)
+            norm = math.sqrt(added(v * v for v in a))
             if abs(norm - 1.0) > 1e-6:
                 raise ValidationError(
                     f"appearance vector is not unit-norm (|v| = {norm:.9f})"

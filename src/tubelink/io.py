@@ -27,11 +27,18 @@ when it is constructed, so every stream writes a header that reads back.
 
 read_columns, the one parser of stream files, gives a file's boxes as arrays
 in stored order, by frame: descriptors as rows of one matrix, the ids of a
-``#tubelets`` file as Python ints of any size, track ids as int64. Class and
-track ids are at most 2**63 - 1, so every stream fits the arrays. The object
-readers build their objects from these columns. columns_of and stream_of map
-a stream and its ids to columns and back. write_detections writes either,
-each line formatted in one place.
+``#tubelets`` file as Python ints of any size, track ids as int64. Every
+frame, class id and track id is one that geometry.ID takes, an integer in
+[0, 2**63 - 1], so every stream fits the arrays. The object readers build
+their objects from these columns. columns_of and stream_of map a stream and
+its ids to columns and back. write_detections writes either, each line
+formatted in one place; it refuses a tubelet id that settings.ANY_INTEGER
+refuses, as the reader would, before it writes anything.
+
+A line that breaks a value rule raises the error of the object it would
+make (BBox, then Detection or TrackBox), so a file's message is the value
+types' own, prefixed with path:line: for example
+``d.txt:2: score must be in [0,1], got 1.3``.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ContractError, ParseError, ValidationError
-from .geometry import _MAX_ID, BBox, Detection, FrameShape, added
+from .geometry import _MAX_ID, ID, BBox, Detection, FrameShape, added
 from .settings import ANY_INTEGER, Check, integer, shown
 
 HEADER_TAG = "#video"
@@ -130,18 +137,13 @@ class TrackBox:
     bbox: BBox
 
     def __post_init__(self):
-        if not (type(self.frame_idx) is int and type(self.class_id) is int
-                and type(self.track_id) is int):
-            for name in ("frame_idx", "class_id", "track_id"):
-                ANY_INTEGER.require(name, getattr(self, name))
-        if self.frame_idx < 0 or self.class_id < 0 or self.track_id < 0:
-            raise ValidationError(
-                f"frame_idx/class_id/track_id must be >= 0: "
-                f"({shown(self.frame_idx)}, {shown(self.class_id)}, {shown(self.track_id)})"
-            )
-        if max(self.class_id, self.track_id) > _MAX_ID:
-            raise ValidationError(f"class_id/track_id must be at most 2**63 - 1: "
-                                  f"({shown(self.class_id)}, {shown(self.track_id)})")
+        # one inline test; only a value that fails it goes to ID, as in Detection
+        f, k, t = self.frame_idx, self.class_id, self.track_id
+        if not (type(f) is int and type(k) is int and type(t) is int
+                and 0 <= f <= _MAX_ID and 0 <= k <= _MAX_ID and 0 <= t <= _MAX_ID):
+            ID.require("frame_idx", f)
+            ID.require("class_id", k)
+            ID.require("track_id", t)
 
 
 @dataclass
@@ -269,11 +271,11 @@ def write_detections(
     for every stream, as a stream refuses header fields that would not read
     back when it is constructed.
 
-    tubelet_ids, when given with a stream, must hold one id per detection,
-    keyed and ordered exactly like v.frames (a frame without detections may
-    hold an empty list); they are emitted as an extra column announced by a
-    ``#tubelets`` marker line. Columns, as postprocess writes them, carry
-    their own tubelet_id column and are written row by row.
+    tubelet_ids, when given with a stream, must hold one integer id per
+    detection, keyed and ordered exactly like v.frames (a frame without
+    detections may hold an empty list); they are emitted as an extra column
+    announced by a ``#tubelets`` marker line. Columns, as postprocess writes
+    them, carry their own tubelet_id column and are written row by row.
     """
     if isinstance(v, BoxColumns):
         if tubelet_ids is not None:
@@ -351,10 +353,16 @@ class BoxColumns:
 
 def _flat_ids(s: _Stream, ids: Mapping) -> list:
     """ids, one list per frame parallel to s.frames (a frame without boxes
-    may hold an empty list), in stored order; any other count raises."""
+    may hold an empty list), in stored order. Any other count, or an id that
+    ANY_INTEGER refuses and a #tubelets file would not read back, raises
+    ValidationError naming the frame."""
     for idx in sorted(s.frames.keys() | ids.keys()):
         if len(ids.get(idx, ())) != len(s.frames[idx]):
             raise ValidationError(f"tubelet_ids for frame {idx} do not match detection count")
+    for idx in s.frames:
+        for i in ids[idx]:
+            if type(i) is not int:
+                ANY_INTEGER.require(f"tubelet_id in frame {idx}", i)
     return [i for idx in s.frames for i in ids[idx]]
 
 

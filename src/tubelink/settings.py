@@ -72,6 +72,7 @@ def one_of(*choices: str) -> Check:
     return Check(lambda v: v in choices, "one of " + ", ".join(choices))
 
 
+FINITE = real(lambda v: abs(v) <= sys.float_info.max, "a finite number")  # false for NaN
 NON_NEGATIVE = real(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 UNIT_OPEN = real(lambda v: 0.0 < v < 1.0, "in (0,1)")
 UNIT_CLOSED = real(lambda v: 0.0 <= v <= 1.0, "in [0,1]")

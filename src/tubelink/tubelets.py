@@ -31,10 +31,16 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import _BOOLS, _MAX_ID, BBox, FrameShape, added, check_boxes, require_score
+from .geometry import _MAX_ID, ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
-from .settings import ANY_INTEGER, ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, int_at_least, one_of, shown
+from .settings import (
+    ANY_INTEGER, ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, int_at_least, one_of, shown,
+)
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
+
+
+# a Python or numpy bool, as the value types take numpy integers and floats
+FLAG = Check(lambda v: isinstance(v, (bool, np.bool_)), "True or False")
 
 
 @dataclass(frozen=True)
@@ -47,14 +53,19 @@ class TubeletEntry:
     interpolated: bool = False
 
     def __post_init__(self):
-        if type(self.frame_idx) is not int:
-            ANY_INTEGER.require("frame_idx", self.frame_idx)
-        if self.frame_idx < 0:
-            raise ValidationError(f"frame_idx must be >= 0, got {shown(self.frame_idx)}")
-        if self.frame_idx > _MAX_ID:
-            raise ValidationError(f"frame_idx must be at most 2**63 - 1, got {shown(self.frame_idx)}")
-        if not 0.0 <= self.score <= 1.0 or type(self.score) in _BOOLS:
-            require_score(self.score)
+        # one inline test per rule, as in Detection
+        f, s = self.frame_idx, self.score
+        if not (type(f) is int and 0 <= f <= _MAX_ID):
+            ID.require("frame_idx", f)
+        if not (type(s) is float and 0.0 <= s <= 1.0):
+            UNIT_CLOSED.require("score", s)
+        if type(self.interpolated) is not bool:
+            FLAG.require("interpolated", self.interpolated)
+
+
+# a tuple, so that a Tubelet hashes like the other value types
+ENTRIES = Check(lambda v: isinstance(v, tuple) and v != () and all(
+    isinstance(e, TubeletEntry) for e in v), "a non-empty tuple of TubeletEntry")
 
 
 @dataclass(frozen=True)
@@ -67,17 +78,15 @@ class Tubelet:
 
     def __post_init__(self):
         # any size: link_tubelets orders by id, and #tubelets files carry ids of any size
-        if not (type(self.tubelet_id) is int and type(self.class_id) is int):
-            ANY_INTEGER.require("tubelet_id", self.tubelet_id)
-            ANY_INTEGER.require("class_id", self.class_id)
-        if self.class_id < 0:
-            raise ValidationError(f"class_id must be >= 0, got {shown(self.class_id)}")
-        if self.class_id > _MAX_ID:
-            raise ValidationError(f"class_id must be at most 2**63 - 1, got {shown(self.class_id)}")
-        if not self.entries:
-            raise ValidationError("tubelet must hold at least one entry")
-        start = self.entries[0].frame_idx
-        for k, e in enumerate(self.entries):
+        i, c = self.tubelet_id, self.class_id
+        if not (type(i) is int and type(c) is int and 0 <= c <= _MAX_ID):
+            ANY_INTEGER.require("tubelet_id", i)
+            ID.require("class_id", c)
+        es = self.entries
+        if not (type(es) is tuple and set(map(type, es)) == {TubeletEntry}):
+            ENTRIES.require("entries", es)
+        start = es[0].frame_idx
+        for k, e in enumerate(es):
             if e.frame_idx != start + k:
                 raise ValidationError(
                     f"tubelet {shown(self.tubelet_id)} has a hole: entry {k} is at frame "

@@ -283,7 +283,7 @@ def test_fuzz_eval_paths_agree(tmp_path_factory, texts, per_video):
     if texts == BEYOND_INT64:
         assert columns[0] == 1
     if texts == TWO_BAD_LINES:
-        assert columns[:3] == (1, "", f"error: {paths[0][0]}:2: score out of [0,1]: 1.5\n")
+        assert columns[:3] == (1, "", f"error: {paths[0][0]}:2: score must be in [0,1], got 1.5\n")
 
 
 # Extreme valid boxes: sides from 1e-300 to 1e300, coordinates far from 0,

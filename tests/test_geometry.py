@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,41 +39,17 @@ class TestBBoxValidation:
     ])
     def test_integer_beyond_float_range_names_its_field(self, box, field):
         # math.isfinite used to raise a bare OverflowError for these
-        with pytest.raises(ValidationError, match=f"^bbox field {field} is not finite: -?1000"):
+        with pytest.raises(ValidationError,
+                           match=rf"^bbox\.{field} must be a finite number, got -?1000"):
             BBox(*box)
 
 
 class TestDetectionValidation:
-    def test_score_above_one_rejected(self):
-        with pytest.raises(ValidationError):
-            det(score=1.3)
-
-    def test_negative_frame_rejected(self):
-        with pytest.raises(ValidationError):
-            det(frame=-1)
+    # the rules of ids, frames and scores are tested in test_value_types.py
 
     def test_non_unit_appearance_rejected(self):
         with pytest.raises(ValidationError):
             det(app=(1.0, 1.0))
-
-    def test_score_beyond_float_range_rejected(self):
-        with pytest.raises(ValidationError, match=r"^score out of \[0,1\]: 1000"):
-            Detection(0, 0, BBox(0, 0, 1, 1), 10 ** 400)
-
-    @pytest.mark.parametrize("field, value", [
-        ("frame_idx", 1.0), ("frame_idx", True), ("frame_idx", np.float64(2.0)), ("frame_idx", "0"),
-        ("class_id", 0.0), ("class_id", False), ("class_id", np.bool_(True)), ("class_id", None),
-    ])
-    def test_ids_and_frames_must_be_integers(self, field, value):
-        # a float frame used to construct, and its written line 1.0 0 ... did not read back
-        fields = {"frame_idx": 0, "class_id": 0, field: value}
-        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
-            Detection(fields["frame_idx"], fields["class_id"], BBox(0, 0, 1, 1), 0.5)
-
-    @pytest.mark.parametrize("score", [True, False, np.bool_(True)])
-    def test_bool_score_rejected(self, score):
-        with pytest.raises(ValidationError, match="^score must be a number, not a bool"):
-            Detection(0, 0, BBox(0, 0, 1, 1), score)
 
     def test_numpy_ids_frames_and_scores_taken(self):
         d = Detection(np.int64(3), np.uint8(2), BBox(0, 0, 1, 1), np.float32(0.5))
@@ -87,7 +65,8 @@ class TestDetectionValidation:
         # a NaN used to pass the unit-norm test, and its cosine then clamped
         # to the maximal similarity 1.0 against any box
         for app in ((0.9, bad, 0.0), (bad,), (1.0, 0.0, bad)):
-            with pytest.raises(ValidationError, match="non-finite component"):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"appearance must be None or a tuple of finite numbers, got {app!r}")):
                 det(app=app)
 
 

@@ -233,7 +233,7 @@ class TestCliPostprocess:
                             "1 0 1.6e308 0 1e307 5 0.9\n")
         rc = main(["postprocess", "--detections", str(det_path), "--out", str(tmp_path / "o.txt")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: bbox field x is not finite: inf\n"
+        assert capsys.readouterr().err == "error: bbox.x must be a finite number, got inf\n"
 
     def test_descriptor_lengths_differ_is_a_data_error(self, tmp_path, capsys):
         # found by tests/test_fuzz_readers.py: np.dot's shape ValueError used
@@ -295,7 +295,8 @@ class TestCliPostprocess:
         assert runs[0] == runs[1]
         code, printed, files = runs[0]
         assert code == 1 and printed.out.startswith("sim-1: ") and printed.out.count("\n") == 1
-        assert printed.err.startswith("error: b.txt:") and "score out of [0,1]: 1.5" in printed.err
+        assert printed.err.startswith("error: b.txt:")
+        assert "score must be in [0,1], got 1.5" in printed.err
         assert files.keys() == {"a.txt", "b.txt", "c.txt", "a.out"}
         assert files["c.txt"] == inputs["c.txt"]
 
@@ -735,7 +736,7 @@ class TestCliEval:
                 "eval": ["--ground-truth", str(gt_path)], "inspect": []}[command]
         assert main([command, "--detections", str(det_path), *argv]) == 1
         assert capsys.readouterr().err == (
-            f"error: {det_path}:3: class_id must be at most 2**63 - 1, got {2 ** 63}\n")
+            f"error: {det_path}:3: class_id must be an integer in [0, 2**63 - 1], got {2 ** 63}\n")
 
 
 class TestCliInspect:

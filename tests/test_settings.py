@@ -339,7 +339,7 @@ BOX = BBox(0, 0, 5, 5)
     (lambda: link_tubelets([], default_model(), -HUGE_INT, 0.5, FrameShape(10, 10)),
      ContractError, "g_max must be an integer >= 0, got a negative integer of 16610 bits"),
     (lambda: Detection(0, HUGE_INT, BOX, 0.5), ValidationError,
-     "class_id must be at most 2**63 - 1, got an integer of 16610 bits"),
+     "class_id must be an integer in [0, 2**63 - 1], got an integer of 16610 bits"),
     (lambda: VideoDetections("v", FrameShape(10, 10), HUGE_INT), ValidationError,
      "frame_count must be an integer in [0, 1000000], got an integer of 16610 bits"),
     (lambda: Tubelet(HUGE_INT, 0, (TubeletEntry(0, BOX, 0.5), TubeletEntry(2, BOX, 0.5))),

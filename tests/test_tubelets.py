@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -490,6 +489,8 @@ class TestFilterShort:
 
 
 class TestTubeletInvariants:
+    # the rules of ids, frames, scores and flags are tested in test_value_types.py
+
     def test_hole_rejected(self):
         entries = (
             TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),
@@ -502,65 +503,14 @@ class TestTubeletInvariants:
         with pytest.raises(ValidationError):
             Tubelet(0, 0, ())
 
-    @pytest.mark.parametrize("frame, score, message", [
-        (-1, 0.5, "^frame_idx must be >= 0, got -1$"),
-        (0, 1.5, r"^score out of \[0,1\]: 1.5$"),
-        (0, math.nan, r"^score out of \[0,1\]: nan$"),
-    ])
-    def test_entry_frame_and_score_rejected(self, frame, score, message):
-        with pytest.raises(ValidationError, match=message):
-            TubeletEntry(frame, BBox(0, 0, 5, 5), score)
-
-    @pytest.mark.parametrize("frame, score, message", [
-        (1.0, 0.5, "^frame_idx must be an integer, got 1.0$"),
-        (True, 0.5, "^frame_idx must be an integer, got True$"),
-        (np.float64(0), 0.5, r"^frame_idx must be an integer, got np.float64\(0.0\)$"),
-        (0, True, "^score must be a number, not a bool: True$"),
-        (0, 10 ** 400, r"^score out of \[0,1\]: 1000"),
-    ])
-    def test_entry_frame_type_and_score_type_rejected(self, frame, score, message):
-        # 10**400 used to raise a bare OverflowError from math.isfinite
-        with pytest.raises(ValidationError, match=message):
-            TubeletEntry(frame, BBox(0, 0, 5, 5), score)
-
-    @pytest.mark.parametrize("class_id", [0.0, True, np.float32(1)])
-    def test_class_must_be_an_integer(self, class_id):
-        with pytest.raises(ValidationError, match="^class_id must be an integer, got "):
-            Tubelet(0, class_id, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
-
     def test_numpy_frames_and_classes_taken(self):
         t = Tubelet(0, np.int32(4), (TubeletEntry(np.int64(7), BBox(0, 0, 5, 5), np.float64(0.5)),))
         assert (t.class_id, t.start_frame) == (4, 7)
-
-    def test_negative_class_rejected(self):
-        # tubelet_link_score used to catch this only by building a Detection
-        with pytest.raises(ValidationError, match="class_id"):
-            Tubelet(0, -1, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
-
-    @pytest.mark.parametrize("tubelet_id", ["x", True, 1.5, 2.0, None])
-    def test_tubelet_id_must_be_an_integer(self, tubelet_id):
-        # mixed id types made link_tubelets and tubelets_to_detections raise a bare TypeError
-        with pytest.raises(ValidationError, match=f"^tubelet_id must be an integer, got "
-                                                  f"{re.escape(repr(tubelet_id))}$"):
-            Tubelet(tubelet_id, 0, (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),))
 
     @pytest.mark.parametrize("tubelet_id", [-2 ** 70, -1, 2 ** 63, 2 ** 70, np.int64(7)])
     def test_tubelet_id_of_any_size_is_taken(self, tubelet_id):
         entries = (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),)
         assert Tubelet(tubelet_id, 0, entries).tubelet_id == tubelet_id
-
-    def test_class_and_frame_beyond_int64_rejected(self):
-        # both are int64 columns in TubeletColumns: a larger value used to
-        # escape every stage as a raw OverflowError
-        box = BBox(0, 0, 5, 5)
-        with pytest.raises(ValidationError, match=r"^class_id must be at most 2\*\*63 - 1, got "
-                                                  f"{2 ** 63}$"):
-            Tubelet(0, 2 ** 63, (TubeletEntry(0, box, 0.5),))
-        with pytest.raises(ValidationError, match=r"^frame_idx must be at most 2\*\*63 - 1, got "
-                                                  f"{2 ** 63}$"):
-            TubeletEntry(2 ** 63, box, 0.5)
-        with pytest.raises(ValidationError, match="frame_idx must be at most"):
-            Tubelet(0, 0, (TubeletEntry(2 ** 63 - 1, box, 0.5), TubeletEntry(2 ** 63, box, 0.5)))
 
     def test_largest_class_and_frame_pass_every_stage(self):
         top = 2 ** 63 - 1
