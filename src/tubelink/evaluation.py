@@ -34,12 +34,14 @@ import numpy as np
 from .errors import ContractError
 from .geometry import BBox, Detection, iou_corners, iou_matrix
 from .io import BoxColumns, GroundTruth, VideoDetections, columns_of
+from .settings import UNIT_CLOSED, int_at_least
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
 _ROW = {t: k for k, t in enumerate(IOU_THRESHOLDS)}
 _RECALLS = np.linspace(0.0, 1.0, 101)  # where AP samples the precision envelope
 _PAIR_CHUNK = 1 << 13  # candidate pairs, those of the x windows, taken at once to bound memory
+NUM_GT = int_at_least(0)
 
 
 @dataclass
@@ -87,6 +89,7 @@ def match_predictions(
     iou_thresh (ties on IoU go to the earliest gt). Returns flags parallel to
     the input order; unclaimed gt boxes are the false negatives.
     """
+    UNIT_CLOSED.require("iou_thresh", iou_thresh, ContractError)
     iou_mat = iou_matrix([d.bbox for d in preds], gts)
     order = sorted(
         range(len(preds)), key=lambda i: (-preds[i].score, preds[i].bbox.x, preds[i].bbox.y)
@@ -116,8 +119,7 @@ def average_precision(scored: list[tuple[float, bool]], num_gt: int) -> float:
     0.00, 0.01, ..., 1.00 and averaged. With no ground truth the AP is
     defined as 0.
     """
-    if num_gt < 0:
-        raise ContractError(f"num_gt must be >= 0, got {num_gt}")
+    NUM_GT.require("num_gt", num_gt, ContractError)
     ordered = sorted(scored, key=lambda p: -p[0])
     is_tp = np.array([lab for _, lab in ordered], dtype=bool)
     return float(_segment_aps(is_tp, np.array([len(is_tp)]), np.array([num_gt]))[0][0])

@@ -6,15 +6,16 @@ safe to share across workers.
 
 The value types (BBox and Detection here, io.TrackBox, tubelets.TubeletEntry
 and tubelets.Tubelet) check their fields on construction, one Check per
-rule: every id and frame with ID, a Python or numpy integer in
-[0, 2**63 - 1] that is not a bool (Tubelet.tubelet_id may be any integer);
-every score with settings.UNIT_CLOSED, a number in [0, 1] that is not a
-bool; every box field with settings.FINITE, a finite number. A field that
-breaks its rule raises ValidationError worded as a setting's is,
-``<field> must be <expect>, got <value>``. Each constructor runs one inline
-test per rule (a Python int in range, a Python float in [0, 1], BBox's
-finite corners) and sends only a value that fails it to the Check, which
-takes numpy values too and words the error.
+rule: every id and frame, tubelet ids included, with ID, a Python or numpy
+integer in [0, 2**63 - 1] that is not a bool; every score with
+settings.UNIT_CLOSED, a number in [0, 1] that is not a bool; every box field
+with settings.FINITE, a finite number that is not a bool; every box with
+BOX, a BBox. A field that breaks its rule raises ValidationError worded as a
+setting's is, ``<field> must be <expect>, got <value>``. Each constructor
+runs one inline test per rule (a Python int in range, a Python float in
+[0, 1], BBox's four Python floats with finite corners, a BBox) and sends
+only a value that fails it to the Check, which takes numpy values too and
+words the error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .settings import FINITE, FRAME_SIDE, UNIT_CLOSED, UNIT_OPEN, Check, integer
 
-_MAX_ID = 2 ** 63 - 1  # the largest class id, track id or frame: each fits int64 columns
+_MAX_ID = 2 ** 63 - 1  # the largest id or frame: each fits int64 columns
 ID = integer(lambda v: 0 <= v <= _MAX_ID, "an integer in [0, 2**63 - 1]")
 # a descriptor is hashed with its Detection and read by columns_of as a sequence
 APPEARANCE = Check(lambda v: v is None or isinstance(v, tuple) and all(map(FINITE.ok, v)),
@@ -54,20 +55,17 @@ class BBox:
     def __post_init__(self):
         # The corners x + w and y + h are finite only when all four fields
         # are, and every IoU takes differences of them: an inf corner gives NaN.
-        # Taken in float (x * 1.0), an integer field beyond the float range
-        # raises OverflowError, even where x + w would be a small integer; a
-        # field that is not a number raises TypeError.
-        try:
-            corners = math.isfinite(self.x * 1.0 + self.w) and math.isfinite(self.y * 1.0 + self.h)
-        except (OverflowError, TypeError):
-            corners = False
-        if not corners:
-            for name in ("x", "y", "w", "h"):
+        # The inline test takes four Python floats with finite corners, as
+        # a score's takes a Python float. Any other field goes to FINITE,
+        # which takes a finite real but not a bool, and then the corners are
+        # tested in float (x * 1.0), as FINITE keeps an integer in its range.
+        if not (type(self.x) is type(self.y) is type(self.w) is type(self.h) is float
+                and math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)):
+            for name in "xywh":
                 FINITE.require(f"bbox.{name}", getattr(self, name))
-            raise ValidationError(
-                f"bbox corner is not finite: x + w = {self.x + self.w!r}, "
-                f"y + h = {self.y + self.h!r}"
-            )
+            if not (math.isfinite(self.x * 1.0 + self.w) and math.isfinite(self.y * 1.0 + self.h)):
+                raise ValidationError(f"bbox corner is not finite: x + w = {self.x + self.w!r}, "
+                                      f"y + h = {self.y + self.h!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"bbox has non-positive size: w={self.w}, h={self.h}")
 
@@ -78,6 +76,10 @@ class BBox:
     @property
     def y2(self) -> float:
         return self.y + self.h
+
+
+# the box of Detection, io.TrackBox and tubelets.TubeletEntry
+BOX = Check(lambda v: isinstance(v, BBox), "a BBox")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -126,6 +128,8 @@ class Detection:
         if not (type(f) is int and type(k) is int and 0 <= f <= _MAX_ID and 0 <= k <= _MAX_ID):
             ID.require("frame_idx", f)
             ID.require("class_id", k)
+        if type(self.bbox) is not BBox:
+            BOX.require("bbox", self.bbox)
         if not (type(s) is float and 0.0 <= s <= 1.0):
             UNIT_CLOSED.require("score", s)
         if a is not None:

@@ -26,18 +26,18 @@ settings.FRAME_SIDE. The readers check the header with them, and a stream
 when it is constructed, so every stream writes a header that reads back.
 
 read_columns, the one parser of stream files, gives a file's boxes as arrays
-in stored order, by frame: descriptors as rows of one matrix, the ids of a
-``#tubelets`` file as Python ints of any size, track ids as int64. Every
-frame, class id and track id is one that geometry.ID takes, an integer in
-[0, 2**63 - 1], so every stream fits the arrays. The object readers build
-their objects from these columns. columns_of and stream_of map a stream and
-its ids to columns and back. write_detections writes either, each line
-formatted in one place; it refuses a tubelet id that settings.ANY_INTEGER
-refuses, as the reader would, before it writes anything.
+in stored order, by frame: descriptors as rows of one matrix, and every
+frame, class id, track id and tubelet id as int64. Each of these is one that
+geometry.ID takes, an integer in [0, 2**63 - 1], so every stream fits the
+arrays. The object readers build their objects from these columns.
+columns_of and stream_of map a stream and its ids to columns and back.
+write_detections writes either, each line formatted in one place; it
+refuses a tubelet id that ID refuses, as the reader would, before it writes
+anything.
 
 A line that breaks a value rule raises the error of the object it would
-make (BBox, then Detection or TrackBox), so a file's message is the value
-types' own, prefixed with path:line: for example
+make (BBox, then Detection or TrackBox, then a tubelet id's ID), so a
+file's message is the value types' own, prefixed with path:line: for example
 ``d.txt:2: score must be in [0,1], got 1.3``.
 """
 
@@ -54,8 +54,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ContractError, ParseError, ValidationError
-from .geometry import _MAX_ID, ID, BBox, Detection, FrameShape, added
-from .settings import ANY_INTEGER, Check, integer, shown
+from .geometry import _MAX_ID, BOX, ID, BBox, Detection, FrameShape, added
+from .settings import Check, integer, shown
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
@@ -144,6 +144,8 @@ class TrackBox:
             ID.require("frame_idx", f)
             ID.require("class_id", k)
             ID.require("track_id", t)
+        if type(self.bbox) is not BBox:
+            BOX.require("bbox", self.bbox)
 
 
 @dataclass
@@ -224,7 +226,8 @@ def _values(parts: list[str], ground_truth: bool, has_ids: bool, path: str | Non
 def _reject_line(raw: str, ground_truth: bool, has_ids: bool, frame_count: int, path: str,
                  line_no: int) -> NoReturn:
     """Raise the error of a line that breaks a rule, worded by its values'
-    objects (BBox, then Detection or TrackBox) as geometry.check_boxes does."""
+    objects (BBox, then Detection or TrackBox, then the tubelet id's ID) as
+    geometry.check_boxes does."""
     values = _values(raw.split(), ground_truth, has_ids, path, line_no)
     try:
         if ground_truth:
@@ -233,6 +236,8 @@ def _reject_line(raw: str, ground_truth: bool, has_ids: bool, frame_count: int, 
         else:
             frame_idx, class_id, *box, score = values[:7]
             Detection(frame_idx, class_id, BBox(*box), score, tuple(values[7 + has_ids:]) or None)
+            if has_ids:
+                ID.require("tubelet_id", values[7])
         # the one rule that no object checks
         raise ValidationError(f"frame_idx {frame_idx} outside [0, {frame_count})")
     except ValidationError as e:
@@ -335,7 +340,7 @@ class BoxColumns:
     score: np.ndarray | None  # None for ground truth
     descriptor: np.ndarray  # a box's descriptor is the first descriptor_len values of its row
     descriptor_len: np.ndarray  # int64, 0 for a box without one
-    tubelet_id: np.ndarray | None = None  # object, Python ints; None without a #tubelets marker
+    tubelet_id: np.ndarray | None = None  # int64; None without a #tubelets marker
     track_id: np.ndarray | None = None  # int64 for ground truth, else None
 
     def descriptors(self) -> list[np.ndarray | None]:
@@ -354,15 +359,15 @@ class BoxColumns:
 def _flat_ids(s: _Stream, ids: Mapping) -> list:
     """ids, one list per frame parallel to s.frames (a frame without boxes
     may hold an empty list), in stored order. Any other count, or an id that
-    ANY_INTEGER refuses and a #tubelets file would not read back, raises
+    ID refuses, as the reader of a #tubelets file does, raises
     ValidationError naming the frame."""
     for idx in sorted(s.frames.keys() | ids.keys()):
         if len(ids.get(idx, ())) != len(s.frames[idx]):
             raise ValidationError(f"tubelet_ids for frame {idx} do not match detection count")
     for idx in s.frames:
         for i in ids[idx]:
-            if type(i) is not int:
-                ANY_INTEGER.require(f"tubelet_id in frame {idx}", i)
+            if not (type(i) is int and 0 <= i <= _MAX_ID):
+                ID.require(f"tubelet_id in frame {idx}", i)
     return [i for idx in s.frames for i in ids[idx]]
 
 
@@ -381,7 +386,7 @@ def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> 
         np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
         np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
         np.array(list(map(len, apps)), np.int64),
-        None if ids is None else np.array(_flat_ids(s, ids), object),
+        None if ids is None else np.array(_flat_ids(s, ids), np.int64),
         np.array([b.track_id for b in boxes], np.int64) if isinstance(s, GroundTruth) else None,
     )
 
@@ -420,14 +425,13 @@ def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     frame, cls, box = head["frame"], head["class"], head["box"]
     x, y, w, h = box.T
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = ((frame >= 0) & (frame < frame_count) & (cls >= 0) & np.isfinite(x + w)
-              & np.isfinite(y + h) & (w > 0) & (h > 0))
+        ok = (frame < frame_count) & np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0)
         # Detection's norm, component by component; a NaN or inf fails
         norm = np.sqrt(added(descriptor.T * descriptor.T))
         ok &= (descriptor_len == 0) | (abs(norm - 1.0) <= 1e-6)
-        if ground_truth:
-            ok &= head["track"] >= 0
-        else:
+        for name in {"frame", "class", "track", "id"}.intersection(head.dtype.names):
+            ok &= head[name] >= 0  # ID's lower bound; _line_by_line stops beyond its upper one
+        if not ground_truth:
             ok &= (head["score"] >= 0) & (head["score"] <= 1)  # NaN and +-inf fail too
 
     def line_of(row: int) -> int:  # rows are the non-blank lines; counted only to raise
@@ -476,11 +480,10 @@ def _rows(lines: list[str], ground_truth: bool, has_ids: bool) -> tuple[np.ndarr
     """The non-blank lines in file order: the fields before the descriptor,
     the descriptors as rows of one matrix, and their lengths. numpy's C text
     reader splits where str.split splits and parses reals as float() does,
-    one call per line width; tubelet ids are parsed with int(). A line of a
-    wrong width, or a token that numpy or int() refuses (such as 1_0),
-    raises ValueError, OverflowError or a Warning."""
+    one call per line width. A line of a wrong width, or a token that numpy
+    refuses (such as 1_0), raises ValueError, OverflowError or a Warning."""
     n = 7 + has_ids  # the columns before any descriptor
-    fields = [*_FIELDS[ground_truth], *[("id", object)] * has_ids]
+    fields = [*_FIELDS[ground_truth], *[("id", np.int64)] * has_ids]
     width = n if ground_truth else max(n, next((len(p) for p in map(str.split, lines) if p), n))
     try:
         parts = [(slice(None), _load(lines, fields, width - n))]  # (where in the rows, rows)
@@ -491,9 +494,6 @@ def _rows(lines: list[str], ground_truth: bool, has_ids: bool) -> tuple[np.ndarr
             raise
         parts = [(widths == k, _load([s for s, c in zip(lines, counts) if c == k], fields, k - n))
                  for k in set(counts) - {0}]
-    if has_ids:
-        for _, a in parts:
-            a["id"] = list(map(int, a["id"]))
     count = sum(len(a) for _, a in parts)
     head, descriptor_len = np.zeros(count, fields), np.zeros(count, np.int64)
     descriptor = np.zeros((count, max(a["descriptor"].shape[1] for _, a in parts)))
@@ -518,15 +518,16 @@ def _line_by_line(body: list[str], ground_truth: bool,
                   has_ids: bool) -> tuple[tuple[np.ndarray, ...], int | None]:
     """The body read with int() and float() up to its stop, the first line
     that they refuse, that has the wrong field count, or that has a frame,
-    class or track id beyond int64. The lines before the stop, rewritten as
-    they read them, go to _rows. Returns the rows and the stop, or None."""
+    class id, track id or tubelet id beyond int64. The lines before the stop,
+    rewritten as they read them, go to _rows. Returns the rows and the stop,
+    or None."""
     lines = []
     for k, raw in enumerate(body):
         try:
             values = _values(parts, ground_truth, has_ids) if (parts := raw.split()) else []
         except ParseError:
             break
-        if not all(-_MAX_ID - 1 <= v <= _MAX_ID for v in values[:2 + ground_truth]):
+        if not all(-_MAX_ID - 1 <= v <= _MAX_ID for v in values if type(v) is int):
             break
         lines.append(" ".join(map(repr, values)))
     else:

@@ -87,7 +87,7 @@ def _interpolate(t: TubeletColumns, cur: np.ndarray, nxt: np.ndarray,
     w, h = tw + f * (hw - tw), th + f * (hh - th)
     box = np.column_stack([cx - w / 2.0, cy - h / 2.0, w, h])
     check_boxes(box)
-    return TubeletColumns(list(range(len(gap))), t.class_id[cur], gap,
+    return TubeletColumns(np.arange(len(gap)), t.class_id[cur], gap,
                           t.frame[tail[pair]] + k, box, score[pair], np.ones(len(pair), bool))
 
 
@@ -113,17 +113,16 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     G_MAX.require("g_max", g_max, ContractError)
     if shape is None:
         raise ContractError("link_tubelets needs the frame shape")
-    ids = t.tubelet_id
-    if any(a >= b for a, b in zip(ids, ids[1:])):  # link_tubelets sorts by id
+    if (np.diff(t.tubelet_id) <= 0).any():  # link_tubelets sorts by id
         raise ContractError("tubelet ids must be unique before linking")
 
     start = t.start
     end = start + t.length - 1
-    no_app = np.zeros((len(ids), 0)), np.zeros(len(ids), np.int64)
+    no_app = np.zeros((len(start), 0)), np.zeros(len(start), np.int64)
     tails, heads = ((t.frame[e], t.class_id, t.box[e], t.score[e], *no_app) for e in (end, start))
     successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
     rows, length = _chains(successor, t.frame[start], t.box[start])
-    rank = np.empty(len(ids), np.int64)
+    rank = np.empty(len(start), np.int64)
     rank[rows] = np.repeat(np.arange(len(length)), length)
     first = np.cumsum(length) - length
     cur, nxt = np.delete(rows, first + length - 1), np.delete(rows, first)
@@ -135,7 +134,7 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     order = np.lexsort((np.concatenate([t.frame, gaps.frame]), owner))
     entries = [np.concatenate([getattr(t, k), getattr(gaps, k)])[order]
                for k in ("frame", "box", "score", "interpolated")]
-    return TubeletColumns(list(range(len(length))), t.class_id[rows[first]],
+    return TubeletColumns(np.arange(len(length)), t.class_id[rows[first]],
                           np.bincount(owner, minlength=len(length)), *entries)
 
 

@@ -92,7 +92,7 @@ def _flatten(t: TubeletColumns, source: BoxColumns | VideoDetections) -> BoxColu
     n = len(order)
     return BoxColumns(source.video_id, source.frame_shape, source.frame_count, t.frame[order],
                       t.class_id[owner[order]], t.box[order], t.score[order], np.zeros((n, 0)),
-                      np.zeros(n, np.int64), np.array(t.tubelet_id, object)[owner[order]])
+                      np.zeros(n, np.int64), t.tubelet_id[owner[order]])
 
 
 def postprocess_video(

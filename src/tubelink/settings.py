@@ -72,13 +72,14 @@ def one_of(*choices: str) -> Check:
     return Check(lambda v: v in choices, "one of " + ", ".join(choices))
 
 
-FINITE = real(lambda v: abs(v) <= sys.float_info.max, "a finite number")  # false for NaN
+# an integer or a fraction is compared exactly, a float as it is: numpy would
+# compare a float32 with the bound cast down to float32, which overflows
+FINITE = real(lambda v: abs(v) <= sys.float_info.max if isinstance(v, numbers.Rational)
+              else math.isfinite(v), "a finite number")  # false for NaN
 NON_NEGATIVE = real(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 UNIT_OPEN = real(lambda v: 0.0 < v < 1.0, "in (0,1)")
 UNIT_CLOSED = real(lambda v: 0.0 <= v <= 1.0, "in [0,1]")
 UNIT_HALF_OPEN = real(lambda v: 0.0 <= v < 1.0, "in [0,1)")
-# an id or a frame: a bool or a float, even an integral one, would not read back as one
-ANY_INTEGER = integer(lambda v: True, "an integer")
 ODD_WINDOW = integer(lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 # a frame side is used as a float, so it must convert to one
 FRAME_SIDE = integer(lambda v: 1 <= v <= sys.float_info.max, "an integer in [1, 1.8e308]")

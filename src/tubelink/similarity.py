@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, FitError, ValidationError
 from .geometry import BBox, Detection, FrameShape, iou_corners
 from .io import read_text
+from .settings import FINITE, Check
 
 MODEL_MAGIC = "repp-model v1"
 
@@ -88,20 +89,22 @@ class LinkFeatures:
         self.appearance_sim = appearance_sim
 
 
+# a tuple, so that a model hashes with the PipelineConfig that holds it
+WEIGHTS = Check(lambda v: isinstance(v, tuple) and len(v) == 8 and all(map(FINITE.ok, v)),
+                "a tuple of 8 finite numbers")
+
+
 @dataclass(frozen=True)
 class SimilarityModel:
-    """Logistic scorer: sigmoid(bias + weights . transformed features)."""
+    """Logistic scorer: sigmoid(bias + weights . transformed features).
+    A field that breaks its Check raises ValidationError naming it."""
 
     weights: tuple[float, ...]
     bias: float
 
     def __post_init__(self):
-        if len(self.weights) != 8:
-            raise ValidationError(
-                f"similarity model needs exactly 8 weights, got {len(self.weights)}"
-            )
-        if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
-            raise ValidationError("similarity model weights/bias must be finite")
+        WEIGHTS.require("weights", self.weights)
+        FINITE.require("bias", self.bias)
 
 
 def default_model() -> SimilarityModel:

@@ -15,11 +15,12 @@ then blends confidences toward the tubelet mean, smooths coordinates with a
 centered moving average and drops short tubelets, which are the dominant
 false-positive shape.
 
-The pipeline works on TubeletColumns, all tubelets at once in arrays.
-TubeletColumns.of and .tubelets convert Tubelet objects to columns and back,
-losing nothing. build_tubelets, rescore and smooth_coordinates run the array
-code between the two, so their entries equal the input's in value and flag
-but are new objects. filter_short applies its one comparison to a list.
+The pipeline works on TubeletColumns, all tubelets at once in arrays; the
+tubelet ids, which geometry.ID checks as it checks every id, are an int64
+column like the class ids. TubeletColumns.of and .tubelets convert Tubelet
+objects to columns and back, losing nothing. build_tubelets, rescore and
+smooth_coordinates run the array code between the two, so their entries
+equal the input's in value and flag but are new objects. filter_short applies its one comparison to a list.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import _MAX_ID, ID, BBox, FrameShape, added, check_boxes
+from .geometry import _MAX_ID, BOX, ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
-from .settings import (
-    ANY_INTEGER, ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, int_at_least, one_of, shown,
-)
+from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, int_at_least, one_of
 from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
 
 
@@ -57,6 +56,8 @@ class TubeletEntry:
         f, s = self.frame_idx, self.score
         if not (type(f) is int and 0 <= f <= _MAX_ID):
             ID.require("frame_idx", f)
+        if type(self.bbox) is not BBox:
+            BOX.require("bbox", self.bbox)
         if not (type(s) is float and 0.0 <= s <= 1.0):
             UNIT_CLOSED.require("score", s)
         if type(self.interpolated) is not bool:
@@ -77,10 +78,9 @@ class Tubelet:
     entries: tuple[TubeletEntry, ...]
 
     def __post_init__(self):
-        # any size: link_tubelets orders by id, and #tubelets files carry ids of any size
         i, c = self.tubelet_id, self.class_id
-        if not (type(i) is int and type(c) is int and 0 <= c <= _MAX_ID):
-            ANY_INTEGER.require("tubelet_id", i)
+        if not (type(i) is int and type(c) is int and 0 <= i <= _MAX_ID and 0 <= c <= _MAX_ID):
+            ID.require("tubelet_id", i)
             ID.require("class_id", c)
         es = self.entries
         if not (type(es) is tuple and set(map(type, es)) == {TubeletEntry}):
@@ -89,7 +89,7 @@ class Tubelet:
         for k, e in enumerate(es):
             if e.frame_idx != start + k:
                 raise ValidationError(
-                    f"tubelet {shown(self.tubelet_id)} has a hole: entry {k} is at frame "
+                    f"tubelet {self.tubelet_id} has a hole: entry {k} is at frame "
                     f"{e.frame_idx}, expected {start + k}"
                 )
 
@@ -113,7 +113,7 @@ class TubeletColumns:
     """Tubelets as arrays: tubelet k holds the length[k] entries from
     start[k] on, and the entries run tubelet after tubelet."""
 
-    tubelet_id: list[int]
+    tubelet_id: np.ndarray  # int64, one per tubelet
     class_id: np.ndarray  # int64, one per tubelet
     length: np.ndarray  # int64, one per tubelet
     frame: np.ndarray  # int64, one per entry
@@ -129,8 +129,8 @@ class TubeletColumns:
     def of(cls, ts: list[Tubelet]) -> TubeletColumns:
         es = [e for t in ts for e in t.entries]
         boxes = [(e.bbox.x, e.bbox.y, e.bbox.w, e.bbox.h) for e in es]
-        return cls([t.tubelet_id for t in ts], np.array([t.class_id for t in ts], np.int64),
-                   np.array([len(t) for t in ts], np.int64),
+        return cls(*np.array([[t.tubelet_id for t in ts], [t.class_id for t in ts],
+                              [len(t) for t in ts]], np.int64),
                    np.array([e.frame_idx for e in es], np.int64),
                    np.array(boxes, float).reshape(-1, 4), np.array([e.score for e in es], float),
                    np.array([e.interpolated for e in es], bool))
@@ -138,16 +138,16 @@ class TubeletColumns:
     def select(self, keep: np.ndarray) -> TubeletColumns:
         """The tubelets where keep is True."""
         rows = np.repeat(keep, self.length)
-        return TubeletColumns([i for i, k in zip(self.tubelet_id, keep.tolist()) if k],
-                              self.class_id[keep], self.length[keep], self.frame[rows],
-                              self.box[rows], self.score[rows], self.interpolated[rows])
+        return TubeletColumns(self.tubelet_id[keep], self.class_id[keep], self.length[keep],
+                              self.frame[rows], self.box[rows], self.score[rows],
+                              self.interpolated[rows])
 
     def tubelets(self) -> list[Tubelet]:
         """The Tubelet objects of these columns, the inverse of of()."""
         entries = list(map(TubeletEntry, self.frame.tolist(), [BBox(*b) for b in self.box.tolist()],
                            self.score.tolist(), self.interpolated.tolist()))
-        return [Tubelet(i, c, tuple(entries[s:s + n])) for i, c, s, n in zip(
-            self.tubelet_id, self.class_id.tolist(), self.start.tolist(), self.length.tolist())]
+        return [Tubelet(i, c, tuple(entries[s:s + n])) for i, c, s, n in zip(*(
+            a.tolist() for a in (self.tubelet_id, self.class_id, self.start, self.length)))]
 
 
 ASSIGNMENT = one_of("greedy", "exact")
@@ -279,7 +279,7 @@ def _build(c: BoxColumns, m: SimilarityModel, tau_link: float, assignment: str) 
             for i, j in _exact_assignment(pair, stop[a] - a, stop[b] - b)
         }
     rows, length = _chains(successor, c.frame_idx, c.box)
-    return TubeletColumns(list(range(len(length))), c.class_id[rows[np.cumsum(length) - length]],
+    return TubeletColumns(np.arange(len(length)), c.class_id[rows[np.cumsum(length) - length]],
                           length, c.frame_idx[rows], c.box[rows], c.score[rows],
                           np.zeros(len(rows), bool))
 

@@ -129,6 +129,19 @@ class TestMatchPredictions:
         labels = match_predictions([right, left], [g], 0.5)
         assert labels == [False, True]
 
+    @pytest.mark.parametrize("thresh, shown", [
+        (math.nan, "nan"), (-0.1, "-0.1"), (1.5, "1.5"), (True, "True"), ("0.5", "'0.5'")])
+    def test_threshold_outside_unit_interval_rejected(self, thresh, shown):
+        # a NaN threshold labelled every prediction FP
+        with pytest.raises(ContractError) as raised:
+            match_predictions([det(score=0.9)], [BBox(0, 0, 10, 10)], thresh)
+        assert str(raised.value) == f"iou_thresh must be in [0,1], got {shown}"
+
+    @pytest.mark.parametrize("thresh", [0, 1.0, np.float32(0.5)])
+    def test_threshold_bounds_taken(self, thresh):
+        labels = match_predictions([det(score=0.9)], [BBox(0, 0, 10, 10)], thresh)
+        assert labels == [True]
+
 
 # ------------------------------------------------------------------ AP
 
@@ -182,6 +195,18 @@ class TestAveragePrecision:
     def test_negative_num_gt_rejected(self):
         with pytest.raises(ContractError):
             average_precision([], -1)
+
+    @pytest.mark.parametrize("num_gt, shown", [
+        (-1, "-1"), (True, "True"), (1.0, "1.0"), (None, "None"), ("2", "'2'")])
+    def test_num_gt_must_be_a_count(self, num_gt, shown):
+        # True and 1.0 were taken as one gt box
+        with pytest.raises(ContractError) as raised:
+            average_precision([(0.9, True)], num_gt)
+        assert str(raised.value) == f"num_gt must be an integer >= 0, got {shown}"
+
+    @pytest.mark.parametrize("num_gt", [0, 1, np.int64(1)])
+    def test_num_gt_counts_taken(self, num_gt):
+        assert average_precision([(0.9, True)], num_gt) == (1.0 if num_gt else 0.0)
 
 
 # ------------------------------------------------------------------ evaluate

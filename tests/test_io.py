@@ -275,24 +275,29 @@ class TestRoundTrip:
                 write()
         assert not p.exists()
 
-    @pytest.mark.parametrize("bad", ["x", True, 1.0, None, np.float64(2)])
+    @pytest.mark.parametrize("bad", ["x", True, 1.0, None, np.float64(2), -1, 2 ** 63, 2 ** 70,
+                                     -2 ** 70, np.int64(-3), np.uint64(2 ** 64 - 1)])
     def test_an_id_the_reader_refuses_is_not_written(self, tmp_path, bad):
-        # such ids were written as "x", "True" and "1.0", which
+        # such ids were written as "x", "True", "1.0" and "-1", which
         # read_detections_with_ids then refused
         v = VideoDetections("v", SHAPE, 3, {0: [det(0)], 2: [det(2), det(2, x=50.0)]})
         p = tmp_path / "out.txt"
-        with pytest.raises(ValidationError, match=re.escape(
-                f"tubelet_id in frame 2 must be an integer, got {bad!r}")):
-            write_detections(v, p, {0: [4], 2: [5, bad]})
+        for write in (lambda: columns_of(v, {0: [4], 2: [5, bad]}),
+                      lambda: write_detections(v, p, {0: [4], 2: [5, bad]})):
+            with pytest.raises(ValidationError, match="^" + re.escape(
+                    f"tubelet_id in frame 2 must be an integer in [0, 2**63 - 1], got {bad!r}")):
+                write()
         assert not p.exists()
 
-    @pytest.mark.parametrize("ids", [[2 ** 70, -2 ** 70], [-1, 0],
-                                     [np.int64(-3), np.uint64(2 ** 64 - 1)]])
-    def test_ids_of_any_size_and_sign_round_trip(self, tmp_path, ids):
+    @pytest.mark.parametrize("ids", [[0, 2 ** 63 - 1], [np.int64(3), np.uint64(2 ** 63 - 1)],
+                                     [np.int32(7), np.uint8(0)]])
+    def test_ids_in_range_round_trip(self, tmp_path, ids):
         v = VideoDetections("v", SHAPE, 3, {1: [det(1), det(1, x=50.0)]})
         p = tmp_path / "out.txt"
         write_detections(v, p, {1: ids})
         assert read_detections_with_ids(p) == (v, {1: ids})
+        for c in (columns_of(v, {1: ids}), read_columns(p)):
+            assert c.tubelet_id.dtype == np.int64 and c.tubelet_id.tolist() == ids
 
     @pytest.mark.parametrize("count", [0, 2, 5, 7])
     def test_columns_need_one_tubelet_id_per_row(self, tmp_path, count):
@@ -460,6 +465,11 @@ BODY_ERRORS = {
     "0 0 1 1 5 5 0.5\n1 0 1 1 5 5":
         (ParseError, f"{{p}}:3: line needs at least 7 fields {DETECTION_FIELDS}, got 6"),
     "#tubelets\n0 0 1 1 5 5 0.5 1.5": (ParseError, "{p}:3: tubelet_id is not an integer: '1.5'"),
+    "#tubelets\n0 0 1 1 5 5 0.5 -1":
+        (ValidationError, "{p}:3: tubelet_id must be an integer in [0, 2**63 - 1], got -1"),
+    "#tubelets\n0 0 1 1 5 5 0.5 3\n1 0 1 1 5 5 0.5 9223372036854775808 0.6 0.8":
+        (ValidationError, "{p}:4: tubelet_id must be an integer in [0, 2**63 - 1], "
+                          "got 9223372036854775808"),
     "#tubelets\n0 0 1 1 5 5 0.5": (ParseError, "{p}:3: line needs at least 8 fields "
                                                "(frame_idx class_id x y w h score tubelet_id), got 7"),
     # ground truth
@@ -547,6 +557,8 @@ class TestReadColumns:
         "0 0 1 1 5 5", "0 0 1 1 5 5 0.5 nan", "0 0 1 1 5 5 0.5 inf 0", "0 0 1 1 5 5 0.5 0.6 0.7",
         "0 0 1 1 5 5 0.5 1e200 1", "0 0 1 1 5 5 0.5\n0 0 1 1 5", "0 0 1 1 5 5 0.5\n#tubelets",
         "#tubelets\n0 0 1 1 5 5 0.5 1.5", "#tubelets\n0 0 1 1 5 5 0.5",
+        "#tubelets\n0 0 1 1 5 5 0.5 -1",
+        "#tubelets\n0 0 1 1 5 5 0.5 3\n1 0 1 1 5 5 0.5 9223372036854775808 0.6 0.8",
     ])
     def test_rejects_what_read_detections_rejects(self, tmp_path, body):
         p = write(tmp_path, f"#video v 1280 720 4\n{body}\n")
@@ -673,20 +685,32 @@ class TestDescriptorColumns:
                 write_detections(columns_of(v, tubelet_ids), tmp_path / "b.txt")
                 assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
-    @pytest.mark.parametrize("tubelet_id", [2 ** 63, 2 ** 70, -1])
-    def test_any_tubelet_id_is_read_in_bulk(self, tmp_path, tubelet_id):
-        # numpy parses the line, and int() the id, of any size
+    @pytest.mark.parametrize("tubelet_id", [0, 2 ** 63 - 1])
+    def test_an_in_range_tubelet_id_is_read_in_bulk(self, tmp_path, tubelet_id):
+        # numpy parses the line, id included, into int64 columns
         p = write(tmp_path, "#video v 1280 720 4\n#tubelets\n"
                             f"0 0 1 1 5 5 0.5 {tubelet_id}\n")
-        assert read_in_bulk(p).tubelet_id.tolist() == [tubelet_id]
+        c = read_in_bulk(p)
+        assert c.tubelet_id.dtype == np.int64 and c.tubelet_id.tolist() == [tubelet_id]
         assert read_detections_with_ids(p)[1] == {0: [tubelet_id]}
+
+    @pytest.mark.parametrize("tubelet_id", [2 ** 63, 2 ** 70, -1, -2 ** 70])
+    def test_a_tubelet_id_beyond_the_id_rule_is_refused(self, tmp_path, tubelet_id):
+        # such ids were read as Python ints of any size; an id beyond int64
+        # stops _line_by_line, and -1 fails the bulk check
+        p = write(tmp_path, "#video v 1280 720 4\n#tubelets\n0 0 1 1 5 5 0.5 0\n"
+                            f"1 0 1 1 5 5 0.5 {tubelet_id}\n")
+        assert_raises_as(p, (ValidationError, "{p}:4: tubelet_id must be an integer in "
+                                              f"[0, 2**63 - 1], got {tubelet_id}"),
+                         read_detections)
 
 
 MAX_ID = 2 ** 63 - 1
 
 
 class TestIdBound:
-    """Class and track ids are at most 2**63 - 1, so every stream fits int64 columns."""
+    """Class, track and tubelet ids are at most 2**63 - 1, so every stream
+    fits int64 columns."""
 
     @pytest.mark.parametrize("i", [MAX_ID, np.int64(MAX_ID)])
     def test_largest_id_is_taken(self, i):

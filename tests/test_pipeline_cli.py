@@ -82,14 +82,15 @@ class TestPostprocessVideo:
         )
         assert out.frames[0] == [dup[0]]
 
-    def test_tubelet_ids_of_any_size_flatten(self):
+    def test_the_largest_tubelet_id_flattens(self):
         from conftest import SHAPE
         from tubelink import BBox, Tubelet, TubeletEntry, VideoDetections, tubelets_to_detections
 
-        ts = [Tubelet(i, 0, (TubeletEntry(1, BBox(i % 7, 0, 5, 5), 0.5),)) for i in (2 ** 70, 3)]
+        top = 2 ** 63 - 1
+        ts = [Tubelet(i, 0, (TubeletEntry(1, BBox(i % 7, 0, 5, 5), 0.5),)) for i in (top, 3)]
         out, ids = tubelets_to_detections(ts, VideoDetections("v", SHAPE, 2, {}))
-        assert ids == {1: [3, 2 ** 70]}
-        assert [d.bbox.x for d in out.frames[1]] == [3.0, float(2 ** 70 % 7)]
+        assert ids == {1: [3, top]}
+        assert [d.bbox.x for d in out.frames[1]] == [3.0, float(top % 7)]
         with pytest.raises(ContractError,
                            match="^tubelet 3 reaches frame 1 beyond the video's 1 frames$"):
             tubelets_to_detections(ts, VideoDetections("v", SHAPE, 1, {}))
@@ -372,9 +373,8 @@ class TestCliPostprocess:
         assert seen == [workers]
         assert all((tmp_path / f"o{k}.txt").exists() for k in range(3))
 
-    @pytest.mark.parametrize("tubelet_id", [2 ** 63, -1])
-    def test_any_tubelet_id_takes_the_column_path(self, tmp_path, capsys, monkeypatch,
-                                                   tubelet_id):
+    @pytest.mark.parametrize("tubelet_id", [2 ** 63 - 1, 0])
+    def test_tubelet_ids_take_the_column_path(self, tmp_path, capsys, monkeypatch, tubelet_id):
         # the ids of a #tubelets file are read as read_detections reads them,
         # and neither postprocess nor eval uses them
         det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
@@ -394,6 +394,23 @@ class TestCliPostprocess:
         assert main(["postprocess", "--detections", str(det_path), "--out", str(out)]) == 0
         assert out.read_bytes() == want.read_bytes()
         assert main(["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)]) == 0
+
+    @pytest.mark.parametrize("tubelet_id", [2 ** 63, -1])
+    def test_a_tubelet_id_beyond_the_id_rule_exits_1(self, tmp_path, capsys, tubelet_id):
+        # such ids were read as Python ints of any size
+        det_path, gt_path = tmp_path / "d.txt", tmp_path / "g.txt"
+        det_path.write_text(f"#video v 100 100 3\n#tubelets\n0 0 1 1 5 5 0.5 0\n"
+                            f"1 0 1 1 5 5 0.7 {tubelet_id}\n2 1 9 9 5 5 0.6 3\n")
+        gt_path.write_text("#video v 100 100 3\n0 0 0 1 1 5 5\n")
+        out = tmp_path / "out.txt"
+        for argv in (["postprocess", "--detections", str(det_path), "--out", str(out)],
+                     ["eval", "--detections", str(det_path), "--ground-truth", str(gt_path)],
+                     ["inspect", "--detections", str(det_path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {det_path}:4: tubelet_id must be an integer in [0, 2**63 - 1], "
+                f"got {tubelet_id}\n")
+        assert not out.exists()
 
     def test_lines_out_of_frame_order_give_the_bytes_of_frame_order(self, tmp_path, capsys):
         # the rows are sorted by frame with a stable sort, as the object reader
@@ -555,10 +572,12 @@ class TestCliPostprocess:
                    "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
         assert rc == 1
 
-    @pytest.mark.parametrize("weights, bias", [("1 1 1 1 1 1 1 nan", "0"),
-                                               ("1 1 1 1 1 1 1 1", "1e309")],
-                             ids=["nan_weight", "overflowing_bias"])
-    def test_non_finite_model_file_is_named(self, tmp_path, capsys, weights, bias):
+    @pytest.mark.parametrize("weights, bias, message", [
+        ("1 1 1 1 1 1 1 nan", "0", "weights must be a tuple of 8 finite numbers, "
+                                   "got (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, nan)"),
+        ("1 1 1 1 1 1 1 1", "1e309", "bias must be a finite number, got inf")],
+        ids=["nan_weight", "overflowing_bias"])
+    def test_non_finite_model_file_is_named(self, tmp_path, capsys, weights, bias, message):
         # the error used to leave out the file, which every other model error names
         _, _, det_path = write_scenario(tmp_path, seed=1, frame_count=30)
         model_path = tmp_path / "bad.model"
@@ -567,7 +586,7 @@ class TestCliPostprocess:
                    "--out", str(tmp_path / "o.txt"), "--model", str(model_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {model_path}: similarity model weights/bias must be finite\n")
+            f"error: {model_path}: {message}\n")
 
 
 class TestFreshProcess:

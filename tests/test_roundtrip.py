@@ -5,10 +5,12 @@ other's inverses, read_columns gives stored order on both of its routes, and
 the object stages that run between the converters keep every entry's flag.
 """
 
+import contextlib
 import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from tubelink import (
     TrackBox,
     Tubelet,
     TubeletEntry,
+    ValidationError,
     VideoDetections,
     default_model,
     link_tubelets,
@@ -44,7 +47,9 @@ MODEL = default_model()
 APPEARANCE = st.one_of(st.none(), st.sampled_from([
     (1.0,), (-1.0,), (0.6, 0.8), (0.0, -1.0), (0.28, 0.96, 0.0), (0.0, 0.0, 1.0, 0.0)]))
 CLASS = st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1))
-TUBELET_ID = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 70]))
+# a tubelet id is an id: an integer in [0, 2**63 - 1], as geometry.ID takes it
+ID = st.integers(0, 2 ** 63 - 1)
+TUBELET_ID = st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1))
 BOX_0 = BBox(8.0, 16.0, 24.0, 32.0)
 
 
@@ -56,17 +61,18 @@ def streams(draw):
     return VideoDetections("v", SHAPE, frame_count, frames)
 
 
-def any_ids(ts, ids):
-    """The tubelets with the drawn ids, of any size."""
+def relabel(ts, ids):
+    """The tubelets with the drawn ids."""
     return [dataclasses.replace(t, tubelet_id=i) for t, i in zip(ts, ids)]
 
 
 class TestTubeletColumns:
     @ORACLE
-    @given(st.lists(tubelets(), max_size=6), st.lists(st.integers(), min_size=6, max_size=6))
+    @given(st.lists(tubelets(), max_size=6), st.lists(ID, min_size=6, max_size=6))
     def test_tubelets_is_the_inverse_of_of(self, ts, ids):
-        ts = any_ids(ts, ids)
-        assert TubeletColumns.of(ts).tubelets() == ts
+        ts = relabel(ts, ids)
+        c = TubeletColumns.of(ts)
+        assert c.tubelet_id.dtype == np.int64 and c.tubelets() == ts
 
     @ORACLE
     @given(st.lists(tubelets(), max_size=6), st.lists(st.booleans(), min_size=6, max_size=6))
@@ -79,7 +85,7 @@ class TestStreamColumns:
     @ORACLE
     @given(streams(), st.booleans(), st.data())
     def test_stream_of_is_the_inverse_of_columns_of(self, v, with_ids, data):
-        flat = data.draw(st.lists(st.integers(), min_size=len(v.all_detections()),
+        flat = data.draw(st.lists(ID, min_size=len(v.all_detections()),
                                   max_size=len(v.all_detections())))
         ids, at = {}, 0
         for f, dets in v.frames.items():
@@ -119,18 +125,37 @@ class TestStreamColumns:
                 assert_same_columns(c, stored)
                 assert (c.tubelet_id is None) == (want is None)
                 if want is not None:
-                    assert c.tubelet_id.dtype == object and c.tubelet_id.tolist() == want
-                    assert all(type(i) is int for i in c.tubelet_id)
+                    assert c.tubelet_id.dtype == np.int64 and c.tubelet_id.tolist() == want
+
+    @ORACLE
+    @given(streams().filter(lambda v: v.frames), st.sampled_from([-1, 2 ** 63, -2 ** 70]),
+           st.data())
+    def test_an_id_beyond_the_id_rule_is_refused_on_both_routes(self, tmp_path_factory, v, bad,
+                                                                 data):
+        # such ids were read as Python ints of any size; one is written in
+        # place of a drawn line's id, and that line is the one named
+        p = tmp_path_factory.mktemp("bad") / "in.txt"
+        write_detections(v, p, {f: [0] * len(dets) for f, dets in v.frames.items()})
+        head, marker, *lines = p.read_text().splitlines()
+        k = data.draw(st.integers(0, len(lines) - 1))
+        parts = lines[k].split()
+        lines[k] = " ".join([*parts[:7], str(bad), *parts[8:]])
+        p.write_text("\n".join([head, marker, *lines]) + "\n")
+        message = f"{p}:{k + 3}: tubelet_id must be an integer in [0, 2**63 - 1], got {bad}"
+        for route in (contextlib.nullcontext, line_by_line):
+            with route(), pytest.raises(ValidationError) as raised:
+                read_columns(p)
+            assert str(raised.value) == message
 
     @ORACLE
     @given(st.lists(tubelets(start=st.integers(0, 20)), max_size=6),
-           st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=6, max_size=6))
-    # ids that numpy would hold as float64 together, and one that float64 rounds
+           st.lists(ID, min_size=6, max_size=6))
+    # the largest id, and two that float64 would round to one value
     @example([Tubelet(0, 0, (TubeletEntry(0, BOX_0, 0.5),)),
               Tubelet(0, 0, (TubeletEntry(1, BOX_0, 0.5),)),
-              Tubelet(0, 0, (TubeletEntry(1, BOX_0, 0.5),))], [-1, 2 ** 63, 2 ** 63 + 1, 0, 0, 0])
-    def test_tubelet_ids_of_any_size_are_written_and_read_back(self, tmp_path_factory, ts, ids):
-        ts = any_ids(ts, ids)
+              Tubelet(0, 0, (TubeletEntry(1, BOX_0, 0.5),))], [0, 2 ** 63 - 1, 2 ** 63 - 2, 0, 0, 0])
+    def test_tubelet_ids_are_written_and_read_back(self, tmp_path_factory, ts, ids):
+        ts = relabel(ts, ids)
         out, got = tubelets_to_detections(ts, VideoDetections("v", SHAPE, 60, {}))
         assert Counter(i for f in got for i in got[f]) == Counter(
             t.tubelet_id for t in ts for _ in t.entries)
@@ -171,7 +196,7 @@ class TestStagesKeepFlags:
               Tubelet(0, 1, (TubeletEntry(5, BBox(8.0, 16.0, 24.0, 32.0), 0.9, True),
                              TubeletEntry(6, BBox(8.0, 16.0, 24.0, 32.0), 0.7)))], 20, 0.5)
     def test_link_tubelets(self, ts, g_max, tau):
-        ts = any_ids(ts, range(len(ts)))
+        ts = relabel(ts, range(len(ts)))
         got = link_tubelets(ts, MODEL, g_max, tau, SHAPE)
         added = entries_of(got) - entries_of(ts)
         assert not entries_of(ts) - entries_of(got)

@@ -343,8 +343,7 @@ BOX = BBox(0, 0, 5, 5)
     (lambda: VideoDetections("v", FrameShape(10, 10), HUGE_INT), ValidationError,
      "frame_count must be an integer in [0, 1000000], got an integer of 16610 bits"),
     (lambda: Tubelet(HUGE_INT, 0, (TubeletEntry(0, BOX, 0.5), TubeletEntry(2, BOX, 0.5))),
-     ValidationError, "tubelet an integer of 16610 bits has a hole: entry 1 is at frame 2, "
-                      "expected 1"),
+     ValidationError, "tubelet_id must be an integer in [0, 2**63 - 1], got an integer of 16610 bits"),
 ])
 def test_an_integer_too_long_to_print_is_shown_by_its_bit_length(make, error, message):
     # each raised a bare ValueError from int-to-text conversion

@@ -13,6 +13,7 @@ from tubelink import (
     Detection,
     FitError,
     LinkFeatures,
+    PipelineConfig,
     SimilarityModel,
     ScenarioConfig,
     Tubelet,
@@ -218,7 +219,9 @@ class TestModelFiles:
     def test_wrong_arity(self, tmp_path):
         p = tmp_path / "model.txt"
         p.write_text("repp-model v1\n1 2 3 4 5 6 7\n0.5\n")
-        with pytest.raises(ConfigError, match="8 weights"):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{p}: weights must be a tuple of 8 finite numbers, "
+                "got (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)") + "$"):
             load_model(p)
 
     def test_wrong_magic(self, tmp_path):
@@ -320,6 +323,29 @@ class TestFeatureVector:
     def test_model_arity_enforced(self):
         with pytest.raises(ValidationError):
             SimilarityModel((1.0,) * 7, 0.0)
+
+    @pytest.mark.parametrize("weights, bias, message", [
+        # a list made a model whose PipelineConfig could not be hashed
+        ([0.0] * 8, 0.0, "weights must be a tuple of 8 finite numbers, got " + repr([0.0] * 8)),
+        # None and a str bias raised a bare TypeError, and a bool bias was taken
+        (None, 0.0, "weights must be a tuple of 8 finite numbers, got None"),
+        ((0.0,) * 8, "0", "bias must be a finite number, got '0'"),
+        ((0.0,) * 8, True, "bias must be a finite number, got True"),
+        ((True,) + (0.0,) * 7, 0.0,
+         "weights must be a tuple of 8 finite numbers, got " + repr((True,) + (0.0,) * 7)),
+        ((0.0,) * 9, 0.0, "weights must be a tuple of 8 finite numbers, got " + repr((0.0,) * 9)),
+        ((math.nan,) * 8, 0.0,
+         "weights must be a tuple of 8 finite numbers, got " + repr((math.nan,) * 8)),
+        ((0.0,) * 8, -math.inf, "bias must be a finite number, got -inf"),
+    ])
+    def test_model_fields_are_checked(self, weights, bias, message):
+        with pytest.raises(ValidationError) as raised:
+            SimilarityModel(weights, bias)
+        assert type(raised.value) is ValidationError and str(raised.value) == message
+
+    def test_numpy_weights_and_bias_are_taken(self):
+        m = SimilarityModel(tuple(np.arange(8.0)), np.float32(0.5))
+        assert hash(PipelineConfig(model=m)) == hash(PipelineConfig(model=m))
 
 
 # ------------------------------------------- the lean path against the seed's

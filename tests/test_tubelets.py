@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -507,10 +508,18 @@ class TestTubeletInvariants:
         t = Tubelet(0, np.int32(4), (TubeletEntry(np.int64(7), BBox(0, 0, 5, 5), np.float64(0.5)),))
         assert (t.class_id, t.start_frame) == (4, 7)
 
-    @pytest.mark.parametrize("tubelet_id", [-2 ** 70, -1, 2 ** 63, 2 ** 70, np.int64(7)])
-    def test_tubelet_id_of_any_size_is_taken(self, tubelet_id):
+    @pytest.mark.parametrize("tubelet_id", [0, 2 ** 63 - 1, np.int64(7), np.uint64(2 ** 63 - 1)])
+    def test_tubelet_id_in_range_is_taken(self, tubelet_id):
         entries = (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),)
         assert Tubelet(tubelet_id, 0, entries).tubelet_id == tubelet_id
+
+    @pytest.mark.parametrize("tubelet_id", [-2 ** 70, -1, 2 ** 63, 2 ** 70, np.int64(-7)])
+    def test_tubelet_id_out_of_range_is_refused(self, tubelet_id):
+        # ids of any size and sign were taken; a tubelet id is an id, as in #tubelets files
+        entries = (TubeletEntry(0, BBox(0, 0, 5, 5), 0.5),)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"tubelet_id must be an integer in [0, 2**63 - 1], got {tubelet_id!r}") + "$"):
+            Tubelet(tubelet_id, 0, entries)
 
     def test_largest_class_and_frame_pass_every_stage(self):
         top = 2 ** 63 - 1

@@ -3,8 +3,9 @@
 Each row builds one object with one bad field and gives the literal
 ValidationError message, worded as a setting's is: ``<field> must be
 <expect>, got <value>``. An id or frame is checked by geometry.ID, a score by
-settings.UNIT_CLOSED and a box field by settings.FINITE. numpy values enter a
-message through their repr, which differs between numpy releases.
+settings.UNIT_CLOSED, a box field by settings.FINITE and a box by
+geometry.BOX. numpy values enter a message through their repr, which differs
+between numpy releases.
 """
 
 import math
@@ -86,12 +87,21 @@ ROWS = [
     (Tubelet, "class_id", True, "class_id must be an integer in [0, 2**63 - 1], got True"),
     (Tubelet, "class_id", np.float32(1),
      f"class_id must be an integer in [0, 2**63 - 1], got {np.float32(1)!r}"),
-    # a tubelet id may be any integer: link_tubelets orders by it
-    (Tubelet, "tubelet_id", "x", "tubelet_id must be an integer, got 'x'"),
-    (Tubelet, "tubelet_id", True, "tubelet_id must be an integer, got True"),
-    (Tubelet, "tubelet_id", 1.5, "tubelet_id must be an integer, got 1.5"),
-    (Tubelet, "tubelet_id", 2.0, "tubelet_id must be an integer, got 2.0"),
-    (Tubelet, "tubelet_id", None, "tubelet_id must be an integer, got None"),
+    # a tubelet id is an id too: #tubelets files hold it in an int64 column
+    (Tubelet, "tubelet_id", -1, "tubelet_id must be an integer in [0, 2**63 - 1], got -1"),
+    (Tubelet, "tubelet_id", 2 ** 63,
+     "tubelet_id must be an integer in [0, 2**63 - 1], got 9223372036854775808"),
+    (Tubelet, "tubelet_id", 2 ** 70,
+     "tubelet_id must be an integer in [0, 2**63 - 1], got 1180591620717411303424"),
+    (Tubelet, "tubelet_id", -2 ** 70,
+     "tubelet_id must be an integer in [0, 2**63 - 1], got -1180591620717411303424"),
+    (Tubelet, "tubelet_id", 1.0, "tubelet_id must be an integer in [0, 2**63 - 1], got 1.0"),
+    (Tubelet, "tubelet_id", "0", "tubelet_id must be an integer in [0, 2**63 - 1], got '0'"),
+    (Tubelet, "tubelet_id", "x", "tubelet_id must be an integer in [0, 2**63 - 1], got 'x'"),
+    (Tubelet, "tubelet_id", True, "tubelet_id must be an integer in [0, 2**63 - 1], got True"),
+    (Tubelet, "tubelet_id", 1.5, "tubelet_id must be an integer in [0, 2**63 - 1], got 1.5"),
+    (Tubelet, "tubelet_id", 2.0, "tubelet_id must be an integer in [0, 2**63 - 1], got 2.0"),
+    (Tubelet, "tubelet_id", None, "tubelet_id must be an integer in [0, 2**63 - 1], got None"),
     # scores: settings.UNIT_CLOSED
     (Detection, "score", 1.3, "score must be in [0,1], got 1.3"),
     (Detection, "score", -0.1, "score must be in [0,1], got -0.1"),
@@ -113,6 +123,17 @@ ROWS = [
     (BBox, "w", math.inf, "bbox.w must be a finite number, got inf"),
     (BBox, "h", -10 ** 400, "bbox.h must be a finite number, got -1" + "0" * 400),
     (BBox, "h", None, "bbox.h must be a finite number, got None"),
+    (BBox, "x", True, "bbox.x must be a finite number, got True"),
+    (BBox, "w", False, "bbox.w must be a finite number, got False"),
+    (BBox, "y", np.bool_(True), f"bbox.y must be a finite number, got {np.bool_(True)!r}"),
+    (BBox, "x", np.array(1.0), f"bbox.x must be a finite number, got {np.array(1.0)!r}"),
+    (BBox, "h", np.float32(math.inf),
+     f"bbox.h must be a finite number, got {np.float32(math.inf)!r}"),
+    # boxes: geometry.BOX
+    (Detection, "bbox", "box", "bbox must be a BBox, got 'box'"),
+    (Detection, "bbox", (0, 0, 5, 5), "bbox must be a BBox, got (0, 0, 5, 5)"),
+    (TrackBox, "bbox", None, "bbox must be a BBox, got None"),
+    (TubeletEntry, "bbox", None, "bbox must be a BBox, got None"),
     # the other fields
     (Detection, "appearance", np.array([1.0]),
      "appearance must be None or a tuple of finite numbers, got array([1.])"),
@@ -143,9 +164,12 @@ def test_a_bad_field_is_named_by_its_rule(cls, field, value, message):
     (Detection, "frame_idx", 2 ** 63 - 1), (Detection, "class_id", np.int64(2 ** 63 - 1)),
     (TrackBox, "frame_idx", np.uint64(2 ** 63 - 1)), (TrackBox, "track_id", 2 ** 63 - 1),
     (TubeletEntry, "frame_idx", 2 ** 63 - 1), (Tubelet, "class_id", np.uint8(0)),
-    (Tubelet, "tubelet_id", -2 ** 70), (Detection, "score", 1), (Detection, "score", 0),
+    (Tubelet, "tubelet_id", 0), (Tubelet, "tubelet_id", 2 ** 63 - 1),
+    (Tubelet, "tubelet_id", np.uint64(2 ** 63 - 1)), (Detection, "score", 1),
+    (Detection, "score", 0),
     (Detection, "score", np.float32(1.0)), (TubeletEntry, "score", np.float64(0.0)),
-    (TubeletEntry, "interpolated", np.bool_(True)),
+    (TubeletEntry, "interpolated", np.bool_(True)), (BBox, "x", np.float32(1.5)),
+    (BBox, "w", np.float16(2.0)), (BBox, "h", 10 ** 300),
 ])
 def test_a_value_that_its_rule_takes_constructs(cls, field, value):
     # the bounds, and values that fail a constructor's inline test for a

@@ -7,10 +7,13 @@ workload's postprocess flags (the scenarios are read from perfbench/run.py's
 WORKLOADS), and standard_scenario seeds 0-9 with the default flags, with
 `--nms-iou 0.5`, with `--assignment exact`, with `--no-repp` (which links
 every tubelet, one-frame ones included) and with `--interp-score endpoint`.
-Each run calls `simulate`, `postprocess` and `eval --out --pr-out` through
-tubelink.cli.main in a temporary directory; its files are the ground truth,
-the detections, the postprocess output, the eval report and the PR-curve
-CSV, whose points show every TP flag that the report's APs can hide. Then
+Each run calls `simulate`, `postprocess`, `eval --out --pr-out` and
+`inspect` of the postprocess output through tubelink.cli.main in a
+temporary directory; its files are the ground truth, the detections, the
+postprocess output, the eval report, the PR-curve CSV, whose points show
+every TP flag that the report's APs can hide, and inspect's stdout, whose
+tubelet counts and length histograms are read back from the tubelet-id
+column, which eval ignores. Then
 one `eval --per-video --out --pr-out` per group pools all its runs, so that
 cells of different videos meet in one evaluation; its report and CSV are
 digested too. Any exit code but 0 ends the script with 1.
@@ -56,11 +59,13 @@ def runs():
             yield f"standard_scenario-{variant}", standard_scenario(seed), flags
 
 
-def call(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def call(argv: list[str]) -> str:
+    """What cli.main(argv) prints to stdout; any exit code but 0 exits."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     if code != 0:
         sys.exit(f"digest_runs: exit code {code} from {' '.join(argv)}")
+    return out.getvalue()
 
 
 def digest(files: list[Path], tmp: str) -> None:
@@ -75,14 +80,16 @@ def main() -> int:
             stem = Path(tmp) / group / cfg.video_id
             stem.parent.mkdir(exist_ok=True)
             files = [Path(f"{stem}.{ext}")
-                     for ext in ("cfg", "gt", "det", "out.det", "eval.json", "pr.csv")]
-            scenario, gt, det, out, report, pr = files
+                     for ext in ("cfg", "gt", "det", "out.det", "eval.json", "pr.csv",
+                                 "inspect.txt")]
+            scenario, gt, det, out, report, pr, inspected = files
             scenario.write_text(describe(cfg), encoding="utf-8")
             call(["simulate", "--config", str(scenario), "--ground-truth", str(gt),
                   "--detections", str(det)])
             call(["postprocess", "--detections", str(det), "--out", str(out), *flags])
             call(["eval", "--detections", str(out), "--ground-truth", str(gt),
                   "--out", str(report), "--pr-out", str(pr)])
+            inspected.write_text(call(["inspect", "--detections", str(out)]), encoding="utf-8")
             digest(files[1:], tmp)
             pooled.setdefault(group, []).extend(["--detections", str(out), "--ground-truth", str(gt)])
         for group, argv in pooled.items():
