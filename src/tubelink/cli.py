@@ -11,6 +11,10 @@ off. File booleans are strict (``1/true/yes/0/false/no``). A bad file value
 exits 1 before any input is read; a bad flag value exits 2. ``postprocess``,
 ``eval`` and ``inspect`` read every file with io.read_columns; ``eval`` scores
 the columns with evaluate_columns.
+
+``main`` builds a new parser on each call. When its argument list starts
+with a command, the parser gets that command's subparser only, which parses
+the list as the full parser does; ``build_parser()`` gives the full parser.
 """
 
 from __future__ import annotations
@@ -219,21 +223,31 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------- entry
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {"simulate": _add_simulate, "postprocess": _add_postprocess, "eval": _add_eval,
+             "inspect": _add_inspect}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tubelink parser, with every command's subparser, or with only that
+    of `command`, which parses an argument list that starts with `command`
+    exactly as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="tubelink",
         description="Temporal post-processing and evaluation for video object detections.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_simulate(sub)
-    _add_postprocess(sub)
-    _add_eval(sub)
-    _add_inspect(sub)
+    # the usage names every command either way; the full parser keeps argparse's
+    # own metavar, which its "required: command" error is worded by
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for add in _COMMANDS.values() if command is None else [_COMMANDS[command]]:
+        add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a list that starts with a command needs only that command's subparser
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (TubelinkError, OSError) as e:

@@ -31,9 +31,11 @@ frame, class id, track id and tubelet id as int64. Each of these is one that
 geometry.ID takes, an integer in [0, 2**63 - 1], so every stream fits the
 arrays. The object readers build their objects from these columns.
 columns_of and stream_of map a stream and its ids to columns and back.
-write_detections writes either, each line formatted in one place; it
-refuses a tubelet id that ID refuses, as the reader would, before it writes
-anything.
+write_detections writes either, each line formatted in one place. Before
+it writes anything, it refuses a tubelet id that ID refuses, as the reader
+would, and checks columns with the reader's own bulk checks (_rows_ok), so
+a row that the reader would refuse is refused with its objects' error; an
+id column that is not of a signed integer type is refused as a misuse.
 
 A line that breaks a value rule raises the error of the object it would
 make (BBox, then Detection or TrackBox, then a tubelet id's ID), so a
@@ -223,12 +225,31 @@ def _values(parts: list[str], ground_truth: bool, has_ids: bool, path: str | Non
             for c, t in zip(names, parts)]
 
 
-def _reject_line(raw: str, ground_truth: bool, has_ids: bool, frame_count: int, path: str,
-                 line_no: int) -> NoReturn:
-    """Raise the error of a line that breaks a rule, worded by its values'
+def _rows_ok(frame_count: int, ids: list[np.ndarray], box: np.ndarray, score: np.ndarray | None,
+             descriptor: np.ndarray, descriptor_len: np.ndarray) -> np.ndarray:
+    """Whether each row keeps every value rule, in bulk: its integer columns
+    `ids` (the frame first, then class, track or tubelet ids) are >= 0, its
+    frame is below frame_count, its box has finite corners and positive
+    sides, its score, unless None, is in [0, 1], and its descriptor, its
+    row of `descriptor` (0 past descriptor_len), has unit norm as in Detection."""
+    x, y, w, h = box.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (ids[0] < frame_count) & np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0)
+        # Detection's norm, component by component; a NaN or inf fails
+        norm = np.sqrt(added(descriptor.T * descriptor.T))
+        ok &= (descriptor_len == 0) | (abs(norm - 1.0) <= 1e-6)
+        for a in ids:
+            ok &= a >= 0  # ID's lower bound; an int64 column holds no value beyond its upper one
+        if score is not None:
+            ok &= (score >= 0) & (score <= 1)  # NaN and +-inf fail too
+    return ok
+
+
+def _refuse(values: list[int | float], ground_truth: bool, has_ids: bool, frame_count: int,
+            where: str) -> NoReturn:
+    """Raise the error of a row's values that break a rule, worded by their
     objects (BBox, then Detection or TrackBox, then the tubelet id's ID) as
-    geometry.check_boxes does."""
-    values = _values(raw.split(), ground_truth, has_ids, path, line_no)
+    geometry.check_boxes does, and prefixed with `where: `."""
     try:
         if ground_truth:
             frame_idx, class_id, track_id, *box = values
@@ -241,7 +262,7 @@ def _reject_line(raw: str, ground_truth: bool, has_ids: bool, frame_count: int, 
         # the one rule that no object checks
         raise ValidationError(f"frame_idx {frame_idx} outside [0, {frame_count})")
     except ValidationError as e:
-        raise ValidationError(f"{path}:{line_no}: {e}") from None
+        raise ValidationError(f"{where}: {e}") from None
 
 
 def _write_stream(s: _Stream, lines: list[str], path: str | Path) -> None:
@@ -280,11 +301,15 @@ def write_detections(
     detection, keyed and ordered exactly like v.frames (a frame without
     detections may hold an empty list); they are emitted as an extra column
     announced by a ``#tubelets`` marker line. Columns, as postprocess writes
-    them, carry their own tubelet_id column and are written row by row.
+    them, carry their own tubelet_id column and are written row by row, once
+    the reader's checks pass on them; a refused row raises ValidationError,
+    an id column that is not of a signed integer type ContractError, and no
+    file is written.
     """
     if isinstance(v, BoxColumns):
         if tubelet_ids is not None:
             raise ContractError("columns carry their tubelet ids: pass no tubelet_ids")
+        _check_columns(v)
         rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
         descriptors = ([None if a is None else a.tolist() for a in v.descriptors()]
                        if v.descriptor_len.any() else [])
@@ -338,7 +363,9 @@ class BoxColumns:
     class_id: np.ndarray  # int64
     box: np.ndarray  # one row (x, y, w, h) per box
     score: np.ndarray | None  # None for ground truth
-    descriptor: np.ndarray  # a box's descriptor is the first descriptor_len values of its row
+    # a box's descriptor is the first descriptor_len values of its row; the
+    # rest of the row is padding, 0 in all columns the program builds
+    descriptor: np.ndarray
     descriptor_len: np.ndarray  # int64, 0 for a box without one
     tubelet_id: np.ndarray | None = None  # int64; None without a #tubelets marker
     track_id: np.ndarray | None = None  # int64 for ground truth, else None
@@ -354,6 +381,30 @@ class BoxColumns:
                               self.frame_idx, self.class_id, self.box, self.score,
                               self.descriptor, self.descriptor_len, self.tubelet_id,
                               self.track_id)))
+
+
+def _check_columns(c: BoxColumns) -> None:
+    """Raise ValidationError, as the reader of the file written from c would,
+    unless c's header and every row keep the rules: the first refused row's
+    error is its objects' own, prefixed with `row R: `. An id column that is
+    not of a signed integer type raises ContractError."""
+    _check_video(c.video_id, c.frame_count)
+    _FRAME_SHAPE.require("frame_shape", c.frame_shape)
+    named = {"frame_idx": c.frame_idx, "class_id": c.class_id, "tubelet_id": c.tubelet_id}
+    for name, a in named.items():
+        if a is not None and a.dtype.kind != "i":  # a float or uint64 column writes what no ID takes
+            raise ContractError(f"{name} must be a signed integer column, got {a.dtype}")
+    ids = [a for a in named.values() if a is not None]
+    # padding past a descriptor is not written, so it is not checked
+    descriptor = np.where(np.arange(c.descriptor.shape[1]) < c.descriptor_len[:, None],
+                          c.descriptor, 0.0)
+    ok = _rows_ok(c.frame_count, ids, c.box, c.score, descriptor, c.descriptor_len)
+    if not ok.all():
+        row = int(ok.argmin())
+        values = [c.frame_idx[row].item(), c.class_id[row].item(), *c.box[row].tolist(),
+                  c.score[row].item(), *[a[row].item() for a in ids[2:]],
+                  *c.descriptor[row, :c.descriptor_len[row]].tolist()]
+        _refuse(values, False, len(ids) > 2, c.frame_count, f"row {row}")
 
 
 def _flat_ids(s: _Stream, ids: Mapping) -> list:
@@ -423,22 +474,16 @@ def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     (head, descriptor, descriptor_len), stop = (_body_rows if ascii_tokens else _line_by_line)(
         body, ground_truth, has_ids)
     frame, cls, box = head["frame"], head["class"], head["box"]
-    x, y, w, h = box.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (frame < frame_count) & np.isfinite(x + w) & np.isfinite(y + h) & (w > 0) & (h > 0)
-        # Detection's norm, component by component; a NaN or inf fails
-        norm = np.sqrt(added(descriptor.T * descriptor.T))
-        ok &= (descriptor_len == 0) | (abs(norm - 1.0) <= 1e-6)
-        for name in {"frame", "class", "track", "id"}.intersection(head.dtype.names):
-            ok &= head[name] >= 0  # ID's lower bound; _line_by_line stops beyond its upper one
-        if not ground_truth:
-            ok &= (head["score"] >= 0) & (head["score"] <= 1)  # NaN and +-inf fail too
+    ok = _rows_ok(frame_count, [head[n] for n in head.dtype.names if n not in ("box", "score")],
+                  box, None if ground_truth else head["score"], descriptor, descriptor_len)
 
     def line_of(row: int) -> int:  # rows are the non-blank lines; counted only to raise
         return [k for k, raw in enumerate(body) if raw.split()][row]
     if not ok.all() or stop is not None:
         k = stop if ok.all() else line_of(int(ok.argmin()))
-        _reject_line(body[k], ground_truth, has_ids, frame_count, path, 2 + has_ids + k)
+        line = 2 + has_ids + k
+        _refuse(_values(body[k].split(), ground_truth, has_ids, path, line), ground_truth,
+                has_ids, frame_count, f"{path}:{line}")
     if ground_truth:
         track = head["track"]
         order = np.lexsort((track, frame))  # stable, so a repeat follows its first box

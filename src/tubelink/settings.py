@@ -57,11 +57,15 @@ def integer(ok: Callable[[int], bool], expect: str) -> Check:
                  expect)
 
 
+_INT_FLOAT = (int, float)  # type(True) is bool, so a bool takes the ABC test
+
+
 def real(ok: Callable[[float], bool], expect: str) -> Check:
     """A Check that takes a Python or numpy integer or float for which ok
-    holds, and refuses bools and every value that is not a real number."""
-    return Check(lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and ok(v),
-                 expect)
+    holds, and refuses bools and every value that is not a real number. A
+    Python int or float is answered by one type test, before the ABC's."""
+    return Check(lambda v: (type(v) in _INT_FLOAT or isinstance(v, numbers.Real)
+                            and not isinstance(v, bool)) and ok(v), expect)
 
 
 def int_at_least(lo: int) -> Check:
@@ -74,7 +78,8 @@ def one_of(*choices: str) -> Check:
 
 # an integer or a fraction is compared exactly, a float as it is: numpy would
 # compare a float32 with the bound cast down to float32, which overflows
-FINITE = real(lambda v: abs(v) <= sys.float_info.max if isinstance(v, numbers.Rational)
+FINITE = real(lambda v: abs(v) <= sys.float_info.max if type(v) is int
+              or type(v) is not float and isinstance(v, numbers.Rational)
               else math.isfinite(v), "a finite number")  # false for NaN
 NON_NEGATIVE = real(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 UNIT_OPEN = real(lambda v: 0.0 < v < 1.0, "in (0,1)")

@@ -99,3 +99,14 @@ def test_fewer_pairs_than_a_gain_claim_needs_are_refused(capsys):
     assert e.value.code == 2 and "--pairs must be >= 10" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         ab_bench.main(["--base", "HEAD", "--workload", "standard", "--seconds", "5"])
+
+
+@pytest.mark.parametrize("workload", ["standrad", "", "STANDARD"])
+def test_an_unknown_workload_is_refused_before_any_run(capsys, monkeypatch, workload):
+    # the no_process fixture fails the test if a run, or the export, starts
+    monkeypatch.setattr(ab_bench, "export", lambda ref, tree: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as e:
+        ab_bench.main(["--base", "HEAD", "--workload", workload])
+    err = capsys.readouterr().err
+    assert e.value.code == 2 and "argument --workload: invalid choice" in err
+    assert all(w["name"] in err for w in ab_bench.BENCHMARK["workloads"])

@@ -311,6 +311,80 @@ class TestRoundTrip:
         write_detections(columns_of(v, {f: [2 * f, 2 * f + 1] for f in range(3)}), p)
         assert len(p.read_text().splitlines()) == 8
 
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("tubelet_id", 1, -1, "tubelet_id must be an integer in [0, 2**63 - 1], got -1"),
+        ("class_id", 0, -1, "class_id must be an integer in [0, 2**63 - 1], got -1"),
+        ("frame_idx", 2, -1, "frame_idx must be an integer in [0, 2**63 - 1], got -1"),
+        ("frame_idx", 2, 3, "frame_idx 3 outside [0, 3)"),
+        ("score", 1, 2.0, "score must be in [0,1], got 2.0"),
+        ("score", 0, math.nan, "score must be in [0,1], got nan"),
+        ("w", 2, -1.0, "bbox has non-positive size: w=-1.0, h=10.0"),
+        ("h", 0, 0.0, "bbox has non-positive size: w=10.0, h=0.0"),
+        ("x", 1, math.inf, "bbox.x must be a finite number, got inf"),
+        ("descriptor", 1, 0.5, "appearance vector is not unit-norm (|v| = 0.943398113)"),
+    ])
+    def test_columns_the_reader_would_refuse_are_not_written(self, tmp_path, column, row, value,
+                                                             message):
+        # such rows were written as they were, and read_columns then refused the file
+        a = (0.6, 0.8)
+        v = VideoDetections("v", SHAPE, 3, {0: [det(0, app=a)], 2: [det(2, app=a), det(2, x=50.0)]})
+        c = columns_of(v, {0: [4], 2: [5, 6]})
+        if column in ("x", "y", "w", "h"):
+            c.box[row, "xywh".index(column)] = value
+        elif column == "descriptor":
+            c.descriptor[row, 0] = value
+        else:
+            getattr(c, column)[row] = value
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValidationError) as e:
+            write_detections(c, p)
+        assert type(e.value) is ValidationError and str(e.value) == f"row {row}: {message}"
+        assert not p.exists()
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("class_id", [0.0, 1.5, 0.0], "class_id must be a signed integer column, got float64"),
+        ("tubelet_id", np.array([4, 2 ** 63, 6], np.uint64),
+         "tubelet_id must be a signed integer column, got uint64"),
+        ("frame_idx", np.array([0, 2, 2], np.uint8),
+         "frame_idx must be a signed integer column, got uint8"),
+    ])
+    def test_id_columns_of_another_type_are_not_written(self, tmp_path, column, values, message):
+        # a float id was written as 1.5 and a uint64 one as 9223372036854775808,
+        # and read_columns then refused the file
+        v = VideoDetections("v", SHAPE, 3, {0: [det(0)], 2: [det(2), det(2, x=50.0)]})
+        c = columns_of(v, {0: [4], 2: [5, 6]})
+        setattr(c, column, np.asarray(values))
+        p = tmp_path / "out.txt"
+        with pytest.raises(ContractError, match="^" + re.escape(message) + "$"):
+            write_detections(c, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("video_id", "a b","video_id must be a non-empty UTF-8 string without whitespace, "
+                            "got 'a b'"),
+        ("frame_count", -1, "frame_count must be an integer in [0, 1000000], got -1"),
+        ("frame_shape", (640, 480), "frame_shape must be a FrameShape, got (640, 480)"),
+    ])
+    def test_columns_with_a_header_the_reader_would_refuse_are_not_written(
+            self, tmp_path, field, value, message):
+        c = columns_of(VideoDetections("v", SHAPE, 3, {0: [det(0)]}))
+        setattr(c, field, value)
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            write_detections(c, p)
+        assert not p.exists()
+
+    def test_values_past_a_descriptor_are_not_checked(self, tmp_path):
+        # a row's descriptor is its first descriptor_len values; the rest of
+        # its row is padding that is neither checked nor written
+        a = unit_vector(np.random.default_rng(1), 2)
+        v = VideoDetections("v", SHAPE, 2, {0: [det(0, app=a)], 1: [det(1)]})
+        c = columns_of(v)
+        c.descriptor = np.hstack([c.descriptor, [[math.nan], [7.0]]])
+        p = tmp_path / "out.txt"
+        write_detections(c, p)
+        assert read_detections(p) == v
+
 
 class TestGroundTruthIO:
     def test_duplicate_track_id_rejected(self, tmp_path):

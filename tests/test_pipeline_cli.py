@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -587,6 +589,79 @@ class TestCliPostprocess:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {model_path}: {message}\n")
+
+
+def call_main(argv):
+    """main(argv) with its own stdout and stderr: (exit code, stdout, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommandParser:
+    def test_main_builds_only_the_named_commands_subparser(self, tmp_path, monkeypatch):
+        built = []
+        for name, add in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name,
+                                lambda sub, name=name, add=add: built.append(name) or add(sub))
+        _, _, det_path = write_scenario(tmp_path, frame_count=10)
+        assert call_main(["inspect", "--detections", str(det_path)])[0] == 0
+        assert call_main(["eval", "--help"])[0] == 0
+        assert built == ["inspect", "eval"]
+        # a list that does not start with a command gets the full parser
+        for argv in (["--help"], ["evaluate"], [], ["-h", "eval"]):
+            built.clear()
+            assert call_main(argv)[0] in (0, 2)
+            assert built == list(cli._COMMANDS)
+
+    def test_build_parser_gives_a_new_parser_on_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser("eval") is not cli.build_parser("eval")
+        with pytest.raises(KeyError):
+            cli.build_parser("evaluate")
+
+    def test_each_call_behaves_as_with_the_full_parser(self, tmp_path, monkeypatch):
+        _, gt_path, det_path = write_scenario(tmp_path, frame_count=40)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("#video v 1280 720 3\n1 0 10 10 5 5 1.3\n")
+        out, report = tmp_path / "out.txt", tmp_path / "report.json"
+        calls = [
+            ["postprocess", "--detections", str(det_path), "--out", str(out),
+             "--smooth-window", "4"],
+            ["eval", "--help"],
+            ["eval", "--detections", str(bad), "--ground-truth", str(gt_path)],
+            ["postprocess", "--detections", str(det_path), "--out", str(out)],
+            ["eval", "--detections", str(out), "--ground-truth", str(gt_path),
+             "--out", str(report)],
+            ["eval", "--detections", str(out), "--ground-truth", str(gt_path), "--bogus"],
+            ["inspect"],
+            ["--help"],
+            ["evaluate"],
+            [],
+        ]
+
+        def run():
+            seen = []
+            for argv in calls:
+                seen.append((*call_main(argv), *(p.read_bytes() if p.exists() else None
+                                                 for p in (out, report))))
+            out.unlink()
+            report.unlink()
+            return seen
+
+        by_command = run()
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        full = run()
+        assert [s[0] for s in by_command] == [2, 0, 1, 0, 0, 2, 2, 0, 2, 2]
+        assert "usage: tubelink eval" in by_command[1][1] and ":2: score must be" in by_command[2][2]
+        # a top-level error names every command, as the full parser's usage does
+        assert by_command[5][2].startswith("usage: tubelink [-h] {simulate,postprocess,eval,inspect}")
+        assert by_command == full
 
 
 class TestFreshProcess:

@@ -2,6 +2,11 @@
 come from the fields of ScenarioConfig, PipelineConfig and RunSettings."""
 
 import dataclasses
+import math
+import numbers
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +42,14 @@ from tubelink import (
 )
 from tubelink import cli
 from tubelink.cli import RunSettings, main
-from tubelink.settings import read_settings
+from tubelink.settings import (
+    FINITE,
+    NON_NEGATIVE,
+    UNIT_CLOSED,
+    UNIT_HALF_OPEN,
+    UNIT_OPEN,
+    read_settings,
+)
 from tubelink.simulate import MAX_FP_RATE
 
 from test_simulate import time_limit
@@ -350,6 +362,43 @@ def test_an_integer_too_long_to_print_is_shown_by_its_bit_length(make, error, me
     with pytest.raises(error) as e:
         make()
     assert type(e.value) is error and str(e.value) == message
+
+
+# ---------------------------------------------------------------- real-valued checks
+
+def _old_real(ok):
+    """settings.real before its type test for Python ints and floats."""
+    return lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and ok(v)
+
+
+REAL_CHECKS = {  # each real-valued Check and its rule as written before the fast path
+    "FINITE": (FINITE, _old_real(lambda v: abs(v) <= sys.float_info.max
+                                 if isinstance(v, numbers.Rational) else math.isfinite(v))),
+    "NON_NEGATIVE": (NON_NEGATIVE, _old_real(lambda v: 0.0 <= v < math.inf)),
+    "UNIT_OPEN": (UNIT_OPEN, _old_real(lambda v: 0.0 < v < 1.0)),
+    "UNIT_CLOSED": (UNIT_CLOSED, _old_real(lambda v: 0.0 <= v <= 1.0)),
+    "UNIT_HALF_OPEN": (UNIT_HALF_OPEN, _old_real(lambda v: 0.0 <= v < 1.0)),
+}
+REAL_VALUES = [
+    0, 1, -1, 2, 10**400, -10**400, 0.0, -0.0, 0.5, 1.0, 1.5, -2.5, 1e308,
+    math.nan, math.inf, -math.inf, True, False, np.True_, np.False_,
+    np.float32(0.5), np.float32(math.inf), np.float64(math.nan), np.float16(1.0),
+    np.int64(1), np.int64(-3), np.uint64(2**64 - 1), Fraction(1, 3), Fraction(10**400, 3),
+    Decimal("0.5"), Decimal("1"), "1", "0.5", None, 1j, 0.5 + 0j, [0.5],
+]
+
+
+@pytest.mark.parametrize("name", REAL_CHECKS)
+@pytest.mark.parametrize("value", REAL_VALUES, ids=repr)
+def test_real_checks_take_what_they_took_before_the_fast_path(name, value):
+    check, old = REAL_CHECKS[name]
+    assert check.ok(value) == old(value)
+
+
+def test_python_ints_and_floats_are_checked_by_value():
+    assert FINITE.ok(3) and FINITE.ok(10**300) and not FINITE.ok(10**400)
+    assert UNIT_CLOSED.ok(1) and not UNIT_CLOSED.ok(2) and not UNIT_CLOSED.ok(math.nan)
+    assert not FINITE.ok(True) and not UNIT_CLOSED.ok(False)
 
 
 # ---------------------------------------------------------------- fuzzing

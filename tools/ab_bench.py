@@ -99,7 +99,8 @@ def export(ref: str, tree: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="the commit to compare against, e.g. HEAD")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in BENCHMARK["workloads"]])
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = p.parse_args(argv)
     if args.pairs < MIN_PAIRS:
