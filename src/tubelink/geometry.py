@@ -217,22 +217,41 @@ def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
     return [dets[i] for i in kept.tolist()]
 
 
+# IoU pairs per block of nms_rows: a frame of up to 256 boxes is one block
+NMS_PAIR_BUDGET = 65_536
+
+
 def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np.ndarray,
              iou_thresh: float) -> np.ndarray:
     """nms of each frame of rows grouped by frame: the kept rows, frame by
-    frame, each frame's in visit order."""
+    frame, each frame's in visit order.
+
+    A frame's rows are walked in visit order in blocks of consecutive rows,
+    each block's IoU rows taken against the rows from its first row on: a
+    row suppresses only rows after it. A block holds at most NMS_PAIR_BUDGET
+    pairs, or one row's, so memory is O(NMS_PAIR_BUDGET + rows of the frame)
+    however dense the frame; a frame that fits the budget is one block. The
+    visit order and each IoU, iou_corners' value, are the same for any
+    blocks, so the kept rows are too."""
     UNIT_OPEN.require("iou_thresh", iou_thresh, ContractError)
     kept: list[int] = []
     bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
     for lo, hi in zip(bounds, bounds[1:]):
+        n = hi - lo
         order = lo + np.lexsort((box[lo:hi, 1], box[lo:hi, 0], -score[lo:hi]))  # stable
         corners = np.column_stack([box[order, :2], box[order, :2] + box[order, 2:]])
-        # over[k, i]: row k, once kept, suppresses row i; each IoU is iou(k, i)'s value
-        over = iou_corners(corners[:, None], corners[None, :]) > iou_thresh
-        over &= class_id[order, None] == class_id[None, order]
-        suppressed = np.zeros(hi - lo, dtype=bool)
-        for k, row in enumerate(order.tolist()):
-            if not suppressed[k]:
-                kept.append(row)
-                suppressed |= over[k]
+        cls = class_id[order]
+        suppressed = np.zeros(n, dtype=bool)
+        a = 0
+        while a < n:
+            b = min(n, a + max(1, NMS_PAIR_BUDGET // (n - a)))
+            # over[k, i]: row a + k, once kept, suppresses row a + i; each IoU is iou's value
+            over = iou_corners(corners[a:b, None], corners[None, a:]) > iou_thresh
+            over &= cls[a:b, None] == cls[None, a:]
+            later = suppressed[a:]
+            for k, row in enumerate(order[a:b].tolist()):
+                if not later[k]:
+                    kept.append(row)
+                    later |= over[k]
+            a = b
     return np.array(kept, np.int64)

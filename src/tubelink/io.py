@@ -15,7 +15,10 @@ are serialized with Python's shortest exact representation, so a
 write -> read round trip reproduces every value bit for bit.
 
 Only frames that hold boxes are stored (see Frames). The header's
-frame_count bounds the frame indices, and time and memory follow the lines.
+frame_count bounds the frame indices, and time and memory follow the lines:
+read_columns holds a file's lines, not its text besides, and a writer adds
+at most one chunk of CHUNK_LINES lines, formatted, joined and encoded at a
+time, to what it is given.
 
 Validation is total: a malformed file raises ParseError or ValidationError
 with the offending path/line, never a partially built stream.
@@ -32,10 +35,11 @@ geometry.ID takes, an integer in [0, 2**63 - 1], so every stream fits the
 arrays. The object readers build their objects from these columns.
 columns_of and stream_of map a stream and its ids to columns and back.
 write_detections writes either, each line formatted in one place. Before
-it writes anything, it refuses a tubelet id that ID refuses, as the reader
-would, and checks columns with the reader's own bulk checks (_rows_ok), so
-a row that the reader would refuse is refused with its objects' error; an
-id column that is not of a signed integer type is refused as a misuse.
+it opens the file, it refuses a tubelet id that ID refuses, as the reader
+would, and checks columns with the reader's own bulk checks (_rows_ok), a
+chunk at a time, so a row that the reader would refuse is refused with its
+objects' error; an id column that is not of a signed integer type, or
+columns without scores (ground truth's), are refused as a misuse.
 
 A line that breaks a value rule raises the error of the object it would
 make (BBox, then Detection or TrackBox, then a tubelet id's ID), so a
@@ -47,9 +51,9 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -61,6 +65,9 @@ from .settings import Check, integer, shown
 
 HEADER_TAG = "#video"
 TUBELET_TAG = "#tubelets"
+# Lines per write. A writer formats, joins and encodes one chunk of lines at
+# a time, so its memory follows the chunk, not the file.
+CHUNK_LINES = 4096
 # Frames per video, about 9 h at 30 fps. Only frames that hold boxes are
 # stored, so the bound does not guard memory; it keeps frame indices in a
 # sane range, and the simulator's per-frame loop shares it.
@@ -265,9 +272,27 @@ def _refuse(values: list[int | float], ground_truth: bool, has_ids: bool, frame_
         raise ValidationError(f"{where}: {e}") from None
 
 
-def _write_stream(s: _Stream, lines: list[str], path: str | Path) -> None:
+def _chunks(items: Iterable) -> Iterator[list]:
+    """items in lists of CHUNK_LINES, the last one shorter; none for no items."""
+    it = iter(items)
+    while chunk := list(islice(it, CHUNK_LINES)):
+        yield chunk
+
+
+def _slices(n: int) -> Iterator[slice]:
+    """The slices of rows 0 to n in chunks of CHUNK_LINES."""
+    return (slice(lo, lo + CHUNK_LINES) for lo in range(0, n, CHUNK_LINES))
+
+
+def _write_stream(s: _Stream, chunks: Iterable[list[str]], path: str | Path) -> None:
+    """Write s's header, then each chunk of lines as it comes; so the file's
+    text is never held whole. Every check has run before the file is opened."""
     header = f"{HEADER_TAG} {s.video_id} {s.frame_shape.width} {s.frame_shape.height} {s.frame_count}"
-    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for lines in chunks:
+            f.write("\n".join(lines) + "\n")
+            del lines  # before the next chunk is formatted
 
 
 def read_detections(path: str | Path) -> VideoDetections:
@@ -301,25 +326,47 @@ def write_detections(
     detection, keyed and ordered exactly like v.frames (a frame without
     detections may hold an empty list); they are emitted as an extra column
     announced by a ``#tubelets`` marker line. Columns, as postprocess writes
-    them, carry their own tubelet_id column and are written row by row, once
-    the reader's checks pass on them; a refused row raises ValidationError,
-    an id column that is not of a signed integer type ContractError, and no
-    file is written.
+    them, carry their own tubelet_id column and are written a chunk of rows
+    at a time, once the reader's checks pass on them; a refused row raises
+    ValidationError, an id column that is not of a signed integer type or
+    columns without scores ContractError, and no file is written.
     """
     if isinstance(v, BoxColumns):
         if tubelet_ids is not None:
             raise ContractError("columns carry their tubelet ids: pass no tubelet_ids")
         _check_columns(v)
-        rows = zip(v.frame_idx.tolist(), v.class_id.tolist(), *v.box.T.tolist(), v.score.tolist())
-        descriptors = ([None if a is None else a.tolist() for a in v.descriptors()]
-                       if v.descriptor_len.any() else [])
-        ids = None if v.tubelet_id is None else v.tubelet_id.tolist()
+        has_ids = v.tubelet_id is not None
+        chunks = (_column_lines(v.take(rows)) for rows in _slices(len(v.frame_idx)))
     else:
         ids = None if tubelet_ids is None else _flat_ids(v, tubelet_ids)
-        dets = v.all_detections()
-        rows = [(d.frame_idx, d.class_id, float((b := d.bbox).x), float(b.y), float(b.w),
-                 float(b.h), float(d.score)) for d in dets]
-        descriptors = [d.appearance for d in dets]
+        has_ids = ids is not None
+        chunks = _object_lines(v, ids)
+    _write_stream(v, chain([[TUBELET_TAG]] * has_ids, chunks), path)
+
+
+def _column_lines(c: BoxColumns) -> list[str]:
+    """The lines of columns' rows."""
+    rows = zip(c.frame_idx.tolist(), c.class_id.tolist(), *c.box.T.tolist(), c.score.tolist())
+    descriptors = ([None if a is None else a.tolist() for a in c.descriptors()]
+                   if c.descriptor_len.any() else [])
+    return _detection_lines(rows, None if c.tubelet_id is None else c.tubelet_id.tolist(),
+                            descriptors)
+
+
+def _object_lines(v: VideoDetections, ids: Iterator | None) -> Iterator[list[str]]:
+    """The lines of a stream's detections, with the next of ids on each, a
+    chunk at a time."""
+    for dets in _chunks(d for ds in v.frames.values() for d in ds):
+        yield _detection_lines([(d.frame_idx, d.class_id, float((b := d.bbox).x), float(b.y),
+                                 float(b.w), float(b.h), float(d.score)) for d in dets],
+                               None if ids is None else list(islice(ids, len(dets))),
+                               [d.appearance for d in dets])
+
+
+def _detection_lines(rows: Iterable[tuple], ids: list | None, descriptors: list) -> list[str]:
+    """One line per row (frame, class, x, y, w, h, score), with its id when
+    ids is not None and its descriptor, a row of descriptors, when that is
+    not None."""
     # repr gives the shortest string that parses back to the same float
     if ids is None:
         out = [f"{f} {k} {x!r} {y!r} {w!r} {h!r} {s!r}" for f, k, x, y, w, h, s in rows]
@@ -329,7 +376,7 @@ def write_detections(
     for i, a in enumerate(descriptors):
         if a is not None:
             out[i] = " ".join([out[i], *map(repr, map(float, a))])
-    _write_stream(v, out if ids is None else [TUBELET_TAG, *out], path)
+    return out
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
@@ -344,12 +391,10 @@ def read_ground_truth(path: str | Path) -> GroundTruth:
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     """Write ground truth in the format read_ground_truth expects."""
-    out = [
+    _write_stream(gt, ([
         f"{b.frame_idx} {b.class_id} {b.track_id} "
         f"{float(b.bbox.x)!r} {float(b.bbox.y)!r} {float(b.bbox.w)!r} {float(b.bbox.h)!r}"
-        for boxes in gt.frames.values() for b in boxes
-    ]
-    _write_stream(gt, out, path)
+        for b in boxes] for boxes in _chunks(b for bs in gt.frames.values() for b in bs)), path)
 
 
 @dataclass
@@ -386,32 +431,40 @@ class BoxColumns:
 def _check_columns(c: BoxColumns) -> None:
     """Raise ValidationError, as the reader of the file written from c would,
     unless c's header and every row keep the rules: the first refused row's
-    error is its objects' own, prefixed with `row R: `. An id column that is
-    not of a signed integer type raises ContractError."""
+    error is its objects' own, prefixed with `row R: `. The rows are checked
+    a chunk at a time, so the checks need memory for a chunk. Columns without
+    scores, or an id column that is not of a signed integer type, raise
+    ContractError."""
+    if c.score is None:
+        raise ContractError("write_detections writes detection columns, with scores; "
+                            "these have none, as ground truth's")
     _check_video(c.video_id, c.frame_count)
     _FRAME_SHAPE.require("frame_shape", c.frame_shape)
     named = {"frame_idx": c.frame_idx, "class_id": c.class_id, "tubelet_id": c.tubelet_id}
     for name, a in named.items():
         if a is not None and a.dtype.kind != "i":  # a float or uint64 column writes what no ID takes
             raise ContractError(f"{name} must be a signed integer column, got {a.dtype}")
-    ids = [a for a in named.values() if a is not None]
-    # padding past a descriptor is not written, so it is not checked
-    descriptor = np.where(np.arange(c.descriptor.shape[1]) < c.descriptor_len[:, None],
-                          c.descriptor, 0.0)
-    ok = _rows_ok(c.frame_count, ids, c.box, c.score, descriptor, c.descriptor_len)
-    if not ok.all():
-        row = int(ok.argmin())
-        values = [c.frame_idx[row].item(), c.class_id[row].item(), *c.box[row].tolist(),
-                  c.score[row].item(), *[a[row].item() for a in ids[2:]],
-                  *c.descriptor[row, :c.descriptor_len[row]].tolist()]
-        _refuse(values, False, len(ids) > 2, c.frame_count, f"row {row}")
+    for rows in _slices(len(c.frame_idx)):  # a chunk at a time, as the rows are written
+        part = c.take(rows)
+        ids = [a for a in (part.frame_idx, part.class_id, part.tubelet_id) if a is not None]
+        # padding past a descriptor is not written, so it is not checked
+        descriptor = np.where(np.arange(part.descriptor.shape[1]) < part.descriptor_len[:, None],
+                              part.descriptor, 0.0)
+        ok = _rows_ok(c.frame_count, ids, part.box, part.score, descriptor, part.descriptor_len)
+        if not ok.all():
+            row = int(ok.argmin())
+            values = [part.frame_idx[row].item(), part.class_id[row].item(),
+                      *part.box[row].tolist(), part.score[row].item(),
+                      *[a[row].item() for a in ids[2:]],
+                      *part.descriptor[row, :part.descriptor_len[row]].tolist()]
+            _refuse(values, False, len(ids) > 2, c.frame_count, f"row {rows.start + row}")
 
 
-def _flat_ids(s: _Stream, ids: Mapping) -> list:
+def _flat_ids(s: _Stream, ids: Mapping) -> Iterator:
     """ids, one list per frame parallel to s.frames (a frame without boxes
-    may hold an empty list), in stored order. Any other count, or an id that
-    ID refuses, as the reader of a #tubelets file does, raises
-    ValidationError naming the frame."""
+    may hold an empty list), in stored order, as an iterator. Any other
+    count, or an id that ID refuses, as the reader of a #tubelets file does,
+    raises ValidationError naming the frame, on the call."""
     for idx in sorted(s.frames.keys() | ids.keys()):
         if len(ids.get(idx, ())) != len(s.frames[idx]):
             raise ValidationError(f"tubelet_ids for frame {idx} do not match detection count")
@@ -419,7 +472,7 @@ def _flat_ids(s: _Stream, ids: Mapping) -> list:
         for i in ids[idx]:
             if not (type(i) is int and 0 <= i <= _MAX_ID):
                 ID.require(f"tubelet_id in frame {idx}", i)
-    return [i for idx in s.frames for i in ids[idx]]
+    return (i for idx in s.frames for i in ids[idx])
 
 
 def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> BoxColumns:
@@ -437,7 +490,7 @@ def columns_of(s: VideoDetections | GroundTruth, ids: Mapping | None = None) -> 
         np.array([d.score for d in boxes], float) if isinstance(s, VideoDetections) else None,
         np.array([(*a, *[0.0] * (width - len(a))) for a in apps], float).reshape(len(apps), width),
         np.array(list(map(len, apps)), np.int64),
-        None if ids is None else np.array(_flat_ids(s, ids), np.int64),
+        None if ids is None else np.fromiter(_flat_ids(s, ids), np.int64),
         np.array([b.track_id for b in boxes], np.int64) if isinstance(s, GroundTruth) else None,
     )
 
@@ -464,13 +517,14 @@ def read_columns(path: str | Path, ground_truth: bool = False) -> BoxColumns:
     """
     path = str(path)
     text = read_text(path)
-    lines = text.splitlines()
+    ascii_text, lines = text.isascii(), text.splitlines()
+    del text  # the lines hold it; the parse needs no second copy
     video_id, shape, frame_count = _read_header(lines, path)
     has_ids = not ground_truth and len(lines) > 1 and lines[1].strip() == TUBELET_TAG
     body = lines[1 + has_ids:]
     # numpy's integer parser passes a character that is not ASCII to C's
     # isdigit(): it took "\U000b79c3" as 752019, and now and then crashed
-    ascii_tokens = text.isascii() or all(map(str.isascii, " ".join(body).split()))
+    ascii_tokens = ascii_text or all(map(str.isascii, " ".join(body).split()))
     (head, descriptor, descriptor_len), stop = (_body_rows if ascii_tokens else _line_by_line)(
         body, ground_truth, has_ids)
     frame, cls, box = head["frame"], head["class"], head["box"]

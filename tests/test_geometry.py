@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from tubelink import (
     BBox, ContractError, Detection, FrameShape, ValidationError, center, iou, iou_matrix, nms,
 )
+
+from tubelink import geometry
+from tubelink.geometry import nms_rows
 
 from conftest import det, random_bbox
 
@@ -278,3 +282,77 @@ class TestNmsMatchesPairwiseLoop:
         dets = [Detection(0, 0, DEGENERATE[k], 0.5) for k in (0, 1, 2, 3, 5) * 2]
         assert [id(d) for d in nms(dets, 0.5)] == [id(d) for d in oracle_nms(dets, 0.5)]
         assert len(nms(dets, 0.5)) == len(dets)
+
+
+def overlapping_rows(rng, n):
+    """One frame of n same-class 200-px boxes whose corners lie within 20 px
+    of each other, so that every pair has IoU above 0.68."""
+    box = np.column_stack([rng.uniform(0, 20, (n, 2)), np.full((n, 2), 200.0)])
+    return np.zeros(n, np.int64), np.zeros(n, np.int64), box, rng.random(n)
+
+
+class TestNmsBlocks:
+    """nms_rows walks a frame in blocks of at most NMS_PAIR_BUDGET IoU pairs;
+    the blocks change its memory, not its kept rows."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 100, geometry.NMS_PAIR_BUDGET])
+    def test_dense_frames_match_the_oracle(self, rng, monkeypatch, budget):
+        # each frame spans several blocks
+        sizes = ([300, 450, 600] if budget == geometry.NMS_PAIR_BUDGET
+                 else [int(v) for v in rng.integers(11, 60, 40)])
+        monkeypatch.setattr(geometry, "NMS_PAIR_BUDGET", budget)
+        blocks = []
+        iou_corners = geometry.iou_corners
+
+        def counted(a, b):
+            blocks.append(a.shape[0])
+            return iou_corners(a, b)
+        monkeypatch.setattr(geometry, "iou_corners", counted)
+        ties = 0
+        for n in sizes:
+            dets = crowded_frame(rng, n, classes=int(rng.integers(2, 5)))
+            blocks.clear()
+            got = nms(dets, 0.5)
+            assert [id(d) for d in got] == [id(d) for d in oracle_nms(dets, 0.5)]
+            assert sum(blocks) == n and len(blocks) > 1  # each row in one block
+            keys = [(d.score, d.bbox.x) for d in dets]
+            ties += len(keys) - len(set(keys))
+        assert ties > 100
+
+    def test_frames_of_several_blocks_keep_their_own_rows(self, rng, monkeypatch):
+        # frames grouped in one call are walked one by one, each in its blocks
+        monkeypatch.setattr(geometry, "NMS_PAIR_BUDGET", 50)
+        frames = [crowded_frame(rng, n) for n in (30, 0, 1, 45)]
+        dets = [Detection(f, d.class_id, d.bbox, d.score)
+                for f, ds in enumerate(frames) for d in ds]
+        box = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets])
+        kept = nms_rows(np.array([d.frame_idx for d in dets]), np.array([d.class_id for d in dets]),
+                        box, np.array([d.score for d in dets]), 0.5)
+        want = [(f, d.bbox, d.score) for f, ds in enumerate(frames) for d in oracle_nms(ds, 0.5)]
+        assert [(dets[i].frame_idx, dets[i].bbox, dets[i].score) for i in kept.tolist()] == want
+
+    @pytest.mark.parametrize("n, calls", [(1, 1), (256, 1), (257, 2)])
+    def test_a_frame_within_the_budget_is_one_block(self, rng, monkeypatch, n, calls):
+        iou_corners, shapes = geometry.iou_corners, []
+
+        def counted(a, b):
+            shapes.append((a.shape[0], b.shape[1]))
+            return iou_corners(a, b)
+        monkeypatch.setattr(geometry, "iou_corners", counted)
+        nms_rows(*overlapping_rows(rng, n), 0.5)
+        assert len(shapes) == calls and shapes[0] == (min(n, 65_536 // n), n)
+        assert all(rows * cols <= geometry.NMS_PAIR_BUDGET for rows, cols in shapes)
+
+    def test_memory_grows_at_most_linearly_with_a_dense_frame(self, rng):
+        # the N x N matrix took 39 MiB at N = 1,000 and 157 MiB at 2,000
+        peaks = []
+        for n in (1000, 2000):
+            rows = overlapping_rows(rng, n)
+            tracemalloc.start()
+            try:
+                assert nms_rows(*rows, 0.5).tolist() == [int(rows[3].argmax())]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+        assert peaks[1] < 8 * 2 ** 20

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from tubelink import (
 )
 
 from tubelink import geometry
-from tubelink.io import MAX_FRAME_COUNT, columns_of, read_columns
+from tubelink.io import (CHUNK_LINES, MAX_FRAME_COUNT, BoxColumns, columns_of, read_columns,
+                         stream_of)
 
 from conftest import (SHAPE, det, line_by_line, random_ground_truth, random_stream,
                       read_in_bulk, unit_vector)
@@ -339,6 +341,16 @@ class TestRoundTrip:
         with pytest.raises(ValidationError) as e:
             write_detections(c, p)
         assert type(e.value) is ValidationError and str(e.value) == f"row {row}: {message}"
+        assert not p.exists()
+
+    def test_ground_truth_columns_are_not_written_as_detections(self, rng, tmp_path):
+        # they raised a bare AttributeError from the row builder: score is None
+        g = tmp_path / "gt.txt"
+        write_ground_truth(random_ground_truth(rng), g)
+        p = tmp_path / "out.txt"
+        with pytest.raises(ContractError, match="^write_detections writes detection columns, "
+                                                "with scores; these have none"):
+            write_detections(read_columns(g, ground_truth=True), p)
         assert not p.exists()
 
     @pytest.mark.parametrize("column, values, message", [
@@ -807,3 +819,118 @@ class TestIdBound:
         assert_raises_as(p, (ValidationError, "{p}:4: " + message), reader, ground_truth)
         p.write_text(f"#video v 1280 720 4\n{first}\n\n{line.format(MAX_ID)}\n")
         assert_same_columns(read_columns(p, ground_truth), columns_of(reader(p)))
+
+
+def chunk_columns(rng, n, dim, ids):
+    """n detection rows in frame order over about n / 3 frames, a descriptor
+    of dim components on about half of them (none when dim is 0), and
+    tubelet ids when ids is true."""
+    frame = np.sort(rng.integers(0, n // 3 + 1, n))
+    desc = rng.normal(size=(n, dim))
+    desc /= np.linalg.norm(desc, axis=1, keepdims=True) if dim else 1
+    descriptor_len = np.where(rng.random(n) < 0.5, dim, 0)
+    box = np.column_stack([rng.uniform(0, 1000, (n, 2)), rng.uniform(1, 80, (n, 2))])
+    return BoxColumns("v", SHAPE, n // 3 + 1, frame, rng.integers(0, 30, n), box, rng.random(n),
+                      np.where(descriptor_len[:, None] > 0, desc, 0.0), descriptor_len,
+                      rng.integers(0, 2 ** 40, n) if ids else None)
+
+
+def listed_lines(c, with_ids, track_id=None):
+    """The lines that the writers give for columns c, built field by field:
+    detection lines, or ground-truth lines with track_id."""
+    lines = []
+    for row in range(len(c.frame_idx)):
+        ids = [c.frame_idx[row], c.class_id[row]]
+        reals = list(c.box[row])
+        if track_id is not None:
+            ids.append(track_id[row])
+        else:
+            reals.append(c.score[row])
+        tail = [str(c.tubelet_id[row])] if with_ids else []
+        a = c.descriptor[row, :c.descriptor_len[row]]
+        lines.append(" ".join([*map(str, ids), *(repr(float(v)) for v in reals), *tail,
+                               *(repr(float(v)) for v in a)]))
+    return lines
+
+
+class TestChunkedWrites:
+    """The writers write CHUNK_LINES lines at a time: every row count around a
+    chunk boundary gives the whole file's text, which reads back equal."""
+
+    SIZES = [0, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ids", [False, True])
+    def test_columns(self, rng, tmp_path, n, ids):
+        c = chunk_columns(rng, n, 3, ids)
+        p = tmp_path / "out.txt"
+        write_detections(c, p)
+        header = f"#video v 1280 720 {c.frame_count}"
+        assert p.read_text() == "\n".join(
+            [header, *["#tubelets"] * ids, *listed_lines(c, ids)]) + "\n"
+        back = read_columns(p)
+        for a, b in [(back.frame_idx, c.frame_idx), (back.class_id, c.class_id), (back.box, c.box),
+                     (back.score, c.score), (back.descriptor_len, c.descriptor_len)]:
+            assert a.tolist() == b.tolist()
+        if ids:
+            assert back.tubelet_id.tolist() == c.tubelet_id.tolist()
+        else:
+            assert back.tubelet_id is None
+        assert [None if a is None else a.tolist() for a in back.descriptors()] == [
+            None if a is None else a.tolist() for a in c.descriptors()]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("dim, ids", [(0, False), (0, True), (4, False), (4, True)])
+    def test_objects(self, rng, tmp_path, n, dim, ids):
+        c = chunk_columns(rng, n, dim, ids)
+        v, by_frame = stream_of(c)
+        p = tmp_path / "out.txt"
+        write_detections(v, p, by_frame)
+        header = f"#video v 1280 720 {c.frame_count}"
+        assert p.read_text() == "\n".join(
+            [header, *["#tubelets"] * ids, *listed_lines(c, ids)]) + "\n"
+        assert read_detections_with_ids(p) == (v, by_frame)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ground_truth(self, rng, tmp_path, n):
+        c = chunk_columns(rng, n, 0, False)
+        track = np.arange(n)
+        frames = {}
+        for f, k, t, b in zip(c.frame_idx.tolist(), c.class_id.tolist(), track.tolist(),
+                              c.box.tolist()):
+            frames.setdefault(f, []).append(TrackBox(f, k, t, BBox(*b)))
+        g = GroundTruth("v", SHAPE, c.frame_count, frames)
+        p = tmp_path / "gt.txt"
+        write_ground_truth(g, p)
+        header = f"#video v 1280 720 {c.frame_count}"
+        assert p.read_text() == "\n".join([header, *listed_lines(c, False, track)]) + "\n"
+        assert read_ground_truth(p) == g
+
+    @pytest.mark.parametrize("row", [CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES])
+    def test_a_refused_row_past_the_first_chunk_is_named(self, rng, tmp_path, row):
+        # the rows are checked a chunk at a time: the first refused row of
+        # the columns is named, whichever chunk holds it
+        c = chunk_columns(rng, 2 * CHUNK_LINES + 1, 3, True)
+        c.score[[row, -1]] = 2.0
+        p = tmp_path / "out.txt"
+        message = f"row {row}: score must be in [0,1], got 2.0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_detections(c, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("objects", [False, True])
+    def test_memory_follows_a_chunk_not_the_file(self, rng, tmp_path, objects):
+        # the whole text was built, joined and encoded: the peak grew by
+        # about 25 MiB from 4,096 to 16,384 rows with descriptors
+        p, peaks = tmp_path / "out.txt", []
+        for n in (CHUNK_LINES + 1, 4 * (CHUNK_LINES + 1)):
+            c = chunk_columns(rng, n, 8, True)
+            v, ids = stream_of(c) if objects else (c, None)
+            tracemalloc.start()
+            try:
+                write_detections(v, p, ids)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk = p.stat().st_size / n * CHUNK_LINES  # the bytes of one chunk of lines
+        assert peaks[1] - peaks[0] < chunk
