@@ -10,15 +10,27 @@ Poisson false positives with uniform random boxes.
 All randomness comes from one numpy PCG64 generator seeded from the config,
 drawn in a fixed order (per frame: per track ascending, then false
 positives), so a seed reproduces the exact same files anywhere.
+
+Each run of consecutive draws of one kind is one sized call: a track's box
+and velocity uniforms, a motion step's two normals, and a detection's jitter,
+score and appearance normals. A sized call draws exactly what as many scalar
+calls would, and each value is scaled here by numpy's own formula, loc +
+scale * z for a normal and low + (high - low) * u for a uniform, so the bits
+are those of one scalar ``normal``/``uniform`` call per draw. ``integers``
+and ``poisson`` stay scalar: no two of their draws are consecutive, and
+below 2**32 an ``integers`` value takes a 32-bit half of a word that the bit
+generator buffers, so one call over draws that are not consecutive would
+change the stream. A draw that an earlier draw decides (a burst, then a
+drop, then a detection) is never merged across that decision. Every real
+setting enters as a Python float, so a numpy-typed setting gives the bits of
+its Python twin, which it compares equal to. numpy.random is imported by
+generate, not by ``import tubelink``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, fields
-
-from numpy.random import Generator, PCG64
 
 from .errors import ValidationError
 from .geometry import _MAX_ID, BBox, Detection, FrameShape
@@ -35,6 +47,9 @@ BOX_SIDE = real(lambda v: MIN_BOX_SIDE <= v < math.inf, f"a finite number >= {MI
 # False positives per frame, on average. Far beyond any use (the benchmark's
 # crowded scenario has 5), and it keeps numpy's Poisson draw in range.
 MAX_FP_RATE = 100.0
+# Descriptor length: the width of common re-id embeddings. Each track and each
+# detection draws this many normals in one call.
+MAX_APPEARANCE_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,8 @@ class ScenarioConfig:
     tp_score_sigma: float = setting(0.1, NON_NEGATIVE)
     fp_score_mean: float = setting(0.6, UNIT_CLOSED)
     fp_score_sigma: float = setting(0.2, NON_NEGATIVE)
-    appearance_dim: int = setting(0, int_at_least(0))
+    appearance_dim: int = setting(0, integer(
+        lambda v: 0 <= v <= MAX_APPEARANCE_DIM, f"an integer in [0, {MAX_APPEARANCE_DIM}]"))
     appearance_noise: float = setting(0.1, NON_NEGATIVE)
 
     def __post_init__(self):
@@ -128,17 +144,6 @@ def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:
     return pos, flip
 
 
-def _class_and_box(rng: Generator,
-                   config: ScenarioConfig) -> tuple[int, float, float, float, float]:
-    """A class and a box (w, h, cx, cy) inside the frame, drawn in that order
-    for a track and for a false positive alike."""
-    class_id = int(rng.integers(0, config.classes))
-    w = float(rng.uniform(config.box_min, config.box_max))
-    h = float(rng.uniform(config.box_min, config.box_max))
-    cx = float(rng.uniform(w / 2, float(config.width) - w / 2))
-    return class_id, w, h, cx, float(rng.uniform(h / 2, float(config.height) - h / 2))
-
-
 def _unit(v):
     """v over its norm, a norm below 1e-12 counting as 1e-12."""
     return v / max(1e-12, math.sqrt(float(v @ v)))
@@ -146,84 +151,99 @@ def _unit(v):
 
 def generate(config: ScenarioConfig) -> tuple[GroundTruth, VideoDetections]:
     """Simulate a scenario; bitwise deterministic for a given config."""
+    from numpy.random import PCG64, Generator  # here, so that `import tubelink` does not load it
+
     rng = Generator(PCG64(config.seed))
-    W, H = float(config.width), float(config.height)
+    normals, uniforms, integers = rng.standard_normal, rng.random, rng.integers
+    # each real setting once as a Python float: numpy arithmetic on a float32
+    # setting would round in float32, and compare in it
+    (box_min, box_max, speed, sigma, jitter, drop_prob, burst_prob, fp_rate, tp_mean, tp_sigma,
+     fp_mean, fp_sigma, noise) = (float(getattr(config, name)) for name in (
+         "box_min box_max speed_max sigma_motion jitter_sigma drop_prob burst_prob fp_rate"
+         " tp_score_mean tp_score_sigma fp_score_mean fp_score_sigma appearance_noise").split())
+    W, H, classes = float(config.width), float(config.height), config.classes
+    dim, burst_max, box_span = config.appearance_dim, int(config.burst_max), box_max - box_min
 
-    # track initialization, per track ascending
-    tracks = []
-    for tid in range(config.num_tracks):
-        class_id, w, h, cx, cy = _class_and_box(rng, config)
-        vx = float(rng.uniform(-config.speed_max, config.speed_max))
-        vy = float(rng.uniform(-config.speed_max, config.speed_max))
-        base = _unit(rng.normal(size=config.appearance_dim)) if config.appearance_dim > 0 else None
-        tracks.append({
-            "class_id": class_id, "w": w, "h": h, "cx": cx, "cy": cy,
-            "vx": vx, "vy": vy, "base": base, "burst_left": 0,
-        })
+    def class_and_box(k: int) -> tuple[int, float, float, float, float, list[float]]:
+        """A class, then k uniforms: a box (w, h, cx, cy) inside the frame,
+        for a track and for a false positive alike, and what is left over.
+        Each uniform is low + (high - low) * u, numpy's own formula."""
+        class_id = int(integers(0, classes))
+        u = uniforms(k).tolist()
+        w, h = box_min + box_span * u[0], box_min + box_span * u[1]
+        hw, hh = w / 2, h / 2
+        return class_id, w, h, hw + (W - hw - hw) * u[2], hh + (H - hh - hh) * u[3], u[4:]
 
-    gt_frames: defaultdict[int, list[TrackBox]] = defaultdict(list)
-    det_frames: defaultdict[int, list[Detection]] = defaultdict(list)
+    # track initialization, per track ascending: the box and the velocity in
+    # one call, then the appearance base
+    tracks = []  # per track: class, w, h, cx, cy, vx, vy, base, frames of burst left
+    for _ in range(config.num_tracks):
+        class_id, w, h, cx, cy, (ux, uy) = class_and_box(6)
+        vx, vy = -speed + (speed + speed) * ux, -speed + (speed + speed) * uy
+        tracks.append([class_id, w, h, cx, cy, vx, vy, _unit(normals(dim)) if dim else None, 0])
 
+    # a detection's normals, in one call: 4 of jitter, 1 of score, then its appearance
+    n_scalar = 4 * (jitter > 0) + (tp_sigma > 0)
+    n_normals = n_scalar + dim
+    gt_frames: dict[int, list[TrackBox]] = {}
+    det_frames: dict[int, list[Detection]] = {}
     for f in range(config.frame_count):
+        gt_frames[f], det_frames[f] = gt_row, det_row = [], []
         for tid, tr in enumerate(tracks):
+            class_id, w, h, cx, cy, vx, vy, base, burst_left = tr
+            hw, hh = w / 2, h / 2
             if f > 0:
-                dx, dy = tr["vx"], tr["vy"]
-                if config.sigma_motion > 0:
-                    dx += float(rng.normal(0.0, config.sigma_motion))
-                    dy += float(rng.normal(0.0, config.sigma_motion))
-                tr["cx"] += dx
-                tr["cy"] += dy
-                tr["cx"], fx = _reflect(tr["cx"], tr["w"] / 2, W - tr["w"] / 2)
-                tr["cy"], fy = _reflect(tr["cy"], tr["h"] / 2, H - tr["h"] / 2)
-                tr["vx"] *= fx
-                tr["vy"] *= fy
-            box = BBox(tr["cx"] - tr["w"] / 2, tr["cy"] - tr["h"] / 2, tr["w"], tr["h"])
-            gt_frames[f].append(TrackBox(f, tr["class_id"], tid, box))
+                zx, zy = normals(2).tolist() if sigma > 0 else (0.0, 0.0)
+                cx += vx + sigma * zx
+                cy += vy + sigma * zy
+                if not hw <= cx <= W - hw:
+                    cx, fx = _reflect(cx, hw, W - hw)
+                    vx *= fx
+                if not hh <= cy <= H - hh:
+                    cy, fy = _reflect(cy, hh, H - hh)
+                    vy *= fy
+                tr[3:7] = cx, cy, vx, vy
+            gt_row.append(TrackBox(f, class_id, tid, BBox(cx - hw, cy - hh, w, h)))
 
-            # dropout decisions: a burst under way, a new burst, a single drop
-            if tr["burst_left"] > 0:
-                tr["burst_left"] -= 1
+            # dropout decisions, each drawn only when the one before let it be:
+            # a burst under way, a new burst, a single drop
+            if burst_left > 0:
+                tr[8] = burst_left - 1
                 continue
-            if (config.burst_prob > 0 and float(rng.random()) < config.burst_prob
-                    and config.burst_max > 0):
-                tr["burst_left"] = int(rng.integers(1, config.burst_max + 1)) - 1
+            if burst_prob > 0 and uniforms() < burst_prob and burst_max > 0:
+                tr[8] = int(integers(1, burst_max + 1)) - 1
                 continue
-            if config.drop_prob > 0 and float(rng.random()) < config.drop_prob:
+            if drop_prob > 0 and uniforms() < drop_prob:
                 continue
 
-            cx, cy, w, h = tr["cx"], tr["cy"], tr["w"], tr["h"]
-            if config.jitter_sigma > 0:
-                cx += float(rng.normal(0.0, config.jitter_sigma))
-                cy += float(rng.normal(0.0, config.jitter_sigma))
-                w = max(MIN_BOX_SIDE, w + float(rng.normal(0.0, config.jitter_sigma)))
-                h = max(MIN_BOX_SIDE, h + float(rng.normal(0.0, config.jitter_sigma)))
-            score = _clamped_score(rng, config.tp_score_mean, config.tp_score_sigma)
-            appearance = None
-            if tr["base"] is not None:
-                appearance = tuple(_unit(tr["base"] + rng.normal(
-                    0.0, config.appearance_noise, size=config.appearance_dim)).tolist())
-            det_frames[f].append(
-                Detection(f, tr["class_id"], BBox(cx - w / 2, cy - h / 2, w, h), score, appearance)
-            )
+            score, appearance = tp_mean, None
+            if n_normals:
+                z = normals(n_normals)
+                zs = z.tolist()
+                if jitter > 0:
+                    cx += jitter * zs[0]
+                    cy += jitter * zs[1]
+                    w = max(MIN_BOX_SIDE, w + jitter * zs[2])
+                    h = max(MIN_BOX_SIDE, h + jitter * zs[3])
+                if tp_sigma > 0:
+                    score += tp_sigma * zs[n_scalar - 1]
+                if dim:
+                    appearance = tuple(_unit(base + noise * z[n_scalar:]).tolist())
+            det_row.append(Detection(f, class_id, BBox(cx - w / 2, cy - h / 2, w, h),
+                                     min(1.0, max(0.0, score)), appearance))
 
         # false positives after the tracks
-        if config.fp_rate > 0:
-            for _ in range(int(rng.poisson(config.fp_rate))):
-                class_id, w, h, cx, cy = _class_and_box(rng, config)
-                score = _clamped_score(rng, config.fp_score_mean, config.fp_score_sigma)
-                det_frames[f].append(
-                    Detection(f, class_id, BBox(cx - w / 2, cy - h / 2, w, h), score)
-                )
+        if fp_rate > 0:
+            for _ in range(int(rng.poisson(fp_rate))):
+                class_id, w, h, cx, cy, _ = class_and_box(4)
+                score = fp_mean + fp_sigma * normals() if fp_sigma > 0 else fp_mean
+                det_row.append(Detection(f, class_id, BBox(cx - w / 2, cy - h / 2, w, h),
+                                         min(1.0, max(0.0, score))))
 
     shape = config.frame_shape
     gt = GroundTruth(config.video_id, shape, config.frame_count, gt_frames)
     dets = VideoDetections(config.video_id, shape, config.frame_count, det_frames)
     return gt, dets
-
-
-def _clamped_score(rng: Generator, mean: float, sigma: float) -> float:
-    s = mean + float(rng.normal(0.0, sigma)) if sigma > 0 else mean
-    return min(1.0, max(0.0, s))
 
 
 def describe(config: ScenarioConfig) -> str:

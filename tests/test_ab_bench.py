@@ -110,3 +110,25 @@ def test_an_unknown_workload_is_refused_before_any_run(capsys, monkeypatch, work
     err = capsys.readouterr().err
     assert e.value.code == 2 and "argument --workload: invalid choice" in err
     assert all(w["name"] in err for w in ab_bench.BENCHMARK["workloads"])
+
+
+def test_a_seed_is_passed_to_both_sides(monkeypatch, capsys):
+    seconds = str(ab_bench.BENCHMARK["run_seconds"])
+    assert ab_bench.perfbench_argv("crowded", None)[1:] == [
+        "perfbench/run.py", "--workload", "crowded", "--seconds", seconds, "--trace", "0"]
+    assert ab_bench.perfbench_argv("crowded", 7919)[1:] == [
+        "perfbench/run.py", "--workload", "crowded", "--seconds", seconds, "--trace", "0",
+        "--seed", "7919"]
+    # main runs that argv in both trees; the no_process fixture fails the test
+    # if anything starts a process
+    runs = []
+    monkeypatch.setattr(ab_bench, "export", lambda ref, tree: None)
+    monkeypatch.setattr(ab_bench, "run_perfbench",
+                        lambda tree, argv: runs.append((tree, argv)) or result(setup_s=1.0))
+    assert ab_bench.main(["--base", "HEAD", "--workload", "standard", "--seed", "7919"]) == 0
+    assert len(runs) == 2 * ab_bench.MIN_PAIRS and len({tree for tree, _ in runs}) == 2
+    assert all(argv == ab_bench.perfbench_argv("standard", 7919) for _, argv in runs)
+    assert "seed 7919" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as e:
+        ab_bench.main(["--base", "HEAD", "--workload", "standard", "--seed", "-1"])
+    assert e.value.code == 2 and "--seed must be >= 0" in capsys.readouterr().err

@@ -1,9 +1,17 @@
 import contextlib
 import dataclasses
 import math
+import os
+import random
 import signal
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 
 from tubelink import (
     ConfigError,
@@ -16,9 +24,15 @@ from tubelink import (
     link_tubelets,
     parse_config,
     standard_scenario,
+    write_detections,
+    write_ground_truth,
 )
 from tubelink.cli import main
-from tubelink.io import MAX_FRAME_COUNT
+from tubelink.geometry import BBox, Detection
+from tubelink.io import MAX_FRAME_COUNT, GroundTruth, TrackBox, VideoDetections
+from tubelink.simulate import MAX_APPEARANCE_DIM, MIN_BOX_SIDE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clean_config(**kw):
@@ -146,6 +160,28 @@ class TestConfigValidation:
         assert not (tmp_path / "g.txt").exists()
         assert ScenarioConfig(frame_count=MAX_FRAME_COUNT).frame_count == MAX_FRAME_COUNT
 
+    def test_appearance_dim_bounded(self, tmp_path, capsys):
+        # generate() draws appearance_dim normals per track and per detection,
+        # so --appearance-dim 100000000 used to ask for 800 MB a draw; these
+        # values are refused before anything of that size is made
+        expect = f"must be an integer in [0, {MAX_APPEARANCE_DIM}]"
+        outputs = ["--ground-truth", str(tmp_path / "g.txt"),
+                   "--detections", str(tmp_path / "d.txt")]
+        for count in (MAX_APPEARANCE_DIM + 1, 10 ** 8):
+            with pytest.raises(ValidationError) as e:
+                ScenarioConfig(appearance_dim=count)
+            assert str(e.value) == f"appearance_dim {expect}, got {count}"
+            with pytest.raises(SystemExit) as e:
+                main(["simulate", "--appearance-dim", str(count), *outputs])
+            assert e.value.code == 2
+            assert f"appearance-dim {expect}, got '{count}'" in capsys.readouterr().err
+            (tmp_path / "s.cfg").write_text(f"seed = 1\nappearance_dim = {count}\n")
+            assert main(["simulate", "--config", str(tmp_path / "s.cfg"), *outputs]) == 1
+            assert f"s.cfg: line 2: bad value: appearance_dim {expect}" in capsys.readouterr().err
+        assert not (tmp_path / "g.txt").exists() and not (tmp_path / "d.txt").exists()
+        assert ScenarioConfig(appearance_dim=MAX_APPEARANCE_DIM).appearance_dim == \
+            MAX_APPEARANCE_DIM
+
     def test_box_larger_than_frame_rejected(self):
         with pytest.raises(ValidationError, match="^box_max must be smaller than the frame$"):
             ScenarioConfig(width=50, height=50, box_max=64.0)
@@ -256,3 +292,231 @@ class TestDescribe:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nseed = 12\n")
         assert cfg.seed == 12
+
+
+# ---------------------------------------------------------------- draw order
+#
+# The scalar-draw generator that generate() replaced: one numpy call per
+# draw, in the order that fixes the bits of every simulated file. It is kept
+# here, unchanged, as the oracle of the draw order.
+
+def _oracle_reflect(pos, lo, hi):
+    flip = 1.0
+    while pos < lo or pos > hi:
+        if pos < lo:
+            pos = 2 * lo - pos
+        else:
+            pos = 2 * hi - pos
+        flip = -flip
+    return pos, flip
+
+
+def _oracle_class_and_box(rng, config):
+    class_id = int(rng.integers(0, config.classes))
+    w = float(rng.uniform(config.box_min, config.box_max))
+    h = float(rng.uniform(config.box_min, config.box_max))
+    cx = float(rng.uniform(w / 2, float(config.width) - w / 2))
+    return class_id, w, h, cx, float(rng.uniform(h / 2, float(config.height) - h / 2))
+
+
+def _oracle_unit(v):
+    return v / max(1e-12, math.sqrt(float(v @ v)))
+
+
+def _oracle_clamped_score(rng, mean, sigma):
+    s = mean + float(rng.normal(0.0, sigma)) if sigma > 0 else mean
+    return min(1.0, max(0.0, s))
+
+
+def oracle_generate(config):
+    rng = Generator(PCG64(config.seed))
+    W, H = float(config.width), float(config.height)
+
+    tracks = []
+    for tid in range(config.num_tracks):
+        class_id, w, h, cx, cy = _oracle_class_and_box(rng, config)
+        vx = float(rng.uniform(-config.speed_max, config.speed_max))
+        vy = float(rng.uniform(-config.speed_max, config.speed_max))
+        base = (_oracle_unit(rng.normal(size=config.appearance_dim))
+                if config.appearance_dim > 0 else None)
+        tracks.append({
+            "class_id": class_id, "w": w, "h": h, "cx": cx, "cy": cy,
+            "vx": vx, "vy": vy, "base": base, "burst_left": 0,
+        })
+
+    gt_frames = defaultdict(list)
+    det_frames = defaultdict(list)
+
+    for f in range(config.frame_count):
+        for tid, tr in enumerate(tracks):
+            if f > 0:
+                dx, dy = tr["vx"], tr["vy"]
+                if config.sigma_motion > 0:
+                    dx += float(rng.normal(0.0, config.sigma_motion))
+                    dy += float(rng.normal(0.0, config.sigma_motion))
+                tr["cx"] += dx
+                tr["cy"] += dy
+                tr["cx"], fx = _oracle_reflect(tr["cx"], tr["w"] / 2, W - tr["w"] / 2)
+                tr["cy"], fy = _oracle_reflect(tr["cy"], tr["h"] / 2, H - tr["h"] / 2)
+                tr["vx"] *= fx
+                tr["vy"] *= fy
+            box = BBox(tr["cx"] - tr["w"] / 2, tr["cy"] - tr["h"] / 2, tr["w"], tr["h"])
+            gt_frames[f].append(TrackBox(f, tr["class_id"], tid, box))
+
+            if tr["burst_left"] > 0:
+                tr["burst_left"] -= 1
+                continue
+            if (config.burst_prob > 0 and float(rng.random()) < config.burst_prob
+                    and config.burst_max > 0):
+                tr["burst_left"] = int(rng.integers(1, config.burst_max + 1)) - 1
+                continue
+            if config.drop_prob > 0 and float(rng.random()) < config.drop_prob:
+                continue
+
+            cx, cy, w, h = tr["cx"], tr["cy"], tr["w"], tr["h"]
+            if config.jitter_sigma > 0:
+                cx += float(rng.normal(0.0, config.jitter_sigma))
+                cy += float(rng.normal(0.0, config.jitter_sigma))
+                w = max(MIN_BOX_SIDE, w + float(rng.normal(0.0, config.jitter_sigma)))
+                h = max(MIN_BOX_SIDE, h + float(rng.normal(0.0, config.jitter_sigma)))
+            score = _oracle_clamped_score(rng, config.tp_score_mean, config.tp_score_sigma)
+            appearance = None
+            if tr["base"] is not None:
+                appearance = tuple(_oracle_unit(tr["base"] + rng.normal(
+                    0.0, config.appearance_noise, size=config.appearance_dim)).tolist())
+            det_frames[f].append(
+                Detection(f, tr["class_id"], BBox(cx - w / 2, cy - h / 2, w, h), score, appearance)
+            )
+
+        if config.fp_rate > 0:
+            for _ in range(int(rng.poisson(config.fp_rate))):
+                class_id, w, h, cx, cy = _oracle_class_and_box(rng, config)
+                score = _oracle_clamped_score(rng, config.fp_score_mean, config.fp_score_sigma)
+                det_frames[f].append(
+                    Detection(f, class_id, BBox(cx - w / 2, cy - h / 2, w, h), score)
+                )
+
+    shape = config.frame_shape
+    gt = GroundTruth(config.video_id, shape, config.frame_count, gt_frames)
+    dets = VideoDetections(config.video_id, shape, config.frame_count, det_frames)
+    return gt, dets
+
+
+REALS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+INTEGERS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"]
+DRAW_ORDER_CASES = 240
+
+
+def python_twin(cfg):
+    """cfg with every real setting as a Python float: a config that compares
+    equal to cfg and that the oracle reads as generate() reads cfg."""
+    return dataclasses.replace(cfg, **{name: float(getattr(cfg, name)) for name in REALS})
+
+
+def random_config(k):
+    """Case k of the draw-order suite: every branch of the generator is
+    toggled at random. Cases 1 and 3 mod 4 give the integer settings numpy
+    types, cases 2 and 3 mod 4 give every real setting as np.float32."""
+    r = random.Random(k)
+    kw = dict(
+        seed=k, frame_count=r.choice((1, 2, 12, 30)), num_tracks=r.choice((0, 1, 3, 6)),
+        classes=r.choice((1, 2, 30)), width=r.choice((200, 1280)), height=r.choice((150, 720)),
+        box_min=r.choice((2.0, 24.0)), box_max=r.choice((24.0, 64.0)),
+        speed_max=r.choice((0.0, 4.0, 80.0)), sigma_motion=r.choice((0.0, 0.5, 60.0)),
+        jitter_sigma=r.choice((0.0, 2.0, 30.0)),
+        drop_prob=r.choice((0.0, 0.3)), burst_prob=r.choice((0.0, 0.2)),
+        burst_max=r.choice((0, 1, 6)), fp_rate=r.choice((0.0, 0.5, 5.0)),
+        tp_score_mean=r.choice((0.0, 0.75, 1.0)), tp_score_sigma=r.choice((0.0, 0.12, 0.6)),
+        fp_score_mean=r.choice((0.0, 0.6, 1.0)), fp_score_sigma=r.choice((0.0, 0.3)),
+        appearance_dim=r.choice((0, 4, 16)), appearance_noise=r.choice((0.0, 0.2)),
+    )
+    if k % 4 in (1, 3):
+        kw.update({name: r.choice((np.int64, np.int32, np.uint16))(kw[name])
+                   for name in INTEGERS if name in kw})
+    if k % 4 in (2, 3):
+        kw.update({name: np.float32(kw[name]) for name in REALS})
+    return ScenarioConfig(**kw)
+
+
+def written(gt, dets, path):
+    """The bytes of gt and dets as the CLI writes them."""
+    write_ground_truth(gt, path.with_suffix(".gt"))
+    write_detections(dets, path.with_suffix(".det"))
+    return path.with_suffix(".gt").read_bytes(), path.with_suffix(".det").read_bytes()
+
+
+class TestDrawOrder:
+    def test_generate_draws_what_the_scalar_oracle_draws(self, tmp_path):
+        seen = defaultdict(int)
+        for k in range(DRAW_ORDER_CASES):
+            cfg = random_config(k)
+            gt, dets = generate(cfg)
+            want_gt, want_dets = oracle_generate(python_twin(cfg))
+            assert (gt, dets) == (want_gt, want_dets), describe(cfg)
+            assert written(gt, dets, tmp_path / "got") == \
+                written(want_gt, want_dets, tmp_path / "want"), describe(cfg)
+            n_dets = sum(map(len, dets.frames.values()))
+            seen["numpy integers"] += type(cfg.seed) is not int
+            seen["numpy reals"] += type(cfg.sigma_motion) is not float
+            seen["no tracks"] += cfg.num_tracks == 0
+            seen["burst without length"] += cfg.burst_prob > 0 and cfg.burst_max == 0
+            seen["bursts and drops"] += cfg.burst_prob > 0 and cfg.drop_prob > 0 and n_dets > 0
+            seen["descriptors without noise"] += cfg.appearance_dim > 0 == cfg.appearance_noise
+            seen["classes without descriptors"] += cfg.classes > 1 and cfg.appearance_dim == 0
+            seen["many false positives"] += cfg.fp_rate == 5.0
+            seen["every sigma 0"] += not (cfg.sigma_motion or cfg.jitter_sigma
+                                          or cfg.tp_score_sigma or cfg.fp_score_sigma)
+        # each branch is taken by several cases
+        assert len(seen) == 9 and min(seen.values()) >= 3, dict(seen)
+
+    def test_numpy_settings_generate_the_bytes_of_their_python_twin(self, tmp_path):
+        # tp_score_mean + z used to be computed in float32 here, and written
+        # as 0.8093748092651367 where the twin writes 0.8093748071785822
+        numpy_cfg = ScenarioConfig(seed=1, frame_count=20, tp_score_mean=np.float32(0.75),
+                                   fp_rate=1.0, fp_score_mean=np.float32(0.5))
+        python_cfg = ScenarioConfig(seed=1, frame_count=20, tp_score_mean=0.75,
+                                    fp_rate=1.0, fp_score_mean=0.5)
+        assert numpy_cfg == python_cfg and describe(numpy_cfg) == describe(python_cfg)
+        got, want = generate(numpy_cfg), generate(python_cfg)
+        assert got == want
+        assert written(*got, tmp_path / "numpy") == written(*want, tmp_path / "python")
+        assert b" 0.8093748071785822\n" in written(*got, tmp_path / "numpy")[1]
+
+    def test_a_numpy_probability_is_compared_as_its_value(self):
+        # u is the drop draw of the only track's first frame, after the six
+        # uniforms of its box and velocity. np.float32(u) rounds up, so u is
+        # below it and the detection drops; a float32 comparison would see
+        # the two equal and keep the detection.
+        def drop_draw(seed):
+            return Generator(PCG64(seed)).random(7)[6]
+
+        seed = next(s for s in range(100) if np.float32(drop_draw(s)) > drop_draw(s))
+        cfg = ScenarioConfig(seed=seed, frame_count=1, num_tracks=1,
+                             drop_prob=np.float32(drop_draw(seed)))
+        gt, dets = generate(cfg)
+        assert len(gt.frames[0]) == 1 and dets.frames[0] == []
+        assert (gt, dets) == generate(python_twin(cfg)) == oracle_generate(python_twin(cfg))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_every_generated_number_is_a_python_float(self, sigma):
+        reals = {name: np.float32(getattr(ScenarioConfig(), name)) for name in REALS}
+        reals.update(fp_rate=np.float32(2.0), tp_score_sigma=np.float32(sigma),
+                     fp_score_sigma=np.float32(sigma))
+        cfg = ScenarioConfig(seed=2, frame_count=10, **reals)
+        gt, dets = generate(cfg)
+        boxes = [d.bbox for d in dets.all_detections()] + [
+            b.bbox for f in gt.frames.values() for b in f]
+        assert len(dets.all_detections()) > 80
+        assert {type(d.score) for d in dets.all_detections()} == {float}
+        assert {type(v) for b in boxes for v in dataclasses.astuple(b)} == {float}
+
+    def test_import_does_not_load_numpy_random(self):
+        code = ("import sys, tubelink\n"
+                "assert 'numpy.random' not in sys.modules, 'loaded by import tubelink'\n"
+                "gt, dets = tubelink.generate(tubelink.standard_scenario(4))\n"
+                "print(len(dets.all_detections()), len(gt.frames))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert done.returncode == 0, done.stderr
+        gt, dets = generate(standard_scenario(4))
+        assert done.stdout.split() == [str(len(dets.all_detections())), str(len(gt.frames))]

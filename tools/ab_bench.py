@@ -1,14 +1,15 @@
 """Compare the end-to-end benchmark metrics of a base commit and the working
 tree over alternating pairs of perfbench runs.
 
-    python tools/ab_bench.py --base REF --workload W [--pairs N]
+    python tools/ab_bench.py --base REF --workload W [--pairs N] [--seed S]
 
 REF's files are exported with `git archive` into a temporary directory (under
 $TMPDIR), so nothing is registered in the repository and an interrupted run
 leaves no worktree behind. Pair k runs BENCHMARK.json's `command` with
-`--workload W --seconds run_seconds --trace 0` once in that tree and once in
-the working tree, the base first in even pairs and the working tree first in
-odd ones, so that a drift of the host's speed does not favour one side. Each
+`--workload W --seconds run_seconds --trace 0`, with `--seed S` if it is
+given (perfbench's held-out seed is 7919), once in that tree and once in the
+working tree, the base first in even pairs and the working tree first in odd
+ones, so that a drift of the host's speed does not favour one side. Each
 side runs its own perfbench/ and src/. N is at least 10, the pairs a gain
 claim needs.
 
@@ -74,13 +75,17 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list
     return lines
 
 
-def run_perfbench(tree: Path, workload: str) -> dict:
-    """One benchmark run in a tree: the JSON object of its last output line,
-    or a result that is not correct if it printed none."""
-    proc = subprocess.run(
-        [sys.executable, *BENCHMARK["command"][1:], "--workload", workload,
-         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+def perfbench_argv(workload: str, seed: int | None) -> list[str]:
+    """The command of one benchmark run; perfbench's own seed if seed is None."""
+    return [sys.executable, *BENCHMARK["command"][1:], "--workload", workload,
+            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0",
+            *([] if seed is None else ["--seed", str(seed)])]
+
+
+def run_perfbench(tree: Path, argv: list[str]) -> dict:
+    """One benchmark run of argv in a tree: the JSON object of its last
+    output line, or a result that is not correct if it printed none."""
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -102,9 +107,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", required=True,
                    choices=[w["name"] for w in BENCHMARK["workloads"]])
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    p.add_argument("--seed", type=int, help="perfbench's input seed on both sides "
+                   "(default: perfbench's own)")
     args = p.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         p.error(f"--pairs must be >= {MIN_PAIRS}")
+    if args.seed is not None and args.seed < 0:
+        p.error("--seed must be >= 0")
+    command = perfbench_argv(args.workload, args.seed)
     base, change = [], []
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         try:
@@ -114,12 +124,13 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": Path(tmp) / "tree", "change": ROOT}
         for k in range(args.pairs):
             for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                result = run_perfbench(trees[side], args.workload)
+                result = run_perfbench(trees[side], command)
                 (base if side == "base" else change).append(result)
                 print(f"pair {k + 1}/{args.pairs} {side}: correct={result['correct']}",
                       file=sys.stderr, flush=True)
     lines = summarize(BENCHMARK["end_to_end"], base, change)
-    print(f"{args.workload}: {args.pairs} pairs of {BENCHMARK['run_seconds']:g} s, "
+    seed = "" if args.seed is None else f", seed {args.seed}"
+    print(f"{args.workload}: {args.pairs} pairs of {BENCHMARK['run_seconds']:g} s{seed}, "
           f"base {args.base} against the working tree")
     print("\n".join(lines))
     failed = [f"{side} run {k + 1}" for side, runs in (("base", base), ("change", change))

@@ -16,13 +16,18 @@ tubelet counts and length histograms are read back from the tubelet-id
 column, which eval ignores. Then
 one `eval --per-video --out --pr-out` per group pools all its runs, so that
 cells of different videos meet in one evaluation; its report and CSV are
-digested too. Any exit code but 0 ends the script with 1.
+digested too. Last come `simulate`-only runs, whose ground truth and
+detections are digested: standard_scenario seeds 0-2 with the generator
+branches that no run above takes (every sigma 0, descriptors without noise,
+several classes without descriptors, bursts of length 0). Any exit code but
+0 ends the script with 1.
 
 Run from anywhere: python tools/digest_runs.py > digest.txt
 It imports tubelink from the src/ next to this file.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -38,6 +43,13 @@ from tubelink import cli, describe, standard_scenario  # noqa: E402
 SEEDS = (0, 7919)
 STANDARD = {"default": [], "nms-0.5": ["--nms-iou", "0.5"], "exact": ["--assignment", "exact"],
             "no-repp": ["--no-repp"], "endpoint": ["--interp-score", "endpoint"]}
+SIMULATE_ONLY = {
+    "zero-sigmas": dict(sigma_motion=0.0, jitter_sigma=0.0, tp_score_sigma=0.0,
+                        fp_score_sigma=0.0),
+    "noiseless-descriptors": dict(appearance_dim=8, appearance_noise=0.0),
+    "classes": dict(classes=5),
+    "zero-length-bursts": dict(burst_prob=0.3, burst_max=0),
+}
 
 
 def workloads() -> dict:
@@ -96,6 +108,16 @@ def main() -> int:
             report, pr = Path(tmp) / group / "pooled.eval.json", Path(tmp) / group / "pooled.pr.csv"
             call(["eval", *argv, "--per-video", "--out", str(report), "--pr-out", str(pr)])
             digest([report, pr], tmp)
+        for variant, overrides in SIMULATE_ONLY.items():
+            for seed in range(3):
+                stem = Path(tmp) / f"simulate-{variant}" / f"sim-{seed}"
+                stem.parent.mkdir(exist_ok=True)
+                scenario, gt, det = (Path(f"{stem}.{ext}") for ext in ("cfg", "gt", "det"))
+                scenario.write_text(describe(dataclasses.replace(standard_scenario(seed),
+                                                                 **overrides)), encoding="utf-8")
+                call(["simulate", "--config", str(scenario), "--ground-truth", str(gt),
+                      "--detections", str(det)])
+                digest([gt, det], tmp)
     return 0
 
 
