@@ -47,13 +47,15 @@ DEFAULT_BIAS = -4.0
 class LinkFeatures:
     """Features of an ordered detection pair (earlier frame -> later frame).
 
-    Slotted and not frozen: one is built per scored pair, and a frozen
-    dataclass sets each field through object.__setattr__, about three times
-    the cost of the construction. For the same reason the __init__ is
-    written out: it checks its arguments as locals before storing them,
-    where the generated __init__ and a __post_init__ would store them and
-    then read each back. The dataclass still gives equality, repr, fields(),
-    replace() and __match_args__.
+    The linker builds none for the pairs it scores: feature_columns checks
+    these rules on a whole chunk with numpy and link_score takes each pair's
+    fields as a tuple. One is built for a single pair (link_features,
+    tubelet_link_score) and for a chunk's first pair that breaks a rule, to
+    raise its error. Iterating one yields its fields in field order, so
+    link_score scores it like that tuple. Slotted, with a written-out
+    __init__ that checks its arguments as locals before storing them; the
+    dataclass still gives equality, repr, fields(), replace() and
+    __match_args__.
     """
 
     dx: float                 # center x displacement / frame width
@@ -88,6 +90,10 @@ class LinkFeatures:
         self.class_match = class_match
         self.appearance_sim = appearance_sim
 
+    def __iter__(self):
+        return iter((self.dx, self.dy, self.log_w_ratio, self.log_h_ratio, self.iou,
+                     self.score_geo_mean, self.class_match, self.appearance_sim))
+
 
 # a tuple, so that a model hashes with the PipelineConfig that holds it
 WEIGHTS = Check(lambda v: isinstance(v, tuple) and len(v) == 8 and all(map(FINITE.ok, v)),
@@ -121,11 +127,15 @@ def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.
     number of frames it spans.
 
     Returns the LinkFeatures fields as 8 lists of floats, up to the first
-    pair whose features cannot be built, and that pair's ValidationError (or
-    None): its descriptor lengths differ, or a size ratio underflows the
-    log. Every value has the float operations of one pair in Python:
-    geometry.iou's for the IoU, np.dot's for the descriptor cosine, and
-    math.log for the size ratios, as np.log may round differently.
+    pair whose features cannot be built or break a rule of LinkFeatures, and
+    that pair's ValidationError (or None). Its features cannot be built when
+    its descriptor lengths differ or a size ratio underflows the log; those
+    checks come first. The rules are checked on the whole chunk, field by
+    field, and the error of a pair that breaks one is the one LinkFeatures
+    raises for it: every row returned keeps the rules, and no LinkFeatures
+    is built for it. Every value has the float operations of one pair in
+    Python: geometry.iou's for the IoU, np.dot's for the descriptor cosine,
+    and math.log for the size ratios, as np.log may round differently.
     """
     # each side at its pairs' rows, but for the descriptors: those are
     # gathered per length below, only the values that a dot takes
@@ -141,16 +151,30 @@ def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.
         at = np.flatnonzero(both & (alen == k) & (blen == k))
         app[at] = np.matmul(a[3][i[at], None, :k], b[3][j[at], :k, None])[:, 0, 0]  # stacked dots
     bad = (both & (alen != blen)) | (w_ratio == 0.0) | (h_ratio == 0.0)
-    n = int(bad.argmax()) if bad.any() else len(bad)
+    fields = [((bx + bw / 2.0) - (ax + aw / 2.0)) / shape.width / steps,
+              ((by + bh / 2.0) - (ay + ah / 2.0)) / shape.height / steps,
+              w_ratio, h_ratio, overlap, np.sqrt(ascore * bscore),
+              np.where(ac == bc, 1.0, 0.0), np.clip(app, -1.0, 1.0)]
+    # LinkFeatures' rules, each field on its own, as a sum of finite fields
+    # may overflow; a positive size ratio's log is finite exactly when it is
+    broken = bad | ~((overlap >= 0.0) & (overlap <= 1.0))
+    broken |= (fields[6] != 0.0) & (fields[6] != 1.0)
+    for c in fields:
+        broken |= ~np.isfinite(c)
+    n = int(broken.argmax()) if broken.any() else len(broken)
     error = None
-    if n < len(bad):  # the checks of one pair, in their order
+    if n < len(broken) and bad[n]:  # the checks of one pair, in their order
         error = ValidationError(f"descriptor lengths differ: {alen[n]} and {blen[n]}"
                                 if both[n] and alen[n] != blen[n]
                                 else "link feature log size ratio is not finite: -inf")
-    dx = ((bx + bw / 2.0) - (ax + aw / 2.0)) / shape.width / steps
-    dy = ((by + bh / 2.0) - (ay + ah / 2.0)) / shape.height / steps
-    columns = [c[:n].tolist() for c in (dx, dy, w_ratio, h_ratio, overlap, np.sqrt(ascore * bscore),
-                                        np.where(ac == bc, 1.0, 0.0), np.clip(app, -1.0, 1.0))]
+    elif n < len(broken):  # a rule broken: LinkFeatures names it
+        row = [float(c[n]) for c in fields]
+        row[2:4] = map(math.log, row[2:4])
+        try:
+            LinkFeatures(*row)
+        except ValidationError as e:
+            error = e
+    columns = [c[:n].tolist() for c in fields]
     columns[2:4] = (list(map(math.log, c)) for c in columns[2:4])
     return tuple(columns), error
 
@@ -202,19 +226,22 @@ _SCORE_MIN = math.nextafter(0.0, 1.0)
 _SCORE_MAX = math.nextafter(1.0, 0.0)
 
 
-def link_score(m: SimilarityModel, f: LinkFeatures) -> float:
+def link_score(m: SimilarityModel, f: LinkFeatures | tuple[float, ...]) -> float:
     """Linking probability in (0, 1) for a feature point under a model.
 
-    Extreme inputs that would saturate the sigmoid in float64 clamp to the
-    nearest representable neighbors of 0 and 1, so the score never reaches
-    either endpoint. A logit with no value (weighted terms of +inf and -inf)
-    raises ValidationError.
+    f is a LinkFeatures or the tuple of its 8 fields in field order, as
+    feature_columns' rows come to the linker; both score with the same float
+    operations. A tuple is not checked: its fields must keep LinkFeatures'
+    rules. Extreme inputs that would saturate the sigmoid in float64 clamp
+    to the nearest representable neighbors of 0 and 1, so the score never
+    reaches either endpoint. A logit with no value (weighted terms of +inf
+    and -inf) raises ValidationError.
     """
     # feature_vector's terms, added in its order, without building it
     w0, w1, w2, w3, w4, w5, w6, w7 = m.weights
-    z = (m.bias + w0 * (f.dx * f.dx) + w1 * (f.dy * f.dy) + w2 * abs(f.log_w_ratio)
-         + w3 * abs(f.log_h_ratio) + w4 * f.iou + w5 * f.score_geo_mean
-         + w6 * f.class_match + w7 * f.appearance_sim)
+    dx, dy, log_w, log_h, iou, geo, match, app = f
+    z = (m.bias + w0 * (dx * dx) + w1 * (dy * dy) + w2 * abs(log_w) + w3 * abs(log_h)
+         + w4 * iou + w5 * geo + w6 * match + w7 * app)
     # numerically stable sigmoid
     if z >= 0.0:
         s = 1.0 / (1.0 + math.exp(-z))

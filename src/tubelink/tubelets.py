@@ -8,12 +8,12 @@ has two callers, and both key their links by row: _build, its gap-0 case
 over detection rows, and linking._link, its g_max case over tubelet rows,
 which link_tubelets orders by id. The ends come as arrays:
 _link_candidates enumerates the candidates with one sort and a searchsorted
-window per tail and computes their features in chunks with numpy; only
-LinkFeatures and link_score run once per pair, driven from C by map and
-np.fromiter, and a numpy mask keeps the scores that reach tau. Refinement
-then blends confidences toward the tubelet mean, smooths coordinates with a
-centered moving average and drops short tubelets, which are the dominant
-false-positive shape.
+window per tail and computes and checks their features in chunks with
+numpy; only link_score runs once per pair, on the pair's tuple of features,
+driven from C by map and np.fromiter, and a numpy mask keeps the scores
+that reach tau. Refinement then blends confidences toward the tubelet mean,
+smooths coordinates with a centered moving average and drops short
+tubelets, which are the dominant false-positive shape.
 
 The pipeline works on TubeletColumns, all tubelets at once in arrays; the
 tubelet ids, which geometry.ID checks as it checks every id, are an int64
@@ -35,7 +35,7 @@ from .errors import ContractError, ValidationError
 from .geometry import _MAX_ID, BOX, ID, BBox, FrameShape, added, check_boxes
 from .io import BoxColumns, VideoDetections, columns_of
 from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, int_at_least, one_of
-from .similarity import LinkFeatures, SimilarityModel, feature_columns, link_score
+from .similarity import SimilarityModel, feature_columns, link_score
 
 
 # a Python or numpy bool, as the value types take numpy integers and floats
@@ -170,12 +170,14 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
 
     The pairs are enumerated tail by tail, each tail's heads in frame order
     and ties in row order, and their features are computed in chunks of
-    _PAIR_CHUNK pairs. A chunk is scored in one pass with no Python loop:
-    np.fromiter draws from a lazy map that builds pair k's LinkFeatures and
-    then calls link_score on it, once per pair, before pair k + 1; the
-    scores >= tau are then kept with a numpy mask. So the first pair that
-    fails raises its own error, and an error of feature_columns is raised
-    only after the pairs before it are scored.
+    _PAIR_CHUNK pairs. feature_columns checks LinkFeatures' rules on the
+    chunk and stops its columns at the first pair that fails them. The
+    chunk is then scored in one pass with no Python loop and no object per
+    pair: np.fromiter draws from a lazy map that calls link_score on pair
+    k's tuple of features, once per pair, before pair k + 1; the scores
+    >= tau are then kept with a numpy mask. So the first pair that fails
+    raises its own error: link_score's while the pairs are scored, or
+    feature_columns' once the pairs before it are.
     """
     UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
@@ -201,9 +203,8 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
         i = np.searchsorted(ends, at, "right")
         j = order[lo[i] + at - (ends[i] - count[i])]
         columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i], shape)
-        # lazy: building every LinkFeatures first would raise a later pair's error first
-        s = np.fromiter(map(link_score, repeat(m), map(LinkFeatures, *columns)), float,
-                        len(columns[0]))
+        # zip reuses its result tuple: no object is built per pair
+        s = np.fromiter(map(link_score, repeat(m), zip(*columns)), float, len(columns[0]))
         k = np.flatnonzero(s >= tau)
         out += zip(s[k].tolist(), i[k].tolist(), j[k].tolist())
         if error:

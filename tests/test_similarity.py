@@ -23,6 +23,7 @@ from tubelink import (
     build_tubelets,
     center,
     default_model,
+    FrameShape,
     feature_vector,
     fit_model,
     generate,
@@ -99,7 +100,7 @@ class TestLinkFeatures:
         assert f != values
         assert repr(f) == ("LinkFeatures(dx=0.1, dy=-0.2, log_w_ratio=0.0, log_h_ratio=0.5, "
                            "iou=0.25, score_geo_mean=0.5, class_match=1.0, appearance_sim=-0.5)")
-        assert not hasattr(f, "__dict__")  # slotted: one is built per scored pair
+        assert not hasattr(f, "__dict__")  # slotted, as link_features builds one per call
 
     @pytest.mark.parametrize("k, value, message", [
         (4, -0.25, "iou feature out of [0,1]: -0.25"),
@@ -763,8 +764,10 @@ class TestFirstFailingPairRaises:
 
 class TestChunkScoredInOnePass:
     """A chunk's pairs are scored by one lazy map, pair after pair: pair k's
-    LinkFeatures, then its link_score, then pair k + 1's. A numpy mask then
-    keeps the scores that reach tau."""
+    link_score on its tuple of checked features, then pair k + 1's. The
+    columns stop at the first pair that breaks a rule of LinkFeatures, and
+    its error is raised after the pairs before it are scored. A numpy mask
+    then keeps the scores that reach tau."""
 
     # log size ratios of ln 3 weigh in as terms of +inf and -inf
     M = SimilarityModel((0.0, 0.0, 1.7e308, -1.7e308, 0.0, 0.0, 0.0, 0.0), 0.0)
@@ -813,3 +816,177 @@ class TestChunkScoredInOnePass:
         assert [(t.entries[0].bbox, t.entries[-1].bbox) for t in merged] == [(a.bbox, b.bbox)]
         assert max(map(len, link_tubelets([tail, *heads], m, 3, math.nextafter(s, 1.0),
                                           SHAPE))) == 1
+
+
+# ------------------------------------- LinkFeatures' rules, checked per chunk
+
+EXTREME_XS = (0.0, 100.0, 1e308, -1e308)
+EXTREME_SIDES = (10.0, 1e300, 1e-300, 1e-200)
+
+
+def extreme_det(rng, frame):
+    """A box with corners at +-1e308 or sides of 1e+-300 and 1e-200 on 40%
+    of its fields; a descriptor of length 2 or 3 on half the detections."""
+    x, y = (float(rng.choice(EXTREME_XS)) if rng.random() < 0.4 else float(rng.uniform(0, 200))
+            for _ in range(2))
+    w, h = (float(rng.choice(EXTREME_SIDES)) if rng.random() < 0.4 else float(rng.uniform(1, 60))
+            for _ in range(2))
+    app = unit_vector(rng, int(rng.choice([2, 2, 2, 3]))) if rng.random() < 0.5 else None
+    return Detection(frame, int(rng.integers(0, 2)), BBox(x, y, w, h), float(rng.uniform()), app)
+
+
+def sides_of(dets):
+    """BoxColumns' columns (class_id, box, score, descriptor, descriptor_len)
+    of a list of detections, descriptors padded with zeros."""
+    lens = np.array([len(d.appearance or ()) for d in dets], np.int64)
+    app = np.zeros((len(dets), int(lens.max())))
+    for r, d in enumerate(dets):
+        app[r, :lens[r]] = d.appearance or ()
+    return (np.array([d.class_id for d in dets], np.int64),
+            np.array([[d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h] for d in dets]),
+            np.array([d.score for d in dets]), app, lens)
+
+
+def oracle_rows(pairs, shape):
+    """The seed's path pair by pair: oracle_link_features, its displacement
+    divided by the frames spanned. The rows before the first pair that fails
+    and that pair's message, or None. The seed let np.dot's and math.log's
+    bare ValueErrors escape; they are given the messages of the pair that
+    raised them."""
+    rows = []
+    for d1, d2, steps in pairs:
+        try:
+            f = oracle_link_features(d1, d2, shape)
+            f = dataclasses.replace(f, dx=f.dx / steps, dy=f.dy / steps)
+        except ValidationError as e:
+            return rows, str(e)
+        except ValueError:
+            a1, a2 = d1.appearance, d2.appearance
+            return rows, (f"descriptor lengths differ: {len(a1)} and {len(a2)}"
+                          if a1 and a2 and len(a1) != len(a2)
+                          else "link feature log size ratio is not finite: -inf")
+        rows.append(tuple(f))
+    return rows, None
+
+
+def bits(rows):
+    return [tuple(map(float.hex, r)) for r in rows]
+
+
+class TestBulkRulesEqualLinkFeatures:
+    """feature_columns checks LinkFeatures' rules on a whole chunk with
+    numpy: its columns stop where a per-pair loop of LinkFeatures would
+    raise, with the error that loop raises."""
+
+    def test_columns_and_error_equal_a_loop_of_link_features(self, rng, pair_chunk):
+        errors, overflows, kept = set(), 0, 0
+        for _ in range(400):
+            # at width 1 a centre displacement of 1e308 is a finite dx of 1e308
+            shape = SHAPE if rng.random() < 0.5 else FrameShape(1, 1)
+            tails = [extreme_det(rng, 0) for _ in range(int(rng.integers(1, 5)))]
+            heads = [extreme_det(rng, 3) for _ in range(int(rng.integers(1, 5)))]
+            n = int(rng.integers(1, 10))
+            i, j = rng.integers(0, len(tails), n), rng.integers(0, len(heads), n)
+            steps = rng.integers(1, 4, n)
+            expect, message = oracle_rows(
+                [(tails[a], heads[b], int(k)) for a, b, k in zip(i, j, steps)], shape)
+            rows, error = [], None
+            for first in range(0, n, tubelets._PAIR_CHUNK):
+                at = slice(first, first + tubelets._PAIR_CHUNK)
+                columns, error = feature_columns(sides_of(tails), sides_of(heads), i[at], j[at],
+                                                 steps[at], shape)
+                rows += zip(*columns)
+                if error:
+                    break
+            assert bits(rows) == bits(expect)
+            assert (error and str(error)) == message
+            assert error is None or type(error) is ValidationError
+            errors.add(message and message.split(":")[0])
+            overflows += sum(not math.isfinite(sum(r)) for r in rows)
+            kept += len(rows)
+        assert errors >= {None, "descriptor lengths differ", "link feature dx is not finite",
+                          "link feature log_w_ratio is not finite",
+                          "link feature log size ratio is not finite"}
+        assert overflows > 10 and kept > 1000
+
+    def test_a_sum_that_overflows_does_not_cut_the_chunk(self):
+        # dx = dy = 1e308 are finite, their sum is not
+        tail, head = det(frame=0), det(frame=1, x=1e308, y=1e308)
+        a, b = sides_of([tail, det(frame=0, x=-1e308)]), sides_of([head, det(frame=1)])
+        i, j = np.array([0, 0, 1, 0]), np.array([0, 1, 1, 0])
+        columns, error = feature_columns(a, b, i, j, np.ones(4), FrameShape(1, 1))
+        rows = list(zip(*columns))
+        assert error is None
+        assert [r[:2] for r in rows] == [(1e308, 1e308), (0.0, 0.0), (1e308, 0.0), (1e308, 1e308)]
+        assert tuple(LinkFeatures(*rows[0])) == rows[0]
+
+
+class TestLinkScoreTakesATuple:
+    def test_tuple_of_fields_follows_field_order(self):
+        f = LinkFeatures(0.1, -0.2, 0.3, -0.4, 0.5, 0.6, 1.0, -0.7)
+        assert tuple(f) == tuple(getattr(f, field.name) for field in dataclasses.fields(f))
+        assert tuple(f) == (0.1, -0.2, 0.3, -0.4, 0.5, 0.6, 1.0, -0.7)
+
+    def test_tuple_and_link_features_score_the_same_bits(self, rng):
+        extreme = (0.0, 1e-308, 1e-5, 1e5, 1e150, 1e308)
+        undefined = 0
+        for _ in range(3000):
+            signs = rng.choice([-1.0, 1.0], 8)
+            scale = [float(rng.choice(extreme)) if rng.random() < 0.3
+                     else float(rng.uniform(0.0, 50.0)) for _ in range(8)]
+            m = SimilarityModel(tuple(float(v) for v in signs * scale), float(rng.normal(0.0, 5.0)))
+            big = float(rng.choice([1.0, 1e5, 1e155, 1e305]))
+            f = LinkFeatures(*(float(v) for v in rng.normal(0.0, big, 4)),
+                             float(rng.uniform()), float(rng.uniform()),
+                             float(rng.integers(0, 2)), float(rng.uniform(-1, 1)))
+            try:
+                s = link_score(m, f)
+            except ValidationError:
+                undefined += 1
+                with pytest.raises(ValidationError, match="link score logit is undefined"):
+                    link_score(m, tuple(f))
+                continue
+            assert s.hex() == link_score(m, tuple(f)).hex() == oracle_link_score(m, f).hex()
+        assert 0 < undefined < 1000
+
+
+class TestNoLinkFeaturesPerPair:
+    """The linker scores each candidate pair with one link_score call on a
+    tuple: it builds a LinkFeatures only to raise a broken rule's error."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"built": 0, "scored": 0}
+        init = LinkFeatures.__init__
+
+        def counted_init(self, *fields):
+            counts["built"] += 1
+            init(self, *fields)
+
+        def counted_score(m, f):
+            counts["scored"] += 1
+            return link_score(m, f)
+
+        monkeypatch.setattr(LinkFeatures, "__init__", counted_init)
+        monkeypatch.setattr(tubelets, "link_score", counted_score)
+        return counts
+
+    def test_a_clean_stream_builds_none(self, counts):
+        v = generate(ScenarioConfig(seed=5, frame_count=30, num_tracks=5, classes=2,
+                                    fp_rate=2.0, appearance_dim=4))[1]
+        # gap-0 candidates: same-class pairs of consecutive stored frames
+        per_class = {t: np.bincount([d.class_id for d in ds], minlength=2)
+                     for t, ds in v.frames.items()}
+        pairs = sum(int(per_class[t] @ per_class[t + 1]) for t in per_class if t + 1 in per_class)
+        ts = build_tubelets(v, default_model(), 0.5)
+        assert counts == {"built": 0, "scored": pairs} and pairs > 300
+        link_tubelets(ts, default_model(), 3, 0.3, v.frame_shape)
+        assert counts["built"] == 0 and counts["scored"] > pairs
+
+    def test_a_non_finite_dx_builds_one(self, counts):
+        k = 5
+        ok, far = det(frame=1, x=-1e308), det(frame=1, x=1e308)  # 2e308 overflows to inf
+        v = VideoDetections("v", SHAPE, 2, {0: [det(frame=0, x=-1e308)], 1: [ok] * k + [far, ok]})
+        with pytest.raises(ValidationError, match=re.escape("link feature dx is not finite: inf")):
+            build_tubelets(v, default_model(), 0.5)
+        assert counts == {"built": 1, "scored": k}
