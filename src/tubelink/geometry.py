@@ -232,7 +232,9 @@ def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np
     pairs, or one row's, so memory is O(NMS_PAIR_BUDGET + rows of the frame)
     however dense the frame; a frame that fits the budget is one block. The
     visit order and each IoU, iou_corners' value, are the same for any
-    blocks, so the kept rows are too."""
+    blocks, so the kept rows are too. One reduction per block finds the
+    rows that overlap no row but themselves; a kept row of these
+    suppresses nothing, so it updates no mask."""
     UNIT_OPEN.require("iou_thresh", iou_thresh, ContractError)
     kept: list[int] = []
     bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
@@ -248,10 +250,14 @@ def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np
             # over[k, i]: row a + k, once kept, suppresses row a + i; each IoU is iou's value
             over = iou_corners(corners[a:b, None], corners[None, a:]) > iou_thresh
             over &= cls[a:b, None] == cls[None, a:]
+            # whether row a + k overlaps a row besides itself, whose IoU is 1;
+            # a row that overlaps none suppresses none (np.triu took longer)
+            hits = (over.sum(axis=1) > 1).tolist()
             later = suppressed[a:]
             for k, row in enumerate(order[a:b].tolist()):
                 if not later[k]:
                     kept.append(row)
-                    later |= over[k]
+                    if hits[k]:
+                        later |= over[k]
             a = b
     return np.array(kept, np.int64)

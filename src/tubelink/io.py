@@ -575,24 +575,40 @@ def _load(lines: list[str], fields: list, k: int) -> np.ndarray:
         return np.loadtxt(lines, dtype, comments=None, ndmin=1)
 
 
+def _by_width(lines: list[str], fields: list, n: int, counts: list[int]) -> list[tuple]:
+    """The lines loaded one width at a time, counts[k] being line k's field
+    count, 0 for a blank line: (where in the non-blank lines, rows) of each.
+    A width below n, the fields before a descriptor, raises ValueError, as
+    numpy does for a line whose field count is not its group's."""
+    widths = np.array([k for k in counts if k])
+    return [(widths == k, _load([s for s, c in zip(lines, counts) if c == k], fields, k - n))
+            for k in set(counts) - {0}]
+
+
 def _rows(lines: list[str], ground_truth: bool, has_ids: bool) -> tuple[np.ndarray, ...]:
     """The non-blank lines in file order: the fields before the descriptor,
     the descriptors as rows of one matrix, and their lengths. numpy's C text
     reader splits where str.split splits and parses reals as float() does,
-    one call per line width. A line of a wrong width, or a token that numpy
-    refuses (such as 1_0), raises ValueError, OverflowError or a Warning."""
+    in one call for a body of one width. A body of several widths is
+    grouped by the width that single spaces give, as the writer spaces its
+    fields; numpy refuses a line whose field count is not its group's, so a
+    grouping that loads is exact. Any other spacing is grouped by the field
+    counts of str.split; a body of one width that failed as a whole fails
+    again so. A line of a wrong width, or a token that numpy refuses (such
+    as 1_0), raises ValueError, OverflowError or a Warning."""
     n = 7 + has_ids  # the columns before any descriptor
     fields = [*_FIELDS[ground_truth], *[("id", np.int64)] * has_ids]
     width = n if ground_truth else max(n, next((len(p) for p in map(str.split, lines) if p), n))
     try:
         parts = [(slice(None), _load(lines, fields, width - n))]  # (where in the rows, rows)
     except ValueError:  # lines of several widths, or a token numpy refuses
-        counts = [len(line.split()) for line in lines]
-        widths = np.array([k for k in counts if k])
-        if ground_truth or not n <= widths.min() < widths.max():  # one width: a refusal
+        if ground_truth:
             raise
-        parts = [(widths == k, _load([s for s, c in zip(lines, counts) if c == k], fields, k - n))
-                 for k in set(counts) - {0}]
+        try:
+            parts = _by_width(lines, fields, n, [0 if not line or line.isspace()
+                                                 else line.count(" ") + 1 for line in lines])
+        except (ValueError, OverflowError, Warning):  # other spacing, or a refusal
+            parts = _by_width(lines, fields, n, [len(line.split()) for line in lines])
     count = sum(len(a) for _, a in parts)
     head, descriptor_len = np.zeros(count, fields), np.zeros(count, np.int64)
     descriptor = np.zeros((count, max(a["descriptor"].shape[1] for _, a in parts)))

@@ -120,7 +120,7 @@ def _link(t: TubeletColumns, m: SimilarityModel, g_max: int, tau_tub: float,
     end = start + t.length - 1
     no_app = np.zeros((len(start), 0)), np.zeros(len(start), np.int64)
     tails, heads = ((t.frame[e], t.class_id, t.box[e], t.score[e], *no_app) for e in (end, start))
-    successor = _accept_greedy(_link_candidates(tails, heads, m, g_max, tau_tub, shape))
+    successor = _accept_greedy(*_link_candidates(tails, heads, m, g_max, tau_tub, shape))
     rows, length = _chains(successor, t.frame[start], t.box[start])
     rank = np.empty(len(start), np.int64)
     rank[rows] = np.repeat(np.arange(len(length)), length)

@@ -11,9 +11,11 @@ _link_candidates enumerates the candidates with one sort and a searchsorted
 window per tail and computes and checks their features in chunks with
 numpy; only link_score runs once per pair, on the pair's tuple of features,
 driven from C by map and np.fromiter, and a numpy mask keeps the scores
-that reach tau. Refinement then blends confidences toward the tubelet mean,
-smooths coordinates with a centered moving average and drops short
-tubelets, which are the dominant false-positive shape.
+that reach tau. The candidates stay arrays of score, tail row and head
+row, which _accept_greedy orders with one lexsort. Refinement then blends
+confidences toward the tubelet mean, smooths coordinates with a centered
+moving average and drops short tubelets, which are the dominant
+false-positive shape.
 
 The pipeline works on TubeletColumns, all tubelets at once in arrays; the
 tubelet ids, which geometry.ID checks as it checks every id, are an int64
@@ -159,14 +161,14 @@ _PAIR_CHUNK = 2048
 
 
 def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int, tau: float,
-                     shape: FrameShape) -> list[tuple[float, int, int]]:
-    """The link scorer of both levels: (score, tail row, head row) of each
-    same-class pair reaching tau whose head starts 1..g_max + 1 frames after
-    its tail ends, the displacement divided by that frame distance. Tails and
-    heads are the columns (frame, class_id, box, score, descriptor,
-    descriptor_len) of BoxColumns, one row per end: a tail's last frame and
-    a head's first. tau is in (0,1) at both levels, since link_score stays
-    below 1.
+                     shape: FrameShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The link scorer of both levels: the score, tail row and head row of
+    each same-class pair reaching tau whose head starts 1..g_max + 1 frames
+    after its tail ends, the displacement divided by that frame distance, as
+    three arrays in enumeration order. Tails and heads are the columns
+    (frame, class_id, box, score, descriptor, descriptor_len) of BoxColumns,
+    one row per end: a tail's last frame and a head's first. tau is in (0,1)
+    at both levels, since link_score stays below 1.
 
     The pairs are enumerated tail by tail, each tail's heads in frame order
     and ties in row order, and their features are computed in chunks of
@@ -175,14 +177,17 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
     chunk is then scored in one pass with no Python loop and no object per
     pair: np.fromiter draws from a lazy map that calls link_score on pair
     k's tuple of features, once per pair, before pair k + 1; the scores
-    >= tau are then kept with a numpy mask. So the first pair that fails
+    >= tau are then kept with a numpy mask, and the kept pairs of every
+    chunk are joined once at the end. So the first pair that fails
     raises its own error: link_score's while the pairs are scored, or
     feature_columns' once the pairs before it are.
     """
     UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
+    # each chunk's kept pairs, after an empty first so that no pair gives arrays too
+    out = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     if not len(t_frame) or not len(h_frame):
-        return []
+        return out[0]
     # heads by (class, frame), stably; their key is (class rank, frame rank)
     order = np.lexsort((h_frame, h_class))
     frames, classes = np.unique(h_frame), np.unique(h_class)
@@ -197,7 +202,6 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
     count = np.where(same, np.searchsorted(key, rank * span + np.searchsorted(
         frames, last, "right")) - lo, 0)
     ends = np.cumsum(count)
-    out: list[tuple[float, int, int]] = []
     for first in range(0, int(ends[-1]), _PAIR_CHUNK):
         at = np.arange(first, min(first + _PAIR_CHUNK, int(ends[-1])))
         i = np.searchsorted(ends, at, "right")
@@ -205,21 +209,25 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
         columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i], shape)
         # zip reuses its result tuple: no object is built per pair
         s = np.fromiter(map(link_score, repeat(m), zip(*columns)), float, len(columns[0]))
-        k = np.flatnonzero(s >= tau)
-        out += zip(s[k].tolist(), i[k].tolist(), j[k].tolist())
+        k = np.flatnonzero(s >= tau)  # s stops at a failing pair, i and j do not
+        out.append((s[k], i[k], j[k]))
         if error:
             raise error
-    return out
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def _accept_greedy(candidates: list[tuple[float, int, int]]) -> dict[int, int]:
+def _accept_greedy(score: np.ndarray, tail: np.ndarray, head: np.ndarray) -> dict[int, int]:
     """The greedy acceptor of both levels: by descending score, ties by
     ascending (tail, head) row pair, a candidate is accepted while its tail has
-    no successor and its head no predecessor. Returns successor[tail] = head."""
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    no successor and its head no predecessor. Returns successor[tail] = head.
+    The candidates are _link_candidates' arrays, put in this order by one
+    lexsort of (-score, tail, head): no (tail, head) pair comes twice, so the
+    order is total, and every score is in (0, 1), so negating the scores
+    reverses their order exactly."""
+    order = np.lexsort((head, tail, -score))
     successor: dict[int, int] = {}
     linked: set[int] = set()
-    for _, a, b in candidates:
+    for a, b in zip(tail[order].tolist(), head[order].tolist()):
         if a not in successor and b not in linked:
             successor[a] = b
             linked.add(b)
@@ -267,13 +275,13 @@ def _build(c: BoxColumns, m: SimilarityModel, tau_link: float, assignment: str) 
     ends = (c.frame_idx, c.class_id, c.box, c.score, c.descriptor, c.descriptor_len)
     scored = _link_candidates(ends, ends, m, 0, tau_link, c.frame_shape)
     if assignment == "greedy":
-        successor = _accept_greedy(scored)
+        successor = _accept_greedy(*scored)
     else:  # each frame pair's candidates, in the pair's own indices
         # the rows are sorted by frame: each row's frame starts at first[row]
         first, stop = (np.searchsorted(c.frame_idx, c.frame_idx, side).tolist()
                        for side in ("left", "right"))
         per_pair: defaultdict[tuple[int, int], list] = defaultdict(list)
-        for s, a, b in scored:
+        for s, a, b in zip(*(x.tolist() for x in scored)):
             per_pair[first[a], first[b]].append((s, a - first[a], b - first[b]))
         successor = {
             a + i: b + j for (a, b), pair in per_pair.items()

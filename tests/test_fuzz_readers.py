@@ -3,6 +3,10 @@ to read_detections, read_ground_truth and load_model must either parse or
 raise a TubelinkError (the CLI's exit 1), in bounded time. A stream that
 reads is also postprocessed, since that is what the CLI does with it.
 
+test_fuzz_mixed_widths_read_in_bulk writes valid detection streams whose
+lines mix descriptor lengths and spacing: read_columns must parse each with
+numpy, as it parses the writer's files, and give what it gives line by line.
+
 test_fuzz_eval_paths_agree feeds random detection/ground-truth file pairs to
 ``eval`` twice: as read_columns reads them, numpy parsing each body that it
 takes as it stands, and with every body read line by line, as read_columns
@@ -55,8 +59,9 @@ from tubelink import (
 )
 from tubelink.io import MAX_FRAME_COUNT, read_columns
 
-from conftest import line_by_line
+from conftest import line_by_line, read_in_bulk
 from test_evaluation import evaluate_oracle
+from test_io import assert_same_columns
 from test_simulate import time_limit
 
 HUGE = "1" + "0" * 400  # an integer too large for a float
@@ -212,6 +217,53 @@ IN_LINE_SPACE = [c for c in map(chr, range(sys.maxunicode + 1))
 SEPARATOR = mostly(st.just(" "), st.text(st.sampled_from(IN_LINE_SPACE), min_size=1, max_size=2),
                    odds=8)
 BLANK = st.one_of(st.just(""), st.text(st.sampled_from(IN_LINE_SPACE), min_size=1, max_size=3))
+
+
+# unit descriptors of lengths 0, 1, 2 and 16; spacing between fields and
+# around a line other than single spaces
+WIDTH_DESCRIPTOR = st.sampled_from([[], ["1"], ["-1"], ["0.6", "0.8"], ["-0.8", "0.6"],
+                                    ["0.25"] * 16, ["0"] * 15 + ["-1"]])
+FIELD_SPACE = st.one_of(st.sampled_from(["  ", "   ", "\t", " \t", "\t\t"]),
+                        st.text(st.sampled_from(IN_LINE_SPACE), min_size=1, max_size=3))
+MARGIN = st.one_of(st.just(""), FIELD_SPACE)
+
+
+@st.composite
+def mixed_width_texts(draw):
+    """A valid detection stream, with tubelet ids or without, whose lines
+    mix descriptor lengths among blank and whitespace-only lines. Its lines
+    are either all single-spaced, as the writer spaces them, or each
+    single-spaced or spaced at random, with tabs, runs of spaces and leading
+    and trailing whitespace."""
+    ids, respaced = draw(st.booleans()), draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(2, 8))):
+        if draw(st.integers(1, 5)) == 1:
+            lines.append(draw(BLANK))
+            continue
+        fields = [draw(FRAME), draw(CLASS), *map(draw, BOX), draw(reals(0, 1)),
+                  *[draw(st.integers(0, 5).map(str))] * ids, *draw(WIDTH_DESCRIPTOR)]
+        if respaced and draw(st.booleans()):
+            spaces = draw(st.lists(FIELD_SPACE, min_size=len(fields) - 1, max_size=len(fields) - 1))
+            lines.append(draw(MARGIN) + "".join(f + sp for f, sp in zip(fields, spaces))
+                         + fields[-1] + draw(MARGIN))
+        else:
+            lines.append(" ".join(fields))
+    return "\n".join(["#video v 1280 720 4", *["#tubelets"] * ids, *lines])
+
+
+@FUZZ
+@given(mixed_width_texts())
+@example("#video v 1280 720 4\n0 0 1 1 5 5 0.5 0.6 0.8\n \n1 0 1 1 5 5 0.6\n\n"
+         "2 0 1 1 5 5 0.7 " + " ".join(["0.25"] * 16) + "\n3 0 1 1 5 5 0.8 -1")
+@example("#video v 1280 720 4\n0\t0 1 1 5 5 0.5  0.6 0.8\n\t\n 1 0 1 1 5 5 0.6 ")
+def test_fuzz_mixed_widths_read_in_bulk(path, text):
+    # every line keeps the rules, so numpy must take the body in bulk, and
+    # give what reading it line by line gives
+    path.write_text(text, encoding="utf-8")
+    bulk = read_in_bulk(path)
+    with line_by_line():
+        assert_same_columns(bulk, read_columns(path))
 
 
 def eval_text(header, fields, tail=st.just([]), marker=False):

@@ -24,7 +24,7 @@ from tubelink import (
     write_ground_truth,
 )
 
-from tubelink import geometry
+from tubelink import geometry, io
 from tubelink.io import (CHUNK_LINES, MAX_FRAME_COUNT, BoxColumns, columns_of, read_columns,
                          stream_of)
 
@@ -760,6 +760,28 @@ class TestDescriptorColumns:
         assert c.descriptor.tolist() == [[0, 0, 0], [-1, 0, 0], [0.6, 0.8, 0], [0, 0, 1]]
         assert [None if a is None else a.tolist() for a in c.descriptors()] == [
             None, [-1.0], [0.6, 0.8], [0.0, 0.0, 1.0]]
+        assert_same_columns(c, columns_of(read_detections(p)))
+
+    @pytest.mark.parametrize("space,groupings", [(" ", 1), ("\t", 2)])
+    def test_mixed_widths_are_grouped_once_when_single_spaced(self, tmp_path, monkeypatch,
+                                                              space, groupings):
+        # single spaces give each line's width in one pass; tabs give widths
+        # that numpy refuses, so the lines are grouped again by str.split,
+        # and the body is still read in bulk
+        counts = []
+
+        def by_width(lines, fields, n, line_counts):
+            counts.append(line_counts)
+            return grouped(lines, fields, n, line_counts)
+
+        grouped = io._by_width
+        monkeypatch.setattr(io, "_by_width", by_width)
+        lines = ["0 0 1 1 5 5 0.5 0.6 0.8", "", "1 0 1 1 5 5 0.6", " ", "2 0 2 2 5 5 0.7 -1"]
+        p = write(tmp_path, "#video v 1280 720 4\n" + "\n".join(
+            line.replace(" ", space) for line in lines) + "\n")
+        c = read_in_bulk(p)
+        assert len(counts) == groupings and counts[-1] == [9, 0, 7, 0, 8]
+        assert c.descriptor_len.tolist() == [2, 0, 1]
         assert_same_columns(c, columns_of(read_detections(p)))
 
     def test_columns_write_the_bytes_of_their_stream(self, rng, tmp_path):

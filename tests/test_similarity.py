@@ -614,7 +614,8 @@ class TestLeanPathMatchesOracle:
                                                 for e, r in ((tails, a), (heads, b))), steps, SHAPE)
                         if (s := link_score(m, f)) >= tau:
                             expect.append((s, a, b))
-            assert tubelets._link_candidates(tails, heads, m, g_max, tau, SHAPE) == expect
+            got = tubelets._link_candidates(tails, heads, m, g_max, tau, SHAPE)
+            assert list(zip(*(a.tolist() for a in got))) == expect
             missing += sum(min(heads[1], default=9) < c < max(heads[1], default=0)
                            for c in set(tails[1].tolist()) - set(heads[1].tolist()))
         assert missing > 30

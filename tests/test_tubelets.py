@@ -27,7 +27,7 @@ from tubelink import (
     smooth_coordinates,
 )
 
-from tubelink.tubelets import TubeletColumns, _rescore, _smooth
+from tubelink.tubelets import TubeletColumns, _accept_greedy, _rescore, _smooth
 
 from conftest import SHAPE, det, random_stream
 from test_simulate import time_limit
@@ -241,6 +241,39 @@ class TestBuildTubelets:
         ts = build_tubelets(v, MODEL, assignment="exact")
         total = sum(len(t) for t in ts)
         assert total == sum(len(f) for f in v.frames.values())
+
+
+def oracle_accept_greedy(candidates):
+    """The greedy acceptor as a sort of (score, tail, head) tuples by
+    (-score, tail, head) and a loop over them."""
+    candidates = sorted(candidates, key=lambda c: (-c[0], c[1], c[2]))
+    successor, linked = {}, set()
+    for _, a, b in candidates:
+        if a not in successor and b not in linked:
+            successor[a] = b
+            linked.add(b)
+    return successor
+
+
+class TestAcceptGreedyOnArrays:
+    """_accept_greedy orders candidate arrays with one lexsort, as the
+    tuple sort orders them."""
+
+    def test_equals_the_tuple_sort_with_tied_scores(self, rng):
+        ties = 0
+        for _ in range(500):
+            # distinct (tail, head) pairs over few rows, in any order, so
+            # that tails and heads repeat; scores from a few values
+            rows = int(rng.integers(1, 8))
+            pair = rng.choice(rows * rows, int(rng.integers(0, rows * rows + 1)), replace=False)
+            tail, head = pair // rows, pair % rows
+            values = rng.choice([0.3, 0.5, np.nextafter(0.5, 1.0), 0.7, 0.9], int(rng.integers(1, 4)))
+            score = rng.choice(values, len(pair))
+            got = _accept_greedy(score, tail, head)
+            expect = oracle_accept_greedy(zip(score.tolist(), tail.tolist(), head.tolist()))
+            assert list(got.items()) == list(expect.items())
+            ties += len(score) - len(set(score.tolist()))
+        assert ties > 1000
 
 
 class TestRescore:

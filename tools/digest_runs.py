@@ -7,9 +7,14 @@ workload's postprocess flags (the scenarios are read from perfbench/run.py's
 WORKLOADS), and standard_scenario seeds 0-9 with the default flags, with
 `--nms-iou 0.5`, with `--assignment exact`, with `--no-repp` (which links
 every tubelet, one-frame ones included) and with `--interp-score endpoint`.
-Each run calls `simulate`, `postprocess`, `eval --out --pr-out` and
-`inspect` of the postprocess output through tubelink.cli.main in a
-temporary directory; its files are the ground truth, the detections, the
+One more run takes the first multiclass_long video at seed 0 with its
+detection file re-spaced: a tab separates each body line's first two
+fields, and two spaces separate the others. Its widths of 7 and 23 fields then defeat
+both of the reader's bulk groupings, the single file width and the width
+that single spaces give, so the reader groups its lines by str.split's
+field counts. Each run calls `simulate`, `postprocess`, `eval --out
+--pr-out` and `inspect` of the postprocess output through tubelink.cli.main
+in a temporary directory; its files are the ground truth, the detections, the
 postprocess output, the eval report, the PR-curve CSV, whose points show
 every TP flag that the report's APs can hide, and inspect's stdout, whose
 tubelet counts and length histograms are read back from the tubelet-id
@@ -61,14 +66,26 @@ def workloads() -> dict:
 
 
 def runs():
-    """(directory name, scenario, postprocess flags) of every run."""
-    for name, w in workloads().items():
+    """(directory name, scenario, postprocess flags, whether the detection
+    file is re-spaced) of every run."""
+    named = workloads()
+    for name, w in named.items():
         for seed in SEEDS:
             for cfg in w.scenarios(seed):
-                yield f"{name}-seed{seed}", cfg, w.postprocess_flags()
+                yield f"{name}-seed{seed}", cfg, w.postprocess_flags(), False
+    w = named["multiclass_long"]
+    yield "multiclass_long-respaced", w.scenarios(0)[0], w.postprocess_flags(), True
     for variant, flags in STANDARD.items():
         for seed in range(10):
-            yield f"standard_scenario-{variant}", standard_scenario(seed), flags
+            yield f"standard_scenario-{variant}", standard_scenario(seed), flags, False
+
+
+def respaced(text: str) -> str:
+    """A stream's text with a tab between each body line's first two fields
+    and two spaces between the others."""
+    header, *body = text.splitlines()
+    return "\n".join([header, *(line.replace(" ", "\t", 1).replace(" ", "  ")
+                                for line in body)]) + "\n"
 
 
 def call(argv: list[str]) -> str:
@@ -88,7 +105,7 @@ def digest(files: list[Path], tmp: str) -> None:
 def main() -> int:
     pooled: dict[str, list[str]] = {}  # group -> the eval arguments of its runs
     with tempfile.TemporaryDirectory() as tmp:
-        for group, cfg, flags in runs():
+        for group, cfg, flags, respace in runs():
             stem = Path(tmp) / group / cfg.video_id
             stem.parent.mkdir(exist_ok=True)
             files = [Path(f"{stem}.{ext}")
@@ -98,6 +115,8 @@ def main() -> int:
             scenario.write_text(describe(cfg), encoding="utf-8")
             call(["simulate", "--config", str(scenario), "--ground-truth", str(gt),
                   "--detections", str(det)])
+            if respace:
+                det.write_text(respaced(det.read_text(encoding="utf-8")), encoding="utf-8")
             call(["postprocess", "--detections", str(det), "--out", str(out), *flags])
             call(["eval", "--detections", str(out), "--ground-truth", str(gt),
                   "--out", str(report), "--pr-out", str(pr)])
