@@ -11,16 +11,17 @@ threshold; evaluate_columns gives their numbers for every class at once, in
 one columnar pass over the arrays of io.read_columns. One stable sort of the
 boxes of both sides by (class, video, frame) numbers the cells and keeps
 file order within each. The matching then runs once over all cells: it
-computes the IoU of each same-cell pair whose x-extents overlap, found by a
-sort-and-sweep window over the gt boxes sorted by x1 in each cell, in
-chunks; every other pair has IoU exactly 0. It runs the greedy claim for all
-10 thresholds together. The predictions that compete for a box claim in
-rounds across cells: round r takes the r-th competitor of every cell at
-once, which is exact because competitors of different cells share no box.
-One more stable sort ranks the predictions by class, then descending score,
-and one AP pass scores every (threshold, class) segment of the ranked TP
-flags, which average_precision shares. PR curves are built only when looked
-up. evaluate_streams is evaluate_columns of io.columns_of.
+computes the IoU of each same-cell pair whose x-extents overlap, which the
+sort-and-sweep of geometry.overlapping_pairs gives in chunks of at most
+geometry.PAIR_BUDGET pairs, as it gives NMS its pairs; every other pair has
+IoU exactly 0. It runs the greedy claim for all 10 thresholds together. The
+predictions that compete for a box claim in rounds across cells: round r
+takes the r-th competitor of every cell at once, which is exact because
+competitors of different cells share no box. One more stable sort ranks the
+predictions by class, then descending score, and one AP pass scores every
+(threshold, class) segment of the ranked TP flags, which average_precision
+shares. PR curves are built only when looked up. evaluate_streams is
+evaluate_columns of io.columns_of.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ContractError
-from .geometry import BBox, Detection, iou_corners, iou_matrix
+from .geometry import BBox, Detection, iou_corners, iou_matrix, overlapping_pairs
 from .io import BoxColumns, GroundTruth, VideoDetections, columns_of
 from .settings import UNIT_CLOSED, int_at_least
 
@@ -40,7 +41,6 @@ IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in ran
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
 _ROW = {t: k for k, t in enumerate(IOU_THRESHOLDS)}
 _RECALLS = np.linspace(0.0, 1.0, 101)  # where AP samples the precision envelope
-_PAIR_CHUNK = 1 << 13  # candidate pairs, those of the x windows, taken at once to bound memory
 NUM_GT = int_at_least(0)
 
 
@@ -334,42 +334,17 @@ def _overlaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """(prediction, gt, IoU) of each same-cell pair with positive IoU, by
     prediction, then gt.
 
-    IoU is computed only for the same-cell pairs whose x-extents overlap.
-    With the gt rows sorted by (cell, x1) and the running max of x2 taken in
-    each cell, a prediction's window runs from the first gt whose running max
-    x2 is above its x1 to the first gt whose x1 reaches its x2; inside it,
-    the gt whose own x2 does not pass its x1 are dropped. Every pair left out
-    has min(x2) - max(x1) <= 0 in float, which iou_corners scores exactly 0.
-    The windows are taken for at most _PAIR_CHUNK pairs at a time, or one
-    prediction's."""
-    order = np.argsort(_cell_keys(q, 1), kind="stable")
-    lo = np.searchsorted(np.maximum.accumulate(_cell_keys(q, 3)[order]), _cell_keys(p, 1), "right")
-    n = np.maximum(np.searchsorted(_cell_keys(q, 1)[order], _cell_keys(p, 3), "left") - lo, 0)
-    end = np.cumsum(n)  # each prediction's pairs end here
-    lo += n - end  # pair k of prediction i is at window position lo[i] + k
+    IoU is computed only for the pairs of geometry.overlapping_pairs, the
+    same-cell pairs whose x-extents overlap, chunk by chunk. Every pair left
+    out has min(x2) - max(x1) <= 0 in float, which iou_corners scores
+    exactly 0."""
     parts = []
-    start = done = 0
-    while start < len(p):
-        stop = max(int(np.searchsorted(end, done + _PAIR_CHUNK, "right")), start + 1)
-        i = np.repeat(np.arange(start, stop), n[start:stop])
-        j = order[lo[i] + np.arange(done, done + len(i))]
-        in_x = np.flatnonzero(q[j, 3] > p[i, 1])
-        i, j = i[in_x], j[in_x]
+    for i, j in overlapping_pairs(p[:, 0], p[:, 1], p[:, 3], q[:, 0], q[:, 1], q[:, 3]):
         iou = iou_corners(p[i, 1:5], q[j, 1:5])
         keep = np.flatnonzero(iou > 0.0)
         keep = keep[np.lexsort((j[keep], i[keep]))]  # back into gt row order
         parts.append((i[keep], j[keep], iou[keep]))
-        start, done = stop, int(end[stop - 1])
     return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _cell_keys(rows: np.ndarray, x: int) -> np.ndarray:
-    """Complex keys cell + i * rows[:, x]: numpy orders complex numbers by
-    real part, then imaginary part, so sorting and searching them compares
-    (cell, x) exactly, with -0.0 equal to 0.0."""
-    key = rows[:, 0].astype(complex)
-    key.imag = rows[:, x]
-    return key
 
 
 class _PRCurves(Mapping):

@@ -16,6 +16,11 @@ runs one inline test per rule (a Python int in range, a Python float in
 [0, 1], BBox's four Python floats with finite corners, a BBox) and sends
 only a value that fails it to the Check, which takes numpy values too and
 words the error.
+
+overlapping_pairs is the one pair enumerator of the package: a
+sort-and-sweep over x extents that yields the same-key pairs whose extents
+overlap, in chunks of at most PAIR_BUDGET pairs. nms_rows takes its pairs
+from it, and so does evaluation's matching.
 """
 
 from __future__ import annotations
@@ -217,47 +222,81 @@ def nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
     return [dets[i] for i in kept.tolist()]
 
 
-# IoU pairs per block of nms_rows: a frame of up to 256 boxes is one block
-NMS_PAIR_BUDGET = 65_536
+# pairs that one chunk of overlapping_pairs enumerates, unless one row has more
+PAIR_BUDGET = 8192
+
+
+def overlapping_pairs(key_a: np.ndarray, x1_a: np.ndarray, x2_a: np.ndarray,
+                      key_b: np.ndarray, x1_b: np.ndarray, x2_b: np.ndarray):
+    """Yield chunks (i, j) of the pairs of a row i of a and a row j of b
+    that have the same key and whose x-extents overlap strictly: x2_b[j] >
+    x1_a[i] and x1_b[j] < x2_a[i]. A key is an integer that a float64 holds
+    exactly, and every x is finite.
+
+    This is the sweep of sweep-and-prune on the x axis (Cohen et al.,
+    I-COLLIDE, 1995). With the rows of b sorted by (key, x1) and the running
+    max of x2 taken in each key, row i's window runs from the first row of b
+    whose running max x2 is above x1_a[i] to the first whose x1 reaches
+    x2_a[i]; inside it, the rows whose own x2 does not pass x1_a[i] are
+    dropped. (key, x) is compared as the complex key + x * 1j, which numpy
+    orders by real part, then imaginary part, with -0.0 equal to 0.0.
+
+    The chunks come in ascending i, each holding all the pairs of its rows,
+    a row's in window order; there is at least one when a has rows. A chunk
+    enumerates at most PAIR_BUDGET window pairs, or one row's, so memory is
+    O(PAIR_BUDGET + rows) however dense a key; PAIR_BUDGET is read when the
+    iteration starts."""
+    x1 = _complex(key_b, x1_b)
+    order = np.argsort(x1, kind="stable")
+    lo = np.searchsorted(np.maximum.accumulate(_complex(key_b, x2_b)[order]), _complex(key_a, x1_a), "right")
+    n = np.maximum(np.searchsorted(x1[order], _complex(key_a, x2_a), "left") - lo, 0)
+    end = np.cumsum(n)  # each row's pairs end here
+    lo += n - end  # pair k of row i is at window position lo[i] + k
+    start = done = 0
+    while start < len(n):
+        stop = max(int(np.searchsorted(end, done + PAIR_BUDGET, "right")), start + 1)
+        i = np.repeat(np.arange(start, stop), n[start:stop])
+        j = order[lo[i] + np.arange(done, done + len(i))]
+        in_x = np.flatnonzero(x2_b[j] > x1_a[i])
+        yield i[in_x], j[in_x]
+        start, done = stop, int(end[stop - 1])
+
+
+def _complex(key: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """key + x * 1j, set part by part: exact, and faster than the arithmetic."""
+    out = key.astype(complex)
+    out.imag = x
+    return out
 
 
 def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np.ndarray,
              iou_thresh: float) -> np.ndarray:
     """nms of each frame of rows grouped by frame: the kept rows, frame by
-    frame, each frame's in visit order.
+    frame in input order, each frame's in visit order.
 
-    A frame's rows are walked in visit order in blocks of consecutive rows,
-    each block's IoU rows taken against the rows from its first row on: a
-    row suppresses only rows after it. A block holds at most NMS_PAIR_BUDGET
-    pairs, or one row's, so memory is O(NMS_PAIR_BUDGET + rows of the frame)
-    however dense the frame; a frame that fits the budget is one block. The
-    visit order and each IoU, iou_corners' value, are the same for any
-    blocks, so the kept rows are too. One reduction per block finds the
-    rows that overlap no row but themselves; a kept row of these
-    suppresses nothing, so it updates no mask."""
+    One pass covers every frame. One lexsort gives the visit order: by
+    frame run (the runs of equal frame, numbered in input order), then nms'
+    order. Rows of one (frame run, class) cell whose x-extents overlap are
+    the pairs of one self-sweep of overlapping_pairs; every other pair has
+    IoU 0, which no threshold exceeds. In each chunk, only the pairs (i, j)
+    with j after i in visit order and i not yet suppressed get an IoU,
+    iou_corners' value; then each kept row suppresses its later rows over
+    the threshold. The kept rows are the visit order without the suppressed
+    rows. Memory is O(PAIR_BUDGET + rows) however dense a frame."""
     UNIT_OPEN.require("iou_thresh", iou_thresh, ContractError)
-    kept: list[int] = []
-    bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        n = hi - lo
-        order = lo + np.lexsort((box[lo:hi, 1], box[lo:hi, 0], -score[lo:hi]))  # stable
-        corners = np.column_stack([box[order, :2], box[order, :2] + box[order, 2:]])
-        cls = class_id[order]
-        suppressed = np.zeros(n, dtype=bool)
-        a = 0
-        while a < n:
-            b = min(n, a + max(1, NMS_PAIR_BUDGET // (n - a)))
-            # over[k, i]: row a + k, once kept, suppresses row a + i; each IoU is iou's value
-            over = iou_corners(corners[a:b, None], corners[None, a:]) > iou_thresh
-            over &= cls[a:b, None] == cls[None, a:]
-            # whether row a + k overlaps a row besides itself, whose IoU is 1;
-            # a row that overlaps none suppresses none (np.triu took longer)
-            hits = (over.sum(axis=1) > 1).tolist()
-            later = suppressed[a:]
-            for k, row in enumerate(order[a:b].tolist()):
-                if not later[k]:
-                    kept.append(row)
-                    if hits[k]:
-                        later |= over[k]
-            a = b
-    return np.array(kept, np.int64)
+    run = np.cumsum(np.diff(frame, prepend=frame[:1]) != 0)
+    order = np.lexsort((box[:, 1], box[:, 0], -score, run))  # stable
+    corners = np.column_stack([box[order, :2], box[order, :2] + box[order, 2:]])
+    cls = np.unique(class_id, return_inverse=True)[1].reshape(-1)
+    # exact in float64 while runs x classes < 2**53, that is below about 9e7 rows
+    cell = (run * (cls.max(initial=0) + 1) + cls)[order]
+    x1, x2 = corners[:, 0], corners[:, 2]
+    suppressed = np.zeros(len(order), dtype=bool)
+    for i, j in overlapping_pairs(cell, x1, x2, cell, x1, x2):
+        pair = np.flatnonzero((j > i) & ~suppressed[i])
+        i, j = i[pair], j[pair]
+        over = iou_corners(corners[i], corners[j]) > iou_thresh
+        for a, b in zip(i[over].tolist(), j[over].tolist()):
+            if not suppressed[a]:
+                suppressed[b] = True
+    return order[~suppressed]

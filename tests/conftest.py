@@ -29,6 +29,18 @@ def det(frame=0, x=0.0, y=0.0, w=10.0, h=10.0, score=0.9, cls=0, app=None):
     return Detection(frame, cls, BBox(x, y, w, h), score, app)
 
 
+def spy_iou_corners(monkeypatch, module):
+    """Record the corner rows (a, b) of every iou_corners call that module
+    (geometry or evaluation) makes."""
+    calls, iou_corners = [], module.iou_corners
+
+    def spy(a, b):
+        calls.append((a.copy(), b.copy()))
+        return iou_corners(a, b)
+    monkeypatch.setattr(module, "iou_corners", spy)
+    return calls
+
+
 def random_bbox(rng, lo=0.0, hi=200.0, smin=1.0, smax=60.0) -> BBox:
     x = float(rng.uniform(lo, hi))
     y = float(rng.uniform(lo, hi))

@@ -24,12 +24,12 @@ from tubelink import (
     write_detections,
     write_ground_truth,
 )
-from tubelink import evaluation
+from tubelink import evaluation, geometry
 from tubelink.cli import main
 from tubelink.evaluation import EvalReport, _pr_points, evaluate_columns
 from tubelink.io import columns_of
 
-from conftest import SHAPE, det, random_bbox
+from conftest import SHAPE, det, random_bbox, spy_iou_corners
 from test_simulate import time_limit
 
 
@@ -460,18 +460,6 @@ def assert_rounds(seen, pairs):
     assert sorted(counts) == rivals_per_cell(pairs)
 
 
-def spy_iou_corners(monkeypatch):
-    """Record the (prediction, gt) corner rows of every iou_corners call that
-    evaluation makes."""
-    calls, iou_corners = [], evaluation.iou_corners
-
-    def spy(a, b):
-        calls.append((a.copy(), b.copy()))
-        return iou_corners(a, b)
-    monkeypatch.setattr(evaluation, "iou_corners", spy)
-    return calls
-
-
 def scored_pairs(calls):
     """The (prediction corners, gt corners) rows the spied calls were given."""
     return sorted((*a, *b) for ca, cb in calls for a, b in zip(ca.tolist(), cb.tolist()))
@@ -547,20 +535,20 @@ def grid_pair(rng, vid):
 
 
 class TestSinglePassMatchesOracle:
-    @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 5, geometry.PAIR_BUDGET])
     def test_random_pooled_streams(self, rng, monkeypatch, chunk):
-        monkeypatch.setattr(evaluation, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", chunk)
         for _ in range(40):
             pairs = random_pairs(rng)
             assert_same_report(evaluate_streams(pairs), evaluate_oracle(pairs))
 
-    @pytest.mark.parametrize("chunk", [1, 5, evaluation._PAIR_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 5, geometry.PAIR_BUDGET])
     def test_x_window_scores_exactly_the_x_overlaps(self, rng, monkeypatch, chunk):
         """IoU is computed for exactly the same-cell pairs whose x-extents
         overlap, at the window's edges and on random grids, and the report
         is the oracle's."""
-        monkeypatch.setattr(evaluation, "_PAIR_CHUNK", chunk)
-        calls = spy_iou_corners(monkeypatch)
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", chunk)
+        calls = spy_iou_corners(monkeypatch, evaluation)
         cases = [[window_edge_pair()], [window_edge_pair(-1000.5)],
                  [window_edge_pair(vid="a"), window_edge_pair(-7.25, vid="b")]]
         cases += [[grid_pair(rng, "a"), grid_pair(rng, "b")] for _ in range(30)]
@@ -676,8 +664,9 @@ class TestSinglePassMatchesOracle:
     def test_one_cell_overlapping_in_x(self, rng, monkeypatch):
         """400 predictions and 400 gt boxes in one cell whose x-extents all
         overlap, so the window is the whole cell: no iou_corners call gets
-        more than _PAIR_CHUNK pairs, and the call ends within a time bound."""
-        calls = spy_iou_corners(monkeypatch)
+        more than geometry.PAIR_BUDGET pairs, and the call ends within a time
+        bound."""
+        calls = spy_iou_corners(monkeypatch, evaluation)
         gts = [TrackBox(0, 0, k, BBox(float(rng.integers(10)), float(rng.integers(400)), 50, 20))
                for k in range(400)]
         preds = [det(0, float(rng.integers(10)), float(rng.integers(400)), 50.0, 20.0,
@@ -686,7 +675,7 @@ class TestSinglePassMatchesOracle:
         with time_limit(2.0):
             rep = evaluate_streams(pairs)
         assert sum(len(a) for a, _ in calls) == 400 * 400
-        assert max(len(a) for a, _ in calls) <= evaluation._PAIR_CHUNK
+        assert max(len(a) for a, _ in calls) <= geometry.PAIR_BUDGET
         assert_same_report(rep, evaluate_oracle(pairs))
 
     def test_simulated_crowd(self):

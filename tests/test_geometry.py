@@ -11,7 +11,7 @@ from tubelink import (
 from tubelink import geometry
 from tubelink.geometry import nms_rows
 
-from conftest import det, random_bbox
+from conftest import det, random_bbox, spy_iou_corners
 
 
 class TestBBoxValidation:
@@ -291,57 +291,69 @@ def overlapping_rows(rng, n):
     return np.zeros(n, np.int64), np.zeros(n, np.int64), box, rng.random(n)
 
 
+def within_budget(calls):
+    """Whether each call got at most PAIR_BUDGET pairs, or one row's: one
+    box on its first side."""
+    return all(len(a) <= geometry.PAIR_BUDGET or len(np.unique(a, axis=0)) == 1 for a, _ in calls)
+
+
+def frame_rows(dets):
+    """nms_rows' columns of detections."""
+    box = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets]).reshape(-1, 4)
+    return (np.array([d.frame_idx for d in dets], np.int64),
+            np.array([d.class_id for d in dets], np.int64), box, np.array([d.score for d in dets]))
+
+
 class TestNmsBlocks:
-    """nms_rows walks a frame in blocks of at most NMS_PAIR_BUDGET IoU pairs;
-    the blocks change its memory, not its kept rows."""
+    """nms_rows takes its IoU pairs from overlapping_pairs in chunks of at
+    most PAIR_BUDGET pairs, or one row's; the chunks change its memory, not
+    its kept rows."""
 
-    @pytest.mark.parametrize("budget", [1, 7, 100, geometry.NMS_PAIR_BUDGET])
+    @pytest.mark.parametrize("budget", [1, 7, 100, geometry.PAIR_BUDGET])
     def test_dense_frames_match_the_oracle(self, rng, monkeypatch, budget):
-        # each frame spans several blocks
-        sizes = ([300, 450, 600] if budget == geometry.NMS_PAIR_BUDGET
+        # most frames span several chunks
+        sizes = ([300, 450, 600] if budget == geometry.PAIR_BUDGET
                  else [int(v) for v in rng.integers(11, 60, 40)])
-        monkeypatch.setattr(geometry, "NMS_PAIR_BUDGET", budget)
-        blocks = []
-        iou_corners = geometry.iou_corners
-
-        def counted(a, b):
-            blocks.append(a.shape[0])
-            return iou_corners(a, b)
-        monkeypatch.setattr(geometry, "iou_corners", counted)
-        ties = 0
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        calls = spy_iou_corners(monkeypatch, geometry)
+        ties = several = 0
         for n in sizes:
             dets = crowded_frame(rng, n, classes=int(rng.integers(2, 5)))
-            blocks.clear()
+            calls.clear()
             got = nms(dets, 0.5)
             assert [id(d) for d in got] == [id(d) for d in oracle_nms(dets, 0.5)]
-            assert sum(blocks) == n and len(blocks) > 1  # each row in one block
+            assert within_budget(calls)
+            several += len(calls) > 1
             keys = [(d.score, d.bbox.x) for d in dets]
             ties += len(keys) - len(set(keys))
-        assert ties > 100
+        assert ties > 100 and several > len(sizes) // 2
 
-    def test_frames_of_several_blocks_keep_their_own_rows(self, rng, monkeypatch):
-        # frames grouped in one call are walked one by one, each in its blocks
-        monkeypatch.setattr(geometry, "NMS_PAIR_BUDGET", 50)
-        frames = [crowded_frame(rng, n) for n in (30, 0, 1, 45)]
-        dets = [Detection(f, d.class_id, d.bbox, d.score)
-                for f, ds in enumerate(frames) for d in ds]
-        box = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets])
-        kept = nms_rows(np.array([d.frame_idx for d in dets]), np.array([d.class_id for d in dets]),
-                        box, np.array([d.score for d in dets]), 0.5)
-        want = [(f, d.bbox, d.score) for f, ds in enumerate(frames) for d in oracle_nms(ds, 0.5)]
+    @pytest.mark.parametrize("budget", [7, 50, geometry.PAIR_BUDGET])
+    def test_frames_keep_their_own_rows_in_input_order(self, rng, monkeypatch, budget):
+        # frames grouped in one call, in an order that is not ascending, are swept
+        # together: each keeps its oracle rows, frame by frame in input order
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        frames = [(f, crowded_frame(rng, n)) for f, n in zip((2, 0, 4, 1, 3), (30, 0, 1, 45, 200))]
+        dets = [Detection(f, d.class_id, d.bbox, d.score) for f, ds in frames for d in ds]
+        kept = nms_rows(*frame_rows(dets), 0.5)
+        want = [(f, d.bbox, d.score) for f, ds in frames for d in oracle_nms(ds, 0.5)]
         assert [(dets[i].frame_idx, dets[i].bbox, dets[i].score) for i in kept.tolist()] == want
 
-    @pytest.mark.parametrize("n, calls", [(1, 1), (256, 1), (257, 2)])
-    def test_a_frame_within_the_budget_is_one_block(self, rng, monkeypatch, n, calls):
-        iou_corners, shapes = geometry.iou_corners, []
+    def test_frames_beyond_float_precision_stay_apart(self):
+        # frames 2**62 and 2**62 + 1 are one float64, and their boxes coincide
+        frame = np.array([2 ** 62 + 1, 2 ** 62 + 1, 2 ** 62, 2 ** 62], np.int64)
+        box = np.tile([10.0, 10.0, 50.0, 50.0], (4, 1))
+        kept = nms_rows(frame, np.zeros(4, np.int64), box, np.array([0.9, 0.8, 0.7, 0.6]), 0.5)
+        assert kept.tolist() == [0, 2]
 
-        def counted(a, b):
-            shapes.append((a.shape[0], b.shape[1]))
-            return iou_corners(a, b)
-        monkeypatch.setattr(geometry, "iou_corners", counted)
-        nms_rows(*overlapping_rows(rng, n), 0.5)
-        assert len(shapes) == calls and shapes[0] == (min(n, 65_536 // n), n)
-        assert all(rows * cols <= geometry.NMS_PAIR_BUDGET for rows, cols in shapes)
+    @pytest.mark.parametrize("n", [1, 256, 257, 1500])
+    @pytest.mark.parametrize("budget", [1, 100, geometry.PAIR_BUDGET])
+    def test_each_iou_call_gets_at_most_the_budget_or_one_row(self, rng, monkeypatch, n, budget):
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        calls = spy_iou_corners(monkeypatch, geometry)
+        rows = overlapping_rows(rng, n)
+        assert nms_rows(*rows, 0.5).tolist() == [int(rows[3].argmax())]
+        assert calls and within_budget(calls)
 
     def test_memory_grows_at_most_linearly_with_a_dense_frame(self, rng):
         # the N x N matrix took 39 MiB at N = 1,000 and 157 MiB at 2,000
@@ -356,3 +368,51 @@ class TestNmsBlocks:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
         assert peaks[1] < 8 * 2 ** 20
+
+
+def brute_pairs(key_a, x1_a, x2_a, key_b, x1_b, x2_b):
+    """Every same-key pair (i, j) with x2_b > x1_a and x1_b < x2_a."""
+    return {(i, j) for i in range(len(key_a)) for j in range(len(key_b))
+            if key_a[i] == key_b[j] and x2_b[j] > x1_a[i] and x1_b[j] < x2_a[i]}
+
+
+EDGES = [-1e308, -1.5e307, -1.0, -0.0, 0.0, 5e-324, 1.0, 2.5, 1.5e307, 1e308]
+
+
+def random_extents(rng, n, keys):
+    """n rows of (key, x1, x2), x1 <= x2, their ends drawn from EDGES (ties,
+    -0.0 beside 0.0, extents near +-1e308) or from a small grid."""
+    ends = np.where(rng.random((n, 2)) < 0.5, rng.choice(EDGES, (n, 2)),
+                    rng.integers(-3, 4, (n, 2)).astype(float))
+    ends.sort(axis=1)
+    return rng.integers(0, keys, n), ends[:, 0], ends[:, 1]
+
+
+class TestOverlappingPairs:
+    @pytest.mark.parametrize("budget", [1, 5, geometry.PAIR_BUDGET])
+    def test_pairs_equal_the_brute_force_oracle(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        negative_zeros = 0
+        for _ in range(200):
+            keys = int(rng.integers(1, 4))
+            a = random_extents(rng, int(rng.integers(0, 30)), keys)
+            b = random_extents(rng, int(rng.integers(0, 30)), keys)
+            chunks = list(geometry.overlapping_pairs(*a, *b))
+            got = [(i, j) for ci, cj in chunks for i, j in zip(ci.tolist(), cj.tolist())]
+            assert len(got) == len(set(got)) and set(got) == brute_pairs(*a, *b)
+            rows = [np.unique(ci).tolist() for ci, _ in chunks]
+            flat = [i for r in rows for i in r]
+            assert flat == sorted(set(flat))  # ascending i, each row in one chunk
+            for (ci, _), r in zip(chunks, rows):
+                assert len(ci) <= budget or len(r) == 1
+                assert (np.diff(ci) >= 0).all()
+            negative_zeros += any((np.signbit(x) & (x == 0)).any() for x in (*a[1:], *b[1:]))
+        assert negative_zeros > 50
+
+    def test_float_keys_and_empty_sides(self):
+        key, x = np.array([0.0, 1.0]), np.array([0.0, 0.0])
+        pairs = list(geometry.overlapping_pairs(key, x, x + 1, key, x, x + 1))
+        assert [(i.tolist(), j.tolist()) for i, j in pairs] == [([0, 1], [0, 1])]
+        none = np.empty(0)
+        assert list(geometry.overlapping_pairs(none, none, none, key, x, x + 1)) == []
+        assert [len(i) for i, _ in geometry.overlapping_pairs(key, x, x + 1, none, none, none)] == [0]

@@ -12,8 +12,11 @@ detection file re-spaced: a tab separates each body line's first two
 fields, and two spaces separate the others. Its widths of 7 and 23 fields then defeat
 both of the reader's bulk groupings, the single file width and the width
 that single spaces give, so the reader groups its lines by str.split's
-field counts. Each run calls `simulate`, `postprocess`, `eval --out
---pr-out` and `inspect` of the postprocess output through tubelink.cli.main
+field counts. One dense run takes standard_scenario seed 0 with 30 frames
+of 30 tracks and about 100 false positives each, all 150-300 px, through
+`--nms-iou 0.5`: a chunk of geometry.PAIR_BUDGET pairs ends inside 21 of
+its 30 frames in NMS, and 4 of eval's 5 chunks end inside a cell. Each run
+calls `simulate`, `postprocess`, `eval --out --pr-out` and `inspect` of the postprocess output through tubelink.cli.main
 in a temporary directory; its files are the ground truth, the detections, the
 postprocess output, the eval report, the PR-curve CSV, whose points show
 every TP flag that the report's APs can hide, and inspect's stdout, whose
@@ -78,6 +81,9 @@ def runs():
     for variant, flags in STANDARD.items():
         for seed in range(10):
             yield f"standard_scenario-{variant}", standard_scenario(seed), flags, False
+    dense = dataclasses.replace(standard_scenario(0), frame_count=30, num_tracks=30,
+                                fp_rate=100.0, box_min=150.0, box_max=300.0)
+    yield "dense-nms-0.5", dense, ["--nms-iou", "0.5"], False
 
 
 def respaced(text: str) -> str:
