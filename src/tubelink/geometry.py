@@ -20,7 +20,8 @@ words the error.
 overlapping_pairs is the one pair enumerator of the package: a
 sort-and-sweep over x extents that yields the same-key pairs whose extents
 overlap, in chunks of at most PAIR_BUDGET pairs. nms_rows takes its pairs
-from it, and so does evaluation's matching.
+from it, and so do evaluation's matching and the linker of both levels
+(tubelets._link_candidates), whose extents are ranks of frames.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ PAIR_BUDGET = 8192
 
 
 def overlapping_pairs(key_a: np.ndarray, x1_a: np.ndarray, x2_a: np.ndarray,
-                      key_b: np.ndarray, x1_b: np.ndarray, x2_b: np.ndarray):
+                      key_b: np.ndarray, x1_b: np.ndarray, x2_b: np.ndarray,
+                      skip: np.ndarray | None = None):
     """Yield chunks (i, j) of the pairs of a row i of a and a row j of b
     that have the same key and whose x-extents overlap strictly: x2_b[j] >
     x1_a[i] and x1_b[j] < x2_a[i]. A key is an integer that a float64 holds
@@ -243,23 +245,28 @@ def overlapping_pairs(key_a: np.ndarray, x1_a: np.ndarray, x2_a: np.ndarray,
 
     The chunks come in ascending i, each holding all the pairs of its rows,
     a row's in window order; there is at least one when a has rows. A chunk
-    enumerates at most PAIR_BUDGET window pairs, or one row's, so memory is
-    O(PAIR_BUDGET + rows) however dense a key; PAIR_BUDGET is read when the
-    iteration starts."""
+    enumerates at most PAIR_BUDGET window pairs, or one row's, and covers at
+    most PAIR_BUDGET rows, so memory is O(PAIR_BUDGET + rows) however dense
+    a key; PAIR_BUDGET is read when the iteration starts. A row i for which
+    skip[i] is True when its chunk starts gets no pairs and no window, so a
+    caller may set skip between chunks to drop rows it no longer needs."""
+    budget = PAIR_BUDGET
     x1 = _complex(key_b, x1_b)
     order = np.argsort(x1, kind="stable")
     lo = np.searchsorted(np.maximum.accumulate(_complex(key_b, x2_b)[order]), _complex(key_a, x1_a), "right")
     n = np.maximum(np.searchsorted(x1[order], _complex(key_a, x2_a), "left") - lo, 0)
-    end = np.cumsum(n)  # each row's pairs end here
-    lo += n - end  # pair k of row i is at window position lo[i] + k
-    start = done = 0
+    start = 0
     while start < len(n):
-        stop = max(int(np.searchsorted(end, done + PAIR_BUDGET, "right")), start + 1)
-        i = np.repeat(np.arange(start, stop), n[start:stop])
-        j = order[lo[i] + np.arange(done, done + len(i))]
+        rows = np.arange(start, min(start + budget, len(n)))
+        count = n[rows] if skip is None else np.where(skip[rows], 0, n[rows])
+        end = np.cumsum(count)  # each row's pairs end here
+        stop = max(int(np.searchsorted(end, budget, "right")), 1)
+        i = np.repeat(rows[:stop], count[:stop])
+        # pair k of row i is at window position lo[i] + k
+        j = order[lo[i] + np.arange(len(i)) - (end - count)[i - start]]
         in_x = np.flatnonzero(x2_b[j] > x1_a[i])
         yield i[in_x], j[in_x]
-        start, done = stop, int(end[stop - 1])
+        start += stop
 
 
 def _complex(key: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -278,11 +285,14 @@ def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np
     frame run (the runs of equal frame, numbered in input order), then nms'
     order. Rows of one (frame run, class) cell whose x-extents overlap are
     the pairs of one self-sweep of overlapping_pairs; every other pair has
-    IoU 0, which no threshold exceeds. In each chunk, only the pairs (i, j)
-    with j after i in visit order and i not yet suppressed get an IoU,
-    iou_corners' value; then each kept row suppresses its later rows over
-    the threshold. The kept rows are the visit order without the suppressed
-    rows. Memory is O(PAIR_BUDGET + rows) however dense a frame."""
+    IoU 0, which no threshold exceeds. The sweep skips the rows already
+    suppressed when their chunk starts, so a frame that its first row
+    suppresses whole expands about that row's window, not its N² pairs. In
+    each chunk, only the pairs (i, j) with j after i in visit order and i
+    not yet suppressed get an IoU, iou_corners' value; then each kept row
+    suppresses its later rows over the threshold. The kept rows are the
+    visit order without the suppressed rows. Memory is O(PAIR_BUDGET +
+    rows) however dense a frame."""
     UNIT_OPEN.require("iou_thresh", iou_thresh, ContractError)
     run = np.cumsum(np.diff(frame, prepend=frame[:1]) != 0)
     order = np.lexsort((box[:, 1], box[:, 0], -score, run))  # stable
@@ -292,7 +302,7 @@ def nms_rows(frame: np.ndarray, class_id: np.ndarray, box: np.ndarray, score: np
     cell = (run * (cls.max(initial=0) + 1) + cls)[order]
     x1, x2 = corners[:, 0], corners[:, 2]
     suppressed = np.zeros(len(order), dtype=bool)
-    for i, j in overlapping_pairs(cell, x1, x2, cell, x1, x2):
+    for i, j in overlapping_pairs(cell, x1, x2, cell, x1, x2, suppressed):
         pair = np.flatnonzero((j > i) & ~suppressed[i])
         i, j = i[pair], j[pair]
         over = iou_corners(corners[i], corners[j]) > iou_thresh

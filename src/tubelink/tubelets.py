@@ -7,14 +7,14 @@ descending score and _chains collapses the accepted links into chains. It
 has two callers, and both key their links by row: _build, its gap-0 case
 over detection rows, and linking._link, its g_max case over tubelet rows,
 which link_tubelets orders by id. The ends come as arrays:
-_link_candidates enumerates the candidates with one sort and a searchsorted
-window per tail and computes and checks their features in chunks with
-numpy; only link_score runs once per pair, on the pair's tuple of features,
-driven from C by map and np.fromiter, and a numpy mask keeps the scores
-that reach tau. The candidates stay arrays of score, tail row and head
-row, which _accept_greedy orders with one lexsort. Refinement then blends
-confidences toward the tubelet mean, smooths coordinates with a centered
-moving average and drops short tubelets, which are the dominant
+_link_candidates takes the candidates from geometry.overlapping_pairs, the
+one pair enumerator of the package, and computes and checks their features
+in slices with numpy; only link_score runs once per pair, on the pair's
+tuple of features, driven from C by map and np.fromiter, and a numpy mask
+keeps the scores that reach tau. The candidates stay arrays of score, tail
+row and head row, which _accept_greedy orders with one lexsort. Refinement
+then blends confidences toward the tubelet mean, smooths coordinates with a
+centered moving average and drops short tubelets, which are the dominant
 false-positive shape.
 
 The pipeline works on TubeletColumns, all tubelets at once in arrays; the
@@ -34,7 +34,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .geometry import _MAX_ID, BOX, ID, BBox, FrameShape, added, check_boxes
+from .geometry import _MAX_ID, BOX, ID, BBox, FrameShape, added, check_boxes, overlapping_pairs
 from .io import BoxColumns, VideoDetections, columns_of
 from .settings import ODD_WINDOW, UNIT_CLOSED, UNIT_OPEN, Check, int_at_least, one_of
 from .similarity import SimilarityModel, feature_columns, link_score
@@ -170,49 +170,45 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
     one row per end: a tail's last frame and a head's first. tau is in (0,1)
     at both levels, since link_score stays below 1.
 
-    The pairs are enumerated tail by tail, each tail's heads in frame order
-    and ties in row order, and their features are computed in chunks of
-    _PAIR_CHUNK pairs. feature_columns checks LinkFeatures' rules on the
-    chunk and stops its columns at the first pair that fails them. The
-    chunk is then scored in one pass with no Python loop and no object per
-    pair: np.fromiter draws from a lazy map that calls link_score on pair
-    k's tuple of features, once per pair, before pair k + 1; the scores
-    >= tau are then kept with a numpy mask, and the kept pairs of every
-    chunk are joined once at the end. So the first pair that fails
+    The pairs come from geometry.overlapping_pairs, the sweep that NMS and
+    eval use, keyed by dense class ids over both sides. A head spans [rank,
+    rank + 1), rank being its frame's rank among the head frames, and a tail
+    the ranks of the head frames end + 1 .. end + 1 + g_max. Ids and ranks
+    are below the number of rows, so float64 holds every key and extent
+    exactly, whatever the class ids and frames (2**53 + 1 and 2**63 - 1
+    included). The sweep yields the pairs tail by tail, each tail's heads
+    in frame order and ties in row order, and the features of each chunk
+    are computed in slices of _PAIR_CHUNK pairs. feature_columns checks
+    LinkFeatures' rules on the slice and stops its columns at the first
+    pair that fails them. The slice is then scored in one pass with no
+    Python loop and no object per pair: np.fromiter draws from a lazy map
+    that calls link_score on pair k's tuple of features, once per pair,
+    before pair k + 1; the scores >= tau are then kept with a numpy mask,
+    and the kept pairs of every slice are joined once at the end. So the first pair that fails
     raises its own error: link_score's while the pairs are scored, or
     feature_columns' once the pairs before it are.
     """
     UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
-    # each chunk's kept pairs, after an empty first so that no pair gives arrays too
+    key = np.unique(np.concatenate([t_class, h_class]), return_inverse=True)[1]
+    frames, rank = np.unique(h_frame, return_inverse=True)
+    # a head spans [rank, rank + 1) and a tail the ranks of the frames end + 1
+    # .. end + 1 + g_max, the last clamped so that no bound leaves int64
+    last = t_frame + np.minimum(min(g_max, _MAX_ID - 1) + 1, _MAX_ID - t_frame)
+    span = [np.searchsorted(frames, f, "right") for f in (t_frame, last)]
+    # each slice's kept pairs, after an empty first so that no pair gives arrays too
     out = [(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64))]
-    if not len(t_frame) or not len(h_frame):
-        return out[0]
-    # heads by (class, frame), stably; their key is (class rank, frame rank)
-    order = np.lexsort((h_frame, h_class))
-    frames, classes = np.unique(h_frame), np.unique(h_class)
-    span = len(frames)
-    key = np.searchsorted(classes, h_class[order]) * span + np.searchsorted(frames, h_frame[order])
-    rank = np.searchsorted(classes, t_class)
-    same = classes[np.minimum(rank, len(classes) - 1)] == t_class
-    # the frames end + 1 .. end + 1 + g_max, clamped to the last head frame,
-    # so that no bound leaves int64
-    last = t_frame + np.minimum(min(g_max, _MAX_ID - 1) + 1, frames[-1] - t_frame)
-    lo = np.searchsorted(key, rank * span + np.searchsorted(frames, t_frame, "right"))
-    count = np.where(same, np.searchsorted(key, rank * span + np.searchsorted(
-        frames, last, "right")) - lo, 0)
-    ends = np.cumsum(count)
-    for first in range(0, int(ends[-1]), _PAIR_CHUNK):
-        at = np.arange(first, min(first + _PAIR_CHUNK, int(ends[-1])))
-        i = np.searchsorted(ends, at, "right")
-        j = order[lo[i] + at - (ends[i] - count[i])]
-        columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i], shape)
-        # zip reuses its result tuple: no object is built per pair
-        s = np.fromiter(map(link_score, repeat(m), zip(*columns)), float, len(columns[0]))
-        k = np.flatnonzero(s >= tau)  # s stops at a failing pair, i and j do not
-        out.append((s[k], i[k], j[k]))
-        if error:
-            raise error
+    for pairs in overlapping_pairs(key[:len(t_frame)], *span, key[len(t_frame):], rank, rank + 1):
+        for first in range(0, len(pairs[0]), _PAIR_CHUNK):
+            i, j = (a[first:first + _PAIR_CHUNK] for a in pairs)
+            columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i],
+                                             shape)
+            # zip reuses its result tuple: no object is built per pair
+            s = np.fromiter(map(link_score, repeat(m), zip(*columns)), float, len(columns[0]))
+            k = np.flatnonzero(s >= tau)  # s stops at a failing pair, i and j do not
+            out.append((s[k], i[k], j[k]))
+            if error:
+                raise error
     return tuple(np.concatenate(a) for a in zip(*out))
 
 

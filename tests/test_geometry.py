@@ -355,6 +355,26 @@ class TestNmsBlocks:
         assert nms_rows(*rows, 0.5).tolist() == [int(rows[3].argmax())]
         assert calls and within_budget(calls)
 
+    @pytest.mark.parametrize("budget", [1, 100, geometry.PAIR_BUDGET])
+    def test_suppressed_rows_expand_no_window(self, rng, monkeypatch, budget):
+        # the top row suppresses every other, and every pair overlaps in x, so
+        # the sweep yields each pair it expands: all N² of them, were the rows
+        # that are suppressed before their chunk starts not skipped
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        sweep, expanded = geometry.overlapping_pairs, []
+
+        def spy(*args):
+            for i, j in sweep(*args):
+                expanded.append(len(i))
+                yield i, j
+
+        monkeypatch.setattr(geometry, "overlapping_pairs", spy)
+        for n in (500, 1000, 2000):
+            rows = overlapping_rows(rng, n)
+            expanded.clear()
+            assert nms_rows(*rows, 0.5).tolist() == [int(rows[3].argmax())]
+            assert sum(expanded) <= max(n, budget)
+
     def test_memory_grows_at_most_linearly_with_a_dense_frame(self, rng):
         # the N x N matrix took 39 MiB at N = 1,000 and 157 MiB at 2,000
         peaks = []

@@ -747,6 +747,24 @@ class TestReadColumns:
         assert_same_columns(c, bulk)
         assert c.frame_idx.tolist() == [0, 2, 2] and c.score.tolist() == [0.6, 0.5, 0.7]
 
+    def test_the_peak_is_the_text_and_its_lines(self, rng, tmp_path):
+        # reading holds the text and its lines together while it splits them:
+        # for 8,000 lines of 23 fields that is about 2.2 times the file's size,
+        # and one more copy of the text would bring it to about 3.2
+        n, p = 8000, tmp_path / "in.txt"
+        c = chunk_columns(rng, n, 16, False)
+        desc = rng.normal(size=(n, 16))
+        c.descriptor, c.descriptor_len = desc / np.linalg.norm(desc, axis=1, keepdims=True), \
+            np.full(n, 16)
+        write_detections(c, p)
+        tracemalloc.start()
+        try:
+            assert len(read_columns(p).frame_idx) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * p.stat().st_size
+
 
 class TestDescriptorColumns:
     """Both column routes give each box's descriptor as a row prefix of one

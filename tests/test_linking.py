@@ -26,6 +26,7 @@ from tubelink import (
     tubelet_link_score,
 )
 
+from tubelink import geometry
 from tubelink import tubelets as tubelets_module
 from tubelink.similarity import one_pair_features
 
@@ -441,6 +442,30 @@ class TestLeanPathMatchesOracle:
     def test_link_tubelets_in_small_chunks(self, rng, monkeypatch, chunk):
         monkeypatch.setattr(tubelets_module, "_PAIR_CHUNK", chunk)
         self.test_link_tubelets(rng)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_link_tubelets_in_small_sweep_chunks(self, rng, monkeypatch, budget, chunk):
+        # sweep chunks of 1 or 3 window pairs end between tails, and slices
+        # of 1 or 3 scored pairs inside a tail's window
+        monkeypatch.setattr(geometry, "PAIR_BUDGET", budget)
+        self.test_link_tubelets_in_small_chunks(rng, monkeypatch, chunk)
+
+    def test_class_ids_beyond_float64_precision_never_link_across(self, rng):
+        # 2**53 and 2**53 + 1 are one float64, and 2**63 - 1 rounds to 2**63:
+        # the sweep keys tails and heads by dense class ids, which it holds
+        big = [2**53, 2**53 + 1, 2**63 - 1]
+        crossed = 0
+        for _ in range(100):
+            ts = [Tubelet(t.tubelet_id, big[t.class_id], t.entries)
+                  for t in random_tubelets(rng, int(rng.integers(0, 25)), classes=3)]
+            m, g_max = random_model(rng), int(rng.integers(0, 21))
+            tau = float(rng.uniform(0.05, 0.95))
+            assert link_tubelets(ts, m, g_max, tau, SHAPE) == \
+                oracle_link_tubelets(ts, m, g_max, tau, SHAPE)
+            crossed += sum(a.class_id != b.class_id and 0 <= tubelet_gap(a, b) <= g_max
+                           for a in ts for b in ts)
+        assert crossed > 1000
 
     def test_three_tubelets_at_the_int64_bound_merge(self):
         # end + 1 + g_max leaves int64 here: the window must not wrap around

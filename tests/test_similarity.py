@@ -591,6 +591,25 @@ class TestLeanPathMatchesOracle:
         self.test_match_frame_pair(rng, assignment)
         self.test_build_tubelets(rng, assignment)
 
+    @pytest.mark.parametrize("assignment", ["greedy", "exact"])
+    def test_class_ids_beyond_float64_precision_never_link_across(self, rng, assignment):
+        # 2**53 and 2**53 + 1 are one float64, and 2**63 - 1 rounds to 2**63:
+        # the sweep keys the rows by dense class ids, which it holds exactly
+        big = [2**53, 2**53 + 1, 2**63 - 1]
+        crossed = 0
+        for _ in range(40):
+            frames = {f: [dataclasses.replace(d, class_id=big[d.class_id])
+                          for d in (random_det(rng, f, classes=3)
+                                    for _ in range(int(rng.integers(1, 6))))]
+                      for f in range(10)}
+            v = VideoDetections("v", SHAPE, 10, frames)
+            m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
+            assert build_tubelets(v, m, tau, assignment) == \
+                oracle_build_tubelets(v, m, tau, assignment)
+            crossed += sum(a.class_id != b.class_id for f in range(9)
+                           for a in frames[f] for b in frames[f + 1])
+        assert crossed > 500
+
     def test_link_candidates_against_every_pair(self, rng, pair_chunk):
         # tails and heads of their own, so that a tail's class may be missing
         # from the heads; each pair scored alone, heads in frame order

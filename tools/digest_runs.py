@@ -15,7 +15,12 @@ that single spaces give, so the reader groups its lines by str.split's
 field counts. One dense run takes standard_scenario seed 0 with 30 frames
 of 30 tracks and about 100 false positives each, all 150-300 px, through
 `--nms-iou 0.5`: a chunk of geometry.PAIR_BUDGET pairs ends inside 21 of
-its 30 frames in NMS, and 4 of eval's 5 chunks end inside a cell. Each run
+its 30 frames in NMS, and 4 of eval's 5 chunks end inside a cell. One
+long-window run takes standard_scenario seed 0 with `--g-max 299`, so that
+each tail's window holds every later head of its 300 frames: the gap
+level's 36,572 candidates come from geometry.overlapping_pairs in 5 chunks,
+which end between tails, and the slices of tubelets._PAIR_CHUNK pairs that
+are scored end inside a tail's window. Each run
 calls `simulate`, `postprocess`, `eval --out --pr-out` and `inspect` of the postprocess output through tubelink.cli.main
 in a temporary directory; its files are the ground truth, the detections, the
 postprocess output, the eval report, the PR-curve CSV, whose points show
@@ -84,6 +89,7 @@ def runs():
     dense = dataclasses.replace(standard_scenario(0), frame_count=30, num_tracks=30,
                                 fp_rate=100.0, box_min=150.0, box_max=300.0)
     yield "dense-nms-0.5", dense, ["--nms-iou", "0.5"], False
+    yield "standard_scenario-g-max-299", standard_scenario(0), ["--g-max", "299"], False
 
 
 def respaced(text: str) -> str:
