@@ -14,6 +14,9 @@ feature_columns is the one feature path: it computes the features of many
 pairs with numpy, with the float operations of one pair in Python, so the
 linker's chunks and the single-pair functions (link_features, and
 linking.tubelet_link_score through one_pair_features) give the same bits.
+The one exception is the linker's pairs that provably score below its
+threshold: they keep np.log's size ratio logs, which are cheaper than
+math.log's and may differ from them in the last bit, and are dropped.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def default_model() -> SimilarityModel:
 
 @np.errstate(over="ignore", invalid="ignore")
 def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.ndarray,
-                    shape: FrameShape) -> tuple[tuple[list, ...], ValidationError | None]:
+                    shape: FrameShape, m: SimilarityModel | None = None,
+                    tau: float = 0.0) -> tuple[tuple[list, ...], ValidationError | None]:
     """The link features of the pairs of rows a[i[k]] -> b[j[k]], the one
     feature path of every scorer. A side holds BoxColumns' columns
     (class_id, box, score, descriptor, descriptor_len); pair k's centre
@@ -136,6 +140,11 @@ def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.
     is built for it. Every value has the float operations of one pair in
     Python: geometry.iou's for the IoU, np.dot's for the descriptor cosine,
     and math.log for the size ratios, as np.log may round differently.
+
+    Given the linker's model m and threshold tau, only the rows whose score
+    may reach tau take math.log (_may_reach): the others keep np.log's
+    logs, with which, as with math.log's, they score below tau. The checks
+    come before any log is taken.
     """
     # each side at its pairs' rows, but for the descriptors: those are
     # gathered per length below, only the values that a dot takes
@@ -174,9 +183,71 @@ def feature_columns(a: tuple, b: tuple, i: np.ndarray, j: np.ndarray, steps: np.
             LinkFeatures(*row)
         except ValidationError as e:
             error = e
-    columns = [c[:n].tolist() for c in fields]
-    columns[2:4] = (list(map(math.log, c)) for c in columns[2:4])
-    return tuple(columns), error
+    columns = [c[:n] for c in fields]
+    logs = [np.log(c) for c in columns[2:4]]
+    exact = slice(None) if m is None else _may_reach(m, tau, columns, logs)
+    for ratio, log in zip(columns[2:4], logs):
+        log[exact] = _exact_logs(ratio[exact])
+    columns[2:4] = logs
+    return tuple(c.tolist() for c in columns), error
+
+
+def _exact_logs(ratios: np.ndarray) -> list[float]:
+    """math.log of each size ratio, the log that the features keep."""
+    return list(map(math.log, ratios.tolist()))
+
+
+# The gate of the size ratios' logs. z is link_score's logit with np.log's
+# logs: its terms t0..t7 (w0 dx^2, ..., w7 app) added to the bias in
+# link_score's order. It is within bound of the logit that link_score
+# computes from math.log's logs:
+# - np.log and math.log are each within an ulp or two of the true log (on
+#   this package's x86-64 build np.log is within 1 ulp of math.log on 10^6
+#   ratios), so they differ by far less than 2^-40 |log r|. The terms
+#   t2 = w2 |log w| and t3 = w3 |log h| then differ by less than 2^-40 |t2|
+#   and 2^-40 |t3|, whatever the weights' signs and sizes.
+# - Each logit adds 9 terms in 8 float additions, so it is within
+#   8 * 2^-53 S of its terms' exact sum, S being the sum of their
+#   magnitudes. With the roundings of t2, t3 and z + bound, the two logits'
+#   roundings differ by less than 2^-47 S.
+# As iou, geo and match lie in [0, 1] and |app| <= 1, S is at most
+# |t0| + |t1| + |t2| + |t3| + |bias| + |w4| + |w5| + |w6| + |w7|, and bound
+# = 2^-39 (|t0| + |t1| + |t2| + |t3|) + 2^-46 (|bias| + |w4| + ... + |w7|)
+# covers both errors. Where a term is not finite, z + bound is +inf or nan:
+# such a pair may reach tau, and link_score raises on a logit with no
+# value.
+# At z <= logit(tau) - 1 the exact sigmoid is below tau by a factor of
+# 1 + (e - 1)(1 - tau), and 1 - sigmoid is above 1 - tau by nearly a
+# factor of e. link_score's exp and two roundings move s by a few ulp of s,
+# or of 1 when s is near 1, which is less than either gap down to tau =
+# nextafter(1, 0), where 1 - tau is one ulp of 1 (a test checks the largest
+# logit that the gate drops at 240 thresholds); its clamps lie outside both
+# gaps. So a pair with z + bound < logit(tau) - 1 scores below tau with
+# either log, and the linker drops it whichever score it gets. Below
+# _GATE_FLOOR, exp(z) nears the subnormals, whose rounding is not relative,
+# and _SCORE_MIN clamps the score to tau = 5e-324: there every pair takes
+# math.log's logs.
+_GATE_FLOOR = -700.0
+
+
+def _may_reach(m: SimilarityModel, tau: float, f: list[np.ndarray],
+               logs: list[np.ndarray]) -> np.ndarray | slice:
+    """The rows of the feature columns f whose link_score under m may reach
+    tau with math.log's size ratio logs, given np.log's (logs): an index
+    array, or every row when logit(tau) - 1 is below _GATE_FLOOR."""
+    limit = math.log(tau) - math.log1p(-tau) - 1.0
+    if limit < _GATE_FLOOR:
+        return slice(None)
+    dx, dy, _, _, iou, geo, match, app = f
+    w0, w1, w2, w3, w4, w5, w6, w7 = m.weights
+    unbounded = (w0 * (dx * dx), w1 * (dy * dy), w2 * np.abs(logs[0]), w3 * np.abs(logs[1]))
+    z = m.bias
+    for t in (*unbounded, w4 * iou, w5 * geo, w6 * match, w7 * app):
+        z = z + t
+    a0, a1, a2, a3 = map(np.abs, unbounded)
+    rest = abs(m.bias) + abs(w4) + abs(w5) + abs(w6) + abs(w7)
+    bound = 2.0**-39 * (a0 + a1 + a2 + a3) + 2.0**-46 * rest
+    return np.flatnonzero(~(z + bound < limit))
 
 
 def one_pair_features(a: tuple, b: tuple, steps: int, shape: FrameShape) -> LinkFeatures:

@@ -9,10 +9,13 @@ over detection rows, and linking._link, its g_max case over tubelet rows,
 which link_tubelets orders by id. The ends come as arrays:
 _link_candidates takes the candidates from geometry.overlapping_pairs, the
 one pair enumerator of the package, and computes and checks their features
-in slices with numpy; only link_score runs once per pair, on the pair's
-tuple of features, driven from C by map and np.fromiter, and a numpy mask
-keeps the scores that reach tau. The candidates stay arrays of score, tail
-row and head row, which _accept_greedy orders with one lexsort. Refinement
+in slices with numpy. A slice's logits are bounded with numpy too, so that
+only the pairs that may reach tau take math.log's size ratio logs, about 3%
+of crowded's; the others keep np.log's. Only link_score runs once per pair,
+on the pair's tuple of features, driven from C by map and np.fromiter, and
+a numpy mask keeps the scores that reach tau. The candidates stay arrays of
+score, tail row and head row, which _accept_greedy orders with one lexsort.
+Refinement
 then blends confidences toward the tubelet mean, smooths coordinates with a
 centered moving average and drops short tubelets, which are the dominant
 false-positive shape.
@@ -156,7 +159,8 @@ ASSIGNMENT = one_of("greedy", "exact")
 MIN_LEN = int_at_least(1)
 
 # the candidate pairs whose features are computed at once, about 0.7 kB each
-# meanwhile: 8,192 raised perfbench's peak_rss_mb by 2-4%, 2,048 ran as fast
+# meanwhile, the log gate's arrays included (tracemalloc, crowded's first
+# video): 8,192 raised perfbench's peak_rss_mb by 2-4%, 2,048 ran as fast
 _PAIR_CHUNK = 2048
 
 
@@ -180,13 +184,16 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
     in frame order and ties in row order, and the features of each chunk
     are computed in slices of _PAIR_CHUNK pairs. feature_columns checks
     LinkFeatures' rules on the slice and stops its columns at the first
-    pair that fails them. The slice is then scored in one pass with no
-    Python loop and no object per pair: np.fromiter draws from a lazy map
-    that calls link_score on pair k's tuple of features, once per pair,
-    before pair k + 1; the scores >= tau are then kept with a numpy mask,
-    and the kept pairs of every slice are joined once at the end. So the first pair that fails
-    raises its own error: link_score's while the pairs are scored, or
-    feature_columns' once the pairs before it are.
+    pair that fails them; given m and tau, it takes math.log's size ratio
+    logs only for the pairs whose bounded logit may reach tau, and np.log's
+    for the others, which score below tau either way. The slice is then
+    scored in one pass with no Python loop and no object per pair:
+    np.fromiter draws from a lazy map that calls link_score on pair k's
+    tuple of features, once per pair, before pair k + 1; the scores >= tau
+    are then kept with a numpy mask, and the kept pairs of every slice are
+    joined once at the end. So the first pair that fails raises its own
+    error: link_score's while the pairs are scored, or feature_columns'
+    once the pairs before it are.
     """
     UNIT_OPEN.require("link threshold", tau, ContractError)
     (t_frame, t_class), (h_frame, h_class) = tails[:2], heads[:2]
@@ -202,7 +209,7 @@ def _link_candidates(tails: tuple, heads: tuple, m: SimilarityModel, g_max: int,
         for first in range(0, len(pairs[0]), _PAIR_CHUNK):
             i, j = (a[first:first + _PAIR_CHUNK] for a in pairs)
             columns, error = feature_columns(tails[1:], heads[1:], i, j, h_frame[j] - t_frame[i],
-                                             shape)
+                                             shape, m, tau)
             # zip reuses its result tuple: no object is built per pair
             s = np.fromiter(map(link_score, repeat(m), zip(*columns)), float, len(columns[0]))
             k = np.flatnonzero(s >= tau)  # s stops at a failing pair, i and j do not

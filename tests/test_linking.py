@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,8 @@ from tubelink.similarity import one_pair_features
 from conftest import SHAPE, det
 from test_tubelets import ORACLE, added, tubelets
 from test_similarity import (
-    oracle_tubelet_features, oracle_tubelet_link_score, random_box, random_model,
+    GATE_TAUS, large_model, oracle_tubelet_features, oracle_tubelet_link_score, random_box,
+    random_model, random_tau, split_log_pair,
 )
 
 MODEL = default_model()
@@ -487,6 +489,27 @@ class TestLeanPathMatchesOracle:
             m, tau = random_model(rng), float(rng.uniform(0.05, 0.95))
             assert link_tubelets(ts, m, g_max, tau, SHAPE) == \
                 oracle_link_tubelets(ts, m, g_max, tau, SHAPE)
+
+    @pytest.mark.parametrize("tau", [*GATE_TAUS, None], ids=[*map(repr, GATE_TAUS), "random"])
+    def test_large_weights_of_random_signs(self, rng, tau):
+        # the linker takes np.log's size ratios for the pairs whose bound
+        # keeps them below tau; the merges must be those of math.log's scores
+        for _ in range(60):
+            ts = random_tubelets(rng, int(rng.integers(0, 25)))
+            m, g_max = large_model(rng), int(rng.integers(0, 21))
+            t = random_tau(rng) if tau is None else tau
+            assert link_tubelets(ts, m, g_max, t, SHAPE) == \
+                oracle_link_tubelets(ts, m, g_max, t, SHAPE)
+
+    def test_a_pair_whose_logs_differ_scoring_tau(self, rng):
+        m, tail, head = split_log_pair(rng)
+        ts = [tubelet([(0, tail, 0.9)]), tubelet([(2, head, 0.9)], tid=1)]
+        tau = oracle_tubelet_link_score(*ts, m, SHAPE)
+        ends = [(np.array([f]), np.array([0]), np.array([[b.x, b.y, b.w, b.h]]), np.array([0.9]),
+                 np.zeros((1, 0)), np.zeros(1, np.int64)) for f, b in ((0, tail), (2, head))]
+        got = tubelets_module._link_candidates(*ends, m, 1, tau, SHAPE)
+        assert [a.tolist() for a in got] == [[tau], [0], [0]]
+        assert [len(t) for t in link_tubelets(ts, m, 1, tau, SHAPE)] == [3]
 
     def test_link_tubelets_on_simulated_streams(self):
         for seed in range(4):

@@ -33,10 +33,12 @@ from tubelink import (
     link_tubelets,
     load_model,
     save_model,
+    standard_scenario,
     tubelet_gap,
     tubelet_link_score,
 )
-from tubelink import tubelets
+from tubelink import similarity, tubelets
+from tubelink.io import columns_of
 from tubelink.similarity import feature_columns, one_pair_features
 from tubelink.tubelets import _exact_assignment
 
@@ -472,6 +474,51 @@ def random_det(rng, frame, classes=2):
     return Detection(frame, int(rng.integers(0, classes)), random_box(rng), score, app)
 
 
+# the thresholds where the log gate's margin matters: the smallest float
+# (no gate), one just above the gate's floor, and the largest below 1
+GATE_TAUS = (5e-324, 1e-300, math.nextafter(1.0, 0.0))
+
+
+def random_tau(rng):
+    """One of GATE_TAUS, a threshold in [0.05, 0.95], or one within 1e-300
+    of 0 or 1e-16 of 1."""
+    k = int(rng.integers(0, 4))
+    if k == 0:
+        return float(rng.choice(GATE_TAUS))
+    if k == 1:
+        return float(rng.uniform(0.05, 0.95))
+    near = 10.0 ** -float(rng.uniform(1.0, 300.0 if k == 2 else 15.9))
+    return near if k == 2 else 1.0 - near
+
+
+def large_model(rng):
+    """Weights of random signs, about a third of them 1e5, 1e150 or 1e300 in
+    magnitude, and a bias of either sign. On random_box's boxes the terms
+    stay finite, and a score near tau comes from huge terms that vanish
+    (equal sizes, equal centres) or from the others."""
+    scale = [float(rng.choice([1e5, 1e150, 1e300])) if rng.random() < 0.3
+             else float(rng.uniform(0.0, 50.0)) for _ in range(8)]
+    signs = rng.choice([-1.0, 1.0], 9)
+    return SimilarityModel(tuple(float(v) for v in signs[:8] * scale),
+                           float(signs[8] * rng.uniform(0.0, 10.0)))
+
+
+def split_log_pair(rng):
+    """A model and two boxes whose width ratio r has np.log(r) !=
+    math.log(r). The bias cancels the width term of math.log(r) exactly, so
+    the logit is moderate; with np.log(r) it is of order -1e284, since that
+    term weighs 1e300. The linker scores below tau with np.log's ratio, so
+    it must take math.log's to keep the pair at its score."""
+    r = 1.0 + rng.random(4096)
+    differ = np.flatnonzero(np.log(r) != [math.log(v) for v in r.tolist()])
+    if not len(differ):
+        pytest.skip("np.log rounds as math.log on all 4096 ratios")
+    r = float(r[differ[0]])
+    w = -1e300 if float(np.log(np.array([r]))[0]) > math.log(r) else 1e300
+    m = SimilarityModel((0.0, 0.0, w, 0.0, 1.5, 1.0, 4.0, 1.0), -(w * math.log(r)))
+    return m, BBox(100.0, 100.0, 16.0, 10.0), BBox(100.0, 100.0, 16.0 * r, 10.0)
+
+
 class TestLeanPathMatchesOracle:
     """The per-box/per-pair scoring path reproduces the seed's per-pair
     algorithm bit for bit: exact ==, not approx."""
@@ -611,33 +658,33 @@ class TestLeanPathMatchesOracle:
         assert crossed > 500
 
     def test_link_candidates_against_every_pair(self, rng, pair_chunk):
-        # tails and heads of their own, so that a tail's class may be missing
-        # from the heads; each pair scored alone, heads in frame order
-        def ends(n):
-            boxes = [random_box(rng) for _ in range(n)]
-            return (rng.integers(0, 12, n), rng.integers(0, 4, n),
-                    np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(n, 4),
-                    rng.uniform(0.0, 1.0, n), np.zeros((n, 0)), np.zeros(n, np.int64))
-
-        missing = 0
-        for _ in range(300):
-            tails, heads = ends(int(rng.integers(0, 8))), ends(int(rng.integers(0, 8)))
-            m, g_max = random_model(rng), int(rng.integers(0, 5))
-            tau = float(rng.uniform(0.05, 0.95))
-            expect = []
-            for a in range(len(tails[0])):
-                for b in sorted(range(len(heads[0])), key=lambda b: heads[0][b]):
-                    steps = int(heads[0][b] - tails[0][a])
-                    if heads[1][b] == tails[1][a] and 1 <= steps <= g_max + 1:
-                        f = one_pair_features(*((e[1][r], BBox(*e[2][r]), e[3][r], None)
-                                                for e, r in ((tails, a), (heads, b))), steps, SHAPE)
-                        if (s := link_score(m, f)) >= tau:
-                            expect.append((s, a, b))
-            got = tubelets._link_candidates(tails, heads, m, g_max, tau, SHAPE)
-            assert list(zip(*(a.tolist() for a in got))) == expect
-            missing += sum(min(heads[1], default=9) < c < max(heads[1], default=0)
-                           for c in set(tails[1].tolist()) - set(heads[1].tolist()))
+        missing = candidates_against_every_pair(
+            rng, 300, random_model, lambda rng: float(rng.uniform(0.05, 0.95)))
         assert missing > 30
+
+    @pytest.mark.parametrize("tau", [*GATE_TAUS, None], ids=[*map(repr, GATE_TAUS), "random"])
+    def test_large_weights_of_random_signs(self, rng, tau):
+        # the linker takes np.log's size ratios for the pairs whose bound
+        # keeps them below tau; the kept scores must be math.log's
+        draw = random_tau if tau is None else lambda rng: tau
+        candidates_against_every_pair(rng, 300, large_model, draw)
+        for _ in range(20):
+            v = VideoDetections("v", SHAPE, 8, {f: random_frame(rng, f) for f in range(8)})
+            m, t = large_model(rng), draw(rng)
+            for assignment in ("greedy", "exact"):
+                assert build_tubelets(v, m, t, assignment) == \
+                    oracle_build_tubelets(v, m, t, assignment)
+
+    def test_a_pair_whose_logs_differ_scoring_tau(self, rng):
+        m, tail, head = split_log_pair(rng)
+        d1, d2 = Detection(0, 0, tail, 0.9), Detection(1, 0, head, 0.9)
+        tau = link_score(m, oracle_link_features(d1, d2, SHAPE))
+        v = VideoDetections("v", SHAPE, 2, {0: [d1], 1: [d2]})
+        c = columns_of(v)
+        ends = (c.frame_idx, c.class_id, c.box, c.score, c.descriptor, c.descriptor_len)
+        got = tubelets._link_candidates(ends, ends, m, 0, tau, SHAPE)
+        assert [a.tolist() for a in got] == [[tau], [0], [1]]
+        assert [len(t) for t in build_tubelets(v, m, tau)] == [2]
 
     def test_random_weight_signs(self, rng, pair_chunk):
         # fit_model does not constrain signs: any weight may reward or penalize
@@ -668,6 +715,89 @@ class TestLeanPathMatchesOracle:
         expect = [max(-1.0, min(1.0, float(np.dot(app[a, :k], app[b, :k]))))
                   for a, b, k in zip(i.tolist(), j.tolist(), lengths[i].tolist())]
         assert columns[7] == expect
+
+
+class TestLogGate:
+    @pytest.mark.parametrize("tau, exact_pairs", [(0.5, 1145), (5e-324, 40169)])
+    def test_few_pairs_take_exact_logs(self, monkeypatch, tau, exact_pairs):
+        # a crowded stream under the default model: only the pairs whose
+        # logit may come within 1 of logit(tau) take math.log's ratios, and
+        # every pair where logit(tau) - 1 is below the gate's floor
+        exact_logs, score = similarity._exact_logs, tubelets.link_score
+        counts = {"exact": 0, "scored": 0}
+
+        def exact(ratios):
+            counts["exact"] += len(ratios)
+            return exact_logs(ratios)
+
+        def scored(m, f):
+            counts["scored"] += 1
+            return score(m, f)
+
+        monkeypatch.setattr(similarity, "_exact_logs", exact)
+        monkeypatch.setattr(tubelets, "link_score", scored)
+        _, v = generate(dataclasses.replace(standard_scenario(0), frame_count=60, num_tracks=30,
+                                            fp_rate=5.0))
+        build_tubelets(v, default_model(), tau)
+        # at tau = 0.5, 1,145 of the 40,169 pairs (2.9%); two ratios each
+        assert counts == {"exact": 2 * exact_pairs, "scored": 40169}
+
+    def test_the_largest_gated_logit_scores_below_tau(self, rng):
+        # one pair of zero features under a model of bias b alone: its logit
+        # is b. The largest b that the gate leaves to np.log must score
+        # below tau, down to one ulp below 1
+        zeros = [np.zeros(1)] * 8
+
+        def gate(b, tau):
+            return similarity._may_reach(SimilarityModel((0.0,) * 8, b), tau, zeros, zeros[2:4])
+
+        assert gate(-1e4, GATE_TAUS[0]) == slice(None)  # below the floor, no gate
+        taus = [*GATE_TAUS[1:], *(1.0 - k * 2.0**-53 for k in range(2, 40)),
+                *(random_tau(rng) for _ in range(200))]
+        gated = 0
+        for tau in taus:
+            if isinstance(gate(-1e4, tau), slice):
+                assert tau < math.exp(-699.0)
+                continue
+            lo, hi = -1e3, 1e3  # the gate drops lo, not hi
+            while (mid := lo + (hi - lo) / 2.0) not in (lo, hi):
+                lo, hi = (mid, hi) if len(gate(mid, tau)) == 0 else (lo, mid)
+            assert link_score(SimilarityModel((0.0,) * 8, lo), (0.0,) * 8) < tau
+            gated += 1
+        assert gated > 150
+
+
+def candidates_against_every_pair(rng, rounds, model, tau):
+    """Check tubelets._link_candidates on random tails and heads against
+    each pair scored alone, under model(rng) and at tau(rng); returns how
+    many tail classes were missing from the heads."""
+    # tails and heads of their own, so that a tail's class may be missing
+    # from the heads; each pair scored alone, heads in frame order
+    def ends(n):
+        boxes = [random_box(rng) for _ in range(n)]
+        return (rng.integers(0, 12, n), rng.integers(0, 4, n),
+                np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(n, 4),
+                rng.uniform(0.0, 1.0, n), np.zeros((n, 0)), np.zeros(n, np.int64))
+
+    missing = 0
+    for _ in range(rounds):
+        tails, heads = ends(int(rng.integers(0, 8))), ends(int(rng.integers(0, 8)))
+        m, g_max = model(rng), int(rng.integers(0, 5))
+        t = tau(rng)
+        expect = []
+        for a in range(len(tails[0])):
+            for b in sorted(range(len(heads[0])), key=lambda b: heads[0][b]):
+                steps = int(heads[0][b] - tails[0][a])
+                if heads[1][b] == tails[1][a] and 1 <= steps <= g_max + 1:
+                    f = one_pair_features(*((e[1][r], BBox(*e[2][r]), e[3][r], None)
+                                            for e, r in ((tails, a), (heads, b))), steps, SHAPE)
+                    if (s := link_score(m, f)) >= t:
+                        expect.append((s, a, b))
+        got = tubelets._link_candidates(tails, heads, m, g_max, t, SHAPE)
+        assert list(zip(*(a.tolist() for a in got))) == expect
+        missing += sum(min(heads[1], default=9) < c < max(heads[1], default=0)
+                       for c in set(tails[1].tolist()) - set(heads[1].tolist()))
+    return missing
 
 
 def random_frame(rng, f):

@@ -20,7 +20,13 @@ long-window run takes standard_scenario seed 0 with `--g-max 299`, so that
 each tail's window holds every later head of its 300 frames: the gap
 level's 36,572 candidates come from geometry.overlapping_pairs in 5 chunks,
 which end between tails, and the slices of tubelets._PAIR_CHUNK pairs that
-are scored end inside a tail's window. Each run
+are scored end inside a tail's window. Three runs take standard_scenario
+seed 0 where the linker's log gate (similarity._may_reach) is near its
+edges: `--tau-link 1e-300`, just above the threshold below which every
+pair takes math.log's size ratios, `--tau-link 0.9999999999999999`, the
+largest threshold below 1, and `--model` with LARGE_MODEL, whose weights
+of up to 1e300 with random signs make the gate's bound of the np.log
+ratios' error far larger than its margin of 1 logit. Each run
 calls `simulate`, `postprocess`, `eval --out --pr-out` and `inspect` of the postprocess output through tubelink.cli.main
 in a temporary directory; its files are the ground truth, the detections, the
 postprocess output, the eval report, the PR-curve CSV, whose points show
@@ -51,7 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from tubelink import cli, describe, standard_scenario  # noqa: E402
+from tubelink import SimilarityModel, cli, describe, save_model, standard_scenario  # noqa: E402
 
 SEEDS = (0, 7919)
 STANDARD = {"default": [], "nms-0.5": ["--nms-iou", "0.5"], "exact": ["--assignment", "exact"],
@@ -64,6 +70,9 @@ SIMULATE_ONLY = {
     "zero-length-bursts": dict(burst_prob=0.3, burst_max=0),
 }
 
+# weights of up to 1e300 with random signs
+LARGE_MODEL = SimilarityModel((-2e5, 3e150, -1e300, 7e299, 5e5, -4e150, 6e5, 2e300), -3e5)
+
 
 def workloads() -> dict:
     """perfbench/run.py's WORKLOADS, loaded without running its main."""
@@ -73,9 +82,9 @@ def workloads() -> dict:
     return run.WORKLOADS
 
 
-def runs():
+def runs(model: Path):
     """(directory name, scenario, postprocess flags, whether the detection
-    file is re-spaced) of every run."""
+    file is re-spaced) of every run; model is LARGE_MODEL's file."""
     named = workloads()
     for name, w in named.items():
         for seed in SEEDS:
@@ -90,6 +99,9 @@ def runs():
                                 fp_rate=100.0, box_min=150.0, box_max=300.0)
     yield "dense-nms-0.5", dense, ["--nms-iou", "0.5"], False
     yield "standard_scenario-g-max-299", standard_scenario(0), ["--g-max", "299"], False
+    for tau in ("1e-300", "0.9999999999999999"):
+        yield f"standard_scenario-tau-link-{tau}", standard_scenario(0), ["--tau-link", tau], False
+    yield "standard_scenario-large-model", standard_scenario(0), ["--model", str(model)], False
 
 
 def respaced(text: str) -> str:
@@ -117,7 +129,9 @@ def digest(files: list[Path], tmp: str) -> None:
 def main() -> int:
     pooled: dict[str, list[str]] = {}  # group -> the eval arguments of its runs
     with tempfile.TemporaryDirectory() as tmp:
-        for group, cfg, flags, respace in runs():
+        model = Path(tmp) / "large.model"
+        save_model(LARGE_MODEL, model)
+        for group, cfg, flags, respace in runs(model):
             stem = Path(tmp) / group / cfg.video_id
             stem.parent.mkdir(exist_ok=True)
             files = [Path(f"{stem}.{ext}")
